@@ -272,7 +272,7 @@ def _cmd_ortho_family(args) -> None:
 def _cmd_learn(args) -> None:
     fn = parse_function_spec(args.fn)
     dist = LabeledDistribution(BoundedFunction(fn.n, fn.table.astype(np.float64)))
-    if args.m:
+    if args.m is not None:
         if args.seed is None:
             raise SpecError("sampled learning requires --seed")
         report = learn_sampled(dist, d=args.d, m=args.m, seed=args.seed)

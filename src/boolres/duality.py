@@ -7,10 +7,21 @@ For a Boolean f and degree d, the two programs are
     dual:    min sum_x |f(x) - p(x)|  over degree-<=d polynomials p
 
 whose optima satisfy alpha = 1 - value/2^n and delta = value/2^n with
-alpha + delta = 1.  Both sides are solved independently (no witness is
-extracted from the other via complementary slackness) and every witness is
-re-verified outside the solver; the residual duality gap is the headline
-certificate.
+alpha + delta = 1.  Only the primal is solved, a box LP with one row per
+|S| <= d; the dual's p = sum_S y_S chi_S comes from the row duals
+y = c_B B^-1 of its optimal basis.
+
+Neither side is taken on trust.  The witness g is re-checked for the box
+and for d-resilience, and alpha is its measured E|f - g|.  E|f - p| is
+recomputed from p's table, matched to the LP value, and reported as delta.
+The certificate stays sound by weak duality: for every bounded d-resilient
+g and every p of degree <= d,
+
+    E[f g] = E[(f - p) g] <= E|f - p|,
+
+so alpha + delta >= 1 holds for any pair that passed these checks, and the
+residual gap |alpha + delta - 1|, measured between two separately verified
+objects, bounds how far each is from optimal.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .hypercube import (
     l1_distance,
     popcounts,
 )
-from .lp import OPTIMAL, LinearProgram, SolverFailure, solve_lp
+from .lp import OPTIMAL, LinearProgram, LPSolution, SolverFailure, solve_lp
 
 MAX_DUALITY_DIM = 12
 WITNESS_TOL = 1e-7
@@ -105,16 +116,15 @@ def _constraint_matrix(n: int, masks: list[int]) -> np.ndarray:
     return np.array([chi_values(n, mask) for mask in masks], dtype=np.float64)
 
 
-def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
-    """Exact L1 distance from f to the closest bounded d-resilient function."""
+def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, list[int]]:
+    """Solve the k-row resilience LP, k = #{|S| <= d}; raise unless optimal."""
     _check_inputs(f, d)
     n = f.n
     size = 1 << n
     masks = low_degree_masks(n, d)
-    a = _constraint_matrix(n, masks)
     lp = LinearProgram(
         objective=f.table.astype(np.float64),
-        eq_matrix=a,
+        eq_matrix=_constraint_matrix(n, masks),
         eq_rhs=np.zeros(len(masks)),
         lower=np.full(size, -1.0),
         upper=np.full(size, 1.0),
@@ -126,68 +136,61 @@ def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
     sol = solve_lp(lp, initial_at_upper=at_upper)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"resilience LP ended with status {sol.status}")
+    return sol, masks
 
+
+def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> ResilienceResult:
+    """The primal point as a bounded d-resilient g, alpha = measured E|f - g|."""
     point = sol.point
     if np.max(np.abs(point)) > 1.0 + WITNESS_TOL:
         raise CertificateError("witness exceeds the unit box beyond tolerance")
-    witness = BoundedFunction(n, np.clip(point, -1.0, 1.0))
-    alpha = 1.0 - sol.value / size
-
+    witness = BoundedFunction(f.n, np.clip(point, -1.0, 1.0))
     check = is_d_resilient(witness, d, tol=WITNESS_TOL)
     if not check.resilient:
         raise CertificateError(
             f"witness is not {d}-resilient: coef[{check.worst_mask:#x}] = "
             f"{check.worst_coefficient:.3e}"
         )
-    dist = l1_distance(f, witness)
-    if abs(dist - alpha) > WITNESS_TOL:
-        raise CertificateError(f"witness distance {dist} does not match alpha {alpha}")
+    alpha_lp = 1.0 - sol.value / (1 << f.n)
+    alpha = l1_distance(f, witness)
+    if abs(alpha - alpha_lp) > WITNESS_TOL:
+        raise CertificateError(f"witness distance {alpha} does not match LP alpha {alpha_lp}")
     return ResilienceResult(alpha, witness, d, sol.iterations, check)
 
 
-def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
-    """Exact minimum of E|f - p| over polynomials of degree <= d."""
-    _check_inputs(f, d)
-    n = f.n
-    size = 1 << n
-    masks = low_degree_masks(n, d)
-    k = len(masks)
-
-    # columns: [p_S | q_plus_x | q_minus_x], rows: p(x) + q+ - q- = f(x)
-    a = np.zeros((size, k + 2 * size))
-    for col, mask in enumerate(masks):
-        a[:, col] = chi_values(n, mask)
-    a[:, k : k + size] = np.eye(size)
-    a[:, k + size :] = -np.eye(size)
-
-    objective = np.zeros(k + 2 * size)
-    objective[k:] = -1.0  # maximize -(sum of splits) = -sum |q|
-    lower = np.concatenate([np.full(k, -np.inf), np.zeros(2 * size)])
-    upper = np.full(k + 2 * size, np.inf)
-    lp = LinearProgram(objective, a, f.table.astype(np.float64), lower, upper)
-
-    basis = [k + x if f.table[x] > 0 else k + size + x for x in range(size)]
-    sol = solve_lp(lp, initial_basis=basis)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(f"l1 regression LP ended with status {sol.status}")
-
-    coeffs = {mask: float(sol.point[col]) for col, mask in enumerate(masks)}
-    poly = SparsePolynomial(n, d, coeffs)
-    delta = -sol.value / size
-
-    recomputed = float(np.mean(np.abs(f.table - poly.table())))
-    if abs(recomputed - delta) > WITNESS_TOL:
+def _verified_poly(
+    f: BooleanFunction, d: int, masks: list[int], sol: LPSolution
+) -> L1ApproxResult:
+    """The dual p = sum_S y_S chi_S, delta = recomputed E|f - p|."""
+    coeffs = {mask: float(y) for mask, y in zip(masks, sol.duals)}
+    poly = SparsePolynomial(f.n, d, coeffs)
+    delta_lp = sol.value / (1 << f.n)  # strong duality: primal optimum = 2^n E|f - p|
+    delta = float(np.mean(np.abs(f.table - poly.table())))
+    if abs(delta - delta_lp) > WITNESS_TOL:
         raise CertificateError(
-            f"recomputed E|f-p| = {recomputed} does not match LP delta {delta}"
+            f"recomputed E|f-p| = {delta} does not match LP delta {delta_lp}"
         )
-    if not -WITNESS_TOL <= delta <= 2.0 + WITNESS_TOL:
+    if not 0.0 <= delta <= 2.0:
         raise CertificateError(f"delta {delta} outside [0, 2]")
     return L1ApproxResult(delta, poly, d, sol.iterations)
 
 
+def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
+    """Exact L1 distance from f to the closest bounded d-resilient function."""
+    sol, _ = _resilience_lp(f, d)
+    return _verified_witness(f, d, sol)
+
+
+def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
+    """Exact minimum of E|f - p| over polynomials of degree <= d."""
+    sol, masks = _resilience_lp(f, d)
+    return _verified_poly(f, d, masks, sol)
+
+
 def duality_certificate(f: BooleanFunction, d: int) -> DualityCertificate:
-    """Solve both programs independently and report the duality gap."""
-    res = distance_to_resilience(f, d)
-    l1 = l1_poly_distance(f, d)
+    """Verify both sides of one resilience LP solve and report the duality gap."""
+    sol, masks = _resilience_lp(f, d)
+    res = _verified_witness(f, d, sol)
+    l1 = _verified_poly(f, d, masks, sol)
     gap = abs(l1.delta + res.alpha - 1.0)
     return DualityCertificate(res.alpha, l1.delta, gap, res, l1)

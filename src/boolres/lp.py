@@ -65,6 +65,10 @@ class LinearProgram:
             raise ValueError("eq_rhs length must match eq_matrix rows")
         if not np.all(np.isfinite(b)):
             raise ValueError("eq_rhs must be finite")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective must be finite")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("empty box: lower > upper")
         object.__setattr__(self, "objective", c)
@@ -80,6 +84,7 @@ class LPSolution:
     value: float
     point: np.ndarray | None
     iterations: int
+    duals: np.ndarray | None = None  # y = c_B B^-1, when optimal without initial_basis
 
 
 @dataclass
@@ -317,6 +322,10 @@ def solve_lp(
     signed unit columns and `initial_at_upper` rests selected non-basic
     variables at their upper bound; both refer to original column indices of
     variables that are not internally split (finite lower or finite upper).
+
+    An optimal solve from the artificial start also returns the row duals
+    `y = c_B B^-1` of its final basis, read off the artificial columns after
+    one last refactorization; they are not re-checked here.
     """
     A, b, cost, upper, cols, primary = _standardize(lp)
     m, nreal = A.shape
@@ -364,6 +373,13 @@ def solve_lp(
 
     status = sx.run(phase2_cost, max_iterations)
 
+    duals = None
+    if status == OPTIMAL and initial_basis is None:
+        # fresh B^-1 from the original data, then y = c_B B^-1 off the
+        # artificial columns, which hold B^-1 diag(signs)
+        sx.refactor()
+        duals = phase2_cost[sx.basis] @ (sx.T[:, nreal:] * signs)
+
     y = sx.point()[:nreal]
     point = np.zeros(len(lp.objective))
     offset_done = set()
@@ -384,4 +400,4 @@ def solve_lp(
         raise SolverFailure(f"optimal point violates constraints (residual {residual:.3e})")
     if np.any(point < lp.lower - FEAS_TOL) or np.any(point > lp.upper + FEAS_TOL):
         raise SolverFailure("optimal point violates box bounds")
-    return LPSolution(OPTIMAL, value, point, sx.iterations)
+    return LPSolution(OPTIMAL, value, point, sx.iterations, duals)

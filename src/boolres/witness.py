@@ -17,6 +17,7 @@ function stands in as the (trivial) certified witness; inputs of degree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +49,8 @@ class WitnessParams:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("threshold tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("threshold tau must be positive and finite")
         if self.d < 0:
             raise ValueError("degree must be nonnegative")
 

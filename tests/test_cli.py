@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from boolres import cli
 from boolres.cli import main, parse_function_spec
 from boolres.hypercube import write_truth_table
 from boolres.zoo import majority, tribes
@@ -115,6 +117,14 @@ def test_learn_cli_exact_and_sampled(capsys):
     assert "seed" in err
 
 
+def test_learn_cli_rejects_zero_samples(capsys):
+    code, _, err = run_cli(
+        capsys, "learn", "--fn", "dictator:n=4,i=1", "--d", "1", "--m", "0", "--seed", "9"
+    )
+    assert code == 1
+    assert "m must be positive" in err
+
+
 def test_ft_stats_cli(capsys):
     code, out, _ = run_cli(capsys, "ft-stats", "--n", "1000", "--t", "1.0")
     assert code == 0
@@ -146,11 +156,16 @@ def test_exit_code_1_on_bad_precondition(capsys):
     assert "precondition" in err
 
 
-def test_exit_code_2_on_invariant_violation(capsys):
-    # an impossible duality tolerance turns the certificate check into a
-    # reported invariant violation (tribes(2,3) has gap ~2e-16 > 0)
+def test_exit_code_2_on_invariant_violation(capsys, monkeypatch):
+    # a certificate whose gap exceeds --tol is reported as an invariant
+    # violation; the gap is forced, since a real solve can reach exactly 0
+    real = cli.duality_certificate
+    monkeypatch.setattr(
+        cli, "duality_certificate",
+        lambda f, d: dataclasses.replace(real(f, d), gap=1e-3),
+    )
     code, _, err = run_cli(
-        capsys, "duality", "--fn", "tribes:w=2,s=3", "--d", "1", "--tol", "0"
+        capsys, "duality", "--fn", "tribes:w=2,s=3", "--d", "1", "--tol", "1e-6"
     )
     assert code == 2
     assert "invariant-violation" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boolres import duality
 from boolres.duality import (
     SparsePolynomial,
     distance_to_resilience,
@@ -15,6 +16,7 @@ from boolres.hypercube import (
     is_d_resilient,
     l1_distance,
 )
+from boolres.zoo import majority, random_boolean, tribes
 
 
 def parity(n, k):
@@ -97,6 +99,48 @@ def test_random_duality_gaps_n6():
             assert cert.gap <= 1e-6
             assert cert.resilience.witness_check.resilient
             assert cert.delta + cert.alpha >= 1.0 - 1e-8  # weak duality
+
+
+def _highs_l1_delta(f, d):
+    """min E|f - p| over degree <= d, as the 2^n-row LP p(x) + q+ - q- = f(x)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, size = f.n, 1 << f.n
+    masks = low_degree_masks(n, d)
+    chi = np.array([chi_values(n, mask) for mask in masks], dtype=np.float64).T
+    a_eq = np.hstack([chi, np.eye(size), -np.eye(size)])
+    cost = np.concatenate([np.zeros(len(masks)), np.full(2 * size, 1.0 / size)])
+    bounds = [(None, None)] * len(masks) + [(0, None)] * (2 * size)
+    out = linprog(cost, A_eq=a_eq, b_eq=f.table.astype(np.float64), bounds=bounds,
+                  method="highs")
+    assert out.status == 0, out.message
+    return out.fun
+
+
+@pytest.mark.parametrize("f", [
+    random_boolean(7, seed=3),
+    random_boolean(9, seed=11),
+    tribes(2, 3),
+    tribes(3, 3),
+    majority(7),
+    majority(9),
+], ids=["random7", "random9", "tribes23", "tribes33", "majority7", "majority9"])
+def test_dual_polynomial_matches_highs_l1_lp(f):
+    for d in (1, 2):
+        out = l1_poly_distance(f, d)
+        assert out.delta == pytest.approx(_highs_l1_delta(f, d), abs=1e-7)
+
+
+def test_duality_certificate_solves_one_lp(monkeypatch):
+    calls = []
+    real = duality.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "solve_lp", counting)
+    duality_certificate(majority3(), 1)
+    assert len(calls) == 1
 
 
 def test_witness_reverified_outside_solver():

@@ -70,6 +70,29 @@ def test_and2_resilience_lp_value_matches_vertex_enumeration():
     assert best == pytest.approx(4 * (1 - 0.5))  # 2^n (1 - alpha) with alpha = 1/2
 
 
+def test_rejects_non_finite_objective_and_nan_bounds():
+    def make(objective, lower, upper):
+        return LinearProgram(
+            objective=np.array(objective),
+            eq_matrix=np.ones((1, 2)),
+            eq_rhs=np.zeros(1),
+            lower=np.array(lower),
+            upper=np.array(upper),
+        )
+
+    nan, inf = float("nan"), float("inf")
+    for objective, lower, upper in (
+        ([nan, 1.0], [-1.0, -1.0], [1.0, 1.0]),
+        ([inf, 1.0], [-1.0, -1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [nan, -1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [-1.0, -1.0], [1.0, nan]),
+    ):
+        with pytest.raises(ValueError):
+            make(objective, lower, upper)
+    # infinite bounds remain valid
+    make([1.0, 1.0], [-inf, 0.0], [inf, inf])
+
+
 def test_infeasible_detected():
     lp = LinearProgram(
         objective=np.array([0.0, 0.0]),
@@ -134,6 +157,21 @@ def test_equality_with_negative_rhs():
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(-2.0)  # x=0, y=2
     assert sol.point == pytest.approx(np.array([0.0, 2.0]))
+
+
+def test_duals_read_off_negatively_signed_artificial():
+    # the negative rhs starts its artificial column at sign -1
+    lp = LinearProgram(
+        objective=np.array([-1.0, -1.0]),
+        eq_matrix=np.array([[1.0, -1.0]]),
+        eq_rhs=np.array([-2.0]),
+        lower=np.zeros(2),
+        upper=np.full(2, 10.0),
+    )
+    sol = solve_lp(lp)
+    # basis {x2}: y = c_B B^-1 = (-1) / (-1); b . y = -2 equals the optimum
+    assert sol.duals == pytest.approx(np.array([1.0]))
+    assert sol.value == pytest.approx(float(lp.eq_rhs @ sol.duals))
 
 
 def test_determinism_bit_identical():

@@ -20,6 +20,12 @@ def test_params_validation():
         WitnessParams(d=-1, tau=0.5)
 
 
+def test_params_reject_non_finite_tau():
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            WitnessParams(d=1, tau=tau)
+
+
 def test_parity_passes_through_unchanged():
     f = BooleanFunction(4, chi_values(4, 0b111))
     report = build_witness(f, WitnessParams(d=1, tau=0.3))
