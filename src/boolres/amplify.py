@@ -62,16 +62,17 @@ def _support(spectrum: Spectrum) -> np.ndarray:
     return np.nonzero(spectrum.coeffs != 0.0)[0]
 
 
-def _multilinear(spectrum: Spectrum, tvals: np.ndarray) -> np.ndarray:
-    """Multilinear extension of the outer function at rows of inner values."""
-    out = np.zeros(tvals.shape[1])
+def _multilinear(spectrum: Spectrum, vals: np.ndarray) -> np.ndarray:
+    """Multilinear extension of the outer function; vals[j] holds the values
+    of coordinate j+1 (any trailing shape, which the result keeps)."""
+    out = np.zeros(vals.shape[1:])
     for mask in _support(spectrum):
-        term = np.full(tvals.shape[1], spectrum.coeffs[mask])
+        term = np.full(vals.shape[1:], spectrum.coeffs[mask])
         mm = int(mask)
         j = 0
         while mm:
             if mm & 1:
-                term *= tvals[j]
+                term *= vals[j]
             mm >>= 1
             j += 1
         out += term
@@ -204,23 +205,6 @@ def _boolean_level(f: BooleanFunction, vals: np.ndarray) -> np.ndarray:
     return f.table[bits @ weights].astype(np.float64)
 
 
-def _multilinear_level(spectrum: Spectrum, vals: np.ndarray) -> np.ndarray:
-    """Multilinear extension on grouped values: (b, groups, n) -> (b, groups)."""
-    b, groups, _ = vals.shape
-    out = np.zeros((b, groups))
-    for mask in _support(spectrum):
-        term = np.full((b, groups), spectrum.coeffs[mask])
-        mm = int(mask)
-        j = 0
-        while mm:
-            if mm & 1:
-                term *= vals[:, :, j]
-            mm >>= 1
-            j += 1
-        out += term
-    return out
-
-
 def _sampled_distance(
     f: BooleanFunction,
     g: BoundedFunction,
@@ -243,7 +227,7 @@ def _sampled_distance(
         gv = g.table[leaf_idx]
         while fv.shape[1] > 1:
             fv = _boolean_level(f, fv.reshape(b, -1, n))
-            gv = _multilinear_level(g_spec, gv.reshape(b, -1, n))
+            gv = _multilinear(g_spec, np.moveaxis(gv.reshape(b, -1, n), -1, 0))
         total += float(np.abs(fv[:, 0] - gv[:, 0]).sum()) / 2.0
         remaining -= b
     return total / samples

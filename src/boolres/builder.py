@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .hypercube import BooleanFunction
+from .hypercube import BooleanFunction, popcounts
 from .zoo import cyclerun
 
 
@@ -107,8 +107,7 @@ class BuilderReport:
 
 
 def _weights(n: int) -> np.ndarray:
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    return n - 2 * pc
+    return n - 2 * popcounts(n)
 
 
 def _singleton_sums(table: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,8 @@ For a Boolean f and degree d, the two programs are
 whose optima satisfy alpha = 1 - value/2^n and delta = value/2^n with
 alpha + delta = 1.  Only the primal is solved, a box LP with one row per
 |S| <= d; the dual's p = sum_S y_S chi_S comes from the row duals
-y = c_B B^-1 of its optimal basis.
+y = c_B B^-1 of its optimal basis.  The learner's weighted regression is
+the same LP over weighted labeled points (`_l1_box_lp`).
 
 Neither side is taken on trust.  The witness g is re-checked for the box
 and for d-resilience, and alpha is its measured E|f - g|.  E|f - p| is
@@ -112,31 +113,48 @@ def _check_inputs(f: BooleanFunction, d: int) -> None:
         raise ValueError(f"degree d={d} outside [0, {f.n}]")
 
 
-def _constraint_matrix(n: int, masks: list[int]) -> np.ndarray:
-    return np.array([chi_values(n, mask) for mask in masks], dtype=np.float64)
+def _l1_box_lp(
+    n: int,
+    d: int,
+    points: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    at_upper: np.ndarray | None,
+) -> tuple[LPSolution, list[int]]:
+    """Solve the k-row box LP, k = #{|S| <= d}; raise unless optimal.
+
+    Column c is the labeled point (points[c], labels[c]) with weight
+    weights[c] > 0:
+
+        max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d,
+                                -w_c <= g_c <= w_c
+
+    Its dual is min sum_c w_c |l_c - p(x_c)| over p = sum_S y_S chi_S, with
+    y the row duals, in the order of the returned masks.  `at_upper` picks
+    the columns that start at g_c = w_c.
+    """
+    masks = low_degree_masks(n, d)
+    lp = LinearProgram(
+        objective=labels,
+        eq_matrix=np.array([chi_values(n, mask)[points] for mask in masks]),
+        eq_rhs=np.zeros(len(masks)),
+        lower=-weights,
+        upper=weights,
+    )
+    sol = solve_lp(lp, initial_at_upper=at_upper)
+    if sol.status != OPTIMAL:
+        raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
+    return sol, masks
 
 
 def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, list[int]]:
-    """Solve the k-row resilience LP, k = #{|S| <= d}; raise unless optimal."""
+    """The resilience LP: every point, labels f, weights 1."""
     _check_inputs(f, d)
     n = f.n
     size = 1 << n
-    masks = low_degree_masks(n, d)
-    lp = LinearProgram(
-        objective=f.table.astype(np.float64),
-        eq_matrix=_constraint_matrix(n, masks),
-        eq_rhs=np.zeros(len(masks)),
-        lower=np.full(size, -1.0),
-        upper=np.full(size, 1.0),
-    )
     # start at a vertex that is already d-resilient: the parity on [d+1]
-    at_upper = None
-    if d < n:
-        at_upper = chi_values(n, (1 << (d + 1)) - 1) > 0
-    sol = solve_lp(lp, initial_at_upper=at_upper)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(f"resilience LP ended with status {sol.status}")
-    return sol, masks
+    at_upper = chi_values(n, (1 << (d + 1)) - 1) > 0 if d < n else None
+    return _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size), at_upper)
 
 
 def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> ResilienceResult:

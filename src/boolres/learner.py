@@ -2,9 +2,25 @@
 
 Exact mode minimizes the labeled objective E|p(x) - y| over degree-<=d
 polynomials, where y = +-1 has conditional mean g(x); grouping the two
-label values per point turns this into a finite weighted LP.  For
-Boolean-valued targets the objective collapses to plain E|p - g|.  The
-regressor is rounded to a Boolean hypothesis by the deterministic
+label values per point turns this into the finite weighted sum
+sum_x up_x |p(x) - 1| + down_x |p(x) + 1|.  Sampled mode minimizes the same
+sum with the empirical label frequencies as weights.
+
+Both modes solve it through its dual, the k-row box LP of `duality`
+(k = #{|S| <= d}): one column per labeled point (x, l) of nonzero weight w,
+
+    max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d, |g_c| <= w_c,
+
+and p = sum_S y_S chi_S is read off its row duals.  The simplex starts at
+the box-optimal vertex g_c = w_c l_c.  When the target is d-resilient (the
+sums sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
+all-artificial starting basis is optimal at pivot 0 and its duals give
+p = 0.  Such a target can have other optimal p (the optimal face is
+degenerate) whose thresholds happen to correlate with it through higher
+degrees; the start picks p = 0, so the hypothesis is a constant and a
+d-resilient target stays as hard as the degree-d regression says it is.
+
+The regressor is rounded to a Boolean hypothesis by the deterministic
 error-minimizing threshold over all breakpoint values of p (exhausting
 every distinct behavior of sign(p - t)), which dominates the randomized
 threshold in expectation.
@@ -19,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import SparsePolynomial, l1_poly_distance, low_degree_masks
-from .hypercube import BooleanFunction, BoundedFunction, chi_values
-from .lp import OPTIMAL, LinearProgram, SolverFailure, solve_lp
+from .duality import SparsePolynomial, _l1_box_lp, l1_poly_distance
+from .hypercube import BooleanFunction, BoundedFunction
+from .lp import SolverFailure
 
 EXACT_MAX_DIM_BOOLEAN = 12
 EXACT_MAX_DIM_BOUNDED = 10
@@ -72,83 +88,23 @@ def opt_of_class(functions: list[BooleanFunction], dist: LabeledDistribution) ->
     return best
 
 
-def _weighted_l1_regression(
-    n: int,
-    d: int,
-    up: np.ndarray,
-    down: np.ndarray,
-    points: np.ndarray,
-) -> tuple[SparsePolynomial, float, int]:
-    """Minimize sum_x up_x |p(x)-1| + down_x |p(x)+1| over degree-<=d p.
+def _l1_regression(
+    n: int, d: int, up: np.ndarray, down: np.ndarray
+) -> tuple[SparsePolynomial, float]:
+    """Minimize sum_x up_x |p(x) - 1| + down_x |p(x) + 1| over degree-<=d p.
 
-    `points` restricts the objective to the listed point indices (all of
-    them in exact mode, the observed sample support in sampled mode).
+    Solved as the k-row box LP with one column per labeled point of nonzero
+    weight, started at its box-optimal vertex g_c = w_c l_c.
     """
-    masks = low_degree_masks(n, d)
-    k = len(masks)
-    rows = len(points)
-    chi = np.array([chi_values(n, mask)[points] for mask in masks], dtype=np.float64).T
-
-    a = np.zeros((2 * rows, k + 4 * rows))
-    b = np.zeros(2 * rows)
-    cost = np.zeros(k + 4 * rows)
-    # rows 0..rows-1:   p(x) - a+ + a- = +1   (a = |p(x) - 1| at optimum)
-    # rows rows..2rows: p(x) - b+ + b- = -1   (b = |p(x) + 1| at optimum)
-    a[:rows, :k] = chi
-    a[rows:, :k] = chi
-    eye = np.eye(rows)
-    a[:rows, k : k + rows] = -eye
-    a[:rows, k + rows : k + 2 * rows] = eye
-    a[rows:, k + 2 * rows : k + 3 * rows] = -eye
-    a[rows:, k + 3 * rows :] = eye
-    b[:rows] = 1.0
-    b[rows:] = -1.0
-    cost[k : k + rows] = -up[points]
-    cost[k + rows : k + 2 * rows] = -up[points]
-    cost[k + 2 * rows : k + 3 * rows] = -down[points]
-    cost[k + 3 * rows :] = -down[points]
-
-    lower = np.concatenate([np.full(k, -np.inf), np.zeros(4 * rows)])
-    upper = np.full(k + 4 * rows, np.inf)
-    lp = LinearProgram(cost, a, b, lower, upper)
-    # p = 0 start: a- = 1 on the +1 rows, b+ = 1 on the -1 rows
-    basis = [k + rows + i for i in range(rows)] + [k + 2 * rows + i for i in range(rows)]
-    sol = solve_lp(lp, initial_basis=basis)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(f"regression LP ended with status {sol.status}")
-    coeffs = {mask: float(sol.point[col]) for col, mask in enumerate(masks)}
-    return SparsePolynomial(n, d, coeffs), -sol.value, sol.iterations
-
-
-def _boolean_l1_regression(
-    n: int,
-    d: int,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    points: np.ndarray,
-) -> tuple[SparsePolynomial, float, int]:
-    """Minimize sum_x w_x |p(x) - f(x)| for +-1 targets (one row per point)."""
-    masks = low_degree_masks(n, d)
-    k = len(masks)
-    rows = len(points)
-    chi = np.array([chi_values(n, mask)[points] for mask in masks], dtype=np.float64).T
-    a = np.zeros((rows, k + 2 * rows))
-    a[:, :k] = chi
-    a[:, k : k + rows] = np.eye(rows)
-    a[:, k + rows :] = -np.eye(rows)
-    b = targets[points].astype(np.float64)
-    cost = np.zeros(k + 2 * rows)
-    cost[k : k + rows] = -weights[points]
-    cost[k + rows :] = -weights[points]
-    lower = np.concatenate([np.full(k, -np.inf), np.zeros(2 * rows)])
-    upper = np.full(k + 2 * rows, np.inf)
-    lp = LinearProgram(cost, a, b, lower, upper)
-    basis = [k + i if b[i] > 0 else k + rows + i for i in range(rows)]
-    sol = solve_lp(lp, initial_basis=basis)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(f"regression LP ended with status {sol.status}")
-    coeffs = {mask: float(sol.point[col]) for col, mask in enumerate(masks)}
-    return SparsePolynomial(n, d, coeffs), -sol.value, sol.iterations
+    points = np.tile(np.arange(1 << n), 2)
+    labels = np.repeat([1.0, -1.0], 1 << n)
+    weights = np.concatenate([up, down])
+    keep = weights > 0
+    sol, masks = _l1_box_lp(
+        n, d, points[keep], labels[keep], weights[keep], labels[keep] > 0
+    )
+    coeffs = {mask: float(y) for mask, y in zip(masks, sol.duals)}
+    return SparsePolynomial(n, d, coeffs), sol.value
 
 
 def _best_threshold(
@@ -207,12 +163,7 @@ def learn_exact(
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit} for this target type")
     up, down = dist.label_weights()
-    points = np.arange(1 << n)
-    if boolean_target:
-        weights = np.full(1 << n, 1.0 / (1 << n))
-        poly, delta, _ = _boolean_l1_regression(n, d, weights, g.table, points)
-    else:
-        poly, delta, _ = _weighted_l1_regression(n, d, up, down, points)
+    poly, delta = _l1_regression(n, d, up, down)
 
     p_table = poly.table()
     recomputed = float(np.sum(up * np.abs(p_table - 1.0) + down * np.abs(p_table + 1.0)))
@@ -278,19 +229,7 @@ def learn_sampled(
 
     up_counts = np.bincount(xs[ys > 0], minlength=size).astype(np.float64) / m
     down_counts = np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m
-    observed = np.nonzero(up_counts + down_counts > 0)[0]
-
-    pure = not np.any((up_counts > 0) & (down_counts > 0))
-    if pure:
-        # consistent labels per point: plain weighted L1 onto the labels
-        targets = np.where(up_counts > 0, 1, -1).astype(np.int8)
-        poly, delta_emp, _ = _boolean_l1_regression(
-            n, d, up_counts + down_counts, targets, observed
-        )
-    else:
-        poly, delta_emp, _ = _weighted_l1_regression(
-            n, d, up_counts, down_counts, observed
-        )
+    poly, delta_emp = _l1_regression(n, d, up_counts, down_counts)
 
     p_table = poly.table()
     emp_threshold, emp_error, h_table = _best_threshold(p_table, up_counts, down_counts)

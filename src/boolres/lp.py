@@ -15,10 +15,9 @@ equality constraints:
 
     max  objective . x    s.t.  eq_matrix @ x = eq_rhs,  lower <= x <= upper
 
-with +-inf allowed in the bounds.  Internally variables are shifted,
-mirrored or split so every variable lives in [0, u], artificial columns
-provide the starting basis, and a standard two-phase method runs on the
-full tableau B^-1 A.
+with finite bounds only.  Internally each variable is shifted, x = lower + y,
+so it lives in [0, upper - lower]; artificial columns provide the starting
+basis, and a standard two-phase method runs on the full tableau B^-1 A.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ class LinearProgram:
             raise ValueError("eq_rhs must be finite")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective must be finite")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("bounds must not be NaN")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("empty box: lower > upper")
         object.__setattr__(self, "objective", c)
@@ -84,61 +83,16 @@ class LPSolution:
     value: float
     point: np.ndarray | None
     iterations: int
-    duals: np.ndarray | None = None  # y = c_B B^-1, when optimal without initial_basis
-
-
-@dataclass
-class _Column:
-    orig: int        # original variable index
-    scale: float     # x contribution = scale * y (+ offset once per variable)
-    offset: float
-
-
-def _standardize(lp: LinearProgram):
-    """Rewrite all variables into [0, u] columns; returns transformed data."""
-    a = lp.eq_matrix
-    m, n = a.shape
-    cols: list[_Column] = []
-    col_data: list[np.ndarray] = []
-    col_cost: list[float] = []
-    col_upper: list[float] = []
-    b = lp.eq_rhs.astype(np.float64).copy()
-    primary: list[int] = []  # transformed index of each original variable's main column
-    for j in range(n):
-        lo, hi, cj = lp.lower[j], lp.upper[j], lp.objective[j]
-        if np.isfinite(lo):
-            # x = y + lo, 0 <= y <= hi - lo
-            primary.append(len(cols))
-            cols.append(_Column(j, 1.0, float(lo)))
-            col_data.append(a[:, j])
-            col_cost.append(float(cj))
-            col_upper.append(float(hi - lo))
-            b -= a[:, j] * lo
-        elif np.isfinite(hi):
-            # x = hi - y, y >= 0
-            primary.append(len(cols))
-            cols.append(_Column(j, -1.0, float(hi)))
-            col_data.append(-a[:, j])
-            col_cost.append(float(-cj))
-            col_upper.append(np.inf)
-            b -= a[:, j] * hi
-        else:
-            # free: x = y1 - y2
-            primary.append(len(cols))
-            cols.append(_Column(j, 1.0, 0.0))
-            col_data.append(a[:, j])
-            col_cost.append(float(cj))
-            col_upper.append(np.inf)
-            cols.append(_Column(j, -1.0, 0.0))
-            col_data.append(-a[:, j])
-            col_cost.append(float(-cj))
-            col_upper.append(np.inf)
-    A = np.column_stack(col_data) if col_data else np.zeros((m, 0))
-    return A, b, np.array(col_cost), np.array(col_upper), cols, primary
+    duals: np.ndarray | None = None  # y = c_B B^-1, when optimal
 
 
 REFACTOR_PERIOD = 200          # pivots between refactorizations
 REFACTOR_MAX_ELEMENTS = 25_000_000  # above this the original matrix is not kept
+
+
+def _stall_limit(m: int) -> int:
+    """Degenerate pivots in a row, on m rows, before Bland's rule takes over."""
+    return max(200, 2 * m)
 
 
 class _Simplex:
@@ -156,6 +110,7 @@ class _Simplex:
         self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
         self.xb = np.zeros(self.m)
         self.iterations = 0
+        self.bland_entries = 0
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.zeros(self.ncols)
@@ -167,40 +122,6 @@ class _Simplex:
         vals = self.nonbasic_values()
         vals[self.basis] = self.xb
         return vals
-
-    def install_basis(self, basis: np.ndarray) -> None:
-        """Install a basis of signed unit columns (each covering one row once)."""
-        seen = np.full(self.m, -1, dtype=np.int64)
-        order = np.zeros(self.m, dtype=np.int64)
-        sign = np.zeros(self.m)
-        for col in basis:
-            column = self.T[:, col]
-            nz = np.nonzero(np.abs(column) > PIVOT_TOL)[0]
-            if len(nz) != 1 or abs(abs(column[nz[0]]) - 1.0) > PIVOT_TOL:
-                raise ValueError("initial basis columns must be signed unit vectors")
-            row = int(nz[0])
-            if seen[row] != -1:
-                raise ValueError("initial basis covers a row twice")
-            seen[row] = col
-            order[row] = col
-            sign[row] = column[row]
-        if np.any(seen < 0):
-            raise ValueError("initial basis must cover every row")
-        self.basis = order
-        self.status[order] = _BASIC
-        # B = diag(sign) under this ordering, so B^-1 scales rows by sign
-        self.T = self.T * sign[:, None]
-        self.xb = sign * self.b - self.T_times_nonbasic()
-        if np.min(self.xb, initial=0.0) < -FEAS_TOL:
-            raise ValueError("initial basis is not primal feasible")
-        np.clip(self.xb, 0.0, None, out=self.xb)
-
-    def T_times_nonbasic(self) -> np.ndarray:
-        vals = self.nonbasic_values()
-        nz = np.nonzero(vals)[0]
-        if len(nz) == 0:
-            return np.zeros(self.m)
-        return self.T[:, nz] @ vals[nz]
 
     def refactor(self) -> None:
         """Rebuild T = B^-1 A and the basic values from the original data."""
@@ -221,7 +142,7 @@ class _Simplex:
     def run(self, cost: np.ndarray, max_iterations: int) -> str:
         m, upper = self.m, self.upper
         can_move = upper > 0.0  # zero-width columns can never change the point
-        stall_limit = max(200, 2 * m)
+        stall_limit = _stall_limit(m)
         stalled = 0
         bland = False
         pivots_since_refactor = 0
@@ -276,6 +197,7 @@ class _Simplex:
                 stalled += 1
                 if stalled == stall_limit and not bland:
                     bland = True
+                    self.bland_entries += 1
                     refactor_pending = True
                     continue
             else:
@@ -312,82 +234,58 @@ class _Simplex:
 def solve_lp(
     lp: LinearProgram,
     *,
-    initial_basis: list[int] | None = None,
     initial_at_upper: np.ndarray | None = None,
     max_iterations: int = 200_000,
 ) -> LPSolution:
     """Solve a box-bounded equality LP (maximization), deterministically.
 
-    `initial_basis` warm-starts the method from a caller-supplied basis of
-    signed unit columns and `initial_at_upper` rests selected non-basic
-    variables at their upper bound; both refer to original column indices of
-    variables that are not internally split (finite lower or finite upper).
+    `initial_at_upper` rests the selected variables at their upper bound
+    in the starting point; the rest start at their lower bound.
 
-    An optimal solve from the artificial start also returns the row duals
-    `y = c_B B^-1` of its final basis, read off the artificial columns after
-    one last refactorization; they are not re-checked here.
+    An optimal solve also returns the row duals `y = c_B B^-1` of its final
+    basis, read off the artificial columns after one last refactorization;
+    they are not re-checked here.
     """
-    A, b, cost, upper, cols, primary = _standardize(lp)
+    # x = lower + y with 0 <= y <= upper - lower
+    A = lp.eq_matrix
     m, nreal = A.shape
-
-    at_upper_cols: list[int] = []
+    upper = lp.upper - lp.lower
+    b = lp.eq_rhs - A @ lp.lower
+    at_upper = np.zeros(nreal, dtype=bool)
     if initial_at_upper is not None:
-        for j in np.nonzero(initial_at_upper)[0]:
-            tj = primary[int(j)]
-            if not np.isfinite(upper[tj]):
-                raise ValueError("initial_at_upper requires a finite upper bound")
-            at_upper_cols.append(tj)
+        at_upper[:] = initial_at_upper
 
-    if initial_basis is not None:
-        # caller-supplied signed-unit basis: no artificial columns needed
-        sx = _Simplex(A, b, upper)
-        sx.status[[tj for tj in at_upper_cols]] = _AT_UPPER
-        sx.install_basis(
-            np.array([primary[int(j)] for j in initial_basis], dtype=np.int64)
-        )
-        phase2_cost = cost
-    else:
-        rest = np.zeros(nreal)
-        for tj in at_upper_cols:
-            rest[tj] = upper[tj]
-        resid = b - A @ rest
-        signs = np.where(resid >= 0, 1.0, -1.0)
-        full = np.hstack([A, np.diag(signs)])
-        sx = _Simplex(full, b, np.concatenate([upper, np.full(m, np.inf)]))
-        sx.status[[tj for tj in at_upper_cols]] = _AT_UPPER
-        sx.basis = np.arange(nreal, nreal + m, dtype=np.int64)
-        sx.status[sx.basis] = _BASIC
-        sx.T *= signs[:, None]
-        sx.xb = np.abs(resid)
-        if np.max(sx.xb, initial=0.0) > FEAS_TOL:
-            phase1_cost = np.concatenate([np.zeros(nreal), -np.ones(m)])
-            status = sx.run(phase1_cost, max_iterations)
-            if status == ITERATION_LIMIT:
-                return LPSolution(ITERATION_LIMIT, float("nan"), None, sx.iterations)
-            art_value = float(phase1_cost[sx.basis] @ sx.xb)
-            if art_value < -FEAS_TOL:
-                return LPSolution(INFEASIBLE, float("nan"), None, sx.iterations)
-        # pin artificials to zero for phase 2
-        sx.upper[nreal:] = 0.0
-        phase2_cost = np.concatenate([cost, np.zeros(m)])
+    resid = b - A @ np.where(at_upper, upper, 0.0)
+    signs = np.where(resid >= 0, 1.0, -1.0)
+    full = np.hstack([A, np.diag(signs)])
+    sx = _Simplex(full, b, np.concatenate([upper, np.full(m, np.inf)]))
+    sx.status[:nreal][at_upper] = _AT_UPPER
+    sx.basis = np.arange(nreal, nreal + m, dtype=np.int64)
+    sx.status[sx.basis] = _BASIC
+    sx.T *= signs[:, None]
+    sx.xb = np.abs(resid)
+    if np.max(sx.xb, initial=0.0) > FEAS_TOL:
+        phase1_cost = np.concatenate([np.zeros(nreal), -np.ones(m)])
+        status = sx.run(phase1_cost, max_iterations)
+        if status == ITERATION_LIMIT:
+            return LPSolution(ITERATION_LIMIT, float("nan"), None, sx.iterations)
+        art_value = float(phase1_cost[sx.basis] @ sx.xb)
+        if art_value < -FEAS_TOL:
+            return LPSolution(INFEASIBLE, float("nan"), None, sx.iterations)
+    # pin artificials to zero for phase 2
+    sx.upper[nreal:] = 0.0
+    phase2_cost = np.concatenate([lp.objective, np.zeros(m)])
 
     status = sx.run(phase2_cost, max_iterations)
 
     duals = None
-    if status == OPTIMAL and initial_basis is None:
+    if status == OPTIMAL:
         # fresh B^-1 from the original data, then y = c_B B^-1 off the
         # artificial columns, which hold B^-1 diag(signs)
         sx.refactor()
         duals = phase2_cost[sx.basis] @ (sx.T[:, nreal:] * signs)
 
-    y = sx.point()[:nreal]
-    point = np.zeros(len(lp.objective))
-    offset_done = set()
-    for tj, colinfo in enumerate(cols):
-        if colinfo.orig not in offset_done:
-            point[colinfo.orig] += colinfo.offset
-            offset_done.add(colinfo.orig)
-        point[colinfo.orig] += colinfo.scale * y[tj]
+    point = lp.lower + sx.point()[:nreal]
     value = float(lp.objective @ point)
 
     if status == UNBOUNDED:

@@ -19,7 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_values
+from .hypercube import (
+    BooleanFunction,
+    BoundedFunction,
+    chi_values,
+    coordinate_values,
+    popcounts,
+)
 
 # ---------------------------------------------------------------------------
 # basic zoo members
@@ -29,8 +35,7 @@ from .hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_
 def majority(n: int) -> BooleanFunction:
     if n % 2 == 0:
         raise ValueError("majority needs odd n")
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    return BooleanFunction(n, np.where(pc < n / 2, 1, -1))
+    return BooleanFunction(n, np.where(popcounts(n) < n / 2, 1, -1))
 
 
 def parity(mask: int, n: int) -> BooleanFunction:
@@ -264,8 +269,7 @@ class SymmetricFunction:
         object.__setattr__(self, "level_values", vals)
 
     def to_bounded(self) -> BoundedFunction:
-        pc = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.int64)
-        k = self.n - pc  # number of +1 coordinates
+        k = self.n - popcounts(self.n)  # number of +1 coordinates
         return BoundedFunction(self.n, self.level_values[k])
 
 

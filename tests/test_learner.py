@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from boolres import duality
 from boolres.builder import build_one_resilient
 from boolres.designs import embed_on_mask, greedy_design
-from boolres.hypercube import BooleanFunction, BoundedFunction, coordinate_values
+from boolres.duality import low_degree_masks
+from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_values
 from boolres.learner import (
     LabeledDistribution,
     learn_exact,
     learn_sampled,
     opt_of_class,
 )
-from boolres.zoo import constant, dictator, parity
+from boolres.zoo import constant, dictator, majority, parity, tribes
 
 
 def scaled_dictator(n, scale=0.8):
@@ -87,6 +89,13 @@ def test_error_never_above_half():
         assert report.error <= 0.5 + 1e-12
 
 
+def _hard_target():
+    base = build_one_resilient(5).output
+    design = greedy_design(12, 5, 1)
+    target = embed_on_mask(base, design.sets[0], 12).function()
+    return LabeledDistribution(BoundedFunction(12, target.table.astype(float)))
+
+
 def test_hardness_shadow_embedded_resilient_target():
     # balanced, exactly 1-resilient Boolean target: degree-1 regression
     # cannot beat a coin flip
@@ -133,3 +142,87 @@ def test_excess_error_contract_asserted():
     report = learn_exact(dist, d=1, epsilon=0.01, comparison_class=[dictator(1, 5)])
     assert report.excess is not None
     assert report.excess <= 0.01 + 1e-9
+
+
+def test_hard_target_regressor_is_zero():
+    # the box-optimal start is feasible on a 1-resilient target, so the
+    # optimal basis is the starting one and its duals give p = 0
+    report = learn_exact(_hard_target(), d=1, epsilon=0.01)
+    assert all(c == 0.0 for c in report.poly.coeffs.values())
+    assert report.regression_delta == 1.0
+    assert report.error == 0.5
+
+
+def _highs_regression(n, d, up, down):
+    """min sum_x up_x |p(x) - 1| + down_x |p(x) + 1| as the 2^n-row LP pair
+    p(x) - a+ + a- = 1, p(x) - b+ + b- = -1 over free coefficients of p."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    size = 1 << n
+    masks = low_degree_masks(n, d)
+    chi = np.array([chi_values(n, mask) for mask in masks], dtype=np.float64).T
+    eye, zero = np.eye(size), np.zeros((size, size))
+    a_eq = np.block([[chi, -eye, eye, zero, zero], [chi, zero, zero, -eye, eye]])
+    b_eq = np.concatenate([np.ones(size), -np.ones(size)])
+    cost = np.concatenate([np.zeros(len(masks)), up, up, down, down])
+    bounds = [(None, None)] * len(masks) + [(0, None)] * (4 * size)
+    out = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert out.status == 0, out.message
+    return out.fun
+
+
+def _bounded(f):
+    return BoundedFunction(f.n, f.table.astype(float))
+
+
+def _noisy(n, seed):
+    rng = np.random.default_rng(seed)
+    return BoundedFunction(n, rng.choice([-1.0, 1.0], 1 << n) * rng.uniform(0.1, 1.0, 1 << n))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("g", [
+    _bounded(majority(7)),
+    _bounded(tribes(2, 4)),
+    _noisy(6, seed=1),
+    _noisy(8, seed=2),
+], ids=["majority7", "tribes24", "noisy6", "noisy8"])
+def test_exact_regression_matches_highs(g, d):
+    dist = LabeledDistribution(g)
+    report = learn_exact(dist, d=d, epsilon=0.05)
+    up, down = dist.label_weights()
+    assert report.regression_delta == pytest.approx(
+        _highs_regression(g.n, d, up, down), abs=1e-7
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sampled_regression_matches_highs(d):
+    n, m, seed = 6, 300, 4
+    dist = scaled_dictator(n)
+    report = learn_sampled(dist, d=d, m=m, seed=seed)
+    # the learner's sample, redrawn from the same seed
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 1 << n, size=m)
+    ys = np.where(rng.random(m) < (1.0 + dist.g.table[xs]) / 2.0, 1, -1)
+    up = np.bincount(xs[ys > 0], minlength=1 << n) / m
+    down = np.bincount(xs[ys < 0], minlength=1 << n) / m
+    assert np.any((up > 0) & (down > 0))  # mixed labels at some point
+    assert report.regression_delta == pytest.approx(
+        _highs_regression(n, d, up, down), abs=1e-7
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("g", [_bounded(majority(7)), _noisy(6, seed=3)],
+                         ids=["boolean", "noisy"])
+def test_learn_exact_solves_one_k_row_lp(monkeypatch, g, d):
+    rows = []
+    real = duality.solve_lp
+
+    def counting(lp, **kwargs):
+        rows.append(lp.eq_matrix.shape[0])
+        return real(lp, **kwargs)
+
+    monkeypatch.setattr(duality, "solve_lp", counting)
+    learn_exact(LabeledDistribution(g), d=d, epsilon=0.05)
+    assert rows == [len(low_degree_masks(g.n, d))]

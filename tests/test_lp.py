@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boolres import lp as lp_module
+from boolres.duality import low_degree_masks
 from boolres.hypercube import BooleanFunction, chi_values
 from boolres.lp import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     solve_lp,
 )
@@ -89,8 +92,9 @@ def test_rejects_non_finite_objective_and_nan_bounds():
     ):
         with pytest.raises(ValueError):
             make(objective, lower, upper)
-    # infinite bounds remain valid
-    make([1.0, 1.0], [-inf, 0.0], [inf, inf])
+    # every variable must be boxed
+    with pytest.raises(ValueError):
+        make([1.0, 1.0], [-inf, 0.0], [inf, inf])
 
 
 def test_infeasible_detected():
@@ -105,44 +109,15 @@ def test_infeasible_detected():
 
 
 def test_unbounded_detected():
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        eq_matrix=np.zeros((0, 1)),
-        eq_rhs=np.zeros(0),
-        lower=np.array([0.0]),
-        upper=np.array([np.inf]),
-    )
-    assert solve_lp(lp).status == UNBOUNDED
-
-
-def test_free_variable_split():
-    lp = LinearProgram(
-        objective=np.array([-1.0, 0.0]),
-        eq_matrix=np.array([[1.0, 1.0]]),
-        eq_rhs=np.array([3.0]),
-        lower=np.array([-np.inf, 0.0]),
-        upper=np.array([np.inf, 1.0]),
-    )
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    # minimize x with x + y = 3, y <= 1 -> x = 2
-    assert sol.value == pytest.approx(-2.0)
-    assert sol.point[0] == pytest.approx(2.0)
-    assert sol.point[1] == pytest.approx(1.0)
-
-
-def test_mirrored_variable():
-    # lower = -inf, upper finite
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        eq_matrix=np.zeros((0, 1)),
-        eq_rhs=np.zeros(0),
-        lower=np.array([-np.inf]),
-        upper=np.array([5.0]),
-    )
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(5.0)
+    # an unbounded LP cannot be stated: infinite bounds fail at the boundary
+    with pytest.raises(ValueError):
+        LinearProgram(
+            objective=np.array([1.0]),
+            eq_matrix=np.zeros((0, 1)),
+            eq_rhs=np.zeros(0),
+            lower=np.array([0.0]),
+            upper=np.array([np.inf]),
+        )
 
 
 def test_equality_with_negative_rhs():
@@ -194,9 +169,10 @@ def test_determinism_bit_identical():
 
 
 def test_weak_duality_survives_iteration_limit():
-    # both warm-started programs stay primal feasible from iteration zero, so
-    # truncated runs still satisfy delta + alpha >= 1 (weak duality)
-    from boolres.duality import low_degree_masks
+    # the parity start keeps the primal feasible from iteration zero, so a
+    # truncated run still satisfies alpha + delta >= 1 against the optimal
+    # delta (weak duality)
+    from boolres.duality import l1_poly_distance
     from boolres.zoo import majority
 
     f = majority(3)
@@ -211,50 +187,114 @@ def test_weak_duality_survives_iteration_limit():
         upper=np.full(size, 1.0),
     )
     start = chi_values(n, 0b11) > 0
-    k = len(masks)
-    a_dual = np.zeros((size, k + 2 * size))
-    for col, m in enumerate(masks):
-        a_dual[:, col] = chi_values(n, m)
-    a_dual[:, k : k + size] = np.eye(size)
-    a_dual[:, k + size :] = -np.eye(size)
-    dual_obj = np.zeros(k + 2 * size)
-    dual_obj[k:] = -1.0
-    dual = LinearProgram(
-        dual_obj,
-        a_dual,
-        f.table.astype(float),
-        np.concatenate([np.full(k, -np.inf), np.zeros(2 * size)]),
-        np.full(k + 2 * size, np.inf),
-    )
-    basis = [k + x if f.table[x] > 0 else k + size + x for x in range(size)]
+    delta = l1_poly_distance(f, d).delta
 
     for budget in (1, 2, 5, 50):
         ps = solve_lp(primal, initial_at_upper=start, max_iterations=budget)
-        ds = solve_lp(dual, initial_basis=basis, max_iterations=budget)
-        assert ps.point is not None and ds.point is not None
+        assert ps.point is not None
         alpha_feasible = 1.0 - ps.value / size
-        delta_feasible = -ds.value / size
-        assert delta_feasible + alpha_feasible >= 1.0 - 1e-8
+        assert alpha_feasible + delta >= 1.0 - 1e-8
 
 
-def test_initial_basis_warm_start():
-    # l1-style rows: p + q+ - q- = b with unit starting basis
-    b = np.array([1.0, -1.0, 1.0])
-    a = np.zeros((3, 7))
-    a[:, 0] = 1.0  # a free coefficient column
-    a[:, 1:4] = np.eye(3)
-    a[:, 4:] = -np.eye(3)
-    objective = np.array([0.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
-    lp = LinearProgram(
-        objective,
-        a,
-        b,
-        lower=np.concatenate([[-np.inf], np.zeros(6)]),
-        upper=np.full(7, np.inf),
+# -- differential oracle: solve_lp against HiGHS ---------------------------
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def _assert_matches_highs(linprog, lp, at_upper=None):
+    sol = solve_lp(lp, initial_at_upper=at_upper)
+    rows = len(lp.eq_rhs)
+    ref = linprog(
+        -lp.objective,
+        A_eq=lp.eq_matrix if rows else None,
+        b_eq=lp.eq_rhs if rows else None,
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
     )
-    basis = [1 if b[i] > 0 else 4 + i for i in range(3)]
-    basis = [1, 4 + 1, 3]
-    sol = solve_lp(lp, initial_basis=basis)
+    assert ref.status in (0, 2), ref.message
+    if ref.status == 2:
+        assert sol.status == INFEASIBLE
+        return sol
     assert sol.status == OPTIMAL
-    # best constant approximation of (1, -1, 1) in l1 is value -min sum|q| = -2
-    assert sol.value == pytest.approx(-2.0)
+    assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
+    return sol
+
+
+@st.composite
+def box_lps(draw):
+    """Small integer equality LPs over finite boxes, feasible or not."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(1, 7))
+
+    def ints(size, lo=-3, hi=3):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=np.float64)
+
+    a = ints(rows * cols).reshape(rows, cols)
+    lower = ints(cols, -3, 1)
+    upper = lower + ints(cols, 0, 3)
+    if draw(st.booleans()):
+        # feasible by construction: the rhs of a point in the box
+        b = a @ (lower + (upper - lower) * ints(cols, 0, 2) / 2.0)
+    else:
+        b = ints(rows)
+    lp = LinearProgram(ints(cols), a, b, lower, upper)
+    at_upper = np.array(draw(st.lists(st.booleans(), min_size=cols, max_size=cols)))
+    return lp, at_upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_lps())
+def test_matches_highs_on_random_box_lps(linprog, case):
+    lp, at_upper = case
+    _assert_matches_highs(linprog, lp, at_upper)
+
+
+def _parity_lp(n, d, objective, weights):
+    """The k-row resilience LP shape: chi_S rows for |S| <= d, box [-w, w]."""
+    masks = low_degree_masks(n, d)
+    chi = np.array([chi_values(n, mask) for mask in masks], dtype=np.float64)
+    return LinearProgram(objective, chi, np.zeros(len(masks)), -weights, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n - 1),
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=1 << n, max_size=1 << n),
+            st.lists(st.sampled_from([1.0, 2.0]), min_size=1 << n, max_size=1 << n),
+        )
+    )
+)
+def test_matches_highs_on_parity_lps_in_bland_mode(linprog, case):
+    n, d, objective, weights = case
+    lp = _parity_lp(n, d, np.array(objective), np.array(weights))
+    with pytest.MonkeyPatch.context() as mp:
+        # Bland's rule after a single degenerate pivot
+        mp.setattr(lp_module, "_stall_limit", lambda m: 1)
+        _assert_matches_highs(linprog, lp)
+        _assert_matches_highs(linprog, lp, at_upper=lp.objective > 0)
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (5, 1), (5, 2)])
+def test_bland_fallback_reached_on_symmetric_targets(linprog, monkeypatch, n, d):
+    # majority and AND stall on degenerate runs from the artificial start
+    runs = []
+    real_run = lp_module._Simplex.run
+
+    def recording(self, cost, max_iterations):
+        runs.append(self)
+        return real_run(self, cost, max_iterations)
+
+    monkeypatch.setattr(lp_module._Simplex, "run", recording)
+    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 3)
+    pc = np.bitwise_count(np.arange(1 << n))
+    for objective in (np.where(pc < n / 2, 1.0, -1.0), np.where(pc == 0, -1.0, 1.0)):
+        runs.clear()
+        _assert_matches_highs(linprog, _parity_lp(n, d, objective, np.ones(1 << n)))
+        assert runs[-1].bland_entries > 0
