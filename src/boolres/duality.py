@@ -119,7 +119,6 @@ def _l1_box_lp(
     points: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    at_upper: np.ndarray | None,
 ) -> tuple[LPSolution, list[int]]:
     """Solve the k-row box LP, k = #{|S| <= d}; raise unless optimal.
 
@@ -130,8 +129,8 @@ def _l1_box_lp(
                                 -w_c <= g_c <= w_c
 
     Its dual is min sum_c w_c |l_c - p(x_c)| over p = sum_S y_S chi_S, with
-    y the row duals, in the order of the returned masks.  `at_upper` picks
-    the columns that start at g_c = w_c.
+    y the row duals, in the order of the returned masks.  The solver starts
+    at the box-optimal vertex g_c = w_c l_c (labels are +-1).
     """
     masks = low_degree_masks(n, d)
     lp = LinearProgram(
@@ -141,7 +140,7 @@ def _l1_box_lp(
         lower=-weights,
         upper=weights,
     )
-    sol = solve_lp(lp, initial_at_upper=at_upper)
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
     return sol, masks
@@ -152,9 +151,7 @@ def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, list[int]]:
     _check_inputs(f, d)
     n = f.n
     size = 1 << n
-    # start at a vertex that is already d-resilient: the parity on [d+1]
-    at_upper = chi_values(n, (1 << (d + 1)) - 1) > 0 if d < n else None
-    return _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size), at_upper)
+    return _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size))
 
 
 def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> ResilienceResult:

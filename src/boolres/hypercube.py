@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DIM = 28  # 2^28 table entries; hard memory guard for dense transforms
+INT64_BITS = 62  # integer paths keep |value| <= 2^62, inside int64
 
 BOUNDED_TOL = 1e-12
 
@@ -153,7 +154,13 @@ def wht(fn: CubeFunction) -> Spectrum:
 
 
 def wht_int(fn: BooleanFunction) -> np.ndarray:
-    """Exact integer coefficients 2^n * coef[S] of a Boolean function."""
+    """Exact integer coefficients 2^n * coef[S] of a Boolean function.
+
+    Each butterfly stage at most doubles the largest |entry|, so from
+    |f| = 1 every value stays within 2^n <= 2^MAX_DIM.
+    """
+    if fn.n > INT64_BITS:
+        raise OverflowError(f"wht_int: values up to 2^{fn.n} would wrap in int64")
     return fwht(fn.table.astype(np.int64))
 
 

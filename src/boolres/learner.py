@@ -14,11 +14,11 @@ Both modes solve it through its dual, the k-row box LP of `duality`
 and p = sum_S y_S chi_S is read off its row duals.  The simplex starts at
 the box-optimal vertex g_c = w_c l_c.  When the target is d-resilient (the
 sums sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
-all-artificial starting basis is optimal at pivot 0 and its duals give
-p = 0.  Such a target can have other optimal p (the optimal face is
-degenerate) whose thresholds happen to correlate with it through higher
-degrees; the start picks p = 0, so the hypothesis is a constant and a
-d-resilient target stays as hard as the degree-d regression says it is.
+all-slack starting basis is optimal at pivot 0 and its duals give p = 0.
+Such a target can have other optimal p (the optimal face is degenerate)
+whose thresholds happen to correlate with it through higher degrees; the
+start picks p = 0, so the hypothesis is a constant and a d-resilient
+target stays as hard as the degree-d regression says it is.
 
 The regressor is rounded to a Boolean hypothesis by the deterministic
 error-minimizing threshold over all breakpoint values of p (exhausting
@@ -100,9 +100,7 @@ def _l1_regression(
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    sol, masks = _l1_box_lp(
-        n, d, points[keep], labels[keep], weights[keep], labels[keep] > 0
-    )
+    sol, masks = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
     coeffs = {mask: float(y) for mask, y in zip(masks, sol.duals)}
     return SparsePolynomial(n, d, coeffs), sol.value
 

@@ -1,14 +1,4 @@
-"""Dense bounded-variable two-phase simplex.
-
-Small-scale exact-ish LP machinery: dense arithmetic in float64 at tolerance
-1e-9, fully deterministic pivoting, no randomization.  The entering rule is
-largest reduced-cost violation with smallest-index tie-breaking; long
-degenerate stalls refactorize the tableau and switch to Bland's
-smallest-index rule, the anti-cycling guard, until real progress resumes.
-Ratio ties pick the largest pivot element (stability) or, in Bland mode,
-the smallest basic variable index (termination).  Certificates are never
-trusted to the pivot arithmetic alone; callers re-verify solutions against
-the original data.
+"""Bounded dual simplex with a bound-flipping ratio test.
 
 Problems are stated as maximization over box-bounded variables with dense
 equality constraints:
@@ -16,8 +6,35 @@ equality constraints:
     max  objective . x    s.t.  eq_matrix @ x = eq_rhs,  lower <= x <= upper
 
 with finite bounds only.  Internally each variable is shifted, x = lower + y,
-so it lives in [0, upper - lower]; artificial columns provide the starting
-basis, and a standard two-phase method runs on the full tableau B^-1 A.
+so it lives in [0, upper - lower], and one slack column per row, fixed at
+[0, 0], completes the matrix to [A | I].
+
+Every variable is boxed, so the box-optimal vertex (y_j at its upper bound
+iff objective_j > 0) with the all-slack basis is dual feasible: the row
+duals are 0 and each reduced cost is the objective itself.  No phase 1 is
+needed.  A revised dual simplex then drives the slacks to zero.  It keeps
+only a k x k inverse basis B^-1 (k rows), updated by rank-1 pivots and
+rebuilt from the data every `REFACTOR_PERIOD` pivots; each pivot computes
+one row alpha_r = e_r^T B^-1 [A | I] and one column B^-1 A_q, and writes no
+k x (#columns) array.
+
+Pricing picks the row of largest primal infeasibility, smallest index on
+ties.  The ratio test is the bound-flipping ("long-step") one: every
+breakpoint passed while the dual slope stays positive flips its variable to
+the other bound; at the chosen breakpoint, ties go to the largest |alpha_rj|,
+then the smallest index.  A slope still positive after every breakpoint
+proves the primal infeasible.
+
+Anti-cycling guard: after `_stall_limit(k)` consecutive dual-degenerate
+pivots, the nonbasic costs are shifted once by a deterministic perturbation
+of about `PERTURBATION_SCALE`, each in its dual-feasible direction.  When
+the basis turns primal feasible the shift is removed: B^-1 is rebuilt, any
+nonbasic variable whose true reduced cost has the wrong sign is flipped to
+its other bound, and dual iterations resume until no flip is needed.
+
+Pivoting is deterministic, with no randomization.  Certificates are never
+trusted to the pivot arithmetic alone; callers re-verify solutions against
+the original data.
 """
 
 from __future__ import annotations
@@ -26,14 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-8
-
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+PIVOT_TOL = 1e-9   # smallest |alpha_rj| the ratio test accepts
+FEAS_TOL = 1e-8    # primal feasibility, and the final residual and box checks
+DUAL_TOL = 1e-9    # reduced-cost sign tolerance when the cost shift is removed
+DEGENERATE_STEP = 1e-12
+TIE_TOL = 1e-12    # breakpoints this close count as one
+PERTURBATION_SCALE = 1e-6
+REFACTOR_PERIOD = 100  # pivots between rebuilds of B^-1
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
 
 
@@ -82,220 +101,250 @@ class LPSolution:
     status: str
     value: float
     point: np.ndarray | None
-    iterations: int
-    duals: np.ndarray | None = None  # y = c_B B^-1, when optimal
-
-
-REFACTOR_PERIOD = 200          # pivots between refactorizations
-REFACTOR_MAX_ELEMENTS = 25_000_000  # above this the original matrix is not kept
+    iterations: int            # pivots
+    duals: np.ndarray | None   # y = c_B B^-1 of the final basis
+    flips: int                 # bound flips
+    degenerate: int            # dual-degenerate pivots
+    perturbations: int         # entries into the anti-cycling guard
+    refactors: int             # rebuilds of B^-1
+    residual: float            # max |A x - b| of the final basic solution
 
 
 def _stall_limit(m: int) -> int:
-    """Degenerate pivots in a row, on m rows, before Bland's rule takes over."""
-    return max(200, 2 * m)
+    """Dual-degenerate pivots in a row, on m rows, before the costs are shifted."""
+    return max(20, m)
 
 
-class _Simplex:
-    """Full-tableau bounded simplex state: T = B^-1 A over all columns."""
+def _perturbation(size: int) -> np.ndarray:
+    """Deterministic, pairwise distinct shift magnitudes in [1, 2) * scale."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    return PERTURBATION_SCALE * (1.0 + np.mod(np.arange(1, size + 1) * golden, 1.0))
 
-    def __init__(self, A, b, upper):
-        self.m, self.ncols = A.shape
-        self.T = A.astype(np.float64).copy()
-        # degenerate pivot chains erode T; keep the original data for
-        # periodic refactorization where memory allows
-        self.A0 = A.astype(np.float64).copy() if A.size <= REFACTOR_MAX_ELEMENTS else None
-        self.b = b.astype(np.float64).copy()
-        self.upper = upper
-        self.basis = np.zeros(self.m, dtype=np.int64)
-        self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
-        self.xb = np.zeros(self.m)
-        self.iterations = 0
-        self.bland_entries = 0
+
+def _breakpoints(t: np.ndarray, weight: np.ndarray, slope0: float):
+    """Breakpoints in (t, index) order, with the dual slope after each.
+
+    Only the shortest prefix that takes the slope to <= 0 is sorted (all
+    breakpoints if none does); it is the same prefix a full sort gives.
+    """
+    k = 64
+    while True:
+        if k < len(t):
+            bound = np.partition(t, k - 1)[k - 1]
+            order = np.nonzero(t <= bound + TIE_TOL)[0]
+            order = order[np.argsort(t[order], kind="stable")]
+        else:
+            order = np.argsort(t, kind="stable")
+        slope = slope0 - np.cumsum(weight[order])
+        if slope[-1] <= 0.0 or len(order) == len(t):
+            return order, slope
+        k *= 8
+
+
+class _DualSimplex:
+    """Revised bounded dual simplex state on [A | I]; the slacks are fixed at 0.
+
+    `side[j]` is +1 for a nonbasic column at its upper bound, -1 at its lower
+    bound, and 0 for a basic column or a fixed one (zero width), which can
+    never enter.  Dual feasibility reads side * d >= 0.
+    """
+
+    def __init__(self, A, b, width, cost):
+        self.m, self.n = A.shape
+        m, n = self.m, self.n
+        self.A, self.b = A, b
+        self.width = np.concatenate([width, np.zeros(m)])
+        self.cost = np.concatenate([cost, np.zeros(m)])
+        self.shift = np.zeros(n + m)
+        self.basis = np.arange(n, n + m)
+        # box-optimal start: the row duals are 0, so the reduced costs are c
+        side = np.where(width > 0, np.where(cost > 0, 1.0, -1.0), 0.0)
+        self.side = np.concatenate([side, np.zeros(m)])
+        self.binv = np.eye(m)
+        self.xb = b - A @ self.nonbasic_values()[:n]
+        self.y = np.zeros(m)
+        self.d = self.cost.copy()
+        self.iterations = self.flips = self.degenerate = 0
+        self.perturbations = self.refactors = 0
 
     def nonbasic_values(self) -> np.ndarray:
-        vals = np.zeros(self.ncols)
-        at_up = self.status == _AT_UPPER
-        vals[at_up] = self.upper[at_up]
-        return vals
+        return np.where(self.side > 0, self.width, 0.0)
 
     def point(self) -> np.ndarray:
         vals = self.nonbasic_values()
         vals[self.basis] = self.xb
-        return vals
+        return vals[: self.n]
+
+    def row(self, rho: np.ndarray) -> np.ndarray:
+        """rho^T [A | I] over every column."""
+        out = np.empty(self.n + self.m)
+        np.matmul(rho, self.A, out=out[: self.n])
+        out[self.n:] = rho
+        return out
 
     def refactor(self) -> None:
-        """Rebuild T = B^-1 A and the basic values from the original data."""
-        if self.A0 is None:
-            return
-        basis_matrix = self.A0[:, self.basis]
-        vals = self.nonbasic_values()
-        rhs = self.b - self.A0 @ vals
+        """Rebuild B^-1, the basic values and the reduced costs from the data."""
+        m, n = self.m, self.n
+        B = np.zeros((m, m))
+        real = self.basis < n
+        B[:, real] = self.A[:, self.basis[real]]
+        B[self.basis[~real] - n, np.nonzero(~real)[0]] = 1.0
         try:
-            solved = np.linalg.solve(
-                basis_matrix, np.concatenate([self.A0, rhs[:, None]], axis=1)
-            )
+            self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure("basis matrix became numerically singular") from exc
-        self.T = np.ascontiguousarray(solved[:, :-1])
-        self.xb = solved[:, -1]
+        self.xb = self.binv @ (self.b - self.A @ self.nonbasic_values()[:n])
+        cost = self.cost + self.shift
+        self.y = cost[self.basis] @ self.binv
+        self.d = cost - self.row(self.y)
+        self.d[self.basis] = 0.0
+        self.refactors += 1
 
-    def run(self, cost: np.ndarray, max_iterations: int) -> str:
-        m, upper = self.m, self.upper
-        can_move = upper > 0.0  # zero-width columns can never change the point
-        stall_limit = _stall_limit(m)
-        stalled = 0
-        bland = False
-        pivots_since_refactor = 0
-        refactor_pending = False
+    def flip(self, cols: np.ndarray) -> None:
+        """Move nonbasic columns to their other bound and update x_B."""
+        step = -self.side[cols] * self.width[cols]
+        self.side[cols] = -self.side[cols]
+        self.xb -= self.binv @ (self.A[:, cols] @ step)
+        self.flips += len(cols)
+
+    def settle(self) -> bool:
+        """Drop the cost shift, rebuild, and flip every nonbasic whose reduced
+        cost has the wrong sign; True when none had to flip."""
+        self.shift[:] = 0.0
+        self.refactor()
+        wrong = np.nonzero(self.side * self.d < -DUAL_TOL)[0]
+        if len(wrong) == 0:
+            return True
+        self.flip(wrong)
+        return False
+
+    def perturb(self) -> None:
+        """Shift each movable nonbasic cost away from zero in its feasible direction."""
+        self.shift = self.side * _perturbation(len(self.cost))
+        self.d += self.shift
+        self.perturbations += 1
+
+    def run(self, max_iterations: int) -> str:
+        width, basis, side = self.width, self.basis, self.side
+        stall_limit = _stall_limit(self.m)
+        stalled = since_refactor = 0
+        settled = False
         while True:
+            infeas = np.maximum(-self.xb, self.xb - width[basis])
+            r = int(np.argmax(infeas)) if self.m else 0
+            if self.m == 0 or infeas[r] <= FEAS_TOL:
+                if settled:
+                    return OPTIMAL
+                settled = self.settle()
+                since_refactor = 0
+                continue
+            settled = False
             if self.iterations >= max_iterations:
                 return ITERATION_LIMIT
-            if refactor_pending:
-                self.refactor()
-                pivots_since_refactor = 0
-                refactor_pending = False
-            T = self.T
-            z = cost - cost[self.basis] @ T
-            violation = np.zeros(self.ncols)
-            lo_ok = can_move & (self.status == _AT_LOWER)
-            up_ok = can_move & (self.status == _AT_UPPER)
-            violation[lo_ok] = z[lo_ok]
-            violation[up_ok] = -z[up_ok]
-            if bland:
-                candidates = np.nonzero(violation > PIVOT_TOL)[0]
-                if len(candidates) == 0:
-                    return OPTIMAL
-                j = int(candidates[0])  # Bland: smallest eligible index
-            else:
-                j = int(np.argmax(violation))  # Dantzig; argmax ties break low
-                if violation[j] <= PIVOT_TOL:
-                    return OPTIMAL
-            direction = 1.0 if self.status[j] == _AT_LOWER else -1.0
-            col = direction * T[:, j]
 
-            t_self = upper[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dec = col > PIVOT_TOL
-                inc = col < -PIVOT_TOL
-                ratios = np.full(m, np.inf)
-                ratios[dec] = np.maximum(self.xb[dec], 0.0) / col[dec]
-                ub = upper[self.basis]
-                room = ub[inc] - self.xb[inc]
-                finite = np.isfinite(room)
-                inc_idx = np.nonzero(inc)[0][finite]
-                ratios[inc_idx] = np.maximum(room[finite], 0.0) / (-col[inc_idx])
-            t_rows = float(np.min(ratios)) if m else np.inf
-            t_star = min(t_self, t_rows)
-            if not np.isfinite(t_star):
-                return UNBOUNDED
+            # s = +1: the leaving variable rises to its lower bound (0);
+            # s = -1: it falls to its upper bound.  Reduced costs move as
+            # d(t) = d - s t alpha_r for a dual step t >= 0, and column j
+            # bounds the step when side_j * s * alpha_rj > 0.
+            s = 1.0 if self.xb[r] < 0 else -1.0
+            alpha = self.row(self.binv[r])
+            side_alpha = side * alpha
+            cand = np.nonzero(side_alpha > PIVOT_TOL if s > 0 else side_alpha < -PIVOT_TOL)[0]
+            if len(cand) == 0:
+                return INFEASIBLE
+            abs_a = np.abs(alpha[cand])
+            t = np.maximum(side[cand] * self.d[cand], 0.0) / abs_a
+            order, slope = _breakpoints(t, abs_a * width[cand], infeas[r])
+            if slope[-1] > FEAS_TOL:
+                return INFEASIBLE  # flipping every candidate leaves row r infeasible
+            stop = int(np.argmax(slope <= 0.0)) if slope[-1] <= 0.0 else len(order) - 1
+            t_sorted = t[order]
+            end = int(np.searchsorted(t_sorted, t_sorted[stop] + TIE_TOL, side="right"))
+            tie = order[stop:end]
+            pick = tie[np.lexsort((cand[tie], -abs_a[tie]))[0]]
+            q = int(cand[pick])
+            step = float(t[pick])
+
+            col = self.binv @ self.A[:, q]
+            pivot = col[r]
+            if since_refactor and abs(pivot - alpha[q]) > 1e-7 * max(1.0, abs(alpha[q])):
+                self.refactor()  # row and column disagree: rebuild and price again
+                since_refactor = 0
+                continue
+
+            if stop:
+                self.flip(cand[order[:stop]])
+            p = int(basis[r])
+            target = 0.0 if s > 0 else width[p]
+            theta = (self.xb[r] - target) / pivot
+            entering_value = (width[q] if side[q] > 0 else 0.0) + theta
+            self.xb -= theta * col
+            self.xb[r] = entering_value
+
+            row = self.binv[r] / pivot
+            self.binv -= np.outer(col, row)
+            self.binv[r] = row
+
+            if step:
+                self.d -= (s * step) * alpha
+                self.d[basis] = 0.0
+            self.d[p] = -s * step
+            self.d[q] = 0.0
+            basis[r] = q
+            side[q] = 0.0
+            side[p] = -s if width[p] > 0 else 0.0
 
             self.iterations += 1
-            # Dantzig can stall on long degenerate runs; Bland's rule is the
-            # anti-cycling guard, entered on fresh (refactored) data so its
-            # termination argument applies to accurate reduced costs
-            if t_star <= 1e-12:
+            since_refactor += 1
+            if step <= DEGENERATE_STEP:
+                self.degenerate += 1
                 stalled += 1
-                if stalled == stall_limit and not bland:
-                    bland = True
-                    self.bland_entries += 1
-                    refactor_pending = True
-                    continue
+                if stalled >= stall_limit and not self.shift.any():
+                    self.perturb()
+                    stalled = 0
             else:
                 stalled = 0
-                bland = False
-            if t_self <= t_rows:
-                # bound flip, basis unchanged
-                self.xb -= t_self * col
-                self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-                continue
-            tied = np.nonzero(ratios <= t_star + 1e-12)[0]
-            if bland:
-                r = int(tied[np.argmin(self.basis[tied])])  # termination choice
-            else:
-                r = int(tied[np.argmax(np.abs(col[tied]))])  # stability choice
-            leaving = int(self.basis[r])
-            leaves_at_upper = col[r] < 0
-
-            pivot = T[r, j]
-            T[r, :] /= pivot
-            rest = np.arange(m) != r
-            T[rest, :] -= np.outer(T[rest, j], T[r, :])
-            self.xb -= t_star * col
-            entering_value = (0.0 if direction > 0 else upper[j]) + direction * t_star
-            self.xb[r] = entering_value
-            self.basis[r] = j
-            self.status[j] = _BASIC
-            self.status[leaving] = _AT_UPPER if leaves_at_upper else _AT_LOWER
-            pivots_since_refactor += 1
-            if pivots_since_refactor >= REFACTOR_PERIOD:
-                refactor_pending = True
+            if since_refactor >= REFACTOR_PERIOD:
+                self.refactor()
+                since_refactor = 0
 
 
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    initial_at_upper: np.ndarray | None = None,
-    max_iterations: int = 200_000,
-) -> LPSolution:
+def solve_lp(lp: LinearProgram, *, max_iterations: int = 200_000) -> LPSolution:
     """Solve a box-bounded equality LP (maximization), deterministically.
 
-    `initial_at_upper` rests the selected variables at their upper bound
-    in the starting point; the rest start at their lower bound.
-
-    An optimal solve also returns the row duals `y = c_B B^-1` of its final
-    basis, read off the artificial columns after one last refactorization;
-    they are not re-checked here.
+    The solve starts at the box-optimal vertex, so the start is fixed by the
+    signs of the objective.  `iterations` counts pivots.  An optimal solve
+    returns the row duals `y = c_B B^-1` of its final basis, computed from a
+    freshly rebuilt B^-1, and an iteration-limit run those of the basis it
+    stopped at; every box LP is dual feasible at any y, so the latter still
+    bound the optimum by weak duality.  Neither is re-checked here.
     """
     # x = lower + y with 0 <= y <= upper - lower
     A = lp.eq_matrix
-    m, nreal = A.shape
-    upper = lp.upper - lp.lower
     b = lp.eq_rhs - A @ lp.lower
-    at_upper = np.zeros(nreal, dtype=bool)
-    if initial_at_upper is not None:
-        at_upper[:] = initial_at_upper
+    sx = _DualSimplex(A, b, lp.upper - lp.lower, lp.objective)
+    status = sx.run(max_iterations)
 
-    resid = b - A @ np.where(at_upper, upper, 0.0)
-    signs = np.where(resid >= 0, 1.0, -1.0)
-    full = np.hstack([A, np.diag(signs)])
-    sx = _Simplex(full, b, np.concatenate([upper, np.full(m, np.inf)]))
-    sx.status[:nreal][at_upper] = _AT_UPPER
-    sx.basis = np.arange(nreal, nreal + m, dtype=np.int64)
-    sx.status[sx.basis] = _BASIC
-    sx.T *= signs[:, None]
-    sx.xb = np.abs(resid)
-    if np.max(sx.xb, initial=0.0) > FEAS_TOL:
-        phase1_cost = np.concatenate([np.zeros(nreal), -np.ones(m)])
-        status = sx.run(phase1_cost, max_iterations)
-        if status == ITERATION_LIMIT:
-            return LPSolution(ITERATION_LIMIT, float("nan"), None, sx.iterations)
-        art_value = float(phase1_cost[sx.basis] @ sx.xb)
-        if art_value < -FEAS_TOL:
-            return LPSolution(INFEASIBLE, float("nan"), None, sx.iterations)
-    # pin artificials to zero for phase 2
-    sx.upper[nreal:] = 0.0
-    phase2_cost = np.concatenate([lp.objective, np.zeros(m)])
-
-    status = sx.run(phase2_cost, max_iterations)
-
+    point = None
+    value = float("nan")
     duals = None
-    if status == OPTIMAL:
-        # fresh B^-1 from the original data, then y = c_B B^-1 off the
-        # artificial columns, which hold B^-1 diag(signs)
-        sx.refactor()
-        duals = phase2_cost[sx.basis] @ (sx.T[:, nreal:] * signs)
-
-    point = lp.lower + sx.point()[:nreal]
-    value = float(lp.objective @ point)
-
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, float("inf"), None, sx.iterations)
     if status == ITERATION_LIMIT:
-        return LPSolution(ITERATION_LIMIT, value, point, sx.iterations)
-
-    residual = float(np.max(np.abs(lp.eq_matrix @ point - lp.eq_rhs), initial=0.0))
-    if residual > FEAS_TOL:
-        raise SolverFailure(f"optimal point violates constraints (residual {residual:.3e})")
-    if np.any(point < lp.lower - FEAS_TOL) or np.any(point > lp.upper + FEAS_TOL):
-        raise SolverFailure("optimal point violates box bounds")
-    return LPSolution(OPTIMAL, value, point, sx.iterations, duals)
+        sx.shift[:] = 0.0
+        sx.refactor()
+        duals = sx.y
+    x = lp.lower + sx.point()
+    residual = float(np.max(np.abs(A @ x - lp.eq_rhs), initial=0.0))
+    if status == OPTIMAL:
+        if residual > FEAS_TOL:
+            raise SolverFailure(f"optimal point violates constraints (residual {residual:.3e})")
+        if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
+            raise SolverFailure("optimal point violates box bounds")
+        point, value, duals = x, float(lp.objective @ x), sx.y
+    return LPSolution(
+        status, value, point, sx.iterations, duals,
+        flips=sx.flips,
+        degenerate=sx.degenerate,
+        perturbations=sx.perturbations,
+        refactors=sx.refactors,
+        residual=residual,
+    )

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hypercube import (
+    INT64_BITS,
     BooleanFunction,
     BoundedFunction,
     ResilienceCheck,
@@ -37,6 +38,17 @@ from .hypercube import (
 WITNESS_MAX_DIM = 22
 EXACT_CHECK_MAX_DIM = 12
 CHAIN_TOL = 1e-10
+
+
+def _exact_check_bits(n: int) -> int:
+    """log2 of a bound on every integer `_exact_low_zero_check` forms at n.
+
+    Each fwht multiplies the largest |entry| by at most 2^n.  From |f| = 1:
+    wht_int <= 2^n, l_num <= 2^{2n}, h_num <= 2^n + 2^{2n} <= 2^{2n+1}, and
+    three more transforms (2^{2n}-, 2^{2n}- and 2^{3n}-scaled results)
+    reach 2^{5n+1}: 2^61 at n = 12.
+    """
+    return 5 * n + 1
 
 
 class DegenerateHighPart(RuntimeError):
@@ -182,6 +194,8 @@ def _exact_low_zero_check(
     it zeroes exactly the points the float path zeroed.
     """
     n = f.n
+    if _exact_check_bits(n) > INT64_BITS:
+        raise OverflowError(f"exact replay at n={n} could wrap int64")
     size = 1 << n
     pc = popcounts(n)
 
@@ -190,8 +204,7 @@ def _exact_low_zero_check(
     low_scaled = np.where(low_mask, coeffs_scaled, 0)
     l_num = fwht(low_scaled)  # 2^n * l(x), exact
 
-    tau_threshold = Fraction(tau) * size
-    crossed = np.array([Fraction(int(abs(v))) > tau_threshold for v in l_num])
+    crossed = _exact_crossed(l_num, tau, size)
     if not np.array_equal(crossed, crossed_float):
         return False
 
@@ -205,6 +218,15 @@ def _exact_low_zero_check(
     # 2^{3n}-scaled low coefficients of q_{>d} (and hence of p), exact
     low_of_high = fwht(q_high_table_num)[low_mask]
     return bool(np.all(low_of_high == 0))
+
+
+def _exact_crossed(l_num: np.ndarray, tau: float, size: int) -> np.ndarray:
+    """|l_num| > tau * size in exact arithmetic, for integer l_num.
+
+    tau is the exact binary value of the float; an integer exceeds the
+    rational tau * size iff it exceeds its floor.
+    """
+    return np.abs(l_num) > math.floor(Fraction(tau) * size)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,16 @@ def test_wht_int_is_exact_and_consistent():
     assert np.allclose(ints / 64.0, wht(f).coeffs)
 
 
+def test_wht_int_headroom_tied_to_dimension_cap(monkeypatch):
+    from boolres import hypercube
+
+    assert hypercube.MAX_DIM <= hypercube.INT64_BITS
+    # a bound below the dimension fails loudly instead of wrapping
+    monkeypatch.setattr(hypercube, "INT64_BITS", 3)
+    with pytest.raises(OverflowError):
+        wht_int(BooleanFunction(4, np.ones(16, dtype=np.int8)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 def test_parseval_random_boolean(n, seed):

@@ -8,6 +8,7 @@ from boolres.duality import low_degree_masks
 from boolres.hypercube import BooleanFunction, chi_values
 from boolres.lp import (
     INFEASIBLE,
+    ITERATION_LIMIT,
     OPTIMAL,
     LinearProgram,
     solve_lp,
@@ -169,31 +170,31 @@ def test_determinism_bit_identical():
 
 
 def test_weak_duality_survives_iteration_limit():
-    # the parity start keeps the primal feasible from iteration zero, so a
-    # truncated run still satisfies alpha + delta >= 1 against the optimal
-    # delta (weak duality)
-    from boolres.duality import l1_poly_distance
+    # a truncated dual simplex run is primal infeasible, but it returns the
+    # duals y of the basis it stopped at; p_y = sum_S y_S chi_S still bounds
+    # the optimum, alpha_opt + E|f - p_y| >= 1 (weak duality)
+    from boolres.duality import distance_to_resilience
     from boolres.zoo import majority
 
-    f = majority(3)
-    n, d, size = 3, 1, 8
+    f = majority(7)
+    n, d, size = 7, 2, 128
     masks = low_degree_masks(n, d)
-    a_primal = np.array([chi_values(n, m) for m in masks], dtype=float)
+    chi = np.array([chi_values(n, m) for m in masks], dtype=float)
     primal = LinearProgram(
         objective=f.table.astype(float),
-        eq_matrix=a_primal,
+        eq_matrix=chi,
         eq_rhs=np.zeros(len(masks)),
         lower=np.full(size, -1.0),
         upper=np.full(size, 1.0),
     )
-    start = chi_values(n, 0b11) > 0
-    delta = l1_poly_distance(f, d).delta
+    alpha_opt = distance_to_resilience(f, d).alpha
 
     for budget in (1, 2, 5, 50):
-        ps = solve_lp(primal, initial_at_upper=start, max_iterations=budget)
-        assert ps.point is not None
-        alpha_feasible = 1.0 - ps.value / size
-        assert alpha_feasible + delta >= 1.0 - 1e-8
+        ps = solve_lp(primal, max_iterations=budget)
+        assert ps.status == ITERATION_LIMIT
+        assert ps.iterations == budget
+        p_table = ps.duals @ chi
+        assert alpha_opt + float(np.mean(np.abs(f.table - p_table))) >= 1.0 - 1e-8
 
 
 # -- differential oracle: solve_lp against HiGHS ---------------------------
@@ -204,8 +205,8 @@ def linprog():
     return pytest.importorskip("scipy.optimize").linprog
 
 
-def _assert_matches_highs(linprog, lp, at_upper=None):
-    sol = solve_lp(lp, initial_at_upper=at_upper)
+def _assert_matches_highs(linprog, lp):
+    sol = solve_lp(lp)
     rows = len(lp.eq_rhs)
     ref = linprog(
         -lp.objective,
@@ -241,16 +242,13 @@ def box_lps(draw):
         b = a @ (lower + (upper - lower) * ints(cols, 0, 2) / 2.0)
     else:
         b = ints(rows)
-    lp = LinearProgram(ints(cols), a, b, lower, upper)
-    at_upper = np.array(draw(st.lists(st.booleans(), min_size=cols, max_size=cols)))
-    return lp, at_upper
+    return LinearProgram(ints(cols), a, b, lower, upper)
 
 
 @settings(max_examples=150, deadline=None)
 @given(box_lps())
-def test_matches_highs_on_random_box_lps(linprog, case):
-    lp, at_upper = case
-    _assert_matches_highs(linprog, lp, at_upper)
+def test_matches_highs_on_random_box_lps(linprog, lp):
+    _assert_matches_highs(linprog, lp)
 
 
 def _parity_lp(n, d, objective, weights):
@@ -271,30 +269,66 @@ def _parity_lp(n, d, objective, weights):
         )
     )
 )
-def test_matches_highs_on_parity_lps_in_bland_mode(linprog, case):
+def test_matches_highs_on_parity_lps_under_the_guard(linprog, case):
     n, d, objective, weights = case
     lp = _parity_lp(n, d, np.array(objective), np.array(weights))
     with pytest.MonkeyPatch.context() as mp:
-        # Bland's rule after a single degenerate pivot
+        # shift the costs after a single dual-degenerate pivot
         mp.setattr(lp_module, "_stall_limit", lambda m: 1)
         _assert_matches_highs(linprog, lp)
-        _assert_matches_highs(linprog, lp, at_upper=lp.objective > 0)
 
 
 @pytest.mark.parametrize("n, d", [(4, 1), (5, 1), (5, 2)])
-def test_bland_fallback_reached_on_symmetric_targets(linprog, monkeypatch, n, d):
-    # majority and AND stall on degenerate runs from the artificial start
-    runs = []
-    real_run = lp_module._Simplex.run
-
-    def recording(self, cost, max_iterations):
-        runs.append(self)
-        return real_run(self, cost, max_iterations)
-
-    monkeypatch.setattr(lp_module._Simplex, "run", recording)
-    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 3)
+def test_guard_reached_on_symmetric_targets(linprog, monkeypatch, n, d):
+    # majority and AND run into dual-degenerate pivots from the start
+    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 1)
     pc = np.bitwise_count(np.arange(1 << n))
     for objective in (np.where(pc < n / 2, 1.0, -1.0), np.where(pc == 0, -1.0, 1.0)):
-        runs.clear()
-        _assert_matches_highs(linprog, _parity_lp(n, d, objective, np.ones(1 << n)))
-        assert runs[-1].bland_entries > 0
+        sol = _assert_matches_highs(linprog, _parity_lp(n, d, objective, np.ones(1 << n)))
+        assert sol.perturbations > 0
+
+
+def _random_resilience_lp(n, d, seed):
+    from boolres.zoo import random_boolean
+
+    f = random_boolean(n, seed=seed)
+    return _parity_lp(n, d, f.table.astype(np.float64), np.ones(1 << n))
+
+
+@pytest.mark.parametrize("n, d, seed", [(9, 2, 928266192), (12, 1, 5)])
+def test_stalling_instance_reaches_highs_optimum(linprog, n, d, seed):
+    # long dual-degenerate runs; without the anti-cycling guard the n = 12
+    # LP cycles until the iteration limit
+    sol = _assert_matches_highs(linprog, _random_resilience_lp(n, d, seed))
+    assert sol.degenerate > 0
+
+
+def test_cost_shift_cleanup_repairs_dual_infeasibility(linprog, monkeypatch):
+    # a shift this large leaves the perturbed optimum dual infeasible for the
+    # true costs: removing it must flip columns and resume dual iterations
+    settles = []
+    real_settle = lp_module._DualSimplex.settle
+
+    def recording(self):
+        settles.append(real_settle(self))
+        return settles[-1]
+
+    monkeypatch.setattr(lp_module._DualSimplex, "settle", recording)
+    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 1)
+    monkeypatch.setattr(lp_module, "PERTURBATION_SCALE", 0.5)
+    for lp in (_random_resilience_lp(7, 2, 5), _random_resilience_lp(8, 2, 2)):
+        settles.clear()
+        sol = _assert_matches_highs(linprog, lp)
+        assert sol.perturbations > 0
+        assert settles[0] is False and settles[-1] is True
+
+
+def test_repeat_is_bit_identical_with_flips_and_perturbations():
+    lp = _random_resilience_lp(9, 2, 928266192)
+    s1, s2 = solve_lp(lp), solve_lp(lp)
+    assert s1.flips > 0 and s1.perturbations > 0
+    for field in ("status", "value", "iterations", "flips", "degenerate",
+                  "perturbations", "refactors", "residual"):
+        assert getattr(s1, field) == getattr(s2, field), field
+    assert np.array_equal(s1.point, s2.point)
+    assert np.array_equal(s1.duals, s2.duals)

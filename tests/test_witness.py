@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
+from boolres import witness
 from boolres.duality import distance_to_resilience
-from boolres.hypercube import BooleanFunction, chi_values, is_d_resilient, wht
+from boolres.hypercube import INT64_BITS, BooleanFunction, chi_values, is_d_resilient, wht
 from boolres.witness import (
+    EXACT_CHECK_MAX_DIM,
     ConcentrationProbe,
     DegenerateHighPart,
     WitnessParams,
+    _exact_check_bits,
+    _exact_crossed,
     build_witness,
     concentration_probe,
 )
-from boolres.zoo import majority, tribes
+from boolres.zoo import majority, random_boolean, tribes
 
 
 def test_params_validation():
@@ -141,3 +147,26 @@ def test_witness_spectrum_low_part_tiny():
     coeffs = wht(report.p).coeffs
     pc = np.bitwise_count(np.arange(1 << 6, dtype=np.uint64)).astype(int)
     assert np.max(np.abs(coeffs[pc <= 2])) <= 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.375, 1.5, 2.0**-20, 0.1, 1 / 3, 0.7, 1e300])
+def test_exact_threshold_matches_fraction_loop(tau):
+    # dyadic tau puts tau * 2^n on an integer, which must not count as crossed
+    rng = np.random.default_rng(11)
+    size = 1 << 8
+    edge = min(int(Fraction(tau) * size), 4 * size)
+    for _ in range(4):
+        l_num = rng.integers(-4 * size, 4 * size + 1, size=size)
+        l_num[:6] = [edge, -edge, edge + 1, -edge - 1, edge - 1, 0]
+        threshold = Fraction(tau) * size
+        loop = np.array([Fraction(int(abs(v))) > threshold for v in l_num])
+        assert np.array_equal(_exact_crossed(l_num, tau, size), loop)
+
+
+def test_exact_replay_headroom_tied_to_cap(monkeypatch):
+    assert _exact_check_bits(EXACT_CHECK_MAX_DIM) <= INT64_BITS
+    # raising the cap past the proven bound fails loudly instead of wrapping
+    monkeypatch.setattr(witness, "EXACT_CHECK_MAX_DIM", EXACT_CHECK_MAX_DIM + 1)
+    f = random_boolean(EXACT_CHECK_MAX_DIM + 1, seed=1)
+    with pytest.raises(OverflowError):
+        build_witness(f, WitnessParams(d=1, tau=0.5))
