@@ -115,12 +115,9 @@ def self_composition(base: CubeFunction, k: int):
 
 def resilience_order(fn: CubeFunction) -> int:
     """Largest d such that fn is d-resilient (n for the zero function)."""
-    if isinstance(fn, BooleanFunction):
-        coeffs = wht_int(fn)
-        nonzero = np.nonzero(coeffs != 0)[0]
-    else:
-        coeffs = wht(fn).coeffs
-        nonzero = np.nonzero(np.abs(coeffs) > 1e-10)[0]
+    exact = isinstance(fn, BooleanFunction)
+    coeffs = wht_int(fn) if exact else wht(fn).coeffs
+    nonzero = np.nonzero(np.abs(coeffs) > (0 if exact else 1e-10))[0]
     if len(nonzero) == 0:
         return fn.n
     return int(popcounts(fn.n)[nonzero].min()) - 1

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .hypercube import BooleanFunction, popcounts
+from .hypercube import BooleanFunction, coordinate_signs, level_one_sums, popcounts
 from .zoo import cyclerun
 
 
@@ -106,21 +106,6 @@ class BuilderReport:
         return json.dumps(payload)
 
 
-def _weights(n: int) -> np.ndarray:
-    return n - 2 * popcounts(n)
-
-
-def _singleton_sums(table: np.ndarray, n: int) -> np.ndarray:
-    """Exact integers sum_x f(x) x_j for every coordinate j."""
-    idx = np.arange(1 << n)
-    t = table.astype(np.int64)
-    total = int(t.sum())
-    return np.array(
-        [total - 2 * int(t[(idx >> j) & 1 == 1].sum()) for j in range(n)],
-        dtype=np.int64,
-    )
-
-
 def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     """Run the greedy orbit-flipping repair on CycleRun.
 
@@ -134,7 +119,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         raise ValueError("budget constant c1 must be positive")
     base = cyclerun(n)
     size = 1 << n
-    wt = _weights(n)
+    wt = n - 2 * popcounts(n)  # coordinate sum of every point
     table = base.table.astype(np.int64).copy()
 
     sigma = int(np.dot(table, wt))
@@ -211,8 +196,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     output = BooleanFunction(n, table.astype(np.int8))
     if int(table.sum()) != 0:
         raise BuilderError("output is not balanced")
-    sums = _singleton_sums(table, n)
-    if np.any(sums != 0):
+    if np.any(level_one_sums(table) != 0):
         raise BuilderError("output is not exactly 1-resilient")
 
     distance = sbar_size / size
@@ -250,20 +234,17 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     final full-table recomputations.
     """
     n = report.n
-    wt = _weights(n)
     table = cyclerun(n).table.astype(np.int64).copy()
-    sums = _singleton_sums(table, n)
+    sums = level_one_sums(table)
 
     for rec in report.iterations:
         orbit = shift_orbit(rec.point, n)
         members = np.fromiter(orbit.members, dtype=np.int64)
-        for j in range(n):
-            xj = np.where((members >> j) & 1 == 1, -1, 1)
-            sums[j] -= 2 * int(np.dot(table[members], xj))
+        sums -= 2 * (table[members] @ coordinate_signs(members, n))
         table[members] *= -1
 
         if rec.index % FULL_RECHECK_EVERY == 0:
-            full = _singleton_sums(table, n)
+            full = level_one_sums(table)
             if np.any(full != sums):
                 return AuditResult(False, rec.index, "incremental sums drifted")
         if np.any(sums != sums[0]):
@@ -279,7 +260,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
         if rec.sigma_before - rec.sigma_after not in (2 * orbit.size * orbit.weight, 4 * n):
             return AuditResult(False, rec.index, "sigma decrement does not match the orbit")
 
-    full = _singleton_sums(table, n)
+    full = level_one_sums(table)
     if np.any(full != sums):
         return AuditResult(False, len(report.iterations) - 1, "final sums drifted")
     if not np.array_equal(table.astype(np.int8), report.output.table):

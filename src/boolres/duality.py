@@ -106,6 +106,12 @@ class DualityCertificate:
     l1: L1ApproxResult
 
 
+def _check_boolean(f: BooleanFunction) -> None:
+    """alpha = 1 - value/2^n and the witness checks hold only for +-1 tables."""
+    if not isinstance(f, BooleanFunction):
+        raise ValueError("distance to resilience needs a Boolean (+-1) function")
+
+
 def _check_inputs(f: BooleanFunction, d: int) -> None:
     if f.n > MAX_DUALITY_DIM:
         raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
@@ -130,7 +136,8 @@ def _l1_box_lp(
 
     Its dual is min sum_c w_c |l_c - p(x_c)| over p = sum_S y_S chi_S, with
     y the row duals, in the order of the returned masks.  The solver starts
-    at the box-optimal vertex g_c = w_c l_c (labels are +-1).
+    at the box-optimal vertex g_c = w_c if l_c > 0 else -w_c (= w_c l_c for
+    +-1 labels).
     """
     masks = low_degree_masks(n, d)
     lp = LinearProgram(
@@ -192,18 +199,23 @@ def _verified_poly(
 
 def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
     """Exact L1 distance from f to the closest bounded d-resilient function."""
+    _check_boolean(f)
     sol, _ = _resilience_lp(f, d)
     return _verified_witness(f, d, sol)
 
 
 def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
-    """Exact minimum of E|f - p| over polynomials of degree <= d."""
+    """Exact minimum of E|f - p| over polynomials of degree <= d.
+
+    Also accepts a bounded f: the LP duality holds for any real labels.
+    """
     sol, masks = _resilience_lp(f, d)
     return _verified_poly(f, d, masks, sol)
 
 
 def duality_certificate(f: BooleanFunction, d: int) -> DualityCertificate:
     """Verify both sides of one resilience LP solve and report the duality gap."""
+    _check_boolean(f)
     sol, masks = _resilience_lp(f, d)
     res = _verified_witness(f, d, sol)
     l1 = _verified_poly(f, d, masks, sol)

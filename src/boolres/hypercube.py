@@ -5,6 +5,9 @@ Conventions shared by the whole package:
 * A point of the n-dimensional hypercube is an integer index in [0, 2^n).
   Coordinate j (1-based) is +1 when bit (j-1) of the index is 0 and -1 when
   the bit is 1.
+  `_halves` splits a table by one coordinate and `coordinate_signs` gives
+  the coordinates of a point set; level-one sums and influences build on
+  them.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
 * chi_S(x) = prod_{j in S} x_j = (-1)^popcount(mask & index).
 * Fourier coefficients carry the expectation normalization,
@@ -75,6 +78,8 @@ class BoundedFunction:
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != (1 << self.n,):
             raise ValueError(f"table must have length 2^{self.n}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("bounded table entries must be finite")
         if np.max(np.abs(table), initial=0.0) > 1.0 + BOUNDED_TOL:
             raise ValueError("bounded table entries must lie in [-1, 1]")
         table = table.copy()
@@ -124,6 +129,39 @@ def chi_values(n: int, mask: int) -> np.ndarray:
 def popcounts(n: int) -> np.ndarray:
     """popcount of every mask in [0, 2^n), as a small-int array."""
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+
+
+def coordinate_signs(points: np.ndarray, n: int) -> np.ndarray:
+    """The (len(points), n) matrix of +-1 coordinates x_1..x_n of each point."""
+    bits = (np.asarray(points, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
+def _halves(values: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries with x_j = +1 and with x_j = -1, paired by x_{-j}.
+
+    Bit j-1 of a point index is the middle axis of the strided
+    (2^{n-j}, 2, 2^{j-1}) view of a 2^n table; nothing is copied.
+    """
+    split = values.reshape(-1, 2, 1 << (j - 1))
+    return split[:, 0, :], split[:, 1, :]
+
+
+def level_one_sums(table: np.ndarray) -> np.ndarray:
+    """Exact int64 sums sum_x f(x) x_j for j = 1..n (2^n coef[{j}]).
+
+    Splits on the top coordinate, then folds it out (plus + minus) and
+    repeats on the half-size table: about 2 * 2^n adds in all.  Every value
+    stays within 2^n max|f|, inside int64 for the package's integer tables.
+    """
+    rest = np.asarray(table, dtype=np.int64)
+    n = rest.shape[0].bit_length() - 1
+    sums = np.empty(n, dtype=np.int64)
+    for j in range(n, 0, -1):
+        plus, minus = _halves(rest, j)
+        sums[j - 1] = plus.sum() - minus.sum()
+        rest = plus + minus
+    return sums
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -183,18 +221,12 @@ def per_coordinate_influence(fn: CubeFunction) -> np.ndarray:
     fall back to the spectral form sum_{S ni j} coef[S]^2 (the two agree for
     Boolean f).
     """
-    n = fn.n
-    idx = np.arange(1 << n)
+    js = range(1, fn.n + 1)
     if isinstance(fn, BooleanFunction):
-        table = fn.table
-        return np.array(
-            [np.mean(table != table[idx ^ (1 << (j - 1))]) for j in range(1, n + 1)]
-        )
+        return np.array([np.mean(np.not_equal(*_halves(fn.table, j))) for j in js])
     sq = wht(fn).coeffs ** 2
-    masks = np.arange(1 << n)
-    return np.array(
-        [sq[(masks >> (j - 1)) & 1 == 1].sum() for j in range(1, n + 1)]
-    )
+    # ravel first: summing the strided view would change the float summation order
+    return np.array([_halves(sq, j)[1].ravel().sum() for j in js])
 
 
 def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
@@ -283,28 +315,17 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
     """
     if not 0 <= d <= fn.n:
         raise ValueError(f"degree d={d} outside [0, {fn.n}]")
-    pc = popcounts(fn.n)
-    low = pc <= d
-    masks = np.nonzero(low)[0]
-    if isinstance(fn, BooleanFunction):
-        coeffs = wht_int(fn)
-        vals = np.abs(coeffs[low])
-        worst = int(np.argmax(vals))
-        scale = float(1 << fn.n)
-        return ResilienceCheck(
-            resilient=bool(vals[worst] / scale <= tol),
-            worst_mask=int(masks[worst]),
-            worst_coefficient=float(vals[worst]) / scale,
-            exact=True,
-        )
-    coeffs = wht(fn).coeffs
+    exact = isinstance(fn, BooleanFunction)
+    coeffs = wht_int(fn) if exact else wht(fn).coeffs
+    scale = float(1 << fn.n) if exact else 1.0
+    low = popcounts(fn.n) <= d
     vals = np.abs(coeffs[low])
     worst = int(np.argmax(vals))
     return ResilienceCheck(
-        resilient=bool(vals[worst] <= tol),
-        worst_mask=int(masks[worst]),
-        worst_coefficient=float(vals[worst]),
-        exact=False,
+        resilient=bool(vals[worst] / scale <= tol),
+        worst_mask=int(np.nonzero(low)[0][worst]),
+        worst_coefficient=float(vals[worst]) / scale,
+        exact=exact,
     )
 
 

@@ -171,14 +171,7 @@ def learn_exact(
         )
 
     threshold, error, h_table = _best_threshold(p_table, up, down)
-    hypothesis = BooleanFunction(n, h_table)
-    report = LearnReport(
-        hypothesis=hypothesis,
-        error=error,
-        regression_delta=delta,
-        threshold=threshold,
-        poly=poly,
-    )
+    opt = excess = None
     if comparison_class is not None:
         opt = opt_of_class(comparison_class, dist)
         excess = error - opt
@@ -190,16 +183,15 @@ def learn_exact(
                 f"excess error {excess} exceeded Delta/2 + eps = "
                 f"{delta_class / 2.0 + epsilon}"
             )
-        report = LearnReport(
-            hypothesis=hypothesis,
-            error=error,
-            regression_delta=delta,
-            threshold=threshold,
-            poly=poly,
-            opt=opt,
-            excess=excess,
-        )
-    return report
+    return LearnReport(
+        hypothesis=BooleanFunction(n, h_table),
+        error=error,
+        regression_delta=delta,
+        threshold=threshold,
+        poly=poly,
+        opt=opt,
+        excess=excess,
+    )
 
 
 def learn_sampled(

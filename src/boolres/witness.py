@@ -93,6 +93,8 @@ def _low_part(f: BooleanFunction, d: int) -> np.ndarray:
 def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     """Run the full pipeline and certify the output."""
     n, d, tau = f.n, params.d, params.tau
+    if not isinstance(f, BooleanFunction):
+        raise ValueError("the witness pipeline needs a Boolean (+-1) function")
     if n > WITNESS_MAX_DIM:
         raise ValueError(f"witness pipeline limited to n <= {WITNESS_MAX_DIM}")
     if d > n:

@@ -262,6 +262,8 @@ class SymmetricFunction:
         vals = np.asarray(self.level_values, dtype=np.float64)
         if vals.shape != (self.n + 1,):
             raise ValueError("level_values must have n+1 entries")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("level values must be finite")
         if np.max(np.abs(vals), initial=0.0) > 1.0:
             raise ValueError("level values must lie in [-1, 1]")
         vals = vals.copy()

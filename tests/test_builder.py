@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boolres import builder
 from boolres.builder import (
     BuilderReport,
     IterationRecord,
@@ -12,7 +13,7 @@ from boolres.builder import (
     build_one_resilient,
     shift_orbit,
 )
-from boolres.hypercube import correlation, is_d_resilient, wht_int
+from boolres.hypercube import BooleanFunction, correlation, is_d_resilient, wht_int
 from boolres.zoo import cyclerun
 
 
@@ -180,3 +181,33 @@ def test_budget_ratio_definition():
     report = build_one_resilient(9)
     expected = report.distance / math.sqrt(math.log2(9) / 9)
     assert report.budget_ratio == pytest.approx(expected)
+
+
+def test_audit_detects_drifted_incremental_sums(monkeypatch):
+    # corrupt the incremental update once, at iteration 0; the full recheck
+    # there goes through level_one_sums, a different arithmetic route
+    report = build_one_resilient(7)
+    real = builder.coordinate_signs
+    calls = []
+
+    def corrupt_first(points, n):
+        calls.append(len(points))
+        signs = real(points, n)
+        return -signs if len(calls) == 1 else signs
+
+    monkeypatch.setattr(builder, "coordinate_signs", corrupt_first)
+    result = audit_invariants(report)
+    assert result.ok is False
+    assert result.failed_iteration == 0
+    assert result.detail == "incremental sums drifted"
+
+
+def test_audit_detects_a_changed_output_table():
+    report = build_one_resilient(7)
+    table = report.output.table.copy()
+    table[3] = -table[3]
+    bad = dataclasses.replace(report, output=BooleanFunction(7, table))
+    result = audit_invariants(bad)
+    assert result.ok is False
+    assert result.failed_iteration == len(report.iterations) - 1
+    assert result.detail == "replayed table differs"
