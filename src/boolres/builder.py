@@ -91,8 +91,8 @@ class BuilderReport:
     distance: float
     budget_ratio: float  # distance / sqrt(log2(n)/n)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "c1": self.c1,
             "sigma_initial": self.sigma_initial,
@@ -103,7 +103,9 @@ class BuilderReport:
             "budget_ratio": self.budget_ratio,
             "iterations": [asdict(rec) for rec in self.iterations],
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:

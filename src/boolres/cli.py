@@ -219,7 +219,7 @@ def _cmd_cyclerun_build(args) -> None:
     audit = audit_invariants(report)
     if not audit.ok:
         raise AssertionError(f"invariant audit failed at iteration {audit.failed_iteration}: {audit.detail}")
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     payload["audit_ok"] = audit.ok
     payload["first_level_coefficients"] = [0] * report.n  # integer-certified zeros
     _emit(args, payload)

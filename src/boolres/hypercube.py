@@ -167,21 +167,24 @@ def level_one_sums(table: np.ndarray) -> np.ndarray:
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, out[s] = sum_x v[x](-1)^pc(s&x).
 
-    In-place butterfly on a copy, O(n 2^n) adds; exact on integer dtypes.
-    Self-inverse up to the factor 2^n.
+    O(n 2^n) adds, exact on integer dtypes; self-inverse up to the factor
+    2^n.  Each butterfly stage reads one buffer and writes the sums and
+    differences straight into the other, so nothing is copied between
+    stages.  The input is only read; the result is always a fresh array.
     """
-    a = np.array(values, copy=True)
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:]
-        a[:, :h] = left + right
-        a[:, h:] = left - right
-        a = a.reshape(-1)
-        h *= 2
-    return a
+    src = np.asarray(values)
+    size = src.shape[0]
+    if size < 2:
+        return src.copy()
+    buffers = (np.empty(size, dtype=src.dtype), np.empty(size, dtype=src.dtype))
+    for stage in range(size.bit_length() - 1):
+        dst = buffers[stage % 2]
+        pairs = src.reshape(-1, 2, 1 << stage)
+        out = dst.reshape(-1, 2, 1 << stage)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        src = dst
+    return src
 
 
 def wht(fn: CubeFunction) -> Spectrum:
@@ -221,10 +224,15 @@ def per_coordinate_influence(fn: CubeFunction) -> np.ndarray:
     fall back to the spectral form sum_{S ni j} coef[S]^2 (the two agree for
     Boolean f).
     """
-    js = range(1, fn.n + 1)
     if isinstance(fn, BooleanFunction):
+        js = range(1, fn.n + 1)
         return np.array([np.mean(np.not_equal(*_halves(fn.table, j))) for j in js])
-    sq = wht(fn).coeffs ** 2
+    return _spectral_influence(wht(fn).coeffs ** 2)
+
+
+def _spectral_influence(sq: np.ndarray) -> np.ndarray:
+    """sum_{S ni j} sq[S] for j = 1..n, from the squared coefficients sq."""
+    js = range(1, sq.shape[0].bit_length())
     # ravel first: summing the strided view would change the float summation order
     return np.array([_halves(sq, j)[1].ravel().sum() for j in js])
 
@@ -236,7 +244,10 @@ def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
     sq = wht(fn).coeffs ** 2
     pc = popcounts(fn.n)
     low_weight = float(sq[pc <= d].sum())
-    infl = per_coordinate_influence(fn)
+    if isinstance(fn, BooleanFunction):
+        infl = per_coordinate_influence(fn)
+    else:
+        infl = _spectral_influence(sq)
     return SpectralStats(
         low_weight=low_weight,
         total_influence=float(infl.sum()),

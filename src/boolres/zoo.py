@@ -151,15 +151,26 @@ def _rol(v: np.ndarray, k: int, n: int, mask: int) -> np.ndarray:
     return ((v << k) | (v >> (n - k))) & mask
 
 
-def _longest_run(v: np.ndarray, n: int, mask: int) -> np.ndarray:
-    """Longest cyclic run of set bits, vectorized over a point array."""
-    best = np.where(v != 0, 1, 0).astype(np.int64)
+def _longest_run(v: np.ndarray, n: int) -> np.ndarray:
+    """Longest cyclic run of set bits, vectorized over a uint32 point array.
+
+    After step k, y holds the bits j with bits j..j+k of v all set; each
+    point's run length counts the steps at which its y is still nonzero.
+    """
+    best = (v != 0).astype(np.int8)
     y = v.copy()
-    for length in range(2, n + 1):
-        y = y & _ror(v, length - 1, n, mask)
-        if not y.any():
+    hi = np.empty_like(v)
+    lo = np.empty_like(v)
+    for k in range(1, n):
+        # y &= ror(v, k): y < 2^n, so the bits lo carries past n drop out
+        np.right_shift(v, k, out=hi)
+        np.left_shift(v, n - k, out=lo)
+        hi |= lo
+        y &= hi
+        alive = y != 0
+        if not alive.any():
             break
-        best[y != 0] = length
+        best += alive
     return best
 
 
@@ -175,18 +186,24 @@ def _run_starts(v: np.ndarray, run_len: int, n: int, mask: int) -> np.ndarray:
 
 
 def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
-    """CycleRun truth table plus the number of stage-3 residual-tie fallbacks."""
+    """CycleRun truth table plus the number of stage-3 residual-tie fallbacks.
+
+    Points are uint32 bit arrays.  That is exact for n <= CYCLERUN_MAX_DIM
+    < 32: a left shift only loses bits it moves past bit 31, which are at
+    or above n, and every rotation drops those anyway (`& mask`).  The
+    +1 coordinates of point i are the set bits of mask - i, so the +1
+    player's run lengths are the -1 player's read backwards.
+    """
     if n % 2 == 0:
         raise ValueError("cyclerun needs odd n")
     if not 3 <= n <= CYCLERUN_MAX_DIM:
         raise ValueError(f"cyclerun supported for odd n in [3, {CYCLERUN_MAX_DIM}]")
     mask = (1 << n) - 1
-    idx = np.arange(1 << n, dtype=np.int64)
-    neg_bits = idx
-    pos_bits = ~idx & mask
+    neg_bits = np.arange(1 << n, dtype=np.uint32)
+    pos_bits = neg_bits[::-1]  # ~i & mask == mask - i
 
-    len_pos = _longest_run(pos_bits, n, mask)
-    len_neg = _longest_run(neg_bits, n, mask)
+    len_neg = _longest_run(neg_bits, n)
+    len_pos = len_neg[::-1]
     table = np.zeros(1 << n, dtype=np.int8)
     table[len_pos > len_neg] = 1
     table[len_neg > len_pos] = -1
@@ -199,8 +216,8 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
         vn = neg_bits[group]
         starts_p = _run_starts(vp, int(run_len), n, mask)
         starts_n = _run_starts(vn, int(run_len), n, mask)
-        count_p = np.bitwise_count(starts_p.astype(np.uint64)).astype(np.int64)
-        count_n = np.bitwise_count(starts_n.astype(np.uint64)).astype(np.int64)
+        count_p = np.bitwise_count(starts_p).astype(np.int64)
+        count_n = np.bitwise_count(starts_n).astype(np.int64)
         verdict = np.sign(count_p - count_n).astype(np.int8)
 
         still = np.nonzero(verdict == 0)[0]
@@ -220,8 +237,8 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
                 if np.array_equal(grown_p, seed_p) and np.array_equal(grown_n, seed_n):
                     break
                 seed_p, seed_n = grown_p, grown_n
-            total_p = np.bitwise_count(seed_p.astype(np.uint64)).astype(np.int64)
-            total_n = np.bitwise_count(seed_n.astype(np.uint64)).astype(np.int64)
+            total_p = np.bitwise_count(seed_p).astype(np.int64)
+            total_n = np.bitwise_count(seed_n).astype(np.int64)
             stage3 = np.sign(total_p - total_n).astype(np.int8)
 
             residual = stage3 == 0

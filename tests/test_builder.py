@@ -177,6 +177,22 @@ def test_report_json_round_trips():
     assert payload["distance"] == report.distance
 
 
+def test_report_dict_is_its_json_payload():
+    # the CLI emits to_dict() directly, so it must hold JSON values only
+    report = build_one_resilient(9)
+    payload = report.to_dict()
+    assert json.loads(report.to_json()) == payload
+
+    def leaf_types(value):
+        if isinstance(value, dict):
+            return set().union(*map(leaf_types, value.values()))
+        if isinstance(value, list):
+            return set().union(set(), *map(leaf_types, value))
+        return {type(value)}
+
+    assert leaf_types(payload) <= {int, float, str}
+
+
 def test_budget_ratio_definition():
     report = build_one_resilient(9)
     expected = report.distance / math.sqrt(math.log2(9) / 9)

@@ -14,10 +14,12 @@ from boolres.hypercube import (
     chi_values,
     correlation,
     coordinate_values,
+    fwht,
     inverse_wht,
     is_d_resilient,
     l1_distance,
     noise_sensitivity,
+    per_coordinate_influence,
     read_truth_table,
     spectral_stats,
     spectrum_from_json,
@@ -117,6 +119,58 @@ def test_wht_int_headroom_tied_to_dimension_cap(monkeypatch):
     monkeypatch.setattr(hypercube, "INT64_BITS", 3)
     with pytest.raises(OverflowError):
         wht_int(BooleanFunction(4, np.ones(16, dtype=np.int8)))
+
+
+def copy_based_fwht(values):
+    """The earlier butterfly, kept as the bit-level oracle: it copies the
+    left half at every stage and writes both halves back in place."""
+    a = np.array(values, copy=True)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        right = a[:, h:]
+        a[:, :h] = left + right
+        a[:, h:] = left - right
+        a = a.reshape(-1)
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_fwht_is_bit_identical_to_copy_based_butterfly(dtype):
+    rng = np.random.default_rng(17)
+    for n in [*range(15), 18]:
+        if dtype is np.float64:
+            values = rng.standard_normal(1 << n)
+        else:
+            values = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
+        before = values.copy()
+        out = fwht(values)
+        assert out.dtype == dtype
+        assert out.tobytes() == copy_based_fwht(values).tobytes(), n
+        assert np.array_equal(values, before), n  # the input is only read
+        assert not np.shares_memory(out, values), n  # a fresh result, n = 0 too
+
+
+def test_bounded_spectral_stats_runs_one_wht(monkeypatch):
+    from boolres import hypercube
+
+    g = BoundedFunction(12, np.random.default_rng(4).uniform(-1, 1, size=1 << 12))
+    real = hypercube.wht
+    calls = []
+
+    def counting(fn):
+        calls.append(fn.n)
+        return real(fn)
+
+    monkeypatch.setattr(hypercube, "wht", counting)
+    stats = spectral_stats(g, 2)
+    assert calls == [12]
+    assert stats.per_coordinate_influence == tuple(
+        float(v) for v in per_coordinate_influence(g)
+    )
 
 
 @settings(max_examples=30, deadline=None)

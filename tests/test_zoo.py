@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boolres import zoo
 from boolres.hypercube import (
     is_d_resilient,
     popcounts,
@@ -161,6 +162,54 @@ def test_cyclerun_matches_reference_exhaustively():
         f = cyclerun(n)
         for idx in range(1 << n):
             assert f(idx) == cyclerun_reference(bits_of(idx, n)), (n, idx)
+
+
+def longest_run_reference(point, n):
+    """Longest cyclic run of set bits, read off the point written out twice."""
+    bits = [(point >> j) & 1 for j in range(n)]
+    if all(bits):
+        return n
+    best = run = 0
+    for bit in bits + bits:
+        run = run + 1 if bit else 0
+        best = max(best, run)
+    return best
+
+
+@pytest.mark.parametrize("n", [21, 23, 25])
+def test_longest_run_matches_cyclic_oracle(n):
+    rng = np.random.default_rng(n)
+    mask = (1 << n) - 1
+    wrap = (0b111 << (n - 3)) | 0b11  # one run of 5 across the seam
+    half = rng.integers(0, 1 << n, size=300)  # bits set with probability 1/2
+    dense = half | rng.integers(0, 1 << n, size=300) | rng.integers(0, 1 << n, size=300)
+    points = np.concatenate([half, dense, [0, mask, wrap]]).astype(np.uint32)
+    got = zoo._longest_run(points, n)
+    assert got.dtype == np.int8
+    assert [int(v) for v in got] == [longest_run_reference(int(p), n) for p in points]
+    assert got[-3:].tolist() == [0, n, 5]
+
+
+def test_cyclerun_table_matches_reference_at_11():
+    table, fallbacks = cyclerun_table(11)
+    assert table.dtype == np.int8
+    assert fallbacks == 0
+    for idx in range(1 << 11):
+        assert table[idx] == cyclerun_reference(bits_of(idx, 11)), idx
+
+
+def test_cyclerun_table_matches_reference_on_sampled_points_at_19():
+    table, _ = cyclerun_table(19)
+    assert table.dtype == np.int8
+    for idx in np.random.default_rng(19).integers(0, 1 << 19, size=2000):
+        assert table[idx] == cyclerun_reference(bits_of(int(idx), 19)), idx
+
+
+def test_cyclerun_cap_fits_uint32_points():
+    # points and their rotations are uint32; the cap must stay below 32 bits
+    assert zoo.CYCLERUN_MAX_DIM < 32
+    with pytest.raises(ValueError):
+        cyclerun_table(zoo.CYCLERUN_MAX_DIM + 2)
 
 
 def test_cyclerun_rejects_even_n():
