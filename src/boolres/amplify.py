@@ -249,6 +249,8 @@ def amplification_report(
         raise ValueError("inner and outer bases must share a dimension")
     if k < 1:
         raise ValueError("amplification depth k must be >= 1")
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     _check_balanced(f)
     _check_balanced(g)
 

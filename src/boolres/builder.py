@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class BuilderReport:
             "sbar_prime_size": self.sbar_prime_size,
             "distance": self.distance,
             "budget_ratio": self.budget_ratio,
-            "iterations": [asdict(rec) for rec in self.iterations],
+            "iterations": [dict(vars(rec)) for rec in self.iterations],
         }
 
     def to_json(self) -> str:

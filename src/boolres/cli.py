@@ -4,13 +4,17 @@ machine-readable certificates and sweep tables.
 Function specs use a `name:key=value,...` micro-grammar (unknown keys are
 hard errors), e.g. `tribes:w=3,s=4`, `cyclerun:n=9`, `parity:n=8,mask=0x7`,
 `file:path=table.tt`.  Every JSON artifact embeds the invoking config and
-the tool version.  Exit status: 0 success, 1 precondition failure,
-2 internal invariant/certificate violation.
+the tool version.  Artifacts are the text of `json.dumps(payload, indent=2)`
+plus a newline; their bytes do not depend on how they are written (the big
+tables go through the C encoder, see `_json_chunks`).  Exit status:
+0 success, 1 precondition failure, 2 internal invariant/certificate
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -117,23 +121,82 @@ def parse_function_spec(spec: str) -> CubeFunction:
     raise SpecError(f"unknown function name {name!r}")
 
 
+_NESTED = (np.ndarray, dict, list, tuple)
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    # scalars are skipped without a call: `cyclerun-build` writes thousands
+    # of flat iteration records
+    for item in value:
+        if isinstance(item, _NESTED) and _holds_array(item):
+            return True
+    return False
+
+
+def _json_chunks(value, pad: str, out: list[str]) -> None:
+    """Append the text of `json.dumps(value, indent=2)`, continued at
+    indentation `pad`, to `out`, with each 1-D numpy array written as the
+    list `value.tolist()`.
+
+    Python's `json` drops to its pure-Python encoder whenever `indent` is
+    set, so the big tables go through the C encoder instead, with the
+    indented layout's item separator and brackets spliced around them.
+    Only the dicts and lists that hold an array are walked here; any other
+    subtree is one indented `json.dumps`, whose newlines are shifted by
+    `pad` (encoded JSON holds no raw newline inside a string).  Keys of the
+    walked dicts are strings.  The pieces are left unjoined, so a table's
+    text is copied once more only when it is written.
+    """
+    inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            out.append("[]")
+            return
+        body = json.dumps(value.tolist(), separators=(",\n" + inner, ": "))
+        out += ("[\n", inner, body[1:-1], "\n", pad, "]")
+    elif not _holds_array(value):
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+    elif isinstance(value, dict):
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out += (sep, json.dumps(key), ": ")
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+
+
 def _emit(args, payload=None, csv_rows=None) -> None:
     if args.format == "csv":
         if csv_rows is None:
             raise SpecError("this subcommand has no CSV form")
-        text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
+        chunks = ["\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"]
     else:
         payload = dict(payload or {})
         payload["config"] = {
             key: value for key, value in vars(args).items() if key != "func" and value is not None
         }
         payload["version"] = __version__
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = []
+        _json_chunks(payload, "", chunks)
+        chunks.append("\n")
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_spectrum(args) -> None:
@@ -165,7 +228,7 @@ def _cmd_duality(args) -> None:
         "alpha": cert.alpha,
         "delta": cert.delta,
         "gap": cert.gap,
-        "witness_table": [float(v) for v in cert.resilience.witness.table],
+        "witness_table": cert.resilience.witness.table,
         "poly_coefficients": {hex(m): c for m, c in cert.l1.poly.coeffs.items()},
     })
 
@@ -177,7 +240,7 @@ def _cmd_resilience(args) -> None:
         "alpha": res.alpha,
         "d": res.d,
         "lp_iterations": res.lp_iterations,
-        "witness_table": [float(v) for v in res.witness.table],
+        "witness_table": res.witness.table,
     })
 
 
@@ -207,7 +270,7 @@ def _cmd_witness(args) -> None:
             "high_sup": report.high_sup,
             "degenerate": report.degenerate,
             "exact_zero_certified": report.exact_zero_certified,
-            "p_table": [float(v) for v in report.p.table],
+            "p_table": report.p.table,
         })
     payload = {"d": args.d, "sweep": sweep} if len(sweep) > 1 else {"d": args.d, **sweep[0]}
     rows = [(entry["tau"], entry["corr_pf"], entry["delta_emp"]) for entry in sweep]
@@ -285,7 +348,7 @@ def _cmd_learn(args) -> None:
         "empirical_error": report.empirical_error,
         "m": report.m,
         "seed": report.seed,
-        "hypothesis_table": [int(v) for v in report.hypothesis.table],
+        "hypothesis_table": report.hypothesis.table,
         "poly_coefficients": {hex(m): c for m, c in report.poly.coeffs.items()},
     })
 
@@ -365,9 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args returns a fresh Namespace on every
+    # call, and the handlers look up this module's globals when they run
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

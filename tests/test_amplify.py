@@ -185,6 +185,14 @@ def test_sampled_path_requires_seed():
         amplification_report(f, g, k=2)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_amplification_rejects_non_positive_sample_count(samples):
+    f = majority(5)
+    g = distance_to_resilience(f, 1).witness
+    with pytest.raises(ValueError, match="sample count"):
+        amplification_report(f, g, k=2, samples=samples, seed=1)
+
+
 def test_sampled_matches_exact_at_small_arity():
     # force the sampling machinery onto a case we can also compute exactly
     from boolres.amplify import _sampled_distance

@@ -193,6 +193,16 @@ def test_report_dict_is_its_json_payload():
     assert leaf_types(payload) <= {int, float, str}
 
 
+def test_report_iteration_dicts_match_asdict():
+    # asdict is the oracle only: to_dict copies the flat records directly
+    report = build_one_resilient(11)
+    payload = report.to_dict()
+    assert payload["iterations"] == [dataclasses.asdict(rec) for rec in report.iterations]
+    assert [list(entry) for entry in payload["iterations"]] == [
+        [field.name for field in dataclasses.fields(IterationRecord)]
+    ] * len(report.iterations)
+
+
 def test_budget_ratio_definition():
     report = build_one_resilient(9)
     expected = report.distance / math.sqrt(math.log2(9) / 9)

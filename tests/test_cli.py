@@ -1,7 +1,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boolres import cli
 from boolres.cli import main, parse_function_spec
@@ -192,3 +196,121 @@ def test_resilience_and_l1_cli_consistent(capsys):
     alpha = json.loads(out_r)["alpha"]
     delta = json.loads(out_l)["delta"]
     assert abs(alpha + delta - 1.0) <= 1e-6
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _array(dtype, elements=None):
+    return hnp.arrays(dtype, st.integers(0, 6), elements=elements)
+
+
+_TRICKY_TEXT = st.sampled_from(["a, b", "line\nbreak", ",\n  ", "[1, 2]", "\"quoted\""])
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    _TRICKY_TEXT,
+    _array(np.float64, st.floats(allow_nan=True, allow_infinity=True)),
+    _array(np.int64),
+    _array(np.int8),
+    _array(np.bool_),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5) | _TRICKY_TEXT, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOADS)
+@example({"d": 1, "sweep": [
+    {"tau": 0.1, "degenerate": False, "p_table": np.array([0.5, -np.inf, np.nan])},
+    {"tau": 0.2, "note": "a, b\nc", "p_table": np.array([], dtype=np.float64)},
+]})
+@example(np.array([np.inf, -np.inf, np.nan, -0.0, 1e-300]))
+def test_json_writer_matches_indented_dumps(payload):
+    chunks = []
+    cli._json_chunks(payload, "", chunks)
+    assert "".join(chunks) == json.dumps(_as_lists(payload), indent=2)
+
+
+ARTIFACT_JOBS = [
+    ("spectrum", "--fn", "majority:n=3"),
+    ("stats", "--fn", "tribes:w=2,s=3", "--d", "1"),
+    ("duality", "--fn", "tribes:w=2,s=3", "--d", "1"),
+    ("resilience", "--fn", "majority:n=5", "--d", "1"),
+    ("l1approx", "--fn", "majority:n=5", "--d", "1"),
+    ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.3"),
+    ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.2,0.3"),
+    ("cyclerun-build", "--n", "7"),
+    ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "1"),
+    ("design", "--n", "6", "--k", "3", "--d", "1"),
+    ("ortho-family", "--fn", "parity:n=2,mask=0x3", "--n", "8", "--d", "1"),
+    ("learn", "--fn", "parity:n=4,mask=0x7", "--d", "1"),
+    ("learn", "--fn", "dictator:n=4,i=1", "--d", "1", "--m", "200", "--seed", "3"),
+    ("ft-stats", "--n", "1000", "--t", "1.0"),
+]
+
+
+@pytest.mark.parametrize("argv", ARTIFACT_JOBS, ids=lambda argv: " ".join(argv[:2]))
+def test_artifact_is_indented_json(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_main_builds_one_parser_and_reuses_it(capsys, monkeypatch):
+    sequence = [
+        ("learn", "--fn", "dictator:n=4,i=1", "--d", "1", "--m", "300", "--seed", "1"),
+        ("learn", "--fn", "dictator:n=4,i=1", "--d", "1"),
+        ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.2,0.3", "--format", "csv"),
+        ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.3"),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+
+    real = cli.build_parser
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        reused = [run_cli(capsys, *argv) for argv in sequence]
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert reused == fresh
+    assert all(code == 0 for code, _, _ in reused)
+    exact_config = json.loads(reused[1][1])["config"]
+    assert "m" not in exact_config and "seed" not in exact_config
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_amplify_cli_rejects_non_positive_sample_count(capsys, m):
+    code, _, err = run_cli(
+        capsys, "amplify", "--fn", "majority:n=5", "--k", "2", "--m", m, "--seed", "1"
+    )
+    assert code == 1
+    line = json.loads(err)
+    assert line["error"] == "precondition"
+    assert "sample count" in line["detail"]
