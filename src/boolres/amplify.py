@@ -10,6 +10,15 @@ vector of inner values.  Compositions are lazy (any size); materialization
 and exact certificates are capped at 22 total bits, with a seeded sampling
 path beyond that.
 
+One evaluator, `_multilinear`, serves both paths.  It runs Horner's scheme
+over the two halves of the coefficient table, p(t) = p_lo(t') + t_j p_hi(t')
+with j the top coordinate: 2^m - 1 multiply-adds at most, and a half whose
+coefficients are all zero is skipped, so sparse outer spectra stay cheap.
+The sampled path keeps the Boolean levels of f_k as sign bits (1 for -1) and
+looks each group of n bits up in the same bit table; its batches are stored
+leaves-major, (leaves, rows), so every level is a view with contiguous rows,
+and a batch holds at most `SAMPLE_LEAF_BUDGET` leaf draws.
+
 Block convention: outer coordinate i (1-based) reads bits
 [(i-1)*inner_arity, i*inner_arity) of the composed point index.
 """
@@ -34,6 +43,8 @@ from .hypercube import (
 )
 
 COMPOSE_MAX_BITS = 22
+SAMPLE_LEAF_BUDGET = 1 << 21  # leaf draws per sampled batch
+SAMPLE_MAX_ROWS = 1 << 16
 
 
 class ArityOverflow(ValueError):
@@ -58,24 +69,32 @@ def _arity(fn) -> int:
     return fn.arity if isinstance(fn, ComposedFunction) else fn.n
 
 
-def _support(spectrum: Spectrum) -> np.ndarray:
-    return np.nonzero(spectrum.coeffs != 0.0)[0]
+def _horner(coeffs: np.ndarray, vals: np.ndarray, j: int):
+    """sum_T coeffs[T] prod_{i in T} vals[i] over the 2^j masks of coeffs.
+
+    Splits on coordinate j-1: p = p_lo + vals[j-1] * p_hi over the halves of
+    coeffs.  Returns a float when only the constant term is left.  A
+    module-level function on purpose: a closure that calls itself is a
+    reference cycle and would keep `vals` alive until the cyclic GC runs.
+    """
+    if j == 0:
+        return float(coeffs[0])
+    half = len(coeffs) >> 1
+    lo, hi = coeffs[:half], coeffs[half:]
+    if not hi.any():
+        return _horner(lo, vals, j - 1)
+    out = vals[j - 1] * _horner(hi, vals, j - 1)
+    if lo.any():
+        out += _horner(lo, vals, j - 1)
+    return out
 
 
 def _multilinear(spectrum: Spectrum, vals: np.ndarray) -> np.ndarray:
     """Multilinear extension of the outer function; vals[j] holds the values
     of coordinate j+1 (any trailing shape, which the result keeps)."""
-    out = np.zeros(vals.shape[1:])
-    for mask in _support(spectrum):
-        term = np.full(vals.shape[1:], spectrum.coeffs[mask])
-        mm = int(mask)
-        j = 0
-        while mm:
-            if mm & 1:
-                term *= vals[j]
-            mm >>= 1
-            j += 1
-        out += term
+    out = _horner(spectrum.coeffs, vals, spectrum.n)
+    if np.ndim(out) == 0:
+        return np.full(vals.shape[1:], out)
     return out
 
 
@@ -194,38 +213,49 @@ def _check_balanced(fn: CubeFunction) -> None:
         raise ValueError("amplification needs balanced (mean-zero) inputs")
 
 
-def _boolean_level(f: BooleanFunction, vals: np.ndarray) -> np.ndarray:
-    """Apply f literally to groups of +-1 values: (b, groups, n) -> (b, groups)."""
-    n = f.n
-    bits = (vals < 0).astype(np.int64)
-    weights = (1 << np.arange(n, dtype=np.int64))
-    return f.table[bits @ weights].astype(np.float64)
-
-
 def _sampled_distance(
     f: BooleanFunction,
     g: BoundedFunction,
     k: int,
     samples: int,
     seed: int,
-    batch: int = 1 << 16,
 ) -> float:
-    """Monte-Carlo estimate of (1/2) E|f_k - g_k| via bottom-up evaluation."""
+    """Monte-Carlo estimate of (1/2) E|f_k - g_k| via bottom-up evaluation.
+
+    Each batch draws a (rows, leaves) array of leaf points, with rows =
+    min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves) (at least 1), so the
+    stream for a seed depends on the tree's leaf count.  Both tables are
+    gathered at the leaves and copied once into leaves-major (leaves, rows)
+    arrays; each level then reads groups of n consecutive rows.  f's levels
+    stay sign bits: a group's n bits, shifted and or-ed into an index, are
+    looked up in the same bit table, and f_k = 1 - 2 * bit at the root.  g's
+    levels go through `_multilinear`.
+    """
     n = f.n
     leaves = n**k
+    rows = min(SAMPLE_MAX_ROWS, max(1, SAMPLE_LEAF_BUDGET // leaves))
     g_spec = wht(g)
+    f_bits = (f.table < 0).astype(np.min_scalar_type((1 << n) - 1))
     rng = np.random.default_rng(seed)
     total = 0.0
     remaining = samples
     while remaining > 0:
-        b = min(batch, remaining)
+        b = min(rows, remaining)
         leaf_idx = rng.integers(0, 1 << n, size=(b, leaves))
-        fv = f.table[leaf_idx].astype(np.float64)
+        fb = f_bits[leaf_idx]
         gv = g.table[leaf_idx]
-        while fv.shape[1] > 1:
-            fv = _boolean_level(f, fv.reshape(b, -1, n))
-            gv = _multilinear(g_spec, np.moveaxis(gv.reshape(b, -1, n), -1, 0))
-        total += float(np.abs(fv[:, 0] - gv[:, 0]).sum()) / 2.0
+        del leaf_idx
+        fb = np.ascontiguousarray(fb.T)
+        gv = np.ascontiguousarray(gv.T)
+        while len(fb) > 1:
+            groups = fb.reshape(-1, n, b).transpose(1, 0, 2)
+            code = groups[0].copy()
+            for j in range(1, n):
+                code |= groups[j] << j
+            fb = f_bits[code]
+            gv = _multilinear(g_spec, gv.reshape(-1, n, b).transpose(1, 0, 2))
+        fv = 1.0 - 2.0 * fb[0]
+        total += float(np.abs(fv - gv[0]).sum()) / 2.0
         remaining -= b
     return total / samples
 
@@ -251,6 +281,8 @@ def amplification_report(
         raise ValueError("amplification depth k must be >= 1")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     _check_balanced(f)
     _check_balanced(g)
 

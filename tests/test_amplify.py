@@ -1,8 +1,15 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boolres.amplify import (
+    SAMPLE_LEAF_BUDGET,
     ArityOverflow,
+    ComposedFunction,
+    _multilinear,
+    _sampled_distance,
     amplification_report,
     check_composed_resilience,
     compose,
@@ -14,9 +21,11 @@ from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
+    Spectrum,
     chi_values,
     noise_sensitivity,
     spectral_stats,
+    wht,
 )
 from boolres.zoo import dictator, majority, parity, random_boolean
 
@@ -229,3 +238,161 @@ def test_ns_union_bound_random_balanced():
             ns_direct = noise_sensitivity(f, delta, method="direct")
             assert abs(ns_spec - ns_direct) <= 1e-10
             assert ns_spec <= delta * infl + 1e-12
+
+
+@pytest.mark.parametrize("confidence", [float("nan"), 0.0, 1.0, 1.5, -0.1])
+def test_amplification_rejects_confidence_outside_open_unit_interval(confidence):
+    f = majority(3)
+    g = distance_to_resilience(f, 1).witness
+    with pytest.raises(ValueError, match="confidence"):
+        amplification_report(f, g, k=2, samples=1000, seed=1, confidence=confidence)
+
+
+# The mask-sum evaluator and the sampler that `amplify` replaced, kept as
+# oracles for the Horner evaluator and the sign-bit, leaves-major sampler.
+
+def _mask_sum_multilinear(spectrum, vals):
+    out = np.zeros(vals.shape[1:])
+    for mask in np.nonzero(spectrum.coeffs != 0.0)[0]:
+        term = np.full(vals.shape[1:], spectrum.coeffs[mask])
+        mm = int(mask)
+        j = 0
+        while mm:
+            if mm & 1:
+                term *= vals[j]
+            mm >>= 1
+            j += 1
+        out += term
+    return out
+
+
+def _mask_sum_evaluate(fn, indices):
+    if isinstance(fn, ComposedFunction):
+        m = fn.outer_spectrum.n
+        inner = fn.inner
+        inner_ar = inner.arity if isinstance(inner, ComposedFunction) else inner.n
+        block_mask = (1 << inner_ar) - 1
+        tvals = np.empty((m, len(indices)))
+        for i in range(m):
+            tvals[i] = _mask_sum_evaluate(fn.inner, (indices >> (i * inner_ar)) & block_mask)
+        return _mask_sum_multilinear(fn.outer_spectrum, tvals)
+    return fn.table[indices].astype(np.float64)
+
+
+def _float_level_sampled_distance(f, g, k, samples, seed, batch=1 << 16):
+    n = f.n
+    leaves = n**k
+    g_spec = wht(g)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    remaining = samples
+    while remaining > 0:
+        b = min(batch, remaining)
+        leaf_idx = rng.integers(0, 1 << n, size=(b, leaves))
+        fv = f.table[leaf_idx].astype(np.float64)
+        gv = g.table[leaf_idx]
+        while fv.shape[1] > 1:
+            bits = (fv.reshape(b, -1, n) < 0).astype(np.int64)
+            fv = f.table[bits @ (1 << np.arange(n, dtype=np.int64))].astype(np.float64)
+            gv = _mask_sum_multilinear(g_spec, np.moveaxis(gv.reshape(b, -1, n), -1, 0))
+        total += float(np.abs(fv[:, 0] - gv[:, 0]).sum()) / 2.0
+        remaining -= b
+    return total / samples
+
+
+def _random_spectra(m, rng):
+    dense = rng.uniform(-1, 1, size=1 << m)
+    sparse = dense * (rng.random(1 << m) < 0.15)
+    weights = np.array([bin(mask).count("1") for mask in range(1 << m)])
+    high = np.where(weights > m // 2, dense, 0.0)  # all-zero low halves
+    return [dense, sparse, high, np.zeros(1 << m)]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("m", range(9))
+def test_multilinear_matches_mask_sum_oracle(m, shape):
+    rng = np.random.default_rng(1000 + m)
+    vals = rng.uniform(-1, 1, size=(m,) + shape)
+    for coeffs in _random_spectra(m, rng):
+        spectrum = Spectrum(m, coeffs)
+        got = _multilinear(spectrum, vals)
+        assert got.shape == shape
+        np.testing.assert_allclose(
+            got, _mask_sum_multilinear(spectrum, vals), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_multilinear_exact_on_boolean_spectra(m):
+    # dyadic coefficients on +-1 inputs: every partial sum is exact
+    rng = np.random.default_rng(m)
+    f = random_boolean(m, seed=m)
+    signs = rng.choice([-1.0, 1.0], size=(m, 64))
+    got = _multilinear(wht(f), signs)
+    assert np.array_equal(got, _mask_sum_multilinear(wht(f), signs))
+    points = ((signs < 0) * (1 << np.arange(m))[:, None]).sum(axis=0)
+    assert np.array_equal(got, f.table[points].astype(np.float64))
+
+
+def test_materialize_matches_mask_sum_oracle():
+    rng = np.random.default_rng(17)
+    outer = random_boolean(3, seed=5)
+    bounded = BoundedFunction(2, rng.uniform(-1, 1, size=4))
+    for c in (
+        compose(outer, majority(3)),
+        compose(outer, bounded),
+        compose(majority(3), compose(outer, bounded)),
+    ):
+        expected = _mask_sum_evaluate(c, np.arange(1 << c.arity))
+        got = materialize(c).table
+        if isinstance(c.inner, BooleanFunction):
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (3, 3)])
+def test_sampled_distance_bit_equal_to_float_level_oracle(n, k):
+    # 70_000 samples: one full batch of 2^16 rows and a partial one
+    f = majority(n)
+    g = distance_to_resilience(f, 1).witness
+    got = _sampled_distance(f, g, k, samples=70_000, seed=23)
+    assert got == _float_level_sampled_distance(f, g, k, samples=70_000, seed=23)
+
+
+def _traced_peak(call, repeats=1):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(repeats):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_batch_memory_stays_within_leaf_budget():
+    # 625 leaves: a batch of 2^16 rows would be a 328 MB float64 array; the
+    # leaf budget caps each batch at SAMPLE_LEAF_BUDGET draws, about 2.2x
+    # that many float64s live at once (index, gathered and transposed tables)
+    f = majority(5)
+    g = distance_to_resilience(f, 1).witness
+    peak = _traced_peak(lambda: _sampled_distance(f, g, k=4, samples=7000, seed=3))
+    assert peak < 3 * 8 * SAMPLE_LEAF_BUDGET
+
+
+def test_sampled_distance_frees_each_batch_without_cyclic_gc():
+    # a batch held by a reference cycle would stay alive into the next call
+    f = majority(5)
+    g = distance_to_resilience(f, 1).witness
+
+    def call():
+        _sampled_distance(f, g, k=2, samples=70_000, seed=29)
+
+    one = _traced_peak(call)
+    gc.disable()
+    try:
+        three = _traced_peak(call, repeats=3)
+    finally:
+        gc.enable()
+    assert three <= 1.5 * one
