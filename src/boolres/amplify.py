@@ -223,17 +223,23 @@ def _sampled_distance(
     """Monte-Carlo estimate of (1/2) E|f_k - g_k| via bottom-up evaluation.
 
     Each batch draws a (rows, leaves) array of leaf points, with rows =
-    min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves) (at least 1), so the
-    stream for a seed depends on the tree's leaf count.  Both tables are
-    gathered at the leaves and copied once into leaves-major (leaves, rows)
-    arrays; each level then reads groups of n consecutive rows.  f's levels
-    stay sign bits: a group's n bits, shifted and or-ed into an index, are
-    looked up in the same bit table, and f_k = 1 - 2 * bit at the root.  g's
-    levels go through `_multilinear`.
+    min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves), so the stream for a
+    seed depends on the tree's leaf count; a tree with more than
+    SAMPLE_LEAF_BUDGET leaves raises ValueError before any draw.  Both
+    tables are gathered at the leaves and copied once into leaves-major
+    (leaves, rows) arrays; each level then reads groups of n consecutive
+    rows.  f's levels stay sign bits: a group's n bits, shifted and or-ed
+    into an index, are looked up in the same bit table, and f_k = 1 - 2 *
+    bit at the root.  g's levels go through `_multilinear`.
     """
     n = f.n
     leaves = n**k
-    rows = min(SAMPLE_MAX_ROWS, max(1, SAMPLE_LEAF_BUDGET // leaves))
+    if leaves > SAMPLE_LEAF_BUDGET:
+        raise ValueError(
+            f"a sample of f_{k} draws {leaves} leaves, more than the "
+            f"{SAMPLE_LEAF_BUDGET} a batch may hold"
+        )
+    rows = min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves)
     g_spec = wht(g)
     f_bits = (f.table < 0).astype(np.min_scalar_type((1 << n) - 1))
     rng = np.random.default_rng(seed)

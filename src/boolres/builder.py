@@ -117,8 +117,8 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     """
     if n % 2 == 0 or not 5 <= n <= 21:
         raise ValueError("builder needs odd n in [5, 21]")
-    if c1 <= 0:
-        raise ValueError("budget constant c1 must be positive")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError(f"budget constant c1 must be positive and finite, got {c1}")
     base = cyclerun(n)
     size = 1 << n
     wt = n - 2 * popcounts(n)  # coordinate sum of every point

@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -121,47 +123,39 @@ def parse_function_spec(spec: str) -> CubeFunction:
     raise SpecError(f"unknown function name {name!r}")
 
 
-_NESTED = (np.ndarray, dict, list, tuple)
-
-
-def _holds_array(value) -> bool:
-    if isinstance(value, np.ndarray):
-        return True
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return False
-    # scalars are skipped without a call: `cyclerun-build` writes thousands
-    # of flat iteration records
-    for item in value:
-        if isinstance(item, _NESTED) and _holds_array(item):
-            return True
-    return False
+_CONTAINERS = (np.ndarray, dict, list, tuple)
 
 
 def _json_chunks(value, pad: str, out: list[str]) -> None:
     """Append the text of `json.dumps(value, indent=2)`, continued at
-    indentation `pad`, to `out`, with each 1-D numpy array written as the
-    list `value.tolist()`.
+    indentation `pad`, to `out`, with each numpy array written as the list
+    `value.tolist()`.
 
     Python's `json` drops to its pure-Python encoder whenever `indent` is
-    set, so the big tables go through the C encoder instead, with the
-    indented layout's item separator and brackets spliced around them.
-    Only the dicts and lists that hold an array are walked here; any other
-    subtree is one indented `json.dumps`, whose newlines are shifted by
-    `pad` (encoded JSON holds no raw newline inside a string).  Keys of the
-    walked dicts are strings.  The pieces are left unjoined, so a table's
-    text is copied once more only when it is written.
+    set, so every dict or list whose items are all scalars (a 1-D array's
+    included) goes through the C encoder instead, with the indented
+    layout's item separator and brackets spliced around it.  Only the dicts
+    and lists that hold a container are walked here, and the keys of those
+    dicts are strings.  The pieces are left unjoined, so a table's text is
+    copied once more only when it is written.
     """
-    inner = pad + "  "
+    flat = False
     if isinstance(value, np.ndarray):
-        if not value.size:
-            out.append("[]")
-            return
-        body = json.dumps(value.tolist(), separators=(",\n" + inner, ": "))
-        out += ("[\n", inner, body[1:-1], "\n", pad, "]")
-    elif not _holds_array(value):
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+        flat, value = value.ndim == 1, value.tolist()
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        out.append(json.dumps(value))
+        return
+    inner = pad + "  "
+    if flat or not any(map(isinstance, items, repeat(_CONTAINERS))):
+        body = json.dumps(value, separators=(",\n" + inner, ": "))
+        if not value:
+            out.append(body)
+        else:
+            out += (body[0], "\n", inner, body[1:-1], "\n", pad, body[-1])
     elif isinstance(value, dict):
         sep = "{\n" + inner
         for key, item in value.items():
@@ -201,10 +195,12 @@ def _emit(args, payload=None, csv_rows=None) -> None:
 
 def _cmd_spectrum(args) -> None:
     fn = parse_function_spec(args.fn)
-    spec = wht(fn)
-    rows = [(hex(mask), repr(float(c))) for mask, c in enumerate(spec.coeffs)]
-    _emit(args, {"n": fn.n, "coefficients": {m: float(c) for m, c in zip(
-        (hex(i) for i in range(len(spec.coeffs))), spec.coeffs)}}, csv_rows=rows)
+    coeffs = wht(fn).coeffs.tolist()
+    masks = [hex(mask) for mask in range(len(coeffs))]
+    if args.format == "csv":
+        _emit(args, csv_rows=[(mask, repr(c)) for mask, c in zip(masks, coeffs)])
+    else:
+        _emit(args, {"n": fn.n, "coefficients": dict(zip(masks, coeffs))})
 
 
 def _cmd_stats(args) -> None:
@@ -220,6 +216,8 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_duality(args) -> None:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"duality gap tolerance must be finite and >= 0, got {args.tol}")
     fn = parse_function_spec(args.fn)
     cert = duality_certificate(fn, args.d)
     if cert.gap > args.tol:

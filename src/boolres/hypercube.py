@@ -164,25 +164,28 @@ def level_one_sums(table: np.ndarray) -> np.ndarray:
     return sums
 
 
-def fwht(values: np.ndarray) -> np.ndarray:
+def fwht(values: np.ndarray, dtype=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, out[s] = sum_x v[x](-1)^pc(s&x).
 
     O(n 2^n) adds, exact on integer dtypes; self-inverse up to the factor
     2^n.  Each butterfly stage reads one buffer and writes the sums and
     differences straight into the other, so nothing is copied between
-    stages.  The input is only read; the result is always a fresh array.
+    stages.  The input is only read; the result is always a fresh array of
+    `dtype` (default: the input's).  The first stage computes in `dtype`
+    straight from the input, so an int8 table needs no widened copy.
     """
     src = np.asarray(values)
+    dtype = src.dtype if dtype is None else np.dtype(dtype)
     size = src.shape[0]
     if size < 2:
-        return src.copy()
-    buffers = (np.empty(size, dtype=src.dtype), np.empty(size, dtype=src.dtype))
+        return src.astype(dtype)
+    buffers = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
     for stage in range(size.bit_length() - 1):
         dst = buffers[stage % 2]
         pairs = src.reshape(-1, 2, 1 << stage)
         out = dst.reshape(-1, 2, 1 << stage)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0], dtype=dtype)
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1], dtype=dtype)
         src = dst
     return src
 
@@ -190,8 +193,9 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def wht(fn: CubeFunction) -> Spectrum:
     """Fourier spectrum with expectation normalization 2^{-n}."""
     _check_dim(fn.n)
-    scale = float(1 << fn.n)
-    return Spectrum(fn.n, fwht(fn.table.astype(np.float64)) / scale)
+    coeffs = fwht(fn.table, np.float64)
+    coeffs /= float(1 << fn.n)
+    return Spectrum(fn.n, coeffs)
 
 
 def wht_int(fn: BooleanFunction) -> np.ndarray:
@@ -202,7 +206,7 @@ def wht_int(fn: BooleanFunction) -> np.ndarray:
     """
     if fn.n > INT64_BITS:
         raise OverflowError(f"wht_int: values up to 2^{fn.n} would wrap in int64")
-    return fwht(fn.table.astype(np.int64))
+    return fwht(fn.table, np.int64)
 
 
 def inverse_wht(spectrum: Spectrum) -> np.ndarray:

@@ -7,12 +7,16 @@ Pipeline for a Boolean f, degree d and threshold tau > 0:
     q = h zeroed where |l| > tau   (bounded in [-1-tau, 1+tau])
     p = (high-degree part of q) / ||q_{>d}||_inf
 
-p is bounded and exactly d-resilient whenever the high part is nonzero,
-regardless of how tau compares to the concentration recipe; the report
-carries the measured quantities that drive the correlation lower bounds.
-When the threshold wipes q out entirely (tau below min |l|), the zero
-function stands in as the (trivial) certified witness; inputs of degree
-<= d, which admit no witness direction at all, raise DegenerateHighPart.
+The pipeline runs once, on exact int64 tables: 2^n l, 2^n h and 2^n q at
+the points, 2^{2n} q^ on the masks and 2^{2n} q_{>d} at the points (see
+`_table_bits` for why none of them can wrap).  The rational witness
+p* = q_{>d} / ||q_{>d}||_inf is bounded and exactly d-resilient by
+construction, since its low coefficients are set to integer zeros; the
+report returns p*, rounded to float64, and carries the measured quantities
+that drive the correlation lower bounds.  When the threshold wipes q out
+entirely (tau below min |l|), the zero function stands in as the (trivial)
+certified witness; inputs of degree <= d, which admit no witness direction
+at all, raise DegenerateHighPart.
 """
 
 from __future__ import annotations
@@ -24,31 +28,33 @@ from fractions import Fraction
 import numpy as np
 
 from .hypercube import (
-    INT64_BITS,
     BooleanFunction,
     BoundedFunction,
     ResilienceCheck,
     fwht,
     is_d_resilient,
     popcounts,
-    wht,
     wht_int,
 )
 
 WITNESS_MAX_DIM = 22
-EXACT_CHECK_MAX_DIM = 12
 CHAIN_TOL = 1e-10
 
 
-def _exact_check_bits(n: int) -> int:
-    """log2 of a bound on every integer `_exact_low_zero_check` forms at n.
+def _table_bits(n: int) -> int:
+    """log2 of a bound on every integer `build_witness` forms at n.
 
-    Each fwht multiplies the largest |entry| by at most 2^n.  From |f| = 1:
-    wht_int <= 2^n, l_num <= 2^{2n}, h_num <= 2^n + 2^{2n} <= 2^{2n+1}, and
-    three more transforms (2^{2n}-, 2^{2n}- and 2^{3n}-scaled results)
-    reach 2^{5n+1}: 2^61 at n = 12.
+    Each butterfly value of an `fwht` is a signed sum of its input, so it is
+    at most the input's l1 norm.  From |f| = 1: the transforms of f and of
+    its low masks give 2^n f^ and 2^n l with |2^n l| <= sum_S |2^n f^_S| <=
+    2^{3n/2} (Cauchy-Schwarz and Parseval), so |2^n q| <= |2^n h| <=
+    2^n + 2^{3n/2}.  Since |q| <= |h| and ||h||_2 = ||f_{>d}||_2 <= 1,
+    sum_x |2^n q(x)| <= 2^{2n} and sum_S |2^{2n} q^_S| <= 2^{5n/2}, which
+    bounds the last two transforms and 2^{2n} q_{>d}, 2^{2n} q_{<=d}.  The
+    largest value formed, 2^n (2^n q) <= 2^{2n} + 2^{5n/2}, stays below
+    2^{5n/2+1}: 2^56 at n = 22.
     """
-    return 5 * n + 1
+    return (5 * n + 1) // 2 + 1
 
 
 class DegenerateHighPart(RuntimeError):
@@ -84,14 +90,23 @@ class WitnessReport:
     degenerate: bool = False  # threshold wiped q entirely; p is the zero witness
 
 
-def _low_part(f: BooleanFunction, d: int) -> np.ndarray:
-    coeffs = wht(f).coeffs.copy()
-    coeffs[popcounts(f.n) > d] = 0.0
-    return fwht(coeffs)
+def _low_num(f: BooleanFunction, low: np.ndarray) -> np.ndarray:
+    """2^n l(x) in exact int64, l the part of f's spectrum on the masks `low`."""
+    return fwht(np.where(low, wht_int(f), 0))
 
 
 def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
-    """Run the full pipeline and certify the output."""
+    """Run the pipeline in exact integers and check the witness it returns.
+
+    The threshold test compares 2^n l with the exact binary value of tau.
+    p* = q_{>d} / ||q_{>d}||_inf has exact zero coefficients on every
+    |S| <= d, so `exact_zero_certified` holds for every report.  The
+    returned p is the int64 table 2^{2n} q_{>d} divided by its largest
+    |entry|: up to n = 21 both are below 2^53 and p is p* correctly
+    rounded; at n = 22 the two conversions to float64 may round as well,
+    so |p - p*| <= 2^-51.  The float p is re-checked at tolerance 1e-10,
+    with the range of q, the floor on E[q f] and the correlation chain.
+    """
     n, d, tau = f.n, params.d, params.tau
     if not isinstance(f, BooleanFunction):
         raise ValueError("the witness pipeline needs a Boolean (+-1) function")
@@ -100,20 +115,20 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     if d > n:
         raise ValueError("degree exceeds dimension")
 
-    table = f.table.astype(np.float64)
-    low = _low_part(f, d)
-    high = table - low
-    crossed = np.abs(low) > tau
-    q = np.where(crossed, 0.0, high)
+    size = 1 << n
+    pc = popcounts(n)
+    l_num = _low_num(f, pc <= d)
+    crossed = _exact_crossed(l_num, tau, size)
+    h_num = f.table.astype(np.int64) * size - l_num
+    q_num = np.where(crossed, 0, h_num)  # 2^n q
     delta_emp = float(np.mean(crossed))
 
-    if not np.any(q):
-        if not np.any(high):
+    if not np.any(q_num):
+        if not np.any(h_num):
             raise DegenerateHighPart(f"f itself has degree <= {d}; no witness direction")
         # the threshold wiped q entirely; the zero function is itself a
         # bounded, exactly d-resilient witness (with zero correlation)
-        zero = BoundedFunction(n, np.zeros(1 << n))
-        exact = n <= EXACT_CHECK_MAX_DIM and _exact_low_zero_check(f, d, tau, crossed)
+        zero = BoundedFunction(n, np.zeros(size))
         return WitnessReport(
             p=zero,
             d=d,
@@ -126,24 +141,25 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
             q_min=0.0,
             q_max=0.0,
             resilience=is_d_resilient(zero, d),
-            exact_zero_certified=exact,
+            exact_zero_certified=True,
             degenerate=True,
         )
 
-    pc = popcounts(n)
-    q_coeffs = fwht(q) / (1 << n)
-    q_high_coeffs = np.where(pc > d, q_coeffs, 0.0)
-    q_high = fwht(q_high_coeffs)
-    q_low = q - q_high
-
-    high_sup = float(np.max(np.abs(q_high)))
-    if high_sup == 0.0:
+    # 2^{2n} q_{>d}: the coefficients of q with the low masks zeroed, transformed back
+    q_high_num = fwht(np.where(pc > d, fwht(q_num), 0))
+    sup_num = int(np.max(np.abs(q_high_num)))
+    if sup_num == 0:
         raise DegenerateHighPart(f"q has degree <= {d}; no witness direction")
 
-    p = BoundedFunction(n, q_high / high_sup)
+    scale = float(size * size)
+    p = BoundedFunction(n, q_high_num / sup_num)
+    q = q_num / size
+    table = f.table.astype(np.float64)
+    high_sup = sup_num / scale
     corr_qf = float(np.mean(q * table))
     corr_pf = float(np.mean(p.table * table))
-    low_sup = float(np.max(np.abs(q_low)))
+    # 2^{2n} q_{<=d} = 2^n (2^n q) - 2^{2n} q_{>d}
+    low_sup = float(np.max(np.abs((q_num << n) - q_high_num))) / scale
 
     q_min, q_max = float(q.min()), float(q.max())
     if q_min < -1.0 - tau - 1e-12 or q_max > 1.0 + tau + 1e-12:
@@ -164,11 +180,6 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
             f"witness not {d}-resilient at float tolerance: coef "
             f"{check.worst_coefficient:.3e} on mask {check.worst_mask:#x}"
         )
-    exact = False
-    if n <= EXACT_CHECK_MAX_DIM:
-        exact = _exact_low_zero_check(f, d, tau, crossed)
-        if not exact:
-            raise RuntimeError("exact rational check found a nonzero low coefficient")
 
     return WitnessReport(
         p=p,
@@ -182,44 +193,8 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
         q_min=q_min,
         q_max=q_max,
         resilience=check,
-        exact_zero_certified=exact,
+        exact_zero_certified=True,
     )
-
-
-def _exact_low_zero_check(
-    f: BooleanFunction, d: int, tau: float, crossed_float: np.ndarray
-) -> bool:
-    """Replay the pipeline in integer/rational arithmetic.
-
-    Works with 2^n-scaled integer tables throughout; the threshold
-    comparison uses the exact binary value of tau, and the replay insists
-    it zeroes exactly the points the float path zeroed.
-    """
-    n = f.n
-    if _exact_check_bits(n) > INT64_BITS:
-        raise OverflowError(f"exact replay at n={n} could wrap int64")
-    size = 1 << n
-    pc = popcounts(n)
-
-    coeffs_scaled = wht_int(f)  # 2^n * coef, exact
-    low_mask = pc <= d
-    low_scaled = np.where(low_mask, coeffs_scaled, 0)
-    l_num = fwht(low_scaled)  # 2^n * l(x), exact
-
-    crossed = _exact_crossed(l_num, tau, size)
-    if not np.array_equal(crossed, crossed_float):
-        return False
-
-    h_num = f.table.astype(np.int64) * size - l_num
-    q_num = np.where(crossed, 0, h_num)  # 2^n * q(x)
-
-    q_coeff_num = fwht(q_num)  # 2^{2n} * q coefficients
-    q_high_num = np.where(pc > d, q_coeff_num, 0)
-    q_high_table_num = fwht(q_high_num)  # 2^{2n} * q_{>d}(x)
-
-    # 2^{3n}-scaled low coefficients of q_{>d} (and hence of p), exact
-    low_of_high = fwht(q_high_table_num)[low_mask]
-    return bool(np.all(low_of_high == 0))
 
 
 def _exact_crossed(l_num: np.ndarray, tau: float, size: int) -> np.ndarray:
@@ -245,9 +220,11 @@ def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationPr
     """
     if t <= 0:
         raise ValueError("probe threshold t must be positive")
-    coeffs = wht(f).coeffs
-    low_sq = float(np.sum(coeffs[popcounts(f.n) <= d] ** 2))
-    norm = float(np.sqrt(low_sq))
-    low = _low_part(f, d)
-    tail = float(np.mean(np.abs(low) >= t * norm))
+    if not isinstance(f, BooleanFunction):
+        raise ValueError("the probe needs a Boolean (+-1) function")
+    size = 1 << f.n
+    l_num = _low_num(f, popcounts(f.n) <= d)
+    # ||l||_2^2 = E[l f], since l is the projection of f
+    norm = math.sqrt(int(l_num @ f.table.astype(np.int64)) / (size * size))
+    tail = float(np.mean(np.abs(l_num / size) >= t * norm))
     return ConcentrationProbe(p2norm_lowpart=norm, tail_prob=tail)

@@ -294,8 +294,8 @@ class SymmetricFunction:
 
 def threshold_ft(t: float, n: int) -> SymmetricFunction:
     """Sign of the coordinate sum, zeroed on the band |sum| <= t sqrt(n)."""
-    if t < 0:
-        raise ValueError("threshold parameter t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"threshold parameter t must be nonnegative, got {t}")
     if n > FT_MAX_N:
         raise ValueError(f"n limited to {FT_MAX_N}")
     tau = t * math.sqrt(n)
@@ -315,8 +315,8 @@ def ft_stats(t: float, n: int) -> FtStats:
 
     Rational arithmetic for n <= 64, log-space otherwise.
     """
-    if t < 0:
-        raise ValueError("threshold parameter t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"threshold parameter t must be nonnegative, got {t}")
     if n > FT_MAX_N:
         raise ValueError(f"n limited to {FT_MAX_N}")
     tau = t * math.sqrt(n)
@@ -378,6 +378,8 @@ def ft_sandwich_report(
     influence in [phi(t) sqrt(n)/factor, factor phi(t) sqrt(n)] and
     support in [phi(t)/(factor t), factor phi(t)/t]; t must be positive.
     """
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"sandwich factor must be positive and finite, got {factor}")
     rows = []
     for t in ts:
         if t <= 0:

@@ -248,6 +248,16 @@ def test_amplification_rejects_confidence_outside_open_unit_interval(confidence)
         amplification_report(f, g, k=2, samples=1000, seed=1, confidence=confidence)
 
 
+def test_sampled_tree_above_leaf_budget_is_rejected():
+    # 2^21 leaves fill one batch row exactly; 2^22 cannot be drawn at all
+    f = dictator(1, 2)
+    g = BoundedFunction(2, np.zeros(4))
+    assert 2**21 == SAMPLE_LEAF_BUDGET
+    amplification_report(f, g, k=21, samples=2, seed=1)
+    with pytest.raises(ValueError, match="leaves"):
+        amplification_report(f, g, k=22, samples=2, seed=1)
+
+
 # The mask-sum evaluator and the sampler that `amplify` replaced, kept as
 # oracles for the Horner evaluator and the sign-bit, leaves-major sampler.
 

@@ -114,8 +114,9 @@ def test_builder_rejects_bad_params():
         build_one_resilient(6)
     with pytest.raises(ValueError):
         build_one_resilient(3)
-    with pytest.raises(ValueError):
-        build_one_resilient(7, c1=0.0)
+    for c1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            build_one_resilient(7, c1=c1)
 
 
 def test_audit_accepts_honest_run():

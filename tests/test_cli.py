@@ -242,6 +242,7 @@ _PAYLOADS = st.recursive(
     {"tau": 0.2, "note": "a, b\nc", "p_table": np.array([], dtype=np.float64)},
 ]})
 @example(np.array([np.inf, -np.inf, np.nan, -0.0, 1e-300]))
+@example({"grid": np.arange(6.0).reshape(2, 3), "empty": np.zeros((0, 2))})
 def test_json_writer_matches_indented_dumps(payload):
     chunks = []
     cli._json_chunks(payload, "", chunks)
@@ -314,3 +315,21 @@ def test_amplify_cli_rejects_non_positive_sample_count(capsys, m):
     line = json.loads(err)
     assert line["error"] == "precondition"
     assert "sample count" in line["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("duality", "--fn", "majority:n=3", "--d", "1", "--tol", "nan"),
+    ("duality", "--fn", "majority:n=3", "--d", "1", "--tol", "inf"),
+    ("duality", "--fn", "majority:n=3", "--d", "1", "--tol=-1e-6"),
+    ("cyclerun-build", "--n", "9", "--c1", "nan"),
+    ("cyclerun-build", "--n", "9", "--c1", "inf"),
+    ("ft-stats", "--n", "21", "--t", "nan"),
+    ("ft-stats", "--n", "21", "--t", "1", "--factor", "nan"),
+    ("ft-stats", "--n", "21", "--t", "1", "--factor", "0"),
+    ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "20", "--m", "10", "--seed", "1"),
+], ids=" ".join)
+def test_flags_that_would_switch_off_a_check_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "precondition"

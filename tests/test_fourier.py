@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ def test_fwht_is_bit_identical_to_copy_based_butterfly(dtype):
         assert out.tobytes() == copy_based_fwht(values).tobytes(), n
         assert np.array_equal(values, before), n  # the input is only read
         assert not np.shares_memory(out, values), n  # a fresh result, n = 0 too
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_fwht_widens_an_int8_table_without_a_copy(dtype):
+    table = np.where(np.random.default_rng(5).random(1 << 16) < 0.5, 1, -1).astype(np.int8)
+    widened = table.astype(dtype)
+    tracemalloc.start()
+    try:
+        out = fwht(table, dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == dtype
+    assert out.tobytes() == copy_based_fwht(widened).tobytes()
+    # the two butterfly buffers, and no widened copy of the table
+    assert peak < 2.5 * widened.nbytes
 
 
 def test_bounded_spectral_stats_runs_one_wht(monkeypatch):

@@ -5,18 +5,26 @@ from fractions import Fraction
 
 from boolres import witness
 from boolres.duality import distance_to_resilience
-from boolres.hypercube import INT64_BITS, BooleanFunction, chi_values, is_d_resilient, wht
+from boolres.hypercube import (
+    INT64_BITS,
+    BooleanFunction,
+    chi_values,
+    fwht,
+    is_d_resilient,
+    popcounts,
+    wht,
+)
 from boolres.witness import (
-    EXACT_CHECK_MAX_DIM,
+    WITNESS_MAX_DIM,
     ConcentrationProbe,
     DegenerateHighPart,
     WitnessParams,
-    _exact_check_bits,
     _exact_crossed,
+    _table_bits,
     build_witness,
     concentration_probe,
 )
-from boolres.zoo import majority, random_boolean, tribes
+from boolres.zoo import cyclerun, majority, random_boolean, tribes
 
 
 def test_params_validation():
@@ -163,10 +171,116 @@ def test_exact_threshold_matches_fraction_loop(tau):
         assert np.array_equal(_exact_crossed(l_num, tau, size), loop)
 
 
-def test_exact_replay_headroom_tied_to_cap(monkeypatch):
-    assert _exact_check_bits(EXACT_CHECK_MAX_DIM) <= INT64_BITS
-    # raising the cap past the proven bound fails loudly instead of wrapping
-    monkeypatch.setattr(witness, "EXACT_CHECK_MAX_DIM", EXACT_CHECK_MAX_DIM + 1)
-    f = random_boolean(EXACT_CHECK_MAX_DIM + 1, seed=1)
-    with pytest.raises(OverflowError):
+def test_int64_bound_tied_to_cap(monkeypatch):
+    assert _table_bits(WITNESS_MAX_DIM) <= INT64_BITS
+    # a butterfly value is at most the l1 norm of its transform's input, so
+    # recording that norm and the output checks every value of the proof
+    seen = []
+    real = witness.fwht
+
+    def recording(values):
+        out = real(values)
+        seen.append(max(int(np.abs(values).sum()), int(np.abs(out).max())))
+        return out
+
+    monkeypatch.setattr(witness, "fwht", recording)
+    for f in (random_boolean(12, seed=1), random_boolean(11, seed=2), tribes(3, 4), majority(11)):
+        for tau in (0.3, 1e300):
+            seen.clear()
+            build_witness(f, WitnessParams(d=1, tau=tau))
+            assert len(seen) == 3
+            # the last transform reads 2^{2n} q^, whose l1 norm is <= 2^{5n/2}
+            assert seen[-1] <= 2.0 ** (2.5 * f.n)
+            assert max(seen) < 2 ** _table_bits(f.n)
+
+
+def _float_pipeline(f, d, tau):
+    """The float64 pipeline `build_witness` ran before its integer tables,
+    kept as an oracle: the report fields it set, or None for a wiped-out q."""
+    table = f.table.astype(np.float64)
+    pc = popcounts(f.n)
+    coeffs = fwht(table) / (1 << f.n)
+    coeffs[pc > d] = 0.0
+    low = fwht(coeffs)
+    crossed = np.abs(low) > tau
+    q = np.where(crossed, 0.0, table - low)
+    if not np.any(q):
+        return None
+    q_high = fwht(np.where(pc > d, fwht(q) / (1 << f.n), 0.0))
+    high_sup = float(np.max(np.abs(q_high)))
+    p = q_high / high_sup
+    return {
+        "p": p,
+        "delta_emp": float(np.mean(crossed)),
+        "corr_qf": float(np.mean(q * table)),
+        "low_part_sup": float(np.max(np.abs(q - q_high))),
+        "high_sup": high_sup,
+        "corr_pf": float(np.mean(p * table)),
+        "q_min": float(q.min()),
+        "q_max": float(q.max()),
+    }
+
+
+ORACLE_FUNCTIONS = {
+    "tribes23": lambda: tribes(2, 3),
+    "tribes34": lambda: tribes(3, 4),
+    "tribes44": lambda: tribes(4, 4),
+    "majority9": lambda: majority(9),
+    "majority15": lambda: majority(15),
+    "random10": lambda: random_boolean(10, seed=3),
+    "random16": lambda: random_boolean(16, seed=4),
+    "cyclerun13": lambda: cyclerun(13),
+    "cyclerun15": lambda: cyclerun(15),
+}
+# dyadic, non-dyadic, no crossing, and a tau below every nonzero |l| >= 2^-n
+ORACLE_TAUS = (0.25, 0.5, 0.1, 1 / 3, 0.9, 1e300, 1e-9)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONS))
+def test_integer_pipeline_bit_equal_to_float_oracle(name, d):
+    f = ORACLE_FUNCTIONS[name]()
+    wiped = 0
+    for tau in ORACLE_TAUS:
+        report = build_witness(f, WitnessParams(d=d, tau=tau))
+        expected = _float_pipeline(f, d, tau)
+        assert report.exact_zero_certified
+        if expected is None:
+            wiped += 1
+            assert report.degenerate and report.delta_emp == 1.0
+            assert not np.any(report.p.table)
+            continue
+        assert not report.degenerate
+        assert _bits(report.p.table) == _bits(expected.pop("p"))
+        for field, value in expected.items():
+            assert _bits(getattr(report, field)) == _bits(value), (tau, field)
+    if name == "tribes23":
+        assert wiped > 0
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_exact_certificate_past_the_old_replay_cap(n):
+    for d in (1, 2):
+        report = build_witness(random_boolean(n, seed=n), WitnessParams(d=d, tau=0.5))
+        assert report.exact_zero_certified and not report.degenerate
+
+
+def test_float_recheck_catches_a_low_mask_left_in(monkeypatch):
+    # a popcount table that calls mask 0 high keeps f's mean in q_{>d}, so
+    # p has a nonzero constant coefficient that only the float re-check sees
+    real = witness.popcounts
+
+    def mask_zero_high(n):
+        pc = real(n).copy()
+        pc[0] = n + 1
+        return pc
+
+    f = tribes(3, 4)
+    build_witness(f, WitnessParams(d=1, tau=0.5))
+    monkeypatch.setattr(witness, "popcounts", mask_zero_high)
+    with pytest.raises(RuntimeError, match="resilient"):
         build_witness(f, WitnessParams(d=1, tau=0.5))
