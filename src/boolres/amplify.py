@@ -45,6 +45,7 @@ from .hypercube import (
 COMPOSE_MAX_BITS = 22
 SAMPLE_LEAF_BUDGET = 1 << 21  # leaf draws per sampled batch
 SAMPLE_MAX_ROWS = 1 << 16
+FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
 
 
 class ArityOverflow(ValueError):
@@ -132,14 +133,19 @@ def self_composition(base: CubeFunction, k: int):
     return current
 
 
+def _spectral_order(n: int, coeffs: np.ndarray, tol: float) -> int:
+    """Largest d with |coeffs[S]| <= tol for every |S| <= d (n if none exceeds tol)."""
+    nonzero = np.nonzero(np.abs(coeffs) > tol)[0]
+    if len(nonzero) == 0:
+        return n
+    return int(popcounts(n)[nonzero].min()) - 1
+
+
 def resilience_order(fn: CubeFunction) -> int:
     """Largest d such that fn is d-resilient (n for the zero function)."""
-    exact = isinstance(fn, BooleanFunction)
-    coeffs = wht_int(fn) if exact else wht(fn).coeffs
-    nonzero = np.nonzero(np.abs(coeffs) > (0 if exact else 1e-10))[0]
-    if len(nonzero) == 0:
-        return fn.n
-    return int(popcounts(fn.n)[nonzero].min()) - 1
+    if isinstance(fn, BooleanFunction):
+        return _spectral_order(fn.n, wht_int(fn), 0)
+    return _spectral_order(fn.n, wht(fn).coeffs, FLOAT_ZERO_TOL)
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,8 @@ def check_composed_resilience(
     pc = popcounts(table.n)
     low = np.abs(coeffs[pc <= min(sharp, table.n)])
     max_low = float(low.max()) if len(low) else 0.0
-    measured = resilience_order(table)
-    if max_low > 1e-10:
+    measured = _spectral_order(table.n, coeffs, FLOAT_ZERO_TOL)
+    if max_low > FLOAT_ZERO_TOL:
         raise AssertionError(
             f"composition broke the resilience guarantee: coefficient {max_low:.3e} "
             f"at order <= {sharp}"

@@ -7,8 +7,8 @@ hard errors), e.g. `tribes:w=3,s=4`, `cyclerun:n=9`, `parity:n=8,mask=0x7`,
 the tool version.  Artifacts are the text of `json.dumps(payload, indent=2)`
 plus a newline; their bytes do not depend on how they are written (the big
 tables go through the C encoder, see `_json_chunks`).  Exit status:
-0 success, 1 precondition failure, 2 internal invariant/certificate
-violation.
+0 success, 1 precondition failure (usage errors included), 2 internal
+invariant/certificate violation.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ from .zoo import (
 
 class SpecError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SpecError and exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 def _parse_kv(body: str) -> dict[str, str]:
@@ -338,7 +345,7 @@ def _cmd_learn(args) -> None:
             raise SpecError("sampled learning requires --seed")
         report = learn_sampled(dist, d=args.d, m=args.m, seed=args.seed)
     else:
-        report = learn_exact(dist, d=args.d, epsilon=args.epsilon)
+        report = learn_exact(dist, d=args.d)
     _emit(args, {
         "error": report.error,
         "regression_delta": report.regression_delta,
@@ -380,8 +387,8 @@ def _cmd_ft_stats(args) -> None:
     _emit(args, payload, csv_rows=rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="boolres",
         description="Resilience, L1 approximation and learning certificates "
         "for Boolean functions",
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("ortho-family", _cmd_ortho_family, fn=dict(type=str, required=True),
         n=dict(type=int, required=True), d=dict(type=int, required=True))
     add("learn", _cmd_learn, fn=dict(type=str, required=True),
-        d=dict(type=int, required=True), epsilon=dict(type=float, default=0.01),
+        d=dict(type=int, required=True),
         m=dict(type=int, default=None), seed=dict(type=int, default=None))
     add("ft-stats", _cmd_ft_stats, n=dict(type=int, required=True),
         t=dict(type=float, required=True), factor=dict(type=float, default=4.0))
@@ -427,15 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     # one parser per process: parse_args returns a fresh Namespace on every
     # call, and the handlers look up this module's globals when they run
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         args.func(args)
     except (ValueError, OSError) as exc:
         json.dump({"error": "precondition", "detail": str(exc)}, sys.stderr)

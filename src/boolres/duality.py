@@ -10,11 +10,14 @@ whose optima satisfy alpha = 1 - value/2^n and delta = value/2^n with
 alpha + delta = 1.  Only the primal is solved, a box LP with one row per
 |S| <= d; the dual's p = sum_S y_S chi_S comes from the row duals
 y = c_B B^-1 of its optimal basis.  The learner's weighted regression is
-the same LP over weighted labeled points (`_l1_box_lp`).
+the same LP over weighted labeled points, and `_l1_box_lp` is the one place
+that turns a solved box LP into a polynomial, for this module and both
+learner modes.
 
 Neither side is taken on trust.  The witness g is re-checked for the box
-and for d-resilience, and alpha is its measured E|f - g|.  E|f - p| is
-recomputed from p's table, matched to the LP value, and reported as delta.
+and for d-resilience, and alpha is its measured E|f - g|.  `_l1_box_lp`
+recomputes E|f - p| from p's table and matches it to the LP value; that
+recomputed value is reported as delta.
 The certificate stays sound by weak duality: for every bounded d-resilient
 g and every p of degree <= d,
 
@@ -125,8 +128,8 @@ def _l1_box_lp(
     points: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-) -> tuple[LPSolution, list[int]]:
-    """Solve the k-row box LP, k = #{|S| <= d}; raise unless optimal.
+) -> tuple[LPSolution, SparsePolynomial, np.ndarray, float]:
+    """Solve the k-row box LP, k = #{|S| <= d}, and read off its checked p.
 
     Column c is the labeled point (points[c], labels[c]) with weight
     weights[c] > 0:
@@ -135,9 +138,12 @@ def _l1_box_lp(
                                 -w_c <= g_c <= w_c
 
     Its dual is min sum_c w_c |l_c - p(x_c)| over p = sum_S y_S chi_S, with
-    y the row duals, in the order of the returned masks.  The solver starts
-    at the box-optimal vertex g_c = w_c if l_c > 0 else -w_c (= w_c l_c for
-    +-1 labels).
+    y the row duals.  The solver starts at the box-optimal vertex
+    g_c = w_c if l_c > 0 else -w_c (= w_c l_c for +-1 labels).
+
+    Returns the solution, p, p's table and sum_c w_c |l_c - p(x_c)|
+    recomputed from that table, which must be within 1e-7 sum_c w_c of the
+    LP value.
     """
     masks = low_degree_masks(n, d)
     lp = LinearProgram(
@@ -150,10 +156,19 @@ def _l1_box_lp(
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
-    return sol, masks
+    poly = SparsePolynomial(n, d, {mask: float(y) for mask, y in zip(masks, sol.duals)})
+    table = poly.table()
+    error = float(np.sum(weights * np.abs(labels - table[points])))
+    if abs(error - sol.value) > WITNESS_TOL * float(np.sum(weights)):
+        raise CertificateError(
+            f"recomputed L1 error {error} does not match LP value {sol.value}"
+        )
+    return sol, poly, table, error
 
 
-def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, list[int]]:
+def _resilience_lp(
+    f: BooleanFunction, d: int
+) -> tuple[LPSolution, SparsePolynomial, np.ndarray, float]:
     """The resilience LP: every point, labels f, weights 1."""
     _check_inputs(f, d)
     n = f.n
@@ -181,26 +196,19 @@ def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> Resilience
 
 
 def _verified_poly(
-    f: BooleanFunction, d: int, masks: list[int], sol: LPSolution
+    f: BooleanFunction, d: int, poly: SparsePolynomial, error: float, iterations: int
 ) -> L1ApproxResult:
-    """The dual p = sum_S y_S chi_S, delta = recomputed E|f - p|."""
-    coeffs = {mask: float(y) for mask, y in zip(masks, sol.duals)}
-    poly = SparsePolynomial(f.n, d, coeffs)
-    delta_lp = sol.value / (1 << f.n)  # strong duality: primal optimum = 2^n E|f - p|
-    delta = float(np.mean(np.abs(f.table - poly.table())))
-    if abs(delta - delta_lp) > WITNESS_TOL:
-        raise CertificateError(
-            f"recomputed E|f-p| = {delta} does not match LP delta {delta_lp}"
-        )
+    """delta = E|f - p| from the checked error of the box LP."""
+    delta = error / (1 << f.n)
     if not 0.0 <= delta <= 2.0:
         raise CertificateError(f"delta {delta} outside [0, 2]")
-    return L1ApproxResult(delta, poly, d, sol.iterations)
+    return L1ApproxResult(delta, poly, d, iterations)
 
 
 def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
     """Exact L1 distance from f to the closest bounded d-resilient function."""
     _check_boolean(f)
-    sol, _ = _resilience_lp(f, d)
+    sol, *_ = _resilience_lp(f, d)
     return _verified_witness(f, d, sol)
 
 
@@ -209,15 +217,15 @@ def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
 
     Also accepts a bounded f: the LP duality holds for any real labels.
     """
-    sol, masks = _resilience_lp(f, d)
-    return _verified_poly(f, d, masks, sol)
+    sol, poly, _, error = _resilience_lp(f, d)
+    return _verified_poly(f, d, poly, error, sol.iterations)
 
 
 def duality_certificate(f: BooleanFunction, d: int) -> DualityCertificate:
     """Verify both sides of one resilience LP solve and report the duality gap."""
     _check_boolean(f)
-    sol, masks = _resilience_lp(f, d)
+    sol, poly, _, error = _resilience_lp(f, d)
     res = _verified_witness(f, d, sol)
-    l1 = _verified_poly(f, d, masks, sol)
+    l1 = _verified_poly(f, d, poly, error, sol.iterations)
     gap = abs(l1.delta + res.alpha - 1.0)
     return DualityCertificate(res.alpha, l1.delta, gap, res, l1)

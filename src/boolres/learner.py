@@ -11,9 +11,11 @@ Both modes solve it through its dual, the k-row box LP of `duality`
 
     max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d, |g_c| <= w_c,
 
-and p = sum_S y_S chi_S is read off its row duals.  The simplex starts at
-the box-optimal vertex g_c = w_c l_c.  When the target is d-resilient (the
-sums sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
+and `duality._l1_box_lp` reads p = sum_S y_S chi_S off its row duals and
+checks p's recomputed L1 error against the LP value; both modes run it and
+the threshold through `_fit`.  The simplex starts at the box-optimal vertex
+g_c = w_c l_c.  When the target is d-resilient (the sums
+sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
 all-slack starting basis is optimal at pivot 0 and its duals give p = 0.
 Such a target can have other optimal p (the optimal face is degenerate)
 whose thresholds happen to correlate with it through higher degrees; the
@@ -31,17 +33,16 @@ queries; query tolerance itself is not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .duality import SparsePolynomial, _l1_box_lp, l1_poly_distance
 from .hypercube import BooleanFunction, BoundedFunction
-from .lp import SolverFailure
 
 EXACT_MAX_DIM_BOOLEAN = 12
 EXACT_MAX_DIM_BOUNDED = 10
-REGRESSION_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,6 @@ def opt_of_class(functions: list[BooleanFunction], dist: LabeledDistribution) ->
     return best
 
 
-def _l1_regression(
-    n: int, d: int, up: np.ndarray, down: np.ndarray
-) -> tuple[SparsePolynomial, float]:
-    """Minimize sum_x up_x |p(x) - 1| + down_x |p(x) + 1| over degree-<=d p.
-
-    Solved as the k-row box LP with one column per labeled point of nonzero
-    weight, started at its box-optimal vertex g_c = w_c l_c.
-    """
-    points = np.tile(np.arange(1 << n), 2)
-    labels = np.repeat([1.0, -1.0], 1 << n)
-    weights = np.concatenate([up, down])
-    keep = weights > 0
-    sol, masks = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
-    coeffs = {mask: float(y) for mask, y in zip(masks, sol.duals)}
-    return SparsePolynomial(n, d, coeffs), sol.value
-
-
 def _best_threshold(
     p_table: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
@@ -142,56 +126,53 @@ def _best_threshold(
     return threshold, err_direct, h
 
 
+def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
+    """Minimize sum_x up_x |p(x) - 1| + down_x |p(x) + 1| over degree-<=d p,
+    as the box LP over the labeled points of nonzero weight, then round p by
+    the best threshold.  The report's error is the hypothesis' error under
+    (up, down); its regression_delta is the LP value, checked against p.
+    """
+    points = np.tile(np.arange(1 << n), 2)
+    labels = np.repeat([1.0, -1.0], 1 << n)
+    weights = np.concatenate([up, down])
+    keep = weights > 0
+    sol, poly, p_table, _ = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
+    threshold, error, h_table = _best_threshold(p_table, up, down)
+    return LearnReport(BooleanFunction(n, h_table), error, sol.value, threshold, poly)
+
+
 def learn_exact(
     dist: LabeledDistribution,
     d: int,
-    epsilon: float,
+    epsilon: float = 0.0,
     comparison_class: list[BooleanFunction] | None = None,
 ) -> LearnReport:
     """Exact-expectation regression + optimal thresholding.
 
     When a comparison class is supplied, the excess-error contract
     excess <= Delta_d(C)/2 + epsilon is asserted with Delta computed by the
-    independent L1-approximation LP over the class.
+    independent L1-approximation LP over the class.  epsilon must be finite
+    and >= 0: a NaN would make the contract's comparison always false.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     n = dist.n
-    g = dist.g
-    boolean_target = bool(np.all(np.abs(g.table) == 1.0))
+    boolean_target = bool(np.all(np.abs(dist.g.table) == 1.0))
     limit = EXACT_MAX_DIM_BOOLEAN if boolean_target else EXACT_MAX_DIM_BOUNDED
     if n > limit:
         raise ValueError(f"exact mode limited to n <= {limit} for this target type")
-    up, down = dist.label_weights()
-    poly, delta = _l1_regression(n, d, up, down)
-
-    p_table = poly.table()
-    recomputed = float(np.sum(up * np.abs(p_table - 1.0) + down * np.abs(p_table + 1.0)))
-    if abs(recomputed - delta) > REGRESSION_TOL:
-        raise SolverFailure(
-            f"regression objective {delta} disagrees with recomputation {recomputed}"
+    report = _fit(n, d, *dist.label_weights())
+    if comparison_class is None:
+        return report
+    opt = opt_of_class(comparison_class, dist)
+    excess = report.error - opt
+    delta_class = max(l1_poly_distance(c, d).delta for c in comparison_class)
+    if excess > delta_class / 2.0 + epsilon + 1e-9:
+        raise AssertionError(
+            f"excess error {excess} exceeded Delta/2 + eps = "
+            f"{delta_class / 2.0 + epsilon}"
         )
-
-    threshold, error, h_table = _best_threshold(p_table, up, down)
-    opt = excess = None
-    if comparison_class is not None:
-        opt = opt_of_class(comparison_class, dist)
-        excess = error - opt
-        delta_class = max(
-            l1_poly_distance(c, d).delta for c in comparison_class
-        )
-        if excess > delta_class / 2.0 + epsilon + 1e-9:
-            raise AssertionError(
-                f"excess error {excess} exceeded Delta/2 + eps = "
-                f"{delta_class / 2.0 + epsilon}"
-            )
-    return LearnReport(
-        hypothesis=BooleanFunction(n, h_table),
-        error=error,
-        regression_delta=delta,
-        threshold=threshold,
-        poly=poly,
-        opt=opt,
-        excess=excess,
-    )
+    return replace(report, opt=opt, excess=excess)
 
 
 def learn_sampled(
@@ -219,27 +200,16 @@ def learn_sampled(
 
     up_counts = np.bincount(xs[ys > 0], minlength=size).astype(np.float64) / m
     down_counts = np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m
-    poly, delta_emp = _l1_regression(n, d, up_counts, down_counts)
+    fit = _fit(n, d, up_counts, down_counts)
 
-    p_table = poly.table()
-    emp_threshold, emp_error, h_table = _best_threshold(p_table, up_counts, down_counts)
-    hypothesis = BooleanFunction(n, h_table)
+    h_table = fit.hypothesis.table
     up, down = dist.label_weights()
     true_error = float(up[h_table < 0].sum() + down[h_table > 0].sum())
-
     opt = excess = None
     if comparison_class is not None:
         opt = opt_of_class(comparison_class, dist)
         excess = true_error - opt
-    return LearnReport(
-        hypothesis=hypothesis,
-        error=true_error,
-        regression_delta=delta_emp,
-        threshold=emp_threshold,
-        poly=poly,
-        opt=opt,
-        excess=excess,
-        empirical_error=emp_error,
-        m=m,
-        seed=seed,
+    return replace(
+        fit, error=true_error, opt=opt, excess=excess,
+        empirical_error=fit.error, m=m, seed=seed,
     )

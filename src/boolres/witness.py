@@ -218,8 +218,8 @@ def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationPr
     Returns the raw pair so callers can fit empirical concentration
     constants; no universal constant is asserted.
     """
-    if t <= 0:
-        raise ValueError("probe threshold t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"probe threshold t must be finite and positive, got {t}")
     if not isinstance(f, BooleanFunction):
         raise ValueError("the probe needs a Boolean (+-1) function")
     size = 1 << f.n

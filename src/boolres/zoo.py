@@ -91,34 +91,31 @@ def tribes(w: int, s: int) -> BooleanFunction:
     return BooleanFunction(n, np.where(fired, -1, 1))
 
 
-def tribes_coefficient(w: int, s: int, mask: int) -> float:
-    """Closed-form Fourier coefficient of Tribes at subset T (as a mask)."""
-    _tribes_check(w, s)
-    n = w * s
-    if not 0 <= mask < (1 << n):
-        raise ValueError("mask outside the tribes variable range")
-    q = 1.0 - 2.0 ** (-w)
-    if mask == 0:
-        return 2.0 * q**s - 1.0
-    size = int(mask).bit_count()
-    hit = sum(1 for block in range(s) if mask & (((1 << w) - 1) << (block * w)))
-    return 2.0 * (-1.0) ** (hit + size) * 2.0 ** (-hit * w) * q ** (s - hit)
-
-
-def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
-    """All 2^(ws) closed-form coefficients at once (vectorized)."""
-    _tribes_check(w, s)
-    n = w * s
-    masks = np.arange(1 << n, dtype=np.uint64)
+def _tribes_closed_form(w: int, s: int, masks: np.ndarray) -> np.ndarray:
+    """Closed-form Fourier coefficients of Tribes at subsets given as uint64 masks."""
     size = np.bitwise_count(masks).astype(np.int64)
-    hit = np.zeros(1 << n, dtype=np.int64)
+    hit = np.zeros(len(masks), dtype=np.int64)
     for block in range(s):
         bmask = np.uint64(((1 << w) - 1) << (block * w))
         hit += (masks & bmask) != 0
     q = 1.0 - 2.0 ** (-w)
     coeffs = 2.0 * (-1.0) ** (hit + size) * 2.0 ** (-hit * w) * q ** (s - hit)
-    coeffs[0] = 2.0 * q**s - 1.0
+    coeffs[masks == 0] = 2.0 * q**s - 1.0
     return coeffs
+
+
+def tribes_coefficient(w: int, s: int, mask: int) -> float:
+    """Closed-form Fourier coefficient of Tribes at subset T (as a mask)."""
+    _tribes_check(w, s)
+    if not 0 <= mask < (1 << (w * s)):
+        raise ValueError("mask outside the tribes variable range")
+    return float(_tribes_closed_form(w, s, np.array([mask], dtype=np.uint64))[0])
+
+
+def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
+    """All 2^(ws) closed-form coefficients at once."""
+    _tribes_check(w, s)
+    return _tribes_closed_form(w, s, np.arange(1 << (w * s), dtype=np.uint64))
 
 
 def tribes_weight_bound(w: int, s: int, d: int) -> float:

@@ -333,3 +333,27 @@ def test_flags_that_would_switch_off_a_check_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
+    ("learn", "--fn", "majority:n=3"),
+    ("learn", "--fn", "majority:n=3", "--d", "abc"),
+    ("learn", "--fn", "majority:n=3", "--d", "1", "--bogus"),
+    ("learn", "--fn", "majority:n=3", "--d", "1", "--epsilon", "0.01"),
+    ("no-such-command",),
+    (),
+], ids=["missing-d", "non-integer-d", "unknown-flag", "epsilon-removed",
+        "unknown-subcommand", "no-subcommand"])
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("learn", "--help")])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from boolres import duality
 from boolres.builder import build_one_resilient
 from boolres.designs import embed_on_mask, greedy_design
-from boolres.duality import low_degree_masks
+from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
 from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_values
 from boolres.learner import (
     LabeledDistribution,
@@ -226,3 +228,27 @@ def test_learn_exact_solves_one_k_row_lp(monkeypatch, g, d):
     monkeypatch.setattr(duality, "solve_lp", counting)
     learn_exact(LabeledDistribution(g), d=d, epsilon=0.05)
     assert rows == [len(low_degree_masks(g.n, d))]
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
+def test_learn_exact_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        learn_exact(scaled_dictator(4), d=1, epsilon=epsilon, comparison_class=[dictator(1, 4)])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: learn_exact(scaled_dictator(5), d=1),
+    lambda: learn_sampled(scaled_dictator(5), d=1, m=300, seed=1),
+    lambda: l1_poly_distance(majority(5), 1),
+], ids=["learn_exact", "learn_sampled", "l1_poly_distance"])
+def test_corrupted_lp_value_fails_the_poly_check(monkeypatch, solve):
+    # p is read off the duals, so its recomputed error no longer matches
+    real = duality.solve_lp
+
+    def corrupted(lp, **kwargs):
+        sol = real(lp, **kwargs)
+        return dataclasses.replace(sol, value=sol.value + 0.3)
+
+    monkeypatch.setattr(duality, "solve_lp", corrupted)
+    with pytest.raises(CertificateError):
+        solve()

@@ -140,8 +140,9 @@ def test_probe_tail_monotone_in_t():
 
 
 def test_probe_rejects_bad_t():
-    with pytest.raises(ValueError):
-        concentration_probe(majority(3), 1, 0.0)
+    for t in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            concentration_probe(majority(3), 1, t)
 
 
 def test_probe_is_dataclass_pair():
