@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import BooleanFunction, coordinate_signs, level_one_sums, popcounts
+from .hypercube import BooleanFunction, coordinate_signs, low_degree_sums, popcounts
 from .zoo import cyclerun
 
 
@@ -196,9 +196,10 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
             raise BuilderError(f"sigma invariant broken at iteration {len(records) - 1}")
 
     output = BooleanFunction(n, table.astype(np.int8))
-    if int(table.sum()) != 0:
+    _, sums = low_degree_sums(table, 1, np.int64)  # masks 0, then {1}, ..., {n}
+    if sums[0] != 0:
         raise BuilderError("output is not balanced")
-    if np.any(level_one_sums(table) != 0):
+    if np.any(sums[1:] != 0):
         raise BuilderError("output is not exactly 1-resilient")
 
     distance = sbar_size / size
@@ -237,7 +238,8 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     """
     n = report.n
     table = cyclerun(n).table.astype(np.int64).copy()
-    sums = level_one_sums(table)
+    # the level-one sums sum_x f(x) x_j follow mask 0 in the kernel's order
+    sums = low_degree_sums(table, 1, np.int64)[1][1:]
 
     for rec in report.iterations:
         orbit = shift_orbit(rec.point, n)
@@ -246,7 +248,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
         table[members] *= -1
 
         if rec.index % FULL_RECHECK_EVERY == 0:
-            full = level_one_sums(table)
+            full = low_degree_sums(table, 1, np.int64)[1][1:]
             if np.any(full != sums):
                 return AuditResult(False, rec.index, "incremental sums drifted")
         if np.any(sums != sums[0]):
@@ -262,7 +264,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
         if rec.sigma_before - rec.sigma_after not in (2 * orbit.size * orbit.weight, 4 * n):
             return AuditResult(False, rec.index, "sigma decrement does not match the orbit")
 
-    full = level_one_sums(table)
+    full = low_degree_sums(table, 1, np.int64)[1][1:]
     if np.any(full != sums):
         return AuditResult(False, len(report.iterations) - 1, "final sums drifted")
     if not np.array_equal(table.astype(np.int8), report.output.table):

@@ -1,11 +1,16 @@
 """Greedy set designs, junta embeddings and orthogonal resilient families.
 
 An (n, k, d)-design is a family of k-subsets of [n] with pairwise
-intersections of size at most d.  Embedding a d-resilient function on k
-variables along the sets of such a design yields pairwise exactly
-orthogonal functions: a monomial contributing to both embedded spectra
-would have to live inside an intersection of size <= d, where all
-coefficients vanish.
+intersections of size at most d.  Embedding a function g on k variables
+along a set A puts its coefficient on T at the ambient mask U = A(T), the
+elements of A picked out by T, so g_A has support on subsets of A and
+
+    E[g_A g_B] = sum_{U subset of A and B} g_A^(U) g_B^(U),
+
+a sum over subsets of an intersection of size <= d.  So embeddings of a
+d-resilient g along a design are pairwise exactly orthogonal, and the Gram
+matrix needs only g's coefficients of degree <= the largest intersection;
+its diagonal is E[g^2] by Parseval.  No ambient 2^n table is built.
 """
 
 from __future__ import annotations
@@ -20,15 +25,25 @@ from .hypercube import (
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
+    low_degree_sums,
 )
 from .amplify import resilience_order
 
 MAX_CANDIDATES = 2_000_000
 MAX_AMBIENT_DIM = 22
+MAX_DESIGN_DIM = 64  # set masks are checked as uint64 words
+MAX_FAMILY_SIZE = 2048  # the Gram matrix is size^2 entries
+GREEDY_BLOCK = 64  # candidates tested against the chosen sets at once
 
 
 class OrthogonalityError(RuntimeError):
     pass
+
+
+def _overlaps(masks: np.ndarray):
+    """Yield (i, |A_i & A_j| for every j > i), one vector operation per row."""
+    for i in range(len(masks) - 1):
+        yield i, np.bitwise_count(masks[i] & masks[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -39,11 +54,15 @@ class Design:
     sets: tuple[int, ...]  # subset masks, each of popcount k
 
     def __post_init__(self):
+        if not 0 <= self.n <= MAX_DESIGN_DIM:
+            raise ValueError(f"design ground set n={self.n} outside [0, {MAX_DESIGN_DIM}]")
         for mask in self.sets:
-            if int(mask).bit_count() != self.k:
-                raise ValueError(f"design set {mask:#x} is not a {self.k}-subset")
-        for a, b in combinations(self.sets, 2):
-            if (a & b).bit_count() > self.d:
+            if not (0 <= mask < 1 << self.n and int(mask).bit_count() == self.k):
+                raise ValueError(f"design set {mask:#x} is not a {self.k}-subset of [{self.n}]")
+        for i, sizes in _overlaps(self.masks()):
+            over = np.nonzero(sizes > self.d)[0]
+            if over.size:
+                a, b = self.sets[i], self.sets[i + 1 + over[0]]
                 raise ValueError(
                     f"design sets {a:#x} and {b:#x} intersect in more than {self.d}"
                 )
@@ -51,6 +70,10 @@ class Design:
     @property
     def size(self) -> int:
         return len(self.sets)
+
+    def masks(self) -> np.ndarray:
+        """The sets as a uint64 array."""
+        return np.array(self.sets, dtype=np.uint64)
 
     def index_lists(self) -> list[list[int]]:
         """Sets as sorted 1-based coordinate lists (serialization form)."""
@@ -73,24 +96,34 @@ def greedy_design(n: int, k: int, d: int, order: str = "lex", seed: int | None =
     experiments).  The result is re-verified pairwise-exhaustively and, for
     d >= 1, checked against the greedy size bound when that bound is >= 1.
     """
-    if not 0 <= d < k <= n:
-        raise ValueError("need 0 <= d < k <= n")
+    if not 0 <= d < k <= n <= MAX_DESIGN_DIM:
+        raise ValueError(f"need 0 <= d < k <= n <= {MAX_DESIGN_DIM}")
     if math.comb(n, k) > MAX_CANDIDATES:
         raise ValueError(f"candidate space C({n},{k}) exceeds {MAX_CANDIDATES}")
-    candidates = [sum(1 << (j - 1) for j in combo) for combo in combinations(range(1, n + 1), k)]
+    candidates = np.fromiter(
+        (sum(1 << j for j in combo) for combo in combinations(range(n), k)),
+        dtype=np.uint64,
+        count=math.comb(n, k),
+    )
     if order == "random":
         if seed is None:
             raise ValueError("random order requires a seed")
         rng = np.random.default_rng(seed)
-        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+        candidates = candidates[rng.permutation(len(candidates))]
     elif order != "lex":
         raise ValueError(f"unknown order {order!r}")
 
-    chosen: list[int] = []
-    for cand in candidates:
-        if all((cand & prev).bit_count() <= d for prev in chosen):
-            chosen.append(cand)
-    design = Design(n, k, d, tuple(chosen))  # constructor re-verifies pairwise
+    chosen = np.zeros(0, dtype=np.uint64)
+    for start in range(0, len(candidates), GREEDY_BLOCK):
+        block = candidates[start:start + GREEDY_BLOCK]
+        block = block[np.all(np.bitwise_count(block[:, None] & chosen) <= d, axis=1)]
+        clash = np.bitwise_count(block[:, None] & block) > d
+        keep = np.ones(len(block), dtype=bool)
+        for i in range(len(block)):
+            if keep[i]:  # block[i] meets no set chosen before it
+                keep[i + 1:] &= ~clash[i, i + 1:]
+        chosen = np.concatenate([chosen, block[keep]])
+    design = Design(n, k, d, tuple(int(mask) for mask in chosen))  # re-verified pairwise
     if d >= 1:
         bound = design_size_bound(n, k, d)
         if bound >= 1.0 and design.size < max(1, math.floor(bound)):
@@ -139,18 +172,46 @@ def embed_on_mask(base: CubeFunction, mask: int, ambient: int) -> JuntaEmbedding
 
 @dataclass(frozen=True)
 class OrthogonalFamilyReport:
-    functions: tuple[CubeFunction, ...]
     gram: np.ndarray           # m x m matrix of E[g_i g_j]
     max_offdiagonal: float
     diagonal_value: float      # E[g^2], shared by construction
     exact: bool                # integer arithmetic (Boolean base)
 
 
+def _spectral_gram(g: CubeFunction, masks: np.ndarray) -> np.ndarray:
+    """4^k E[g_A g_B] for the embeddings of g (k variables) along the sets A.
+
+    Exact int64 for Boolean g: every entry is bounded by 2^k sum_x g(x)^2 =
+    4^k <= 2^56 (Cauchy-Schwarz and Parseval), and so is every partial sum
+    of the products, which are over subsets U of one intersection.  Float64
+    for bounded g.  Row A of the coefficient matrix holds 2^k g^(T) at the
+    ambient mask A(T) of every |T| <= t, the largest pairwise intersection.
+    """
+    k = g.n
+    dtype = np.int64 if isinstance(g, BooleanFunction) else np.float64
+    depth = max((int(sizes.max()) for _, sizes in _overlaps(masks)), default=0)
+    base, coeffs = low_degree_sums(g.table, depth, dtype)
+    # the 0-based coordinates of each set, ascending: bit i of T goes to column i
+    bits = (masks[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    coords = np.nonzero(bits)[1].reshape(len(masks), k).astype(np.uint64)
+    ambient = np.zeros((len(masks), len(base)), dtype=np.uint64)
+    for i in range(k):
+        ambient |= ((base >> i) & 1).astype(np.uint64) << coords[:, i:i + 1]
+    columns, where = np.unique(ambient, return_inverse=True)
+    spread = np.zeros((len(masks), len(columns)), dtype=dtype)
+    spread[np.arange(len(masks))[:, None], where.reshape(ambient.shape)] = coeffs
+    gram = spread @ spread.T
+    np.fill_diagonal(gram, (1 << k) * np.sum(np.square(g.table, dtype=dtype)))
+    return gram
+
+
 def orthogonal_family(g: CubeFunction, design: Design) -> OrthogonalFamilyReport:
     """Embed g along every design set and certify pairwise orthogonality.
 
     Requires g to be at least design.d-resilient (otherwise the
-    orthogonality argument has no footing and the call is rejected).
+    orthogonality argument has no footing and the call is rejected).  The
+    Gram matrix is read off g's low-degree coefficients, see the module
+    docstring.
     """
     if g.n != design.k:
         raise ValueError("base arity must equal the design's set size")
@@ -159,28 +220,19 @@ def orthogonal_family(g: CubeFunction, design: Design) -> OrthogonalFamilyReport
         raise ValueError(
             f"resilience mismatch: base is only {order}-resilient, design needs {design.d}"
         )
-    size = 1 << design.n
-    members = [embed_on_mask(g, mask, design.n).function() for mask in design.sets]
+    if design.size > MAX_FAMILY_SIZE:
+        raise ValueError(f"family of {design.size} functions exceeds {MAX_FAMILY_SIZE}")
     exact = isinstance(g, BooleanFunction)
-    if exact:
-        stack = np.stack([fn.table.astype(np.int64) for fn in members])
-        gram_scaled = stack @ stack.T  # exact integers
-        gram = gram_scaled.astype(np.float64) / size
-        off = gram_scaled - np.diag(np.diag(gram_scaled))
-        max_off = float(np.max(np.abs(off)) / size) if design.size > 1 else 0.0
-        if np.any(off != 0):
-            raise OrthogonalityError("integer Gram has a nonzero off-diagonal entry")
-    else:
-        stack = np.stack([fn.table for fn in members])
-        gram = (stack @ stack.T) / size
-        off = gram - np.diag(np.diag(gram))
-        max_off = float(np.max(np.abs(off))) if design.size > 1 else 0.0
-        if max_off > 1e-10:
-            raise OrthogonalityError(
-                f"off-diagonal Gram entry {max_off:.3e} exceeds tolerance"
-            )
+    scaled = _spectral_gram(g, design.masks())
+    scale = float(1 << 2 * g.n)
+    gram = scaled / scale
+    off = scaled - np.diag(np.diag(scaled))
+    max_off = float(np.max(np.abs(off), initial=0)) / scale
+    if exact and max_off != 0.0:
+        raise OrthogonalityError("integer Gram has a nonzero off-diagonal entry")
+    if max_off > 1e-10:
+        raise OrthogonalityError(f"off-diagonal Gram entry {max_off:.3e} exceeds tolerance")
     return OrthogonalFamilyReport(
-        functions=tuple(members),
         gram=gram,
         max_offdiagonal=max_off,
         diagonal_value=float(gram[0, 0]) if design.size else 0.0,

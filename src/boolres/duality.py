@@ -146,9 +146,10 @@ def _l1_box_lp(
     LP value.
     """
     masks = low_degree_masks(n, d)
+    chi = np.array([chi_values(n, mask) for mask in masks])
     lp = LinearProgram(
         objective=labels,
-        eq_matrix=np.array([chi_values(n, mask)[points] for mask in masks]),
+        eq_matrix=chi.take(points, axis=1),  # C order: the pivots depend on the layout
         eq_rhs=np.zeros(len(masks)),
         lower=-weights,
         upper=weights,
@@ -157,7 +158,10 @@ def _l1_box_lp(
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
     poly = SparsePolynomial(n, d, {mask: float(y) for mask, y in zip(masks, sol.duals)})
-    table = poly.table()
+    table = np.zeros(1 << n)  # as poly.table(), from the chi rows of the LP
+    for coef, row in zip(poly.coeffs.values(), chi):
+        if coef != 0.0:
+            table += coef * row
     error = float(np.sum(weights * np.abs(labels - table[points])))
     if abs(error - sol.value) > WITNESS_TOL * float(np.sum(weights)):
         raise CertificateError(

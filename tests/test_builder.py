@@ -212,7 +212,7 @@ def test_budget_ratio_definition():
 
 def test_audit_detects_drifted_incremental_sums(monkeypatch):
     # corrupt the incremental update once, at iteration 0; the full recheck
-    # there goes through level_one_sums, a different arithmetic route
+    # there goes through low_degree_sums, a different arithmetic route
     report = build_one_resilient(7)
     real = builder.coordinate_signs
     calls = []
@@ -227,6 +227,20 @@ def test_audit_detects_drifted_incremental_sums(monkeypatch):
     assert result.ok is False
     assert result.failed_iteration == 0
     assert result.detail == "incremental sums drifted"
+
+
+@pytest.mark.parametrize("mask_index,detail", [(0, "not balanced"), (3, "not exactly 1-resilient")])
+def test_output_check_reads_balance_and_level_one_off_one_call(monkeypatch, mask_index, detail):
+    real = builder.low_degree_sums
+
+    def shifted(table, d, dtype):
+        masks, sums = real(table, d, dtype)
+        sums[mask_index] += 2
+        return masks, sums
+
+    monkeypatch.setattr(builder, "low_degree_sums", shifted)
+    with pytest.raises(builder.BuilderError, match=detail):
+        build_one_resilient(7)
 
 
 def test_audit_detects_a_changed_output_table():

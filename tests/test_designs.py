@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from boolres.builder import build_one_resilient
+from boolres import designs
 from boolres.designs import (
     Design,
     JuntaEmbedding,
     OrthogonalityError,
+    _spectral_gram,
     design_size_bound,
     embed_on_mask,
     greedy_design,
@@ -20,7 +22,7 @@ from boolres.hypercube import (
     l1_distance,
     wht,
 )
-from boolres.zoo import parity, random_boolean
+from boolres.zoo import parity, random_boolean, tribes
 
 
 def test_lex_greedy_small_case():
@@ -141,3 +143,120 @@ def test_non_orthogonal_detection():
     design = greedy_design(6, 2, 1)
     with pytest.raises((ValueError, OrthogonalityError)):
         orthogonal_family(g, design)
+
+
+def _table_gram(g, sets, ambient):
+    """4^k E[g_A g_B] from the stacked 2^N embedding tables (the reference)."""
+    stack = np.stack([embed_on_mask(g, mask, ambient).table() for mask in sets])
+    # float64 products of +-1 tables sum exactly: |entries| <= 2^N < 2^53
+    scaled = (stack.astype(np.float64) @ stack.T) * (1 << 2 * g.n) / (1 << ambient)
+    return np.rint(scaled).astype(np.int64) if isinstance(g, BooleanFunction) else scaled
+
+
+def _random_sets(rng, ambient, k, m):
+    return [int(sum(1 << j for j in rng.choice(ambient, k, replace=False))) for _ in range(m)]
+
+
+def test_spectral_gram_equals_the_table_gram():
+    rng = np.random.default_rng(11)
+    bases = [
+        build_one_resilient(5).output,
+        parity(0b111, 3),
+        random_boolean(4, seed=2),  # not resilient: the identity holds for any g
+        tribes(2, 2),
+        BoundedFunction(4, rng.uniform(-1.0, 1.0, 16)),
+        BoundedFunction(3, 0.5 * parity(0b111, 3).table),
+    ]
+    for g in bases:
+        for ambient in (g.n, 9, 12, 16):
+            for m in (1, 2, 7):
+                sets = _random_sets(rng, ambient, g.n, m)
+                got = _spectral_gram(g, np.array(sets, dtype=np.uint64))
+                want = _table_gram(g, sets, ambient)
+                if isinstance(g, BooleanFunction):
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.allclose(got, want, rtol=0, atol=1e-9 * (1 << 2 * g.n))
+
+
+def test_orthogonal_family_matches_the_table_gram_on_designs():
+    cases = [
+        (build_one_resilient(5).output, greedy_design(12, 5, 1)),
+        (parity(0b11, 2), greedy_design(8, 2, 1)),
+        (parity(0b111, 3), greedy_design(12, 3, 2)),
+        (parity(0b111, 3), greedy_design(14, 3, 1, order="random", seed=3)),
+        (BoundedFunction(3, 0.5 * parity(0b111, 3).table), greedy_design(10, 3, 1)),
+    ]
+    for g, design in cases:
+        report = orthogonal_family(g, design)
+        want = _table_gram(g, design.sets, design.n) / float(1 << 2 * g.n)
+        assert report.exact == isinstance(g, BooleanFunction)
+        assert report.gram.tobytes() == want.tobytes()
+        assert report.max_offdiagonal == 0.0
+        assert report.diagonal_value == float(np.mean(np.square(g.table, dtype=np.float64)))
+
+
+def test_orthogonal_family_raises_on_a_nonzero_off_diagonal(monkeypatch):
+    design = greedy_design(8, 2, 1)
+
+    def leaky(g, masks):
+        gram = np.eye(len(masks), dtype=np.int64) * 16
+        gram[0, 1] = gram[1, 0] = 1
+        return gram
+
+    monkeypatch.setattr(designs, "_spectral_gram", leaky)
+    with pytest.raises(OrthogonalityError, match="integer Gram"):
+        orthogonal_family(parity(0b11, 2), design)
+
+
+def test_orthogonal_family_needs_no_ambient_table():
+    # ambient 40 is past the 2^22 embedding tables; the Gram reads 4 coefficients
+    design = greedy_design(40, 3, 1)
+    report = orthogonal_family(parity(0b111, 3), design)
+    assert report.gram.shape == (design.size, design.size)
+    assert np.array_equal(report.gram, np.eye(design.size))
+
+
+def _python_greedy(n, k, d, order="lex", seed=None):
+    """The pairwise Python loop the vectorized greedy must reproduce."""
+    candidates = [sum(1 << (j - 1) for j in c) for c in combinations(range(1, n + 1), k)]
+    if order == "random":
+        perm = np.random.default_rng(seed).permutation(len(candidates))
+        candidates = [candidates[i] for i in perm]
+    chosen = []
+    for cand in candidates:
+        if all((cand & prev).bit_count() <= d for prev in chosen):
+            chosen.append(cand)
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize(
+    "n,k,d,order,seed",
+    [(4, 2, 0, "lex", None), (8, 3, 1, "lex", None), (16, 6, 2, "lex", None),
+     (12, 5, 1, "lex", None), (13, 4, 2, "random", 5), (50, 2, 1, "lex", None),
+     (64, 2, 0, "random", 1), (30, 3, 1, "lex", None), (20, 3, 1, "random", 8)],
+)
+def test_greedy_design_matches_the_pairwise_loop(n, k, d, order, seed):
+    design = greedy_design(n, k, d, order=order, seed=seed)
+    assert design.sets == _python_greedy(n, k, d, order, seed)
+    for a, b in combinations(design.sets, 2):
+        assert (a & b).bit_count() <= d
+
+
+def test_design_constructor_checks_every_pair_and_every_set():
+    good = (0b000111, 0b011001, 0b101010, 0b110100)
+    Design(6, 3, 1, good)
+    for bad_pair in ((0, 3), (1, 2), (2, 3)):
+        sets = list(good)
+        sets[bad_pair[1]] = sets[bad_pair[0]]  # a repeated set meets itself in 3
+        with pytest.raises(ValueError, match="intersect"):
+            Design(6, 3, 1, tuple(sets))
+    with pytest.raises(ValueError, match="3-subset"):
+        Design(6, 3, 1, good + (0b1111,))
+    with pytest.raises(ValueError, match="3-subset"):
+        Design(6, 3, 1, (0b1000011,))
+    with pytest.raises(ValueError):
+        Design(65, 2, 1, (0b11,))
+    with pytest.raises(ValueError):
+        greedy_design(65, 2, 1)

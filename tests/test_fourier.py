@@ -171,23 +171,71 @@ def test_fwht_widens_an_int8_table_without_a_copy(dtype):
     assert peak < 2.5 * widened.nbytes
 
 
-def test_bounded_spectral_stats_runs_one_wht(monkeypatch):
+def test_bounded_spectral_stats_runs_no_wht(monkeypatch):
     from boolres import hypercube
 
     g = BoundedFunction(12, np.random.default_rng(4).uniform(-1, 1, size=1 << 12))
-    real = hypercube.wht
+    real = hypercube.fwht
     calls = []
 
-    def counting(fn):
-        calls.append(fn.n)
-        return real(fn)
+    def counting(values, dtype=None):
+        calls.append(values.shape[0])
+        return real(values, dtype)
 
-    monkeypatch.setattr(hypercube, "wht", counting)
+    monkeypatch.setattr(hypercube, "fwht", counting)
     stats = spectral_stats(g, 2)
-    assert calls == [12]
+    assert calls == []
     assert stats.per_coordinate_influence == tuple(
         float(v) for v in per_coordinate_influence(g)
     )
+    sq = wht(g).coeffs ** 2
+    low = np.bitwise_count(np.arange(1 << 12, dtype=np.uint64)) <= 2
+    assert stats.low_weight == pytest.approx(float(sq[low].sum()), rel=1e-12)
+
+
+def _full_transform_stats(fn, d):
+    """The low weight and the worst low coefficient read off the whole spectrum."""
+    pc = np.bitwise_count(np.arange(1 << fn.n, dtype=np.uint64))
+    low = pc <= d
+    sq = wht(fn).coeffs ** 2
+    if isinstance(fn, BooleanFunction):
+        coeffs, scale = wht_int(fn), float(1 << fn.n)
+    else:
+        coeffs, scale = wht(fn).coeffs, 1.0
+    vals = np.abs(coeffs[low])
+    worst = int(np.argmax(vals))
+    return float(sq[low].sum()), int(np.nonzero(low)[0][worst]), float(vals[worst]) / scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boolean_low_weight_and_worst_mask_match_the_full_transform(seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + seed
+    for f in (random_boolean(n, rng), make_majority3(), BooleanFunction(n, chi_values(n, 0b101))):
+        for d in range(f.n + 1):
+            low_weight, worst_mask, worst = _full_transform_stats(f, d)
+            assert spectral_stats(f, d).low_weight == low_weight  # bit for bit
+            check = is_d_resilient(f, d)
+            assert (check.worst_mask, check.worst_coefficient) == (worst_mask, worst)
+
+
+def test_resilience_worst_mask_ties_keep_the_lowest_mask():
+    # |coef| ties: every singleton of majority(3) is 1/2, and the dyadic
+    # bounded tables below have exact float sums, so ties stay ties
+    assert is_d_resilient(make_majority3(), 1).worst_mask == 0b001
+    assert is_d_resilient(make_majority3(), 3).worst_mask == 0b001
+    x = [coordinate_values(3, j).astype(np.float64) for j in (1, 2, 3)]
+    for table, d, mask in (
+        ((x[1] + x[2]) / 2, 1, 0b010),
+        ((x[2] - x[0]) / 2, 2, 0b001),
+        ((x[0] * x[1] + x[2] * x[1]) / 2, 2, 0b011),
+        (np.full(8, 0.25), 3, 0b000),
+    ):
+        g = BoundedFunction(3, table)
+        check = is_d_resilient(g, d)
+        assert check.worst_mask == mask
+        assert check.worst_coefficient == (0.5 if mask else 0.25)
+        assert (check.worst_mask, check.worst_coefficient) == _full_transform_stats(g, d)[1:]
 
 
 @settings(max_examples=30, deadline=None)
