@@ -7,17 +7,16 @@ independent random signs b(t) with mean t,
 
 so (G o g)(x^1, ..., x^m) is the multilinear extension of G applied to the
 vector of inner values.  Compositions are lazy (any size); materialization
-and exact certificates are capped at 22 total bits, with a seeded sampling
-path beyond that.
+and exact resilience certificates are capped at 22 total bits.  The
+amplification distance needs no composed table: it follows from a
+recursion on the correlation E[f_k g_k] (`amplification_report`), exact at
+every depth.
 
-One evaluator, `_multilinear`, serves both paths.  It runs Horner's scheme
-over the two halves of the coefficient table, p(t) = p_lo(t') + t_j p_hi(t')
-with j the top coordinate: 2^m - 1 multiply-adds at most, and a half whose
-coefficients are all zero is skipped, so sparse outer spectra stay cheap.
-The sampled path keeps the Boolean levels of f_k as sign bits (1 for -1) and
-looks each group of n bits up in the same bit table; its batches are stored
-leaves-major, (leaves, rows), so every level is a view with contiguous rows,
-and a batch holds at most `SAMPLE_LEAF_BUDGET` leaf draws.
+One evaluator, `_multilinear`, serves every lazy evaluation.  It runs
+Horner's scheme over the two halves of the coefficient table, p(t) =
+p_lo(t') + t_j p_hi(t') with j the top coordinate: 2^m - 1 multiply-adds at
+most, and a half whose coefficients are all zero is skipped, so sparse outer
+spectra stay cheap.
 
 Block convention: outer coordinate i (1-based) reads bits
 [(i-1)*inner_arity, i*inner_arity) of the composed point index.
@@ -29,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .hypercube import (
     BooleanFunction,
@@ -43,8 +43,6 @@ from .hypercube import (
 )
 
 COMPOSE_MAX_BITS = 22
-SAMPLE_LEAF_BUDGET = 1 << 21  # leaf draws per sampled batch
-SAMPLE_MAX_ROWS = 1 << 16
 FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
 
 
@@ -205,12 +203,13 @@ class AmplificationReport:
     influence: float
     cor2_bound: float
     dist_measured: float
-    exact: bool
-    ci_width: float
     ns_delta_exact: float
     ns_union_bound: float
-    samples: int
-    seed: int | None
+    # Constant now that every depth is exact; kept so that readers of the
+    # sampled report's fields keep working.
+    exact: bool = True
+    ci_width: float = 0.0
+    samples: int = 0
 
 
 def _check_balanced(fn: CubeFunction) -> None:
@@ -219,90 +218,49 @@ def _check_balanced(fn: CubeFunction) -> None:
         raise ValueError("amplification needs balanced (mean-zero) inputs")
 
 
-def _sampled_distance(
-    f: BooleanFunction,
-    g: BoundedFunction,
-    k: int,
-    samples: int,
-    seed: int,
-) -> float:
-    """Monte-Carlo estimate of (1/2) E|f_k - g_k| via bottom-up evaluation.
-
-    Each batch draws a (rows, leaves) array of leaf points, with rows =
-    min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves), so the stream for a
-    seed depends on the tree's leaf count; a tree with more than
-    SAMPLE_LEAF_BUDGET leaves raises ValueError before any draw.  Both
-    tables are gathered at the leaves and copied once into leaves-major
-    (leaves, rows) arrays; each level then reads groups of n consecutive
-    rows.  f's levels stay sign bits: a group's n bits, shifted and or-ed
-    into an index, are looked up in the same bit table, and f_k = 1 - 2 *
-    bit at the root.  g's levels go through `_multilinear`.
-    """
-    n = f.n
-    leaves = n**k
-    if leaves > SAMPLE_LEAF_BUDGET:
-        raise ValueError(
-            f"a sample of f_{k} draws {leaves} leaves, more than the "
-            f"{SAMPLE_LEAF_BUDGET} a batch may hold"
-        )
-    rows = min(SAMPLE_MAX_ROWS, SAMPLE_LEAF_BUDGET // leaves)
-    g_spec = wht(g)
-    f_bits = (f.table < 0).astype(np.min_scalar_type((1 << n) - 1))
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    remaining = samples
-    while remaining > 0:
-        b = min(rows, remaining)
-        leaf_idx = rng.integers(0, 1 << n, size=(b, leaves))
-        fb = f_bits[leaf_idx]
-        gv = g.table[leaf_idx]
-        del leaf_idx
-        fb = np.ascontiguousarray(fb.T)
-        gv = np.ascontiguousarray(gv.T)
-        while len(fb) > 1:
-            groups = fb.reshape(-1, n, b).transpose(1, 0, 2)
-            code = groups[0].copy()
-            for j in range(1, n):
-                code |= groups[j] << j
-            fb = f_bits[code]
-            gv = _multilinear(g_spec, gv.reshape(-1, n, b).transpose(1, 0, 2))
-        fv = 1.0 - 2.0 * fb[0]
-        total += float(np.abs(fv - gv[0]).sum()) / 2.0
-        remaining -= b
-    return total / samples
+def level_correlations(f: CubeFunction, g: CubeFunction) -> np.ndarray:
+    """W_i = sum_{|S|=i} fhat(S) ghat(S) for i = 0..n."""
+    products = wht(f).coeffs * wht(g).coeffs
+    return np.bincount(popcounts(f.n), weights=products, minlength=f.n + 1)
 
 
 def amplification_report(
-    f: BooleanFunction,
-    g: BoundedFunction,
-    k: int,
-    samples: int = 1_000_000,
-    seed: int | None = None,
-    confidence: float = 0.99,
+    f: BooleanFunction, g: BoundedFunction, k: int
 ) -> AmplificationReport:
     """Measure dist(f_k, g_k) against the geometric-series amplification bound.
 
-    Distance is (1/2) E|f_k - g_k|.  Exact evaluation when n^(k+1) <= 22
-    bits, otherwise seeded Monte-Carlo with a Hoeffding confidence
-    interval.  Also reports the exact noise sensitivity of f at rate
-    dist(f, g) next to its union bound dist * Inf[f].
+    Distance is (1/2) E|f_k - g_k|.  Since f_k is +-1 and g_k lies in
+    [-1, 1], |f_k - g_k| = 1 - f_k g_k, so the distance is (1 - rho_k)/2
+    with rho_k = E[f_k g_k].  The blocks of a composition are independent
+    and balanced, so E[chi_S(a) prod_{i in T} b_i] = 0 unless S = T and
+
+        rho_{t+1} = P(rho_t) = sum_i W_i rho_t^i,  rho_0 = E[f g],
+
+    with W from `level_correlations`: exact at every depth k, with no
+    composed table.  P(1) = E[f g] (Parseval) is checked against the table
+    mean.  Also reports the exact noise sensitivity of f at rate dist(f, g)
+    next to its union bound dist * Inf[f].
     """
     if f.n != g.n:
         raise ValueError("inner and outer bases must share a dimension")
     if k < 1:
         raise ValueError("amplification depth k must be >= 1")
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     _check_balanced(f)
     _check_balanced(g)
 
     n = f.n
-    arity = n ** (k + 1)
     dist_base = float(np.mean(np.abs(f.table - g.table))) / 2.0
     influence = spectral_stats(f, 0).total_influence
-    cor2_bound = dist_base * sum(influence**t for t in range(k + 1))
+    try:
+        series = sum(influence**t for t in range(k + 1))
+    except OverflowError:
+        series = math.inf
+    if not math.isfinite(series):
+        raise ValueError(
+            f"the bound's sum of Inf[f]^t over t <= {k} is not finite "
+            f"(Inf[f] = {influence})"
+        )
+    cor2_bound = dist_base * series
 
     delta = min(max(dist_base, 0.0), 1.0)
     ns_exact = noise_sensitivity(f, delta)
@@ -310,35 +268,34 @@ def amplification_report(
     if ns_exact > ns_union + 1e-12:
         raise AssertionError("noise sensitivity exceeded its union bound")
 
-    if arity <= COMPOSE_MAX_BITS:
-        fk = materialize(self_composition(f, k))
-        gk = materialize(self_composition(g, k))
-        dist_measured = float(np.mean(np.abs(fk.table - gk.table))) / 2.0
-        exact, ci_width, used_samples, used_seed = True, 0.0, 0, None
-    else:
-        if seed is None:
-            raise ValueError("sampling path requires an explicit seed")
-        dist_measured = _sampled_distance(f, g, k, samples, seed)
-        ci_width = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-        exact, used_samples, used_seed = False, samples, seed
+    weights = level_correlations(f, g)
+    rhos = [float(np.mean(f.table * g.table))]
+    total = float(polyval(1.0, weights))
+    if abs(total - rhos[0]) > 1e-12:
+        raise AssertionError(
+            f"Parseval check failed: sum_i W_i = {total} but E[f g] = {rhos[0]}"
+        )
+    for _ in range(k):
+        rhos.append(float(polyval(rhos[-1], weights)))  # Horner's scheme
+    outside = [t for t, rho in enumerate(rhos) if abs(rho) > 1.0 + 1e-12]
+    if outside:
+        t = outside[0]
+        raise AssertionError(f"correlation rho_{t} = {rhos[t]} left [-1, 1]")
+    dist_measured = (1.0 - rhos[-1]) / 2.0
 
-    if dist_measured > cor2_bound + ci_width + 1e-9:
+    if dist_measured > cor2_bound + 1e-9:
         raise AssertionError(
             f"measured distance {dist_measured} exceeds the amplification bound "
-            f"{cor2_bound} (+{ci_width})"
+            f"{cor2_bound}"
         )
     return AmplificationReport(
         n=n,
         k=k,
-        arity=arity,
+        arity=n ** (k + 1),
         dist_base=dist_base,
         influence=influence,
         cor2_bound=cor2_bound,
         dist_measured=dist_measured,
-        exact=exact,
-        ci_width=ci_width,
         ns_delta_exact=ns_exact,
         ns_union_bound=ns_union,
-        samples=used_samples,
-        seed=used_seed,
     )

@@ -296,9 +296,7 @@ def _cmd_cyclerun_build(args) -> None:
 def _cmd_amplify(args) -> None:
     fn = parse_function_spec(args.fn)
     witness = distance_to_resilience(fn, args.d).witness
-    report = amplification_report(
-        fn, witness, k=args.k, samples=args.m, seed=args.seed
-    )
+    report = amplification_report(fn, witness, k=args.k)
     _emit(args, {
         "n": report.n,
         "k": report.k,
@@ -420,7 +418,9 @@ def build_parser() -> _Parser:
         c1=dict(type=float, default=8.0))
     add("amplify", _cmd_amplify, fn=dict(type=str, required=True),
         d=dict(type=int, default=1), k=dict(type=int, default=1),
-        m=dict(type=int, default=1_000_000), seed=dict(type=int, default=None))
+        # accepted and ignored: the distance is exact at every depth
+        m=dict(type=int, default=None, help=argparse.SUPPRESS),
+        seed=dict(type=int, default=None, help=argparse.SUPPRESS))
     add("design", _cmd_design, n=dict(type=int, required=True),
         k=dict(type=int, required=True), d=dict(type=int, required=True))
     add("ortho-family", _cmd_ortho_family, fn=dict(type=str, required=True),

@@ -130,15 +130,16 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     """Minimize sum_x up_x |p(x) - 1| + down_x |p(x) + 1| over degree-<=d p,
     as the box LP over the labeled points of nonzero weight, then round p by
     the best threshold.  The report's error is the hypothesis' error under
-    (up, down); its regression_delta is the LP value, checked against p.
+    (up, down); its regression_delta is p's L1 error recomputed over those
+    points, which `_l1_box_lp` has checked against the LP value.
     """
     points = np.tile(np.arange(1 << n), 2)
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    sol, poly, p_table, _ = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
+    _, poly, p_table, delta = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
     threshold, error, h_table = _best_threshold(p_table, up, down)
-    return LearnReport(BooleanFunction(n, h_table), error, sol.value, threshold, poly)
+    return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, poly)
 
 
 def learn_exact(

@@ -1,15 +1,14 @@
-import gc
-import tracemalloc
+import math
 
 import numpy as np
 import pytest
 
+from boolres import amplify
 from boolres.amplify import (
-    SAMPLE_LEAF_BUDGET,
+    COMPOSE_MAX_BITS,
     ArityOverflow,
     ComposedFunction,
     _multilinear,
-    _sampled_distance,
     amplification_report,
     check_composed_resilience,
     compose,
@@ -176,41 +175,75 @@ def test_amplification_rejects_unbalanced():
         amplification_report(f, g, k=1)
 
 
-def test_amplification_sampled_path_deterministic():
+def test_amplification_beyond_the_table_cap_is_exact():
+    # 27 bits: no table of f_2, and the same number on every call
     f = majority(3)
     g = distance_to_resilience(f, 1).witness
-    rep1 = amplification_report(f, g, k=2, samples=20_000, seed=11)
-    rep2 = amplification_report(f, g, k=2, samples=20_000, seed=11)
-    assert not rep1.exact
+    rep1 = amplification_report(f, g, k=2)
+    rep2 = amplification_report(f, g, k=2)
     assert rep1.arity == 27
+    assert rep1.exact and rep1.ci_width == 0.0 and rep1.samples == 0
     assert rep1.dist_measured == rep2.dist_measured
-    assert rep1.dist_measured <= rep1.cor2_bound + rep1.ci_width + 1e-9
+    assert rep1.dist_measured <= rep1.cor2_bound + 1e-9
 
 
-def test_sampled_path_requires_seed():
+def test_amplification_rejects_a_bound_that_overflows():
+    # 1.5^2000 is not a float: exit through ValueError, not OverflowError
     f = majority(3)
     g = distance_to_resilience(f, 1).witness
-    with pytest.raises(ValueError):
-        amplification_report(f, g, k=2)
+    with pytest.raises(ValueError, match="not finite"):
+        amplification_report(f, g, k=2000)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_amplification_rejects_non_positive_sample_count(samples):
-    f = majority(5)
-    g = distance_to_resilience(f, 1).witness
-    with pytest.raises(ValueError, match="sample count"):
-        amplification_report(f, g, k=2, samples=samples, seed=1)
+def _random_mean_zero(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, size=1 << n)
+    values -= values.mean()
+    return BoundedFunction(n, values / np.max(np.abs(values)))
 
 
-def test_sampled_matches_exact_at_small_arity():
-    # force the sampling machinery onto a case we can also compute exactly
-    from boolres.amplify import _sampled_distance
+_BALANCED4 = random_boolean(4, seed=3, balanced=True)
+_RECURSION_CASES = {
+    "majority3-witness-k1": (majority(3), distance_to_resilience(majority(3), 1).witness, 1),
+    "random4-witness-k1": (_BALANCED4, distance_to_resilience(_BALANCED4, 1).witness, 1),
+    "random4-bounded-k1": (_BALANCED4, _random_mean_zero(4, seed=5), 1),
+    **{
+        f"{name}2-bounded-k{k}": (f, _random_mean_zero(2, seed=k), k)
+        for name, f in (("parity", parity(0b11, 2)), ("dictator", dictator(2, 2)))
+        for k in (1, 2, 3)
+    },
+}
 
+
+@pytest.mark.parametrize("case", _RECURSION_CASES)
+def test_recursion_matches_materialized_distance(case):
+    f, g, k = _RECURSION_CASES[case]
+    assert abs(float(np.mean(g.table))) <= 1e-12
+    rep = amplification_report(f, g, k)
+    assert rep.arity <= COMPOSE_MAX_BITS
+    fk = materialize(self_composition(f, k)).table
+    gk = materialize(self_composition(g, k)).table
+    assert abs(rep.dist_measured - float(np.mean(np.abs(fk - gk))) / 2.0) <= 1e-12
+
+
+def test_parseval_check_catches_wrong_level_weights(monkeypatch):
     f = majority(3)
     g = distance_to_resilience(f, 1).witness
-    exact = amplification_report(f, g, k=1).dist_measured
-    approx = _sampled_distance(f, g, k=1, samples=200_000, seed=5)
-    assert abs(approx - exact) <= 0.01
+    true_weights = amplify.level_correlations(f, g)
+    monkeypatch.setattr(amplify, "level_correlations", lambda f, g: 1.01 * true_weights)
+    with pytest.raises(AssertionError, match="Parseval"):
+        amplification_report(f, g, k=1)
+
+
+def test_range_check_catches_a_correlation_above_one(monkeypatch):
+    # W = (0, a, 0, rho_0 - a) keeps P(1) = rho_0, but P(rho_0) > 1 for large a
+    f = majority(3)
+    g = distance_to_resilience(f, 1).witness
+    rho0 = float(np.mean(f.table * g.table))
+    bad = np.array([0.0, 10.0, 0.0, rho0 - 10.0])
+    monkeypatch.setattr(amplify, "level_correlations", lambda f, g: bad)
+    with pytest.raises(AssertionError, match="rho_1"):
+        amplification_report(f, g, k=1)
 
 
 def test_triangle_decomposition_single_level():
@@ -240,26 +273,8 @@ def test_ns_union_bound_random_balanced():
             assert ns_spec <= delta * infl + 1e-12
 
 
-@pytest.mark.parametrize("confidence", [float("nan"), 0.0, 1.0, 1.5, -0.1])
-def test_amplification_rejects_confidence_outside_open_unit_interval(confidence):
-    f = majority(3)
-    g = distance_to_resilience(f, 1).witness
-    with pytest.raises(ValueError, match="confidence"):
-        amplification_report(f, g, k=2, samples=1000, seed=1, confidence=confidence)
-
-
-def test_sampled_tree_above_leaf_budget_is_rejected():
-    # 2^21 leaves fill one batch row exactly; 2^22 cannot be drawn at all
-    f = dictator(1, 2)
-    g = BoundedFunction(2, np.zeros(4))
-    assert 2**21 == SAMPLE_LEAF_BUDGET
-    amplification_report(f, g, k=21, samples=2, seed=1)
-    with pytest.raises(ValueError, match="leaves"):
-        amplification_report(f, g, k=22, samples=2, seed=1)
-
-
-# The mask-sum evaluator and the sampler that `amplify` replaced, kept as
-# oracles for the Horner evaluator and the sign-bit, leaves-major sampler.
+# The mask-sum evaluator and the Monte-Carlo sampler that `amplify`
+# replaced, kept as oracles for the Horner evaluator and the recursion.
 
 def _mask_sum_multilinear(spectrum, vals):
     out = np.zeros(vals.shape[1:])
@@ -362,47 +377,12 @@ def test_materialize_matches_mask_sum_oracle():
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (3, 3)])
-def test_sampled_distance_bit_equal_to_float_level_oracle(n, k):
-    # 70_000 samples: one full batch of 2^16 rows and a partial one
+def test_recursion_within_hoeffding_interval_of_sampled_oracle(n, k):
+    # 27 to 81 bits, beyond materialize; 70_000 draws give a 99% interval
+    # of half-width sqrt(log(200) / 140_000) = 0.0062
     f = majority(n)
     g = distance_to_resilience(f, 1).witness
-    got = _sampled_distance(f, g, k, samples=70_000, seed=23)
-    assert got == _float_level_sampled_distance(f, g, k, samples=70_000, seed=23)
-
-
-def _traced_peak(call, repeats=1):
-    gc.collect()
-    tracemalloc.start()
-    try:
-        for _ in range(repeats):
-            call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sampled_batch_memory_stays_within_leaf_budget():
-    # 625 leaves: a batch of 2^16 rows would be a 328 MB float64 array; the
-    # leaf budget caps each batch at SAMPLE_LEAF_BUDGET draws, about 2.2x
-    # that many float64s live at once (index, gathered and transposed tables)
-    f = majority(5)
-    g = distance_to_resilience(f, 1).witness
-    peak = _traced_peak(lambda: _sampled_distance(f, g, k=4, samples=7000, seed=3))
-    assert peak < 3 * 8 * SAMPLE_LEAF_BUDGET
-
-
-def test_sampled_distance_frees_each_batch_without_cyclic_gc():
-    # a batch held by a reference cycle would stay alive into the next call
-    f = majority(5)
-    g = distance_to_resilience(f, 1).witness
-
-    def call():
-        _sampled_distance(f, g, k=2, samples=70_000, seed=29)
-
-    one = _traced_peak(call)
-    gc.disable()
-    try:
-        three = _traced_peak(call, repeats=3)
-    finally:
-        gc.enable()
-    assert three <= 1.5 * one
+    samples = 70_000
+    estimate = _float_level_sampled_distance(f, g, k, samples=samples, seed=23)
+    width = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))
+    assert abs(amplification_report(f, g, k).dist_measured - estimate) <= width

@@ -252,3 +252,28 @@ def test_corrupted_lp_value_fails_the_poly_check(monkeypatch, solve):
     monkeypatch.setattr(duality, "solve_lp", corrupted)
     with pytest.raises(CertificateError):
         solve()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_regression_delta_is_the_recomputed_l1_error(mode):
+    # the published number is sum_c w_c |l_c - p(x_c)| over the labeled
+    # points of nonzero weight, not the simplex's own objective value
+    n, d, m = 6, 2, 300
+    dist = LabeledDistribution(_noisy(n, seed=7))
+    if mode == "exact":
+        report = learn_exact(dist, d=d)
+        up, down = dist.label_weights()
+    else:
+        report = learn_sampled(dist, d=d, m=m, seed=5)
+        rng = np.random.default_rng(5)
+        xs = rng.integers(0, 1 << n, size=m)
+        ys = np.where(rng.random(m) < (1.0 + dist.g.table[xs]) / 2.0, 1, -1)
+        up = np.bincount(xs[ys > 0], minlength=1 << n) / m
+        down = np.bincount(xs[ys < 0], minlength=1 << n) / m
+    points = np.tile(np.arange(1 << n), 2)
+    labels = np.repeat([1.0, -1.0], 1 << n)
+    weights = np.concatenate([up, down])
+    keep = weights > 0
+    p_table = report.poly.table()
+    error = float(np.sum(weights[keep] * np.abs(labels[keep] - p_table[points[keep]])))
+    assert report.regression_delta == error
