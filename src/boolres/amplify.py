@@ -1,127 +1,75 @@
 """Disjoint composition and resilience/distance amplification.
 
-Composition is evaluated through the multilinear-extension identity: for
-independent random signs b(t) with mean t,
+Composition is the multilinear extension of the outer function at the inner
+values: for independent random signs b_i with mean t_i,
 
-    E[G(b(t_1), ..., b(t_m))] = sum_T Ghat(T) prod_{i in T} t_i,
+    E[G(b_1, ..., b_m)] = sum_y G(y) prod_i (1 + y_i t_i) / 2,
 
-so (G o g)(x^1, ..., x^m) is the multilinear extension of G applied to the
-vector of inner values.  Compositions are lazy (any size); materialization
-and exact resilience certificates are capped at 22 total bits.  The
+so (G o g)(x^1, ..., x^m) is this sum at t_i = g(x^i).  `compose` computes
+it for every composed point at once, contracting each axis of the outer
+table, reshaped to (2,)*m, with the (2, 2^a) weights [(1 + g)/2, (1 - g)/2]
+(a = inner arity).  Composed tables are capped at 22 total bits.  The
 amplification distance needs no composed table: it follows from a
 recursion on the correlation E[f_k g_k] (`amplification_report`), exact at
 every depth.
 
-One evaluator, `_multilinear`, serves every lazy evaluation.  It runs
-Horner's scheme over the two halves of the coefficient table, p(t) =
-p_lo(t') + t_j p_hi(t') with j the top coordinate: 2^m - 1 multiply-adds at
-most, and a half whose coefficients are all zero is skipped, so sparse outer
-spectra stay cheap.
-
 Block convention: outer coordinate i (1-based) reads bits
-[(i-1)*inner_arity, i*inner_arity) of the composed point index.
+[(i-1)*a, i*a) of the composed point index.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .hypercube import (
+    FLOAT_ZERO_TOL,
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
-    Spectrum,
+    is_d_resilient,
     noise_sensitivity,
     popcounts,
+    resilience_order,
     spectral_stats,
     wht,
-    wht_int,
 )
 
 COMPOSE_MAX_BITS = 22
-FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
 
 
 class ArityOverflow(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComposedFunction:
-    outer_spectrum: Spectrum
-    inner: "ComposedFunction | BooleanFunction | BoundedFunction"
-    depth: int
+def compose(outer: CubeFunction, inner: CubeFunction) -> CubeFunction:
+    """Disjoint composition outer o inner, as a table of outer.n * inner.n bits.
 
-    @property
-    def arity(self) -> int:
-        return self.outer_spectrum.n * _arity(self.inner)
-
-    def evaluate(self, indices: np.ndarray) -> np.ndarray:
-        return _evaluate(self, np.asarray(indices, dtype=np.int64))
-
-
-def _arity(fn) -> int:
-    return fn.arity if isinstance(fn, ComposedFunction) else fn.n
-
-
-def _horner(coeffs: np.ndarray, vals: np.ndarray, j: int):
-    """sum_T coeffs[T] prod_{i in T} vals[i] over the 2^j masks of coeffs.
-
-    Splits on coordinate j-1: p = p_lo + vals[j-1] * p_hi over the halves of
-    coeffs.  Returns a float when only the constant term is left.  A
-    module-level function on purpose: a closure that calls itself is a
-    reference cycle and would keep `vals` alive until the cyclic GC runs.
+    A Boolean inner gives weights of exactly 0 and 1, so the contraction
+    only copies outer values: a Boolean pair composes exactly and comes
+    back Boolean.
     """
-    if j == 0:
-        return float(coeffs[0])
-    half = len(coeffs) >> 1
-    lo, hi = coeffs[:half], coeffs[half:]
-    if not hi.any():
-        return _horner(lo, vals, j - 1)
-    out = vals[j - 1] * _horner(hi, vals, j - 1)
-    if lo.any():
-        out += _horner(lo, vals, j - 1)
-    return out
+    m, a = outer.n, inner.n
+    if m * a > COMPOSE_MAX_BITS:
+        raise ArityOverflow(f"{m * a} bits exceeds the {COMPOSE_MAX_BITS}-bit cap")
+    t = inner.table.astype(np.float64)
+    weights = np.stack([(1.0 + t) / 2.0, (1.0 - t) / 2.0])
+    table = outer.table.astype(np.float64).reshape((2,) * m)
+    # axis 0 is the top outer coordinate; each contraction appends its
+    # block last, so the blocks end in the order of the block convention
+    for _ in range(m):
+        table = np.tensordot(table, weights, axes=(0, 0))
+    table = table.reshape(-1)
+    if isinstance(outer, BooleanFunction) and isinstance(inner, BooleanFunction):
+        return BooleanFunction(m * a, table.astype(np.int8))
+    return BoundedFunction(m * a, table)
 
 
-def _multilinear(spectrum: Spectrum, vals: np.ndarray) -> np.ndarray:
-    """Multilinear extension of the outer function; vals[j] holds the values
-    of coordinate j+1 (any trailing shape, which the result keeps)."""
-    out = _horner(spectrum.coeffs, vals, spectrum.n)
-    if np.ndim(out) == 0:
-        return np.full(vals.shape[1:], out)
-    return out
-
-
-def _evaluate(fn, indices: np.ndarray) -> np.ndarray:
-    if isinstance(fn, ComposedFunction):
-        m = fn.outer_spectrum.n
-        inner_ar = _arity(fn.inner)
-        block_mask = (1 << inner_ar) - 1
-        tvals = np.empty((m, len(indices)))
-        for i in range(m):
-            tvals[i] = _evaluate(fn.inner, (indices >> (i * inner_ar)) & block_mask)
-        return _multilinear(fn.outer_spectrum, tvals)
-    return fn.table[indices].astype(np.float64)
-
-
-def compose(outer: CubeFunction, inner) -> ComposedFunction:
-    """Lazy disjoint composition outer o inner."""
-    depth = inner.depth + 1 if isinstance(inner, ComposedFunction) else 1
-    return ComposedFunction(wht(outer), inner, depth)
-
-
-def materialize(c: ComposedFunction) -> BoundedFunction:
-    if c.arity > COMPOSE_MAX_BITS:
-        raise ArityOverflow(f"{c.arity} bits exceeds the {COMPOSE_MAX_BITS}-bit cap")
-    return BoundedFunction(c.arity, c.evaluate(np.arange(1 << c.arity)))
-
-
-def self_composition(base: CubeFunction, k: int):
+def self_composition(base: CubeFunction, k: int) -> CubeFunction:
     """f_k with f_0 = base and f_j = base o f_{j-1} (outer factor fixed)."""
     if k < 0:
         raise ValueError("composition depth must be nonnegative")
@@ -129,21 +77,6 @@ def self_composition(base: CubeFunction, k: int):
     for _ in range(k):
         current = compose(base, current)
     return current
-
-
-def _spectral_order(n: int, coeffs: np.ndarray, tol: float) -> int:
-    """Largest d with |coeffs[S]| <= tol for every |S| <= d (n if none exceeds tol)."""
-    nonzero = np.nonzero(np.abs(coeffs) > tol)[0]
-    if len(nonzero) == 0:
-        return n
-    return int(popcounts(n)[nonzero].min()) - 1
-
-
-def resilience_order(fn: CubeFunction) -> int:
-    """Largest d such that fn is d-resilient (n for the zero function)."""
-    if isinstance(fn, BooleanFunction):
-        return _spectral_order(fn.n, wht_int(fn), 0)
-    return _spectral_order(fn.n, wht(fn).coeffs, FLOAT_ZERO_TOL)
 
 
 @dataclass(frozen=True)
@@ -168,16 +101,12 @@ def check_composed_resilience(
     """
     d1 = resilience_order(G)
     d2 = resilience_order(g)
-    c = compose(G, g)
-    if c.arity > COMPOSE_MAX_BITS:
-        raise ArityOverflow(f"exact certification needs <= {COMPOSE_MAX_BITS} bits")
-    table = materialize(c)
+    table = compose(G, g)
     sharp = (d1 + 1) * (d2 + 1) - 1
-    coeffs = wht(table).coeffs
-    pc = popcounts(table.n)
-    low = np.abs(coeffs[pc <= min(sharp, table.n)])
-    max_low = float(low.max()) if len(low) else 0.0
-    measured = _spectral_order(table.n, coeffs, FLOAT_ZERO_TOL)
+    max_low = 0.0
+    if sharp >= 0:
+        max_low = is_d_resilient(table, min(sharp, table.n)).worst_coefficient
+    measured = resilience_order(table)
     if max_low > FLOAT_ZERO_TOL:
         raise AssertionError(
             f"composition broke the resilience guarantee: coefficient {max_low:.3e} "
@@ -249,6 +178,15 @@ def amplification_report(
     _check_balanced(g)
 
     n = f.n
+    # the report's arity n^(k+1) must be writable as a decimal string; it
+    # has more than `limit` digits iff it is >= 10^limit, and the float test
+    # first spares computing a huge power (no limit before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and ((k + 1) * math.log10(n) > limit + 1 or n ** (k + 1) >= 10**limit):
+        raise ValueError(
+            f"the arity {n}^{k + 1} has more than {limit} decimal digits, "
+            "too many to write as an integer"
+        )
     dist_base = float(np.mean(np.abs(f.table - g.table))) / 2.0
     influence = spectral_stats(f, 0).total_influence
     try:

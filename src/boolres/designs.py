@@ -26,8 +26,8 @@ from .hypercube import (
     BoundedFunction,
     CubeFunction,
     low_degree_sums,
+    resilience_order,
 )
-from .amplify import resilience_order
 
 MAX_CANDIDATES = 2_000_000
 MAX_AMBIENT_DIM = 22

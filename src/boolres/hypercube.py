@@ -21,7 +21,6 @@ For Boolean (+-1) tables the scaled coefficients 2^n * coef[S] are integers;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ MAX_DIM = 28  # 2^28 table entries; hard memory guard for dense transforms
 INT64_BITS = 62  # integer paths keep |value| <= 2^62, inside int64
 
 BOUNDED_TOL = 1e-12
+FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
 
 
 class DimensionTooLarge(ValueError):
@@ -365,6 +365,21 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
     )
 
 
+def _spectral_order(n: int, coeffs: np.ndarray, tol: float) -> int:
+    """Largest d with |coeffs[S]| <= tol for every |S| <= d (n if none exceeds tol)."""
+    nonzero = np.nonzero(np.abs(coeffs) > tol)[0]
+    if len(nonzero) == 0:
+        return n
+    return int(popcounts(n)[nonzero].min()) - 1
+
+
+def resilience_order(fn: CubeFunction) -> int:
+    """Largest d such that fn is d-resilient (n for the zero function)."""
+    if isinstance(fn, BooleanFunction):
+        return _spectral_order(fn.n, wht_int(fn), 0)
+    return _spectral_order(fn.n, wht(fn).coeffs, FLOAT_ZERO_TOL)
+
+
 # ---------------------------------------------------------------------------
 # shared serialization formats
 # ---------------------------------------------------------------------------
@@ -397,20 +412,3 @@ def read_truth_table(path: str) -> CubeFunction:
     if np.all(np.abs(values) == 1.0) and np.all(values == np.round(values)):
         return BooleanFunction(n, values.astype(np.int8))
     return BoundedFunction(n, values)
-
-
-def spectrum_to_json(spectrum: Spectrum) -> str:
-    """Spectrum as a JSON map from hex mask to coefficient."""
-    return json.dumps({hex(mask): float(c) for mask, c in enumerate(spectrum.coeffs)})
-
-
-def spectrum_from_json(payload: str) -> Spectrum:
-    data = json.loads(payload)
-    size = len(data)
-    n = size.bit_length() - 1
-    if 1 << n != size:
-        raise ValueError("spectrum JSON must have 2^n entries")
-    coeffs = np.zeros(size)
-    for key, value in data.items():
-        coeffs[int(key, 16)] = value
-    return Spectrum(n, coeffs)

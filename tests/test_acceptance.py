@@ -14,7 +14,6 @@ import pytest
 from boolres.amplify import (
     amplification_report,
     check_composed_resilience,
-    materialize,
     self_composition,
 )
 from boolres.builder import audit_invariants, build_one_resilient
@@ -183,7 +182,7 @@ def test_criterion_09_amplification():
     g = distance_to_resilience(f, 1).witness
 
     # (a) exact spectrum: the 9-variable self-composition kills order <= 3
-    composed = materialize(self_composition(g, 1))
+    composed = self_composition(g, 1)
     coeffs = wht(composed).coeffs
     pc9 = popcounts(9)
     max_low = float(np.max(np.abs(coeffs[pc9 <= 3])))

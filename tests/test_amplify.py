@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,22 +8,18 @@ from boolres import amplify
 from boolres.amplify import (
     COMPOSE_MAX_BITS,
     ArityOverflow,
-    ComposedFunction,
-    _multilinear,
     amplification_report,
     check_composed_resilience,
     compose,
-    materialize,
-    resilience_order,
     self_composition,
 )
 from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
-    Spectrum,
     chi_values,
     noise_sensitivity,
+    resilience_order,
     spectral_stats,
     wht,
 )
@@ -32,25 +29,22 @@ from boolres.zoo import dictator, majority, parity, random_boolean
 def test_parity_composition_is_parity():
     g2 = parity(0b11, 2)
     c = compose(g2, g2)
-    assert c.arity == 4
-    table = materialize(c)
-    expected = chi_values(4, 0b1111).astype(float)
-    assert np.allclose(table.table, expected, atol=1e-12)
+    assert c.n == 4
+    assert isinstance(c, BooleanFunction)
+    assert np.array_equal(c.table, chi_values(4, 0b1111))
 
 
 def test_zero_inner_collapses_to_mean():
     g = BoundedFunction(2, np.zeros(4))
     outer = BooleanFunction(2, np.array([1, 1, 1, -1], dtype=np.int8))
-    c = compose(outer, g)
-    values = c.evaluate(np.arange(16))
+    values = compose(outer, g).table
     mean = float(np.mean(outer.table))
     assert np.allclose(values, mean, atol=1e-12)
 
 
 def test_boolean_composition_is_literal_substitution():
     f = majority(3)
-    c = compose(f, f)
-    table = materialize(c)
+    table = compose(f, f)
     # oracle: substitute block values one point at a time
     for idx in (0, 1, 37, 100, 255, 511):
         blocks = [(idx >> (3 * i)) & 0b111 for i in range(3)]
@@ -60,13 +54,13 @@ def test_boolean_composition_is_literal_substitution():
 
 
 def test_multilinear_matches_random_sign_sampling():
-    # E[G(b(t_1),...,b(t_m))] estimated by sampling vs the lazy evaluation
+    # E[G(b(t_1),...,b(t_m))] estimated by sampling vs the composed table
     rng = np.random.default_rng(7)
     outer = random_boolean(3, seed=21)
     inner = BoundedFunction(2, rng.uniform(-1, 1, size=4))
     c = compose(outer, inner)
     points = rng.integers(0, 1 << 6, size=10)
-    exact = c.evaluate(points)
+    exact = c.table[points]
     draws = 200_000
     for pt, val in zip(points, exact):
         tvals = np.array([inner((int(pt) >> (2 * i)) & 0b11) for i in range(3)])
@@ -83,15 +77,14 @@ def test_composition_stays_bounded():
     rng = np.random.default_rng(3)
     outer = BoundedFunction(2, rng.uniform(-1, 1, size=4))
     inner = BoundedFunction(2, rng.uniform(-1, 1, size=4))
-    table = materialize(compose(outer, inner)).table
+    table = compose(outer, inner).table
     assert np.max(np.abs(table)) <= 1.0 + 1e-12
 
 
 def test_self_composition_arity():
     f = majority(3)
     assert self_composition(f, 0) is f
-    assert self_composition(f, 1).arity == 9
-    assert self_composition(f, 2).arity == 27
+    assert self_composition(f, 1).n == 9
 
 
 def test_resilience_order():
@@ -128,8 +121,9 @@ def test_parity_self_composition_is_tight():
     # variables, whose resilience order is exactly (d+1)^(k+1) - 1
     for d, k in ((1, 1), (1, 2), (2, 1)):
         base = parity((1 << (d + 1)) - 1, d + 1)
-        table = materialize(self_composition(base, k))
-        order = resilience_order(BooleanFunction(table.n, table.table.astype(np.int8)))
+        table = self_composition(base, k)
+        assert isinstance(table, BooleanFunction)
+        order = resilience_order(table)
         assert order == (d + 1) ** (k + 1) - 1
 
 
@@ -144,7 +138,7 @@ def test_balanced_dictator_only_trivial_guarantee():
 def test_arity_overflow_guard():
     f = majority(3)
     with pytest.raises(ArityOverflow):
-        materialize(self_composition(f, 2))  # 27 bits
+        self_composition(f, 2)  # 27 bits
 
 
 def test_amplification_identical_functions():
@@ -195,6 +189,20 @@ def test_amplification_rejects_a_bound_that_overflows():
         amplification_report(f, g, k=2000)
 
 
+def test_amplification_rejects_an_arity_too_long_to_write():
+    # Inf[dictator] = 1 keeps the bound finite at any depth; the arity 2^(k+1)
+    # must stay below 10^limit to be written as a decimal string
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited")
+    f = dictator(1, 2)
+    g = distance_to_resilience(f, 0).witness
+    top = (10**limit).bit_length() - 1  # largest e with 2^e < 10^limit
+    assert amplification_report(f, g, k=top - 1).arity == 2**top
+    with pytest.raises(ValueError, match=f"arity 2\\^{top + 1} has more than {limit}"):
+        amplification_report(f, g, k=top)
+
+
 def _random_mean_zero(n, seed):
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1, 1, size=1 << n)
@@ -221,8 +229,8 @@ def test_recursion_matches_materialized_distance(case):
     assert abs(float(np.mean(g.table))) <= 1e-12
     rep = amplification_report(f, g, k)
     assert rep.arity <= COMPOSE_MAX_BITS
-    fk = materialize(self_composition(f, k)).table
-    gk = materialize(self_composition(g, k)).table
+    fk = self_composition(f, k).table
+    gk = self_composition(g, k).table
     assert abs(rep.dist_measured - float(np.mean(np.abs(fk - gk))) / 2.0) <= 1e-12
 
 
@@ -255,7 +263,7 @@ def test_triangle_decomposition_single_level():
     g = BoundedFunction(2, np.zeros(4))
     delta = float(np.mean(np.abs(f.table - g.table))) / 2.0
     lhs = (
-        float(np.mean(np.abs(materialize(compose(F, f)).table - materialize(compose(G, g)).table)))
+        float(np.mean(np.abs(compose(F, f).table - compose(G, g).table)))
         / 2.0
     )
     rhs = float(np.mean(np.abs(F.table - G.table))) / 2.0 + noise_sensitivity(F, delta)
@@ -274,7 +282,7 @@ def test_ns_union_bound_random_balanced():
 
 
 # The mask-sum evaluator and the Monte-Carlo sampler that `amplify`
-# replaced, kept as oracles for the Horner evaluator and the recursion.
+# replaced, kept as oracles for `compose` and the recursion.
 
 def _mask_sum_multilinear(spectrum, vals):
     out = np.zeros(vals.shape[1:])
@@ -291,17 +299,24 @@ def _mask_sum_multilinear(spectrum, vals):
     return out
 
 
-def _mask_sum_evaluate(fn, indices):
-    if isinstance(fn, ComposedFunction):
-        m = fn.outer_spectrum.n
-        inner = fn.inner
-        inner_ar = inner.arity if isinstance(inner, ComposedFunction) else inner.n
-        block_mask = (1 << inner_ar) - 1
-        tvals = np.empty((m, len(indices)))
-        for i in range(m):
-            tvals[i] = _mask_sum_evaluate(fn.inner, (indices >> (i * inner_ar)) & block_mask)
-        return _mask_sum_multilinear(fn.outer_spectrum, tvals)
-    return fn.table[indices].astype(np.float64)
+def _mask_sum_compose(outer, inner):
+    m, a = outer.n, inner.n
+    idx = np.arange(1 << (m * a))
+    vals = np.empty((m, len(idx)))
+    for i in range(m):
+        vals[i] = inner.table[(idx >> (i * a)) & ((1 << a) - 1)]
+    return _mask_sum_multilinear(wht(outer), vals)
+
+
+def _substituted(outer, inner):
+    """outer read at the point whose coordinate i is the Boolean inner's
+    value on block i, at every composed point."""
+    m, a = outer.n, inner.n
+    idx = np.arange(1 << (m * a), dtype=np.int32)
+    points = np.zeros_like(idx)
+    for i in range(m):
+        points |= (inner.table[(idx >> (i * a)) & ((1 << a) - 1)] < 0).astype(np.int32) << i
+    return outer.table[points]
 
 
 def _float_level_sampled_distance(f, g, k, samples, seed, batch=1 << 16):
@@ -325,60 +340,64 @@ def _float_level_sampled_distance(f, g, k, samples, seed, batch=1 << 16):
     return total / samples
 
 
-def _random_spectra(m, rng):
-    dense = rng.uniform(-1, 1, size=1 << m)
-    sparse = dense * (rng.random(1 << m) < 0.15)
-    weights = np.array([bin(mask).count("1") for mask in range(1 << m)])
-    high = np.where(weights > m // 2, dense, 0.0)  # all-zero low halves
-    return [dense, sparse, high, np.zeros(1 << m)]
+def _outers(m, rng):
+    return [
+        BooleanFunction(m, rng.choice([-1, 1], size=1 << m)),
+        BoundedFunction(m, rng.uniform(-1, 1, size=1 << m)),
+        BooleanFunction(m, chi_values(m, (1 << m) - 1)),  # one top coefficient
+        BoundedFunction(m, np.zeros(1 << m)),
+    ]
 
 
-@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-@pytest.mark.parametrize("m", range(9))
-def test_multilinear_matches_mask_sum_oracle(m, shape):
+# (inner for compose, the same function built by the oracle)
+_NESTED = (random_boolean(2, seed=6), BoundedFunction(1, np.array([0.3, -0.7])))
+_INNERS = {
+    "boolean": (random_boolean(2, seed=5),) * 2,
+    "bounded": (BoundedFunction(2, np.array([0.9, -0.25, 0.6, -1.0])),) * 2,
+    "nested": (compose(*_NESTED), BoundedFunction(2, _mask_sum_compose(*_NESTED))),
+}
+
+
+@pytest.mark.parametrize("kind", _INNERS)
+@pytest.mark.parametrize("m", range(8))
+def test_compose_matches_mask_sum_oracle(m, kind):
+    inner, oracle_inner = _INNERS[kind]
     rng = np.random.default_rng(1000 + m)
-    vals = rng.uniform(-1, 1, size=(m,) + shape)
-    for coeffs in _random_spectra(m, rng):
-        spectrum = Spectrum(m, coeffs)
-        got = _multilinear(spectrum, vals)
-        assert got.shape == shape
+    for outer in _outers(m, rng):
+        got = compose(outer, inner)
+        assert got.n == m * inner.n
+        boolean = isinstance(outer, BooleanFunction) and isinstance(inner, BooleanFunction)
+        assert isinstance(got, BooleanFunction if boolean else BoundedFunction)
         np.testing.assert_allclose(
-            got, _mask_sum_multilinear(spectrum, vals), rtol=0, atol=1e-12
+            got.table, _mask_sum_compose(outer, oracle_inner), rtol=0, atol=1e-12
         )
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_multilinear_exact_on_boolean_spectra(m):
-    # dyadic coefficients on +-1 inputs: every partial sum is exact
+    # a Boolean inner feeds the outer's multilinear extension +-1 values:
+    # every composed entry is an outer entry, bit for bit, and on a Boolean
+    # outer (dyadic coefficients) the mask-sum oracle is exact as well
     rng = np.random.default_rng(m)
-    f = random_boolean(m, seed=m)
-    signs = rng.choice([-1.0, 1.0], size=(m, 64))
-    got = _multilinear(wht(f), signs)
-    assert np.array_equal(got, _mask_sum_multilinear(wht(f), signs))
-    points = ((signs < 0) * (1 << np.arange(m))[:, None]).sum(axis=0)
-    assert np.array_equal(got, f.table[points].astype(np.float64))
+    inner = random_boolean(2, seed=100 + m)
+    for outer in _outers(m, rng):
+        got = compose(outer, inner)
+        assert np.array_equal(got.table, _substituted(outer, inner))
+        if isinstance(outer, BooleanFunction):
+            assert np.array_equal(got.table, _mask_sum_compose(outer, inner))
 
 
-def test_materialize_matches_mask_sum_oracle():
-    rng = np.random.default_rng(17)
-    outer = random_boolean(3, seed=5)
-    bounded = BoundedFunction(2, rng.uniform(-1, 1, size=4))
-    for c in (
-        compose(outer, majority(3)),
-        compose(outer, bounded),
-        compose(majority(3), compose(outer, bounded)),
-    ):
-        expected = _mask_sum_evaluate(c, np.arange(1 << c.arity))
-        got = materialize(c).table
-        if isinstance(c.inner, BooleanFunction):
-            assert np.array_equal(got, expected)
-        else:
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+def test_boolean_composition_at_the_cap_is_literal_substitution():
+    outer, inner = majority(11), parity(0b11, 2)
+    got = compose(outer, inner)
+    assert got.n == COMPOSE_MAX_BITS
+    assert isinstance(got, BooleanFunction)
+    assert np.array_equal(got.table, _substituted(outer, inner))
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (3, 3)])
 def test_recursion_within_hoeffding_interval_of_sampled_oracle(n, k):
-    # 27 to 81 bits, beyond materialize; 70_000 draws give a 99% interval
+    # 27 to 81 bits, beyond the table cap; 70_000 draws give a 99% interval
     # of half-width sqrt(log(200) / 140_000) = 0.0062
     f = majority(n)
     g = distance_to_resilience(f, 1).witness

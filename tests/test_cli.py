@@ -157,6 +157,15 @@ def test_amplify_cli(capsys):
         assert payload["exact"] is True and payload["ci_width"] == 0
 
 
+def test_amplify_cli_writes_an_arity_below_the_digit_limit(capsys):
+    # 2^13001 has 3914 digits, under Python's default limit of 4300; the
+    # dictator's Inf = 1 keeps the bound finite at this depth
+    argv = ("amplify", "--fn", "dictator:n=2,i=1", "--d", "0", "--k", "13000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["arity"] == 2**13001
+
+
 def test_witness_tau_sweep(capsys):
     code, out, _ = run_cli(
         capsys, "witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.2,0.3"
@@ -328,6 +337,7 @@ def test_main_builds_one_parser_and_reuses_it(capsys, monkeypatch):
     ("ft-stats", "--n", "21", "--t", "1", "--factor", "nan"),
     ("ft-stats", "--n", "21", "--t", "1", "--factor", "0"),
     ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "2000"),
+    ("amplify", "--fn", "dictator:n=2,i=1", "--d", "0", "--k", "20000"),
 ], ids=" ".join)
 def test_flags_that_would_switch_off_a_check_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

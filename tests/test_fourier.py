@@ -23,8 +23,6 @@ from boolres.hypercube import (
     per_coordinate_influence,
     read_truth_table,
     spectral_stats,
-    spectrum_from_json,
-    spectrum_to_json,
     wht,
     wht_int,
     write_truth_table,
@@ -432,14 +430,6 @@ def test_truth_table_round_trip(tmp_path):
     backg = read_truth_table(str(pathg))
     assert isinstance(backg, BoundedFunction)
     assert np.array_equal(backg.table, g.table)
-
-
-def test_spectrum_json_round_trip():
-    f = make_majority3()
-    spec = wht(f)
-    back = spectrum_from_json(spectrum_to_json(spec))
-    assert back.n == spec.n
-    assert np.array_equal(back.coeffs, spec.coeffs)
 
 
 def test_spectrum_parseval_invariant_documented():
