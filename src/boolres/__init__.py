@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .hypercube import (
     BooleanFunction,
     BoundedFunction,
-    Spectrum,
     correlation,
     is_d_resilient,
     l1_distance,
@@ -18,7 +17,6 @@ from .hypercube import (
 __all__ = [
     "BooleanFunction",
     "BoundedFunction",
-    "Spectrum",
     "correlation",
     "is_d_resilient",
     "l1_distance",

@@ -149,7 +149,7 @@ def _check_balanced(fn: CubeFunction) -> None:
 
 def level_correlations(f: CubeFunction, g: CubeFunction) -> np.ndarray:
     """W_i = sum_{|S|=i} fhat(S) ghat(S) for i = 0..n."""
-    products = wht(f).coeffs * wht(g).coeffs
+    products = wht(f) * wht(g)
     return np.bincount(popcounts(f.n), weights=products, minlength=f.n + 1)
 
 

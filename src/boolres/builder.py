@@ -19,7 +19,6 @@ CycleRun(x) = 1 and D = 2 |Shift_x| |x|:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -103,9 +102,6 @@ class BuilderReport:
             "budget_ratio": self.budget_ratio,
             "iterations": [dict(vars(rec)) for rec in self.iterations],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:

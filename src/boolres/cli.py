@@ -202,7 +202,7 @@ def _emit(args, payload=None, csv_rows=None) -> None:
 
 def _cmd_spectrum(args) -> None:
     fn = parse_function_spec(args.fn)
-    coeffs = wht(fn).coeffs.tolist()
+    coeffs = wht(fn).tolist()
     masks = [hex(mask) for mask in range(len(coeffs))]
     if args.format == "csv":
         _emit(args, csv_rows=[(mask, repr(c)) for mask, c in zip(masks, coeffs)])
@@ -342,6 +342,8 @@ def _cmd_learn(args) -> None:
         if args.seed is None:
             raise SpecError("sampled learning requires --seed")
         report = learn_sampled(dist, d=args.d, m=args.m, seed=args.seed)
+    elif args.seed is not None:
+        raise SpecError("--seed applies only to sampled learning, which needs --m")
     else:
         report = learn_exact(dist, d=args.d)
     _emit(args, {

@@ -89,12 +89,11 @@ def design_size_bound(n: int, k: int, d: int) -> float:
     return (n * d / (math.e**2 * k**2)) ** d
 
 
-def greedy_design(n: int, k: int, d: int, order: str = "lex", seed: int | None = None) -> Design:
-    """Greedy design construction over all k-subsets of [n].
+def greedy_design(n: int, k: int, d: int) -> Design:
+    """Greedy design construction over all k-subsets of [n] in lex order.
 
-    `order` is "lex" (deterministic) or "random" (seeded shuffle for size
-    experiments).  The result is re-verified pairwise-exhaustively and, for
-    d >= 1, checked against the greedy size bound when that bound is >= 1.
+    The result is re-verified pairwise-exhaustively and, for d >= 1,
+    checked against the greedy size bound when that bound is >= 1.
     """
     if not 0 <= d < k <= n <= MAX_DESIGN_DIM:
         raise ValueError(f"need 0 <= d < k <= n <= {MAX_DESIGN_DIM}")
@@ -105,13 +104,6 @@ def greedy_design(n: int, k: int, d: int, order: str = "lex", seed: int | None =
         dtype=np.uint64,
         count=math.comb(n, k),
     )
-    if order == "random":
-        if seed is None:
-            raise ValueError("random order requires a seed")
-        rng = np.random.default_rng(seed)
-        candidates = candidates[rng.permutation(len(candidates))]
-    elif order != "lex":
-        raise ValueError(f"unknown order {order!r}")
 
     chosen = np.zeros(0, dtype=np.uint64)
     for start in range(0, len(candidates), GREEDY_BLOCK):

@@ -94,26 +94,6 @@ class BoundedFunction:
 CubeFunction = BooleanFunction | BoundedFunction
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All 2^n Fourier coefficients, indexed by subset mask."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        _check_dim(self.n)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.shape != (1 << self.n,):
-            raise ValueError(f"coeffs must have length 2^{self.n}")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.coeffs[mask])
-
-
 def coordinate_values(n: int, j: int) -> np.ndarray:
     """Values of coordinate j (1-based) at every point index, as +-1 int8."""
     idx = np.arange(1 << n)
@@ -222,12 +202,11 @@ def fwht(values: np.ndarray, dtype=None) -> np.ndarray:
     return src
 
 
-def wht(fn: CubeFunction) -> Spectrum:
-    """Fourier spectrum with expectation normalization 2^{-n}."""
-    _check_dim(fn.n)
+def wht(fn: CubeFunction) -> np.ndarray:
+    """All 2^n Fourier coefficients coef[S], indexed by mask, as float64."""
     coeffs = fwht(fn.table, np.float64)
     coeffs /= float(1 << fn.n)
-    return Spectrum(fn.n, coeffs)
+    return coeffs
 
 
 def wht_int(fn: BooleanFunction) -> np.ndarray:
@@ -239,11 +218,6 @@ def wht_int(fn: BooleanFunction) -> np.ndarray:
     if fn.n > INT64_BITS:
         raise OverflowError(f"wht_int: values up to 2^{fn.n} would wrap in int64")
     return fwht(fn.table, np.int64)
-
-
-def inverse_wht(spectrum: Spectrum) -> np.ndarray:
-    """Reconstruct the value table from a spectrum (float64)."""
-    return fwht(spectrum.coeffs)
 
 
 @dataclass(frozen=True)
@@ -284,38 +258,40 @@ def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
 NS_DIRECT_MAX_DIM = 14
 
 
-def noise_sensitivity(fn: BooleanFunction, delta: float, method: str = "spectral") -> float:
-    """Probability that f differs on a point and its delta-noisy copy.
-
-    method="spectral" uses (1 - sum_S (1-2 delta)^{|S|} coef[S]^2) / 2;
-    method="direct" enumerates noise patterns exhaustively (n <= 14) and is
-    the independent oracle the spectral form is validated against.
-    """
+def _check_noise_args(fn: BooleanFunction, delta: float) -> None:
     if not isinstance(fn, BooleanFunction):
         raise TypeError("noise sensitivity is defined for Boolean functions")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"noise rate delta={delta} outside [0, 1]")
+
+
+def noise_sensitivity(fn: BooleanFunction, delta: float) -> float:
+    """Probability that f differs on a point and its delta-noisy copy,
+    (1 - sum_S (1-2 delta)^{|S|} coef[S]^2) / 2."""
+    _check_noise_args(fn, delta)
+    rho = (1.0 - 2.0 * delta) ** popcounts(fn.n)
+    return float((1.0 - np.dot(rho, wht(fn) ** 2)) / 2.0)
+
+
+def noise_sensitivity_direct(fn: BooleanFunction, delta: float) -> float:
+    """`noise_sensitivity` by exhaustive enumeration of the noise patterns
+    (n <= 14), the independent oracle the spectral form is validated against."""
+    _check_noise_args(fn, delta)
     n = fn.n
-    if method == "spectral":
-        sq = wht(fn).coeffs ** 2
-        rho = (1.0 - 2.0 * delta) ** popcounts(n)
-        return float((1.0 - np.dot(rho, sq)) / 2.0)
-    if method == "direct":
-        if n > NS_DIRECT_MAX_DIM:
-            raise DimensionTooLarge(f"direct path limited to n <= {NS_DIRECT_MAX_DIM}")
-        idx = np.arange(1 << n)
-        table = fn.table.astype(np.float64)
-        pc = popcounts(n)
-        # log-free weights: delta^k (1-delta)^(n-k) per flip pattern
-        weights = delta ** pc * (1.0 - delta) ** (n - pc)
-        total = 0.0
-        for e in range(1 << n):
-            if weights[e] == 0.0:
-                continue
-            mismatch = np.mean(table != table[idx ^ e])
-            total += weights[e] * mismatch
-        return float(total)
-    raise ValueError(f"unknown method {method!r}")
+    if n > NS_DIRECT_MAX_DIM:
+        raise DimensionTooLarge(f"direct path limited to n <= {NS_DIRECT_MAX_DIM}")
+    idx = np.arange(1 << n)
+    table = fn.table.astype(np.float64)
+    pc = popcounts(n)
+    # log-free weights: delta^k (1-delta)^(n-k) per flip pattern
+    weights = delta ** pc * (1.0 - delta) ** (n - pc)
+    total = 0.0
+    for e in range(1 << n):
+        if weights[e] == 0.0:
+            continue
+        mismatch = np.mean(table != table[idx ^ e])
+        total += weights[e] * mismatch
+    return float(total)
 
 
 def _check_same_dim(f: CubeFunction, g: CubeFunction) -> None:
@@ -377,7 +353,7 @@ def resilience_order(fn: CubeFunction) -> int:
     """Largest d such that fn is d-resilient (n for the zero function)."""
     if isinstance(fn, BooleanFunction):
         return _spectral_order(fn.n, wht_int(fn), 0)
-    return _spectral_order(fn.n, wht(fn).coeffs, FLOAT_ZERO_TOL)
+    return _spectral_order(fn.n, wht(fn), FLOAT_ZERO_TOL)
 
 
 # ---------------------------------------------------------------------------

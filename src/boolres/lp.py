@@ -50,6 +50,7 @@ DEGENERATE_STEP = 1e-12
 TIE_TOL = 1e-12    # breakpoints this close count as one
 PERTURBATION_SCALE = 1e-6
 REFACTOR_PERIOD = 100  # pivots between rebuilds of B^-1
+MAX_ITERATIONS = 200_000  # pivot budget of one solve
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -224,7 +225,7 @@ class _DualSimplex:
         self.d += self.shift
         self.perturbations += 1
 
-    def run(self, max_iterations: int) -> str:
+    def run(self) -> str:
         width, basis, side = self.width, self.basis, self.side
         stall_limit = _stall_limit(self.m)
         stalled = since_refactor = 0
@@ -239,7 +240,7 @@ class _DualSimplex:
                 since_refactor = 0
                 continue
             settled = False
-            if self.iterations >= max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return ITERATION_LIMIT
 
             # s = +1: the leaving variable rises to its lower bound (0);
@@ -309,29 +310,23 @@ class _DualSimplex:
                 since_refactor = 0
 
 
-def solve_lp(lp: LinearProgram, *, max_iterations: int = 200_000) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve a box-bounded equality LP (maximization), deterministically.
 
     The solve starts at the box-optimal vertex, so the start is fixed by the
-    signs of the objective.  `iterations` counts pivots.  An optimal solve
-    returns the row duals `y = c_B B^-1` of its final basis, computed from a
-    freshly rebuilt B^-1, and an iteration-limit run those of the basis it
-    stopped at; every box LP is dual feasible at any y, so the latter still
-    bound the optimum by weak duality.  Neither is re-checked here.
+    signs of the objective.  `iterations` counts pivots; a solve that uses
+    up `MAX_ITERATIONS` of them stops with status `ITERATION_LIMIT`.  Only
+    an optimal solve returns a point, its value and the row duals
+    `y = c_B B^-1` of its final basis, computed from a freshly rebuilt
+    B^-1; the duals are not re-checked here.
     """
     # x = lower + y with 0 <= y <= upper - lower
     A = lp.eq_matrix
     b = lp.eq_rhs - A @ lp.lower
     sx = _DualSimplex(A, b, lp.upper - lp.lower, lp.objective)
-    status = sx.run(max_iterations)
+    status = sx.run()
 
-    point = None
-    value = float("nan")
-    duals = None
-    if status == ITERATION_LIMIT:
-        sx.shift[:] = 0.0
-        sx.refactor()
-        duals = sx.y
+    point, value, duals = None, float("nan"), None
     x = lp.lower + sx.point()
     residual = float(np.max(np.abs(A @ x - lp.eq_rhs), initial=0.0))
     if status == OPTIMAL:

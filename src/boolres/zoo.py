@@ -289,12 +289,16 @@ class SymmetricFunction:
         return BoundedFunction(self.n, self.level_values[k])
 
 
-def threshold_ft(t: float, n: int) -> SymmetricFunction:
-    """Sign of the coordinate sum, zeroed on the band |sum| <= t sqrt(n)."""
+def _check_ft_args(t: float, n: int) -> None:
     if not t >= 0:
         raise ValueError(f"threshold parameter t must be nonnegative, got {t}")
-    if n > FT_MAX_N:
-        raise ValueError(f"n limited to {FT_MAX_N}")
+    if not 0 <= n <= FT_MAX_N:
+        raise ValueError(f"n={n} outside [0, {FT_MAX_N}]")
+
+
+def threshold_ft(t: float, n: int) -> SymmetricFunction:
+    """Sign of the coordinate sum, zeroed on the band |sum| <= t sqrt(n)."""
+    _check_ft_args(t, n)
     tau = t * math.sqrt(n)
     levels = np.arange(n + 1) * 2 - n  # sum at k plus-ones
     vals = np.where(levels > tau, 1.0, np.where(levels < -tau, -1.0, 0.0))
@@ -312,11 +316,10 @@ def ft_stats(t: float, n: int) -> FtStats:
 
     Rational arithmetic for n <= 64, log-space otherwise.
     """
-    if not t >= 0:
-        raise ValueError(f"threshold parameter t must be nonnegative, got {t}")
-    if n > FT_MAX_N:
-        raise ValueError(f"n limited to {FT_MAX_N}")
+    _check_ft_args(t, n)
     tau = t * math.sqrt(n)
+    if tau >= n:  # no level exceeds tau; the floor below overflows on an infinite tau
+        return FtStats(0.0, 0.0)
     if n <= FT_EXACT_MAX:
         infl = Fraction(0)
         supp = Fraction(0)

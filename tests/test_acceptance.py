@@ -26,6 +26,7 @@ from boolres.hypercube import (
     coordinate_values,
     is_d_resilient,
     noise_sensitivity,
+    noise_sensitivity_direct,
     popcounts,
     spectral_stats,
     wht,
@@ -100,7 +101,7 @@ def test_criterion_03_and2_anchor():
 def test_criterion_04_tribes_spectrum():
     worst = 0.0
     for w, s in ((2, 2), (2, 3), (3, 2), (3, 4)):
-        exact = wht(tribes(w, s)).coeffs
+        exact = wht(tribes(w, s))
         closed = tribes_spectrum_closed_form(w, s)
         deviation = float(np.max(np.abs(exact - closed)))
         assert deviation <= 1e-12, (w, s, deviation)
@@ -183,7 +184,7 @@ def test_criterion_09_amplification():
 
     # (a) exact spectrum: the 9-variable self-composition kills order <= 3
     composed = self_composition(g, 1)
-    coeffs = wht(composed).coeffs
+    coeffs = wht(composed)
     pc9 = popcounts(9)
     max_low = float(np.max(np.abs(coeffs[pc9 <= 3])))
     assert max_low <= 1e-10
@@ -204,7 +205,7 @@ def test_criterion_09_amplification():
         infl = spectral_stats(h, 0).total_influence
         for delta in (0.05, 0.1, 0.25):
             ns_spec = noise_sensitivity(h, delta)
-            ns_direct = noise_sensitivity(h, delta, method="direct")
+            ns_direct = noise_sensitivity_direct(h, delta)
             assert abs(ns_spec - ns_direct) <= 1e-10
             assert ns_spec <= delta * infl + 1e-12
             checked += 1

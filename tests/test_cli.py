@@ -120,6 +120,12 @@ def test_learn_cli_exact_and_sampled(capsys):
     assert code == 1
     assert "seed" in err
 
+    code, _, err = run_cli(
+        capsys, "learn", "--fn", "majority:n=3", "--d", "1", "--seed", "4"
+    )
+    assert code == 1
+    assert "--m" in json.loads(err)["detail"]
+
 
 def test_learn_cli_rejects_zero_samples(capsys):
     code, _, err = run_cli(
@@ -135,6 +141,20 @@ def test_ft_stats_cli(capsys):
     payload = json.loads(out)
     assert payload["sandwich"]["standard_phi"]["influence_pass"] is True
     assert payload["sandwich"]["printed_phi"]["influence_pass"] is False
+
+
+@pytest.mark.parametrize("t", ["inf", "1e308"])
+def test_ft_stats_cli_above_every_level_on_the_log_space_path(capsys, t):
+    code, out, err = run_cli(capsys, "ft-stats", "--n", "100", "--t", t)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["influence_sum"], payload["support_prob"]) == (0.0, 0.0)
+
+
+def test_ft_stats_cli_names_a_negative_n(capsys):
+    code, out, err = run_cli(capsys, "ft-stats", "--n", "-3", "--t", "1")
+    assert (code, out) == (1, "")
+    assert "n=-3" in json.loads(err)["detail"]
 
 
 def test_amplify_cli(capsys):
@@ -351,10 +371,11 @@ def test_flags_that_would_switch_off_a_check_exit_1(capsys, argv):
     ("learn", "--fn", "majority:n=3", "--d", "abc"),
     ("learn", "--fn", "majority:n=3", "--d", "1", "--bogus"),
     ("learn", "--fn", "majority:n=3", "--d", "1", "--epsilon", "0.01"),
+    ("learn", "--fn", "majority:n=3", "--d", "1", "--seed", "4"),
     ("no-such-command",),
     (),
 ], ids=["missing-d", "non-integer-d", "unknown-flag", "epsilon-removed",
-        "unknown-subcommand", "no-subcommand"])
+        "seed-without-m", "unknown-subcommand", "no-subcommand"])
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

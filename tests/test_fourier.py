@@ -11,15 +11,14 @@ from boolres.hypercube import (
     BoundedFunction,
     DimensionMismatch,
     DimensionTooLarge,
-    Spectrum,
     chi_values,
     correlation,
     coordinate_values,
     fwht,
-    inverse_wht,
     is_d_resilient,
     l1_distance,
     noise_sensitivity,
+    noise_sensitivity_direct,
     per_coordinate_influence,
     read_truth_table,
     spectral_stats,
@@ -56,7 +55,7 @@ def test_parity_spectrum_is_single_character():
     spec = wht(f)
     expected = np.zeros(4)
     expected[0b11] = 1.0
-    assert np.allclose(spec.coeffs, expected, atol=1e-15)
+    assert np.allclose(spec, expected, atol=1e-15)
 
 
 def test_majority3_spectrum_matches_brute_force():
@@ -75,7 +74,7 @@ def test_constant_function_spectrum():
     f = BooleanFunction(3, np.ones(8, dtype=np.int8))
     spec = wht(f)
     assert spec[0] == pytest.approx(1.0)
-    assert np.allclose(spec.coeffs[1:], 0.0)
+    assert np.allclose(spec[1:], 0.0)
 
 
 def test_dictator_bit_convention_canary():
@@ -83,7 +82,7 @@ def test_dictator_bit_convention_canary():
     f = BooleanFunction(3, coordinate_values(3, 1))
     spec = wht(f)
     assert spec[0b001] == pytest.approx(1.0)
-    assert np.sum(np.abs(spec.coeffs)) == pytest.approx(1.0)
+    assert np.sum(np.abs(spec)) == pytest.approx(1.0)
     assert f(0) == 1 and f(1) == -1
 
 
@@ -91,14 +90,14 @@ def test_wht_round_trip_boolean_exact():
     rng = np.random.default_rng(7)
     for n in range(1, 9):
         f = random_boolean(n, rng)
-        back = inverse_wht(wht(f))
+        back = fwht(wht(f))
         assert np.array_equal(back, f.table.astype(float))
 
 
 def test_wht_round_trip_bounded():
     rng = np.random.default_rng(11)
     g = BoundedFunction(6, rng.uniform(-1, 1, size=64))
-    back = inverse_wht(wht(g))
+    back = fwht(wht(g))
     assert np.max(np.abs(back - g.table)) < 1e-12
 
 
@@ -107,7 +106,7 @@ def test_wht_int_is_exact_and_consistent():
     f = random_boolean(6, rng)
     ints = wht_int(f)
     assert ints.dtype == np.int64
-    assert np.allclose(ints / 64.0, wht(f).coeffs)
+    assert np.allclose(ints / 64.0, wht(f))
 
 
 def test_wht_int_headroom_tied_to_dimension_cap(monkeypatch):
@@ -186,7 +185,7 @@ def test_bounded_spectral_stats_runs_no_wht(monkeypatch):
     assert stats.per_coordinate_influence == tuple(
         float(v) for v in per_coordinate_influence(g)
     )
-    sq = wht(g).coeffs ** 2
+    sq = wht(g) ** 2
     low = np.bitwise_count(np.arange(1 << 12, dtype=np.uint64)) <= 2
     assert stats.low_weight == pytest.approx(float(sq[low].sum()), rel=1e-12)
 
@@ -195,11 +194,11 @@ def _full_transform_stats(fn, d):
     """The low weight and the worst low coefficient read off the whole spectrum."""
     pc = np.bitwise_count(np.arange(1 << fn.n, dtype=np.uint64))
     low = pc <= d
-    sq = wht(fn).coeffs ** 2
+    sq = wht(fn) ** 2
     if isinstance(fn, BooleanFunction):
         coeffs, scale = wht_int(fn), float(1 << fn.n)
     else:
-        coeffs, scale = wht(fn).coeffs, 1.0
+        coeffs, scale = wht(fn), 1.0
     vals = np.abs(coeffs[low])
     worst = int(np.argmax(vals))
     return float(sq[low].sum()), int(np.nonzero(low)[0][worst]), float(vals[worst]) / scale
@@ -241,7 +240,7 @@ def test_resilience_worst_mask_ties_keep_the_lowest_mask():
 def test_parseval_random_boolean(n, seed):
     rng = np.random.default_rng(seed)
     f = random_boolean(n, rng)
-    assert np.sum(wht(f).coeffs ** 2) == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(wht(f) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parseval_across_dimensions():
@@ -249,7 +248,7 @@ def test_parseval_across_dimensions():
     for n in range(4, 13):
         for _ in range(12):
             f = random_boolean(n, rng)
-            assert np.sum(wht(f).coeffs ** 2) == pytest.approx(1.0, abs=1e-9)
+            assert np.sum(wht(f) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_plancherel_random_pairs():
@@ -258,7 +257,7 @@ def test_plancherel_random_pairs():
         f = random_boolean(6, rng)
         g = random_boolean(6, rng)
         lhs = correlation(f, g)
-        rhs = float(np.dot(wht(f).coeffs, wht(g).coeffs))
+        rhs = float(np.dot(wht(f), wht(g)))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -307,7 +306,7 @@ def test_edge_influence_equals_fourier_influence():
     for n in (4, 6, 8):
         f = random_boolean(n, rng)
         stats = spectral_stats(f, d=1)
-        sq = wht(f).coeffs ** 2
+        sq = wht(f) ** 2
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(int)
         assert stats.total_influence == pytest.approx(float(np.dot(pc, sq)), abs=1e-9)
 
@@ -326,7 +325,7 @@ def test_noise_sensitivity_zero_rate():
     rng = np.random.default_rng(31)
     f = random_boolean(6, rng)
     assert noise_sensitivity(f, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert noise_sensitivity(f, 0.0, method="direct") == pytest.approx(0.0, abs=1e-12)
+    assert noise_sensitivity_direct(f, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_noise_sensitivity_of_characters():
@@ -342,23 +341,28 @@ def test_noise_sensitivity_of_characters():
 def test_noise_sensitivity_direct_oracle_agreement():
     rng = np.random.default_rng(41)
     f = make_majority3()
-    direct = noise_sensitivity(f, 0.1, method="direct")
+    direct = noise_sensitivity_direct(f, 0.1)
     spectral = noise_sensitivity(f, 0.1)
     assert abs(direct - spectral) < 1e-10
     for _ in range(5):
         g = random_boolean(7, rng)
         delta = rng.uniform(0, 1)
         assert abs(
-            noise_sensitivity(g, delta, method="direct") - noise_sensitivity(g, delta)
+            noise_sensitivity_direct(g, delta) - noise_sensitivity(g, delta)
         ) < 1e-10
 
 
 def test_noise_sensitivity_validates_rate():
     f = make_majority3()
-    with pytest.raises(ValueError):
-        noise_sensitivity(f, -0.1)
-    with pytest.raises(ValueError):
-        noise_sensitivity(f, 1.5)
+    for ns in (noise_sensitivity, noise_sensitivity_direct):
+        with pytest.raises(ValueError):
+            ns(f, -0.1)
+        with pytest.raises(ValueError):
+            ns(f, 1.5)
+        with pytest.raises(TypeError):
+            ns(BoundedFunction(3, np.zeros(8)), 0.1)
+    with pytest.raises(DimensionTooLarge):
+        noise_sensitivity_direct(BooleanFunction(15, np.ones(1 << 15, dtype=np.int8)), 0.1)
 
 
 def test_distance_correlation_identity():
@@ -433,5 +437,7 @@ def test_truth_table_round_trip(tmp_path):
 
 
 def test_spectrum_parseval_invariant_documented():
-    spec = Spectrum(2, np.array([0.5, 0.5, 0.5, 0.5]))
-    assert np.sum(spec.coeffs**2) == pytest.approx(1.0)
+    # AND of two bits in +-1 form: every coefficient has magnitude 1/2
+    spec = wht(BooleanFunction(2, np.array([1, 1, 1, -1])))
+    assert spec.dtype == np.float64 and spec.tolist() == [0.5, 0.5, 0.5, -0.5]
+    assert np.sum(spec**2) == 1.0

@@ -146,6 +146,6 @@ def test_influence_matches_spectral_form(n):
         BoundedFunction(n, 0.5 * coordinate_values(n, n)),
         random_boolean(n, seed=300 + n),
     ):
-        oracle = _spectral_influence(wht(fn).coeffs ** 2)
+        oracle = _spectral_influence(wht(fn) ** 2)
         # two float64 sums of 2^n terms in [0, 1] in different orders
         assert np.allclose(per_coordinate_influence(fn), oracle, rtol=1e-12, atol=1e-15)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,32 +171,30 @@ def test_determinism_bit_identical():
     assert s1.iterations == s2.iterations
 
 
-def test_weak_duality_survives_iteration_limit():
-    # a truncated dual simplex run is primal infeasible, but it returns the
-    # duals y of the basis it stopped at; p_y = sum_S y_S chi_S still bounds
-    # the optimum, alpha_opt + E|f - p_y| >= 1 (weak duality)
+def test_pivot_budget_exhaustion_is_a_solver_failure(monkeypatch, capsys):
+    # the resilience LP of majority(7), d = 2, needs more than 5 pivots
+    from boolres import cli
     from boolres.duality import distance_to_resilience
+    from boolres.lp import SolverFailure
     from boolres.zoo import majority
 
     f = majority(7)
-    n, d, size = 7, 2, 128
-    masks = low_degree_masks(n, d)
-    chi = np.array([chi_values(n, m) for m in masks], dtype=float)
+    masks = low_degree_masks(7, 2)
     primal = LinearProgram(
         objective=f.table.astype(float),
-        eq_matrix=chi,
+        eq_matrix=np.array([chi_values(7, m) for m in masks], dtype=float),
         eq_rhs=np.zeros(len(masks)),
-        lower=np.full(size, -1.0),
-        upper=np.full(size, 1.0),
+        lower=np.full(128, -1.0),
+        upper=np.full(128, 1.0),
     )
-    alpha_opt = distance_to_resilience(f, d).alpha
-
-    for budget in (1, 2, 5, 50):
-        ps = solve_lp(primal, max_iterations=budget)
-        assert ps.status == ITERATION_LIMIT
-        assert ps.iterations == budget
-        p_table = ps.duals @ chi
-        assert alpha_opt + float(np.mean(np.abs(f.table - p_table))) >= 1.0 - 1e-8
+    monkeypatch.setattr(lp_module, "MAX_ITERATIONS", 5)
+    sol = solve_lp(primal)
+    assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 5)
+    assert sol.point is None and sol.duals is None
+    with pytest.raises(SolverFailure, match="iteration-limit"):
+        distance_to_resilience(f, 2)
+    assert cli.main(["resilience", "--fn", "majority:n=7", "--d", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invariant-violation"
 
 
 # -- differential oracle: solve_lp against HiGHS ---------------------------

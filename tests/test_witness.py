@@ -153,7 +153,7 @@ def test_probe_is_dataclass_pair():
 def test_witness_spectrum_low_part_tiny():
     f = tribes(3, 2)
     report = build_witness(f, WitnessParams(d=2, tau=0.5))
-    coeffs = wht(report.p).coeffs
+    coeffs = wht(report.p)
     pc = np.bitwise_count(np.arange(1 << 6, dtype=np.uint64)).astype(int)
     assert np.max(np.abs(coeffs[pc <= 2])) <= 1e-10
 

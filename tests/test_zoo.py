@@ -62,7 +62,7 @@ def test_tribes_full_block_coefficient():
 
 def test_tribes_closed_form_equals_wht():
     for w, s in ((2, 2), (2, 3), (3, 2)):
-        exact = wht(tribes(w, s)).coeffs
+        exact = wht(tribes(w, s))
         closed = tribes_spectrum_closed_form(w, s)
         assert np.max(np.abs(exact - closed)) <= 1e-12
 
@@ -313,6 +313,21 @@ def test_ft_above_all_levels_is_zero():
     stats = ft_stats(4.0, 9)
     assert stats.influence_sum == 0.0
     assert stats.support_prob == 0.0
+
+
+@pytest.mark.parametrize("t", [math.inf, 1e308])
+@pytest.mark.parametrize("n", [9, 100])  # the rational path and the log-space path
+def test_ft_infinite_threshold_is_zero(n, t):
+    stats = ft_stats(t, n)
+    assert (stats.influence_sum, stats.support_prob) == (0.0, 0.0)
+    assert np.all(threshold_ft(t, n).level_values == 0.0)
+
+
+@pytest.mark.parametrize("n", [-3, -1, zoo.FT_MAX_N + 1])
+def test_ft_rejects_n_outside_its_range(n):
+    for fn in (ft_stats, threshold_ft):
+        with pytest.raises(ValueError, match=f"n={n} outside"):
+            fn(1.0, n)
 
 
 def test_ft_zero_threshold_support():
