@@ -15,6 +15,10 @@ CycleRun(x) = 1 and D = 2 |Shift_x| |x|:
 * sigma - D = 0: flip Shift_x and terminate with sigma = 0 (the unique
   choice reaching the required terminal state; neither strict branch covers
   the boundary).
+
+Orbits are handled in batches: each weight level's orbits are found in whole
+arrays, the branch rules run on Python ints, and the table is flipped once at
+the end.  The audit replays all recorded orbits at once.
 """
 
 from __future__ import annotations
@@ -40,30 +44,62 @@ class BudgetExhausted(BuilderError):
     """The |Sbar| budget was hit while sigma was still positive."""
 
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: int
-    members: frozenset[int]
-    weight: int  # coordinate sum of the representative
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+def _shift(points: np.ndarray, n: int) -> np.ndarray:
+    """Each point with its coordinates moved one place cyclically."""
+    return (points >> 1) | ((points & 1) << (n - 1))
 
 
-def shift_orbit(x: int, n: int) -> Orbit:
-    """Closure of a point under cyclic coordinate shifts and negation."""
+def rotations(points: np.ndarray, n: int) -> np.ndarray:
+    """The (len(points), n) array whose column j is each point shifted j places."""
+    rots = np.empty((len(points), n), dtype=np.int64)
+    rots[:, 0] = points
+    for j in range(1, n):
+        rots[:, j] = _shift(rots[:, j - 1], n)
+    return rots
+
+
+def periods(rots: np.ndarray) -> np.ndarray:
+    """The least shift j > 0 that fixes each row's point, n when none does.
+
+    For odd n a complement has another popcount, so it is never a shift, and
+    the shift orbit (closure under shifts and negation) of a point holds
+    2 * period members.
+    """
+    fixed = rots[:, 1:] == rots[:, :1]
+    return np.where(fixed.any(axis=1), fixed.argmax(axis=1) + 1, rots.shape[1])
+
+
+def orbit_members(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shift orbit of each point, concatenated, and the orbit sizes.
+
+    Each orbit lists its point's distinct shifts, then their complements.
+    """
     if n % 2 == 0:
         raise ValueError("shift orbits are used for odd n only")
-    mask = (1 << n) - 1
-    members = set()
-    v = x
-    for _ in range(n):
-        members.add(v)
-        members.add(v ^ mask)  # global negation = complement index
-        v = ((v >> 1) | ((v & 1) << (n - 1))) & mask
-    weight = n - 2 * int(x).bit_count()
-    return Orbit(x, frozenset(members), weight)
+    rots = rotations(np.asarray(points, dtype=np.int64), n)
+    period = periods(rots)
+    both = np.stack([rots, rots ^ ((1 << n) - 1)], axis=1)  # (points, 2, n)
+    distinct = np.arange(n) < period[:, None, None]
+    return both[np.broadcast_to(distinct, both.shape)], 2 * period
+
+
+def _orbits_by_level(ones: np.ndarray, ones_pc: np.ndarray, n: int):
+    """Yield (point, period, weight) of each orbit met walking the candidates.
+
+    `ones` lists the CycleRun = 1 points ascending, `ones_pc` their
+    popcounts.  All shifts of a point share its weight and its CycleRun
+    value, and for odd n a complement has CycleRun = -1, so within a level
+    the first point of an orbit is its least shift.
+    """
+    for pc in range(n + 1):
+        least = ones[ones_pc == pc]
+        shifted = least
+        for _ in range(n - 1):
+            shifted = _shift(shifted, n)
+            keep = least <= shifted
+            least, shifted = least[keep], shifted[keep]
+        for point, period in zip(least.tolist(), periods(rotations(least, n)).tolist()):
+            yield point, period, n - 2 * pc
 
 
 @dataclass(frozen=True)
@@ -117,10 +153,8 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         raise ValueError(f"budget constant c1 must be positive and finite, got {c1}")
     base = cyclerun(n)
     size = 1 << n
-    wt = n - 2 * popcounts(n)  # coordinate sum of every point
-    table = base.table.astype(np.int64).copy()
-
-    sigma = int(np.dot(table, wt))
+    pc = popcounts(n)
+    sigma = int(np.dot(base.table, n - 2 * pc))  # sum_x f(x) (coordinate sum of x)
     sigma_initial = sigma
     if sigma < 0 or sigma % (4 * n) != 0:
         raise BuilderError(f"initial sigma {sigma} is not a nonnegative multiple of 4n")
@@ -128,15 +162,16 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     budget = c1 * math.sqrt(math.log2(n) / n) * size
 
     # candidates with CycleRun = 1, highest coordinate sum first, index ascending
-    ones = np.nonzero(table == 1)[0]
-    order = ones[np.lexsort((ones, -wt[ones]))]
-    light_pool = order[wt[order] == 1]
+    ones = np.flatnonzero(base.table == 1)
+    ones_pc = pc[ones]
+    candidates = _orbits_by_level(ones, ones_pc, n)
+    light_pool = ones[ones_pc == (n - 1) // 2]  # the points of coordinate sum 1
 
-    flipped = np.zeros(size, dtype=bool)
+    flipped: set[int] = set()  # the flipped points of the light pool's level
     records: list[IterationRecord] = []
     sbar_size = 0
     sbar_prime_size = 0
-    cursor = 0
+    x = None
     light_cursor = 0
 
     while sigma != 0:
@@ -144,45 +179,40 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
             raise BudgetExhausted(
                 f"|Sbar| = {sbar_size} exceeded budget {budget:.1f} with sigma {sigma}"
             )
-        while cursor < len(order) and flipped[order[cursor]]:
-            cursor += 1
-        if cursor >= len(order):
-            raise BuilderError("no unflipped CycleRun=1 candidates remain")
-        x = int(order[cursor])
-        if wt[x] <= 0:
+        while x is None or x in flipped:
+            x, period, weight = next(candidates, (None, 0, 0))
+            if x is None:
+                raise BuilderError("no unflipped CycleRun=1 candidates remain")
+        if weight <= 0:
             raise BuilderError("best remaining candidate has nonpositive weight")
-        orbit = shift_orbit(x, n)
-        decrement = 2 * orbit.size * orbit.weight
+        decrement = 4 * period * weight
 
         if sigma - decrement < 0:
-            while light_cursor < len(light_pool) and flipped[light_pool[light_cursor]]:
+            while light_cursor < len(light_pool) and int(light_pool[light_cursor]) in flipped:
                 light_cursor += 1
             if light_cursor >= len(light_pool):
                 raise NoWeightOnePoint(f"no weight-one CycleRun=1 point left at n={n}")
-            star = int(light_pool[light_cursor])
-            orbit = shift_orbit(star, n)
-            if 2 * orbit.size * orbit.weight != 4 * n:
+            point = int(light_pool[light_cursor])
+            orbit_size = 2 * int(periods(rotations(np.array([point]), n))[0])
+            if orbit_size != 2 * n:
                 raise BuilderError("weight-one orbit does not have size 2n")
-            branch, chosen, delta = "light", star, 4 * n
-            sbar_prime_size += orbit.size
-        elif sigma - decrement > 0:
-            branch, chosen, delta = "heavy", x, decrement
+            branch, point_weight, delta = "light", 1, 4 * n
+            sbar_prime_size += orbit_size
         else:
-            branch, chosen, delta = "boundary", x, decrement
+            branch = "heavy" if sigma - decrement > 0 else "boundary"
+            point, point_weight, orbit_size, delta = x, weight, 2 * period, decrement
+            x = None  # the cursor moves on
+        if point_weight == 1:  # keep the light scan and the cursor off this orbit
+            flipped.update(rotations(np.array([point]), n)[0].tolist())
 
-        members = np.fromiter(orbit.members, dtype=np.int64)
-        if flipped[members].any():
-            raise BuilderError("orbit overlaps already-flipped points")
-        flipped[members] = True
-        table[members] *= -1
-        sbar_size += orbit.size
+        sbar_size += orbit_size
         records.append(
             IterationRecord(
                 index=len(records),
                 branch=branch,
-                point=chosen,
-                weight=int(wt[chosen]),
-                orbit_size=orbit.size,
+                point=point,
+                weight=point_weight,
+                orbit_size=orbit_size,
                 sigma_before=sigma,
                 sigma_after=sigma - delta,
             )
@@ -191,7 +221,12 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         if sigma < 0 or sigma % (4 * n) != 0:
             raise BuilderError(f"sigma invariant broken at iteration {len(records) - 1}")
 
-    output = BooleanFunction(n, table.astype(np.int8))
+    table = base.table.copy()
+    table[orbit_members(np.array([rec.point for rec in records], dtype=np.int64), n)[0]] *= -1
+    # a member shared by two orbits would be flipped once and counted twice
+    if np.count_nonzero(table != base.table) != sbar_size:
+        raise BuilderError("orbits overlap: flipped entries differ from |Sbar|")
+    output = BooleanFunction(n, table)
     _, sums = low_degree_sums(table, 1, np.int64)  # masks 0, then {1}, ..., {n}
     if sums[0] != 0:
         raise BuilderError("output is not balanced")
@@ -221,48 +256,99 @@ class AuditResult:
 
 
 FULL_RECHECK_EVERY = 50
+SIGN_BLOCK = 1024  # members per coordinate_signs call in the audit
+
+
+def _level_one_deltas(
+    table: np.ndarray, members: np.ndarray, offsets: np.ndarray, n: int
+) -> np.ndarray:
+    """Each orbit's change to the level-one sums, -2 sum_{y in orbit} f(y) y_j.
+
+    Orbit i is members[offsets[i]:offsets[i + 1]].  The signs are made a
+    block of members at a time, so no (members, n) matrix is ever held.
+    """
+    deltas = np.zeros((len(offsets) - 1, n), dtype=np.int64)
+    for start in range(0, len(members), SIGN_BLOCK):
+        block = members[start:start + SIGN_BLOCK]
+        terms = np.multiply(table[block, None], coordinate_signs(block, n), dtype=np.int64)
+        first = np.searchsorted(offsets, start, side="right") - 1
+        stop = np.searchsorted(offsets, start + len(block), side="left")
+        cuts = np.maximum(offsets[first:stop], start) - start
+        deltas[first:stop] += np.add.reduceat(terms, cuts, axis=0)
+    return -2 * deltas
 
 
 def audit_invariants(report: BuilderReport) -> AuditResult:
     """Replay a build with independent exact arithmetic.
 
-    Checks, after every iteration: all first-level coefficients equal, the
-    logged sigma equals the recomputed sum of scaled first-level
-    coefficients, and sigma is a nonnegative multiple of 4n.  Orbit
-    increments are recomputed from actual member sums, with periodic and
-    final full-table recomputations.
+    Recomputes every iteration's orbit from its point and checks that no two
+    orbits share a point.  Checks, after every iteration: all first-level
+    coefficients equal, the logged sigma equals the recomputed sum of scaled
+    first-level coefficients, sigma is a nonnegative multiple of 4n, and the
+    decrement matches the orbit.  The level-one sums follow from the orbit
+    member sums; every FULL_RECHECK_EVERY iterations and at the end they are
+    recomputed from the whole replayed table.  The first failing iteration
+    is reported, its checks in that order.
     """
     n = report.n
-    table = cyclerun(n).table.astype(np.int64).copy()
+    recs = report.iterations
+    table = cyclerun(n).table.copy()
     # the level-one sums sum_x f(x) x_j follow mask 0 in the kernel's order
-    sums = low_degree_sums(table, 1, np.int64)[1][1:]
+    initial = low_degree_sums(table, 1, np.int64)[1][1:]
 
-    for rec in report.iterations:
-        orbit = shift_orbit(rec.point, n)
-        members = np.fromiter(orbit.members, dtype=np.int64)
-        sums -= 2 * (table[members] @ coordinate_signs(members, n))
-        table[members] *= -1
+    points = np.array([rec.point for rec in recs], dtype=np.int64)
+    members, sizes = orbit_members(points, n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    sums = initial + np.cumsum(_level_one_deltas(table, members, offsets, n), axis=0)
 
-        if rec.index % FULL_RECHECK_EVERY == 0:
-            full = low_degree_sums(table, 1, np.int64)[1][1:]
-            if np.any(full != sums):
-                return AuditResult(False, rec.index, "incremental sums drifted")
-        if np.any(sums != sums[0]):
-            return AuditResult(False, rec.index, "first-level coefficients differ")
-        if int(sums.sum()) != rec.sigma_after:
-            return AuditResult(
-                False,
-                rec.index,
-                f"logged sigma {rec.sigma_after} != recomputed {int(sums.sum())}",
-            )
-        if rec.sigma_after < 0 or rec.sigma_after % (4 * n) != 0:
-            return AuditResult(False, rec.index, "sigma not a nonnegative multiple of 4n")
-        if rec.sigma_before - rec.sigma_after not in (2 * orbit.size * orbit.weight, 4 * n):
-            return AuditResult(False, rec.index, "sigma decrement does not match the orbit")
+    # sorted by member, then by iteration: a repeat belongs to a later orbit
+    span = max(len(recs), 1)
+    keys = np.sort(members * span + np.repeat(np.arange(len(recs)), sizes))
+    repeated = keys[1:] // span == keys[:-1] // span
+    overlaps = np.zeros(len(recs), dtype=bool)
+    overlaps[keys[1:][repeated] % span] = True
 
+    after = np.array([rec.sigma_after for rec in recs], dtype=np.int64)
+    decrement = np.array([rec.sigma_before for rec in recs], dtype=np.int64) - after
+    weights = n - 2 * np.bitwise_count(points).astype(np.int64)
+    failed = np.column_stack([
+        overlaps,
+        (sums != sums[:, :1]).any(axis=1),
+        sums.sum(axis=1) != after,
+        (after < 0) | (after % (4 * n) != 0),
+        (decrement != 2 * sizes * weights) & (decrement != 4 * n),
+    ])
+    failing = np.flatnonzero(failed.any(axis=1))
+    first = int(failing[0]) if len(failing) else len(recs)
+
+    # replay the flips checkpoint by checkpoint up to the first failure; an
+    # overlapping orbit fails before its checkpoint would be read
+    indices = np.array([rec.index for rec in recs], dtype=np.int64)
+    checkpoints = np.flatnonzero(indices[:first + 1] % FULL_RECHECK_EVERY == 0)
+    done = 0
+    for pos in checkpoints.tolist():
+        if pos == first and overlaps[pos]:
+            break
+        table[members[offsets[done]:offsets[pos + 1]]] *= -1
+        done = pos + 1
+        full = low_degree_sums(table, 1, np.int64)[1][1:]
+        if np.any(full != sums[pos]):
+            return AuditResult(False, recs[pos].index, "incremental sums drifted")
+    if first < len(recs):
+        rec = recs[first]
+        details = [
+            f"orbit of point {rec.point} overlaps an earlier orbit",
+            "first-level coefficients differ",
+            f"logged sigma {rec.sigma_after} != recomputed {int(sums[first].sum())}",
+            "sigma not a nonnegative multiple of 4n",
+            "sigma decrement does not match the orbit",
+        ]
+        return AuditResult(False, rec.index, details[int(failed[first].argmax())])
+
+    table[members[offsets[done]:]] *= -1
     full = low_degree_sums(table, 1, np.int64)[1][1:]
-    if np.any(full != sums):
-        return AuditResult(False, len(report.iterations) - 1, "final sums drifted")
-    if not np.array_equal(table.astype(np.int8), report.output.table):
-        return AuditResult(False, len(report.iterations) - 1, "replayed table differs")
+    if np.any(full != (sums[-1] if len(recs) else initial)):
+        return AuditResult(False, len(recs) - 1, "final sums drifted")
+    if not np.array_equal(table, report.output.table):
+        return AuditResult(False, len(recs) - 1, "replayed table differs")
     return AuditResult(True, -1, "")

@@ -359,6 +359,8 @@ def _cmd_learn(args) -> None:
 
 
 def _cmd_ft_stats(args) -> None:
+    if not math.isfinite(args.t):
+        raise ValueError(f"threshold parameter t must be finite, got {args.t}")
     stats = ft_stats(args.t, args.n)
     payload = {
         "n": args.n,

@@ -377,6 +377,8 @@ def ft_sandwich_report(
 
     influence in [phi(t) sqrt(n)/factor, factor phi(t) sqrt(n)] and
     support in [phi(t)/(factor t), factor phi(t)/t]; t must be positive.
+    A sandwich passes only on a positive lower bound: once phi(t) underflows
+    to 0 the bounds are the vacuous [0, 0].
     """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sandwich factor must be positive and finite, got {factor}")
@@ -396,10 +398,10 @@ def ft_sandwich_report(
                 phi=phi,
                 influence_low=inf_lo,
                 influence_high=inf_hi,
-                influence_pass=inf_lo <= stats.influence_sum <= inf_hi,
+                influence_pass=0 < inf_lo <= stats.influence_sum <= inf_hi,
                 support_low=sup_lo,
                 support_high=sup_hi,
-                support_pass=sup_lo <= stats.support_prob <= sup_hi,
+                support_pass=0 < sup_lo <= stats.support_prob <= sup_hi,
             )
         )
     return rows

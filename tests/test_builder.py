@@ -1,70 +1,193 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boolres import builder
 from boolres.builder import (
+    BudgetExhausted,
+    BuilderError,
     BuilderReport,
     IterationRecord,
+    NoWeightOnePoint,
     audit_invariants,
     build_one_resilient,
-    shift_orbit,
+    orbit_members,
+    periods,
+    rotations,
 )
-from boolres.hypercube import BooleanFunction, correlation, is_d_resilient, wht_int
+from boolres.hypercube import BooleanFunction, correlation, is_d_resilient, popcounts, wht_int
 from boolres.zoo import cyclerun
 
 
+def shift_orbit(x: int, n: int) -> frozenset[int]:
+    """Reference: closure of a point under cyclic shifts and negation, one member at a time."""
+    mask = (1 << n) - 1
+    members = set()
+    v = x
+    for _ in range(n):
+        members.add(v)
+        members.add(v ^ mask)  # global negation = complement index
+        v = ((v >> 1) | ((v & 1) << (n - 1))) & mask
+    return frozenset(members)
+
+
+def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
+    """The greedy repair one orbit at a time: the oracle for the batched build."""
+    base = cyclerun(n)
+    size = 1 << n
+    wt = n - 2 * np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
+    table = base.table.astype(np.int64).copy()
+    sigma = sigma_initial = int(np.dot(table, wt))
+    budget = c1 * math.sqrt(math.log2(n) / n) * size
+
+    ones = np.nonzero(table == 1)[0]
+    order = ones[np.lexsort((ones, -wt[ones]))]
+    light_pool = order[wt[order] == 1]
+    flipped = np.zeros(size, dtype=bool)
+    records = []
+    sbar_size = sbar_prime_size = cursor = light_cursor = 0
+    while sigma != 0:
+        if sbar_size > budget:
+            raise BudgetExhausted("budget")
+        while cursor < len(order) and flipped[order[cursor]]:
+            cursor += 1
+        if cursor >= len(order):
+            raise BuilderError("no unflipped CycleRun=1 candidates remain")
+        x = int(order[cursor])
+        if wt[x] <= 0:
+            raise BuilderError("best remaining candidate has nonpositive weight")
+        orbit = shift_orbit(x, n)
+        decrement = 2 * len(orbit) * int(wt[x])
+        if sigma - decrement < 0:
+            while light_cursor < len(light_pool) and flipped[light_pool[light_cursor]]:
+                light_cursor += 1
+            if light_cursor >= len(light_pool):
+                raise NoWeightOnePoint("no weight-one point")
+            star = int(light_pool[light_cursor])
+            orbit = shift_orbit(star, n)
+            assert len(orbit) == 2 * n
+            branch, chosen, delta = "light", star, 4 * n
+            sbar_prime_size += len(orbit)
+        elif sigma - decrement > 0:
+            branch, chosen, delta = "heavy", x, decrement
+        else:
+            branch, chosen, delta = "boundary", x, decrement
+        members = np.fromiter(orbit, dtype=np.int64)
+        assert not flipped[members].any()
+        flipped[members] = True
+        table[members] *= -1
+        sbar_size += len(orbit)
+        records.append(IterationRecord(
+            index=len(records), branch=branch, point=chosen, weight=int(wt[chosen]),
+            orbit_size=len(orbit), sigma_before=sigma, sigma_after=sigma - delta,
+        ))
+        sigma -= delta
+    distance = sbar_size / size
+    return BuilderReport(
+        n=n, c1=c1, output=BooleanFunction(n, table.astype(np.int8)),
+        sigma_initial=sigma_initial, sigma_final=sigma, sbar_size=sbar_size,
+        sbar_prime_size=sbar_prime_size, iterations=tuple(records), distance=distance,
+        budget_ratio=distance / math.sqrt(math.log2(n) / n),
+    )
+
+
+@pytest.mark.parametrize("n", range(5, 20, 2))
+def test_batched_build_matches_the_per_orbit_reference(n):
+    report = build_one_resilient(n)
+    expected = reference_build(n)
+    assert report.to_dict() == expected.to_dict()
+    assert np.array_equal(report.output.table, expected.output.table)
+    assert report.output.table.dtype == expected.output.table.dtype
+    assert report.sbar_prime_size == expected.sbar_prime_size
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_orbit_walk_meets_each_candidate_orbit_at_its_first_point(n):
+    # every level, the light one and the nonpositive ones included
+    wt = n - 2 * popcounts(n)
+    ones = np.flatnonzero(cyclerun(n).table == 1)
+    seen, expected = set(), []
+    for x in ones[np.lexsort((ones, -wt[ones]))].tolist():
+        if x not in seen:
+            orbit = shift_orbit(x, n)
+            seen |= orbit
+            expected.append((x, len(orbit) // 2, int(wt[x])))
+    assert list(builder._orbits_by_level(ones, popcounts(n)[ones], n)) == expected
+
+
 def test_all_ones_orbit():
-    orbit = shift_orbit(0, 5)  # index 0 is the all-(+1) point
-    assert orbit.members == frozenset({0, 0b11111})
-    assert orbit.size == 2
-    assert orbit.weight == 5
+    members, sizes = orbit_members(np.array([0]), 5)  # index 0 is the all-(+1) point
+    assert sorted(members.tolist()) == [0, 0b11111]
+    assert sizes.tolist() == [2]
+    assert periods(rotations(np.array([0]), 5)).tolist() == [1]
 
 
 def test_coprime_weight_orbit_size():
-    # Hamming weight 2 is coprime to 5 -> orbit size 2n
-    orbit = shift_orbit(0b00011, 5)
-    assert orbit.size == 10
+    # Hamming weight 2 is coprime to 5 -> period n, orbit size 2n
+    assert periods(rotations(np.array([0b00011]), 5)).tolist() == [5]
+    assert orbit_members(np.array([0b00011]), 5)[1].tolist() == [10]
 
 
 def test_periodic_point_orbit_size():
     # period-3 pattern on n=9: 001 repeated; 3 shifts x 2 signs = 6 members
     x = 0b001001001
-    orbit = shift_orbit(x, 9)
-    assert orbit.size == 6
+    assert periods(rotations(np.array([x]), 9)).tolist() == [3]
+    assert orbit_members(np.array([x]), 9)[1].tolist() == [6]
+
+
+def test_rotations_columns_are_successive_shifts():
+    rots = rotations(np.array([0b00011, 0b10110]), 5)
+    assert rots.tolist() == [
+        [0b00011, 0b10001, 0b11000, 0b01100, 0b00110],
+        [0b10110, 0b01011, 0b10101, 0b11010, 0b01101],
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_orbit_members_match_the_reference_closure(n):
+    points = np.arange(1 << n)
+    members, sizes = orbit_members(points, n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for x in range(1 << n):
+        orbit = members[offsets[x]:offsets[x + 1]].tolist()
+        assert len(orbit) == len(set(orbit))  # each member once
+        assert frozenset(orbit) == shift_orbit(x, n)
+
+
+def test_orbit_members_need_odd_n():
+    with pytest.raises(ValueError):
+        orbit_members(np.array([1]), 6)
 
 
 def test_orbits_partition_small():
     n = 5
+    members, sizes = orbit_members(np.arange(1 << n), n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     seen = {}
     for x in range(1 << n):
-        orbit = shift_orbit(x, n)
-        key = min(orbit.members)
+        orbit = frozenset(members[offsets[x]:offsets[x + 1]].tolist())
+        key = min(orbit)
         if key in seen:
-            assert seen[key] == orbit.members
+            assert seen[key] == orbit
         else:
-            seen[key] = orbit.members
+            seen[key] = orbit
     assert sum(len(m) for m in seen.values()) == 1 << n
-    for members in seen.values():
-        assert len(members) % 2 == 0
-        assert (2 * n) % len(members) == 0
+    for orbit in seen.values():
+        assert len(orbit) % 2 == 0
+        assert (2 * n) % len(orbit) == 0
 
 
 def test_cyclerun_half_positive_on_each_orbit():
     n = 7
     f = cyclerun(n)
-    reps = set()
+    members, sizes = orbit_members(np.arange(1 << n), n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     for x in range(1 << n):
-        orbit = shift_orbit(x, n)
-        key = min(orbit.members)
-        if key in reps:
-            continue
-        reps.add(key)
-        values = [f(int(y)) for y in orbit.members]
-        assert sum(values) == 0
+        assert f.table[members[offsets[x]:offsets[x + 1]]].sum() == 0
 
 
 def test_sigma_initialization_multiple_of_4n():
@@ -252,3 +375,88 @@ def test_audit_detects_a_changed_output_table():
     assert result.ok is False
     assert result.failed_iteration == len(report.iterations) - 1
     assert result.detail == "replayed table differs"
+
+
+def test_audit_detects_two_records_naming_one_orbit():
+    report = build_one_resilient(9)
+    recs = list(report.iterations)
+    first = next(i for i, rec in enumerate(recs) if rec.orbit_size > 2)
+    shifted = int(rotations(np.array([recs[first].point]), 9)[0, 1])
+    assert shifted != recs[first].point
+    recs[first + 1] = dataclasses.replace(recs[first + 1], point=shifted)
+    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    assert result.ok is False
+    assert result.failed_iteration == first + 1
+    assert result.detail == f"orbit of point {shifted} overlaps an earlier orbit"
+
+
+def test_audit_replays_the_table_at_every_checkpoint(monkeypatch):
+    # every FULL_RECHECK_EVERY iterations and once at the end, the level-one
+    # sums are recomputed from the replayed table, which holds exactly the
+    # flips made so far
+    report = build_one_resilient(15)
+    assert len(report.iterations) > 2 * builder.FULL_RECHECK_EVERY
+    real = builder.low_degree_sums
+    tables = []
+
+    def recording(table, d, dtype):
+        tables.append(np.array(table))
+        return real(table, d, dtype)
+
+    monkeypatch.setattr(builder, "low_degree_sums", recording)
+    assert audit_invariants(report).ok
+    every = builder.FULL_RECHECK_EVERY
+    checkpoints = [rec.index for rec in report.iterations if rec.index % every == 0]
+    assert len(tables) == 1 + len(checkpoints) + 1  # initial, checkpoints, final
+    base = cyclerun(15).table
+    points = np.array([rec.point for rec in report.iterations])
+    for table, done in zip(tables[1:-1], checkpoints):
+        members = orbit_members(points[:done + 1], 15)[0]
+        assert np.array_equal(np.flatnonzero(table != base), np.sort(members))
+    assert np.array_equal(tables[-1], report.output.table)
+
+
+def test_build_and_audit_hold_no_members_by_n_matrix():
+    # six int64 tables; a (members, n) int64 sign matrix at n = 19 alone
+    # would take 113394 * 19 * 8 bytes, about 17 MB, plus its int64 bits
+    n = 19
+    bound = 6 * 8 * (1 << n)
+    tracemalloc.start()
+    try:
+        report = build_one_resilient(n)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = audit_invariants(report)
+        audit_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert build_peak < bound
+    assert audit_peak < bound
+
+
+def test_audit_detects_a_decrement_that_does_not_match_the_orbit():
+    report = build_one_resilient(9)
+    recs = list(report.iterations)
+    target = len(recs) // 2
+    recs[target] = dataclasses.replace(recs[target], sigma_before=recs[target].sigma_before + 8 * 9)
+    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    assert result.ok is False
+    assert result.failed_iteration == target
+    assert result.detail == "sigma decrement does not match the orbit"
+
+
+def test_build_counts_the_flipped_entries_against_sbar(monkeypatch):
+    # two orbits sharing a point flip it once but count it twice
+    real = builder.orbit_members
+
+    def overlapping(points, n):
+        members, sizes = real(points, n)
+        members = members.copy()
+        members[-1] = members[0]
+        return members, sizes
+
+    monkeypatch.setattr(builder, "orbit_members", overlapping)
+    with pytest.raises(BuilderError, match="orbits overlap"):
+        build_one_resilient(9)

@@ -146,9 +146,27 @@ def test_ft_stats_cli(capsys):
 @pytest.mark.parametrize("t", ["inf", "1e308"])
 def test_ft_stats_cli_above_every_level_on_the_log_space_path(capsys, t):
     code, out, err = run_cli(capsys, "ft-stats", "--n", "100", "--t", t)
+    if t == "inf":
+        # an infinite t would be written as the bare token Infinity, which is not JSON
+        assert (code, out) == (1, "")
+        assert json.loads(err)["detail"] == "threshold parameter t must be finite, got inf"
+        return
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert (payload["influence_sum"], payload["support_prob"]) == (0.0, 0.0)
+    # phi(1e308) underflows to 0: the bounds are [0, 0] and prove nothing
+    for row in payload["sandwich"].values():
+        assert row["phi"] == 0.0
+        assert row["influence_pass"] is False and row["support_pass"] is False
+
+
+@pytest.mark.parametrize("t", ["-inf", "nan"])
+def test_ft_stats_cli_rejects_a_non_finite_t(capsys, t):
+    code, out, err = run_cli(capsys, "ft-stats", "--n", "100", f"--t={t}")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "precondition"
+    assert error["detail"] == f"threshold parameter t must be finite, got {float(t)}"
 
 
 def test_ft_stats_cli_names_a_negative_n(capsys):
@@ -354,6 +372,7 @@ def test_main_builds_one_parser_and_reuses_it(capsys, monkeypatch):
     ("cyclerun-build", "--n", "9", "--c1", "nan"),
     ("cyclerun-build", "--n", "9", "--c1", "inf"),
     ("ft-stats", "--n", "21", "--t", "nan"),
+    ("ft-stats", "--n", "21", "--t", "inf"),
     ("ft-stats", "--n", "21", "--t", "1", "--factor", "nan"),
     ("ft-stats", "--n", "21", "--t", "1", "--factor", "0"),
     ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "2000"),

@@ -380,6 +380,19 @@ def test_ft_sandwich_standard_normalization_large_n():
         assert row.support_pass, row
 
 
+@pytest.mark.parametrize("printed", [False, True])
+def test_ft_sandwich_fails_on_vacuous_bounds(printed):
+    # phi(t) underflows to 0 at t = 40, so both sandwiches shrink to [0, 0];
+    # f_t is 0 there too, but a zero lower bound certifies nothing
+    (row,) = ft_sandwich_report(100, [40.0], printed=printed, factor=4.0)
+    assert row.phi == 0.0
+    assert (row.influence_low, row.influence_high) == (0.0, 0.0)
+    assert (row.support_low, row.support_high) == (0.0, 0.0)
+    assert (row.influence, row.support) == (0.0, 0.0)
+    assert row.influence_pass is False
+    assert row.support_pass is False
+
+
 def test_gaussian_density_normalizations():
     assert gaussian_density(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
     assert gaussian_density(0.0, printed=True) == pytest.approx(1 / (2 * math.pi))
