@@ -6,9 +6,10 @@ hard errors), e.g. `tribes:w=3,s=4`, `cyclerun:n=9`, `parity:n=8,mask=0x7`,
 `file:path=table.tt`.  Every JSON artifact embeds the invoking config and
 the tool version.  Artifacts are the text of `json.dumps(payload, indent=2)`
 plus a newline; their bytes do not depend on how they are written (the big
-tables go through the C encoder, see `_json_chunks`).  Exit status:
-0 success, 1 precondition failure (usage errors included), 2 internal
-invariant/certificate violation.
+tables go through the C encoder, see `_json_chunks`).  A non-finite float
+is not JSON, so an artifact holding one is an invariant violation and is
+not written.  Exit status: 0 success, 1 precondition failure (usage errors
+included), 2 internal invariant/certificate violation.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     layout's item separator and brackets spliced around it.  Only the dicts
     and lists that hold a container are walked here, and the keys of those
     dicts are strings.  The pieces are left unjoined, so a table's text is
-    copied once more only when it is written.
+    copied once more only when it is written.  Every call passes
+    `allow_nan=False`, so a non-finite float raises `ValueError`.
     """
     flat = False
     if isinstance(value, np.ndarray):
@@ -154,11 +156,11 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     elif isinstance(value, (list, tuple)):
         items = value
     else:
-        out.append(json.dumps(value))
+        out.append(json.dumps(value, allow_nan=False))
         return
     inner = pad + "  "
     if flat or not any(map(isinstance, items, repeat(_CONTAINERS))):
-        body = json.dumps(value, separators=(",\n" + inner, ": "))
+        body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
         if not value:
             out.append(body)
         else:
@@ -166,7 +168,7 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     elif isinstance(value, dict):
         sep = "{\n" + inner
         for key, item in value.items():
-            out += (sep, json.dumps(key), ": ")
+            out += (sep, json.dumps(key, allow_nan=False), ": ")
             _json_chunks(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
@@ -191,7 +193,10 @@ def _emit(args, payload=None, csv_rows=None) -> None:
         }
         payload["version"] = __version__
         chunks = []
-        _json_chunks(payload, "", chunks)
+        try:
+            _json_chunks(payload, "", chunks)
+        except ValueError as exc:  # a non-finite float: not JSON
+            raise RuntimeError(f"artifact is not valid JSON: {exc}") from exc
         chunks.append("\n")
     if args.out:
         with open(args.out, "w") as handle:

@@ -113,9 +113,18 @@ def popcounts(n: int) -> np.ndarray:
 
 
 def coordinate_signs(points: np.ndarray, n: int) -> np.ndarray:
-    """The (len(points), n) matrix of +-1 coordinates x_1..x_n of each point."""
-    bits = (np.asarray(points, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    """The (len(points), n) matrix of +-1 coordinates x_1..x_n of each point.
+
+    Unpacks the low bytes of each little-endian uint64 point bit by bit
+    and maps bit b to 1 - 2b in place, so the only work array besides the
+    int8 result is the points' uint64 copy.
+    """
+    words = np.asarray(points, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    signs = np.unpackbits(words[:, : (n + 7) // 8], axis=1, count=n, bitorder="little")
+    signs = signs.view(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def _halves(values: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:

@@ -148,27 +148,48 @@ def _rol(v: np.ndarray, k: int, n: int, mask: int) -> np.ndarray:
     return ((v << k) | (v >> (n - k))) & mask
 
 
-def _longest_run(v: np.ndarray, n: int) -> np.ndarray:
-    """Longest cyclic run of set bits, vectorized over a uint32 point array.
+def _word_runs(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every w-bit word: its longest run of set bits, the run ending at
+    bit w-1 and the run starting at bit 0, as three int8 arrays of 2^w.
 
-    After step k, y holds the bits j with bits j..j+k of v all set; each
-    point's run length counts the steps at which its y is still nonzero.
+    After step k, y holds the bits j with bits j..j+k-1 of x all set.
     """
-    best = (v != 0).astype(np.int8)
-    y = v.copy()
-    hi = np.empty_like(v)
-    lo = np.empty_like(v)
-    for k in range(1, n):
-        # y &= ror(v, k): y < 2^n, so the bits lo carries past n drop out
-        np.right_shift(v, k, out=hi)
-        np.left_shift(v, n - k, out=lo)
-        hi |= lo
-        y &= hi
-        alive = y != 0
-        if not alive.any():
-            break
-        best += alive
-    return best
+    x = np.arange(1 << w, dtype=np.int32)
+    inner = np.zeros(1 << w, dtype=np.int8)
+    top = np.zeros(1 << w, dtype=np.int8)
+    bottom = np.zeros(1 << w, dtype=np.int8)
+    y = x
+    for k in range(1, w + 1):
+        ones = (1 << k) - 1
+        inner += y != 0
+        y = y & (x >> k)
+        top += (x >> (w - k)) == ones
+        bottom += (x & ones) == ones
+    return inner, top, bottom
+
+
+def _longest_runs(n: int) -> np.ndarray:
+    """Longest cyclic run of set bits of every n-bit point, as a 2^n int8 table.
+
+    A point is its high h = ceil(n/2) bits over its low b = floor(n/2) bits,
+    so the (2^h, 2^b) table of the halves is the 2^n table in index order.
+    A run lies inside one half, crosses the split (the low half's top run
+    plus the high half's bottom run), or wraps past bit n-1 (the high
+    half's top run plus the low half's bottom run).  The wrapped run goes
+    on across a half that is all ones; only the last row (high half all
+    ones) and the last column (low half all ones) do that, and there the
+    run is capped at n.
+    """
+    b = n // 2
+    h = n - b
+    inner_hi, top_hi, bottom_hi = _word_runs(h)
+    inner_lo, top_lo, bottom_lo = _word_runs(b)
+    runs = np.maximum(inner_hi[:, None], inner_lo)
+    np.maximum(runs, bottom_hi[:, None] + top_lo, out=runs)
+    np.maximum(runs, top_hi[:, None] + bottom_lo, out=runs)
+    np.maximum(runs[-1], np.minimum(h + top_lo + bottom_lo, n), out=runs[-1])
+    np.maximum(runs[:, -1], np.minimum(top_hi + b + bottom_hi, n), out=runs[:, -1])
+    return runs.reshape(-1)
 
 
 def _run_starts(v: np.ndarray, run_len: int, n: int, mask: int) -> np.ndarray:
@@ -185,34 +206,47 @@ def _run_starts(v: np.ndarray, run_len: int, n: int, mask: int) -> np.ndarray:
 def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
     """CycleRun truth table plus the number of stage-3 residual-tie fallbacks.
 
-    Points are uint32 bit arrays.  That is exact for n <= CYCLERUN_MAX_DIM
-    < 32: a left shift only loses bits it moves past bit 31, which are at
-    or above n, and every rotation drops those anyway (`& mask`).  The
-    +1 coordinates of point i are the set bits of mask - i, so the +1
-    player's run lengths are the -1 player's read backwards.
+    The set bits of point i are the -1 player's coordinates and those of
+    mask - i the +1 player's, so the +1 player's run lengths are the -1
+    player's read backwards.
+
+    Stage 1 reads both off `_longest_runs`, one int8 table of 2^n built by
+    broadcasting from half-word tables of 2^h + 2^b entries (h = ceil(n/2)
+    high bits, b = floor(n/2) low bits).  For every h-bit and every b-bit
+    word they hold its longest run of set bits, its run ending at the top
+    bit and its run starting at bit 0.  A point's longest run is the max of
+    the two inner runs, the run crossing the split and the run wrapping
+    past bit n-1.  Every run is at most n <= CYCLERUN_MAX_DIM = 25, so a
+    sum of two stays within 50 and int8 cannot overflow.
+
+    The tied points, grouped by run length with one stable argsort, go to
+    stages 2 and 3 as uint32 bit arrays.  That is exact for n <=
+    CYCLERUN_MAX_DIM < 32: a left shift only loses bits it moves past bit
+    31, which are at or above n, and every rotation drops those anyway
+    (`& mask`).
     """
     if n % 2 == 0:
         raise ValueError("cyclerun needs odd n")
     if not 3 <= n <= CYCLERUN_MAX_DIM:
         raise ValueError(f"cyclerun supported for odd n in [3, {CYCLERUN_MAX_DIM}]")
     mask = (1 << n) - 1
-    neg_bits = np.arange(1 << n, dtype=np.uint32)
-    pos_bits = neg_bits[::-1]  # ~i & mask == mask - i
 
-    len_neg = _longest_run(neg_bits, n)
+    len_neg = _longest_runs(n)
     len_pos = len_neg[::-1]
-    table = np.zeros(1 << n, dtype=np.int8)
-    table[len_pos > len_neg] = 1
-    table[len_neg > len_pos] = -1
+    table = np.sign(len_pos - len_neg)
 
     fallback_count = 0
-    tied = np.nonzero(table == 0)[0]
-    for run_len in np.unique(len_pos[tied]):
-        group = tied[len_pos[tied] == run_len]
-        vp = pos_bits[group]
-        vn = neg_bits[group]
-        starts_p = _run_starts(vp, int(run_len), n, mask)
-        starts_n = _run_starts(vn, int(run_len), n, mask)
+    tied = np.flatnonzero(table == 0)
+    tied_len = len_neg[tied]
+    tied = tied[np.argsort(tied_len, kind="stable")]
+    groups = np.split(tied, np.cumsum(np.bincount(tied_len))[:-1])
+    for run_len, group in enumerate(groups):
+        if not len(group):
+            continue
+        vn = group.astype(np.uint32)
+        vp = np.uint32(mask) - vn
+        starts_p = _run_starts(vp, run_len, n, mask)
+        starts_n = _run_starts(vn, run_len, n, mask)
         count_p = np.bitwise_count(starts_p).astype(np.int64)
         count_n = np.bitwise_count(starts_n).astype(np.int64)
         verdict = np.sign(count_p - count_n).astype(np.int8)
@@ -223,11 +257,11 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
             sn = starts_n[still]
             both = sp | sn
             cover = both.copy()
-            for t in range(1, int(run_len)):
+            for t in range(1, run_len):
                 cover |= _rol(both, t, n, mask)
             open_pos = ~cover & mask
-            seed_p = _rol(sp, int(run_len), n, mask) & open_pos
-            seed_n = _rol(sn, int(run_len), n, mask) & open_pos
+            seed_p = _rol(sp, run_len, n, mask) & open_pos
+            seed_n = _rol(sn, run_len, n, mask) & open_pos
             for _ in range(n):
                 grown_p = seed_p | (_rol(seed_p, 1, n, mask) & open_pos)
                 grown_n = seed_n | (_rol(seed_n, 1, n, mask) & open_pos)

@@ -112,7 +112,7 @@ def test_criterion_04_tribes_spectrum():
 
 def test_criterion_05_cyclerun_structure():
     started = time.time()
-    for n in range(3, 18, 2):
+    for n in range(3, 22, 2):
         table, fallbacks = cyclerun_table(n)
         assert fallbacks == 0, f"fallback fired at n={n}"
         idx = np.arange(1 << n)
@@ -128,7 +128,7 @@ def test_criterion_05_cyclerun_structure():
     elapsed = time.time() - started
     assert elapsed <= 300.0
     print(f"[criterion 5] PASS cyclerun structure: total/odd/monotone/shift "
-          f"for odd n <= 17 in {elapsed:.1f}s")
+          f"for odd n <= 21 in {elapsed:.1f}s")
 
 
 def test_criterion_06_builder_certificates():

@@ -169,6 +169,17 @@ def test_ft_stats_cli_rejects_a_non_finite_t(capsys, t):
     assert error["detail"] == f"threshold parameter t must be finite, got {float(t)}"
 
 
+def test_ft_stats_cli_writes_no_artifact_with_an_overflowed_bound(capsys, tmp_path):
+    # factor * phi(1) * sqrt(1000) overflows to inf, which is not JSON
+    out_path = tmp_path / "ft.json"
+    code, out, err = run_cli(
+        capsys, "ft-stats", "--n", "1000", "--t", "1", "--factor", "1e308", "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invariant-violation"
+    assert not out_path.exists()
+
+
 def test_ft_stats_cli_names_a_negative_n(capsys):
     code, out, err = run_cli(capsys, "ft-stats", "--n", "-3", "--t", "1")
     assert (code, out) == (1, "")
@@ -303,9 +314,16 @@ _PAYLOADS = st.recursive(
 @example(np.array([np.inf, -np.inf, np.nan, -0.0, 1e-300]))
 @example({"grid": np.arange(6.0).reshape(2, 3), "empty": np.zeros((0, 2))})
 def test_json_writer_matches_indented_dumps(payload):
+    # a non-finite float is not JSON: the writer refuses it as json.dumps does
+    try:
+        expected = json.dumps(_as_lists(payload), indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_chunks(payload, "", [])
+        return
     chunks = []
     cli._json_chunks(payload, "", chunks)
-    assert "".join(chunks) == json.dumps(_as_lists(payload), indent=2)
+    assert "".join(chunks) == expected
 
 
 ARTIFACT_JOBS = [

@@ -110,6 +110,21 @@ def test_coordinate_signs_are_coordinate_values_rows():
         assert np.array_equal(signs[:, j - 1], coordinate_values(n, j)[points])
 
 
+def test_coordinate_signs_match_shifted_bits_and_make_no_wide_temporaries():
+    n = 19
+    points = np.random.default_rng(19).integers(0, 1 << n, size=8192)
+    tracemalloc.start()
+    try:
+        signs = coordinate_signs(points, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bits = (points[:, None] >> np.arange(n)) & 1
+    assert signs.dtype == np.int8
+    assert np.array_equal(signs, 1 - 2 * bits)
+    assert peak <= 4 * signs.nbytes
+
+
 def test_coordinate_signs_product_is_level_one_sum():
     f = random_boolean(9, seed=4)
     points = np.arange(1 << 9)

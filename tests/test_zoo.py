@@ -158,7 +158,7 @@ def test_cyclerun_definition_examples():
 
 
 def test_cyclerun_matches_reference_exhaustively():
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 11, 13):
         f = cyclerun(n)
         for idx in range(1 << n):
             assert f(idx) == cyclerun_reference(bits_of(idx, n)), (n, idx)
@@ -183,11 +183,92 @@ def test_longest_run_matches_cyclic_oracle(n):
     wrap = (0b111 << (n - 3)) | 0b11  # one run of 5 across the seam
     half = rng.integers(0, 1 << n, size=300)  # bits set with probability 1/2
     dense = half | rng.integers(0, 1 << n, size=300) | rng.integers(0, 1 << n, size=300)
-    points = np.concatenate([half, dense, [0, mask, wrap]]).astype(np.uint32)
-    got = zoo._longest_run(points, n)
-    assert got.dtype == np.int8
+    points = np.concatenate([half, dense, [0, mask, wrap]])
+    runs = zoo._longest_runs(n)
+    assert runs.dtype == np.int8 and runs.shape == (1 << n,)
+    got = runs[points]
     assert [int(v) for v in got] == [longest_run_reference(int(p), n) for p in points]
     assert got[-3:].tolist() == [0, n, 5]
+
+
+def shift_loop_cyclerun_table(n):
+    """CycleRun's table and fallback count by n - 1 shifted passes over the cube.
+
+    Stage 1 finds each point's longest cyclic run by ANDing it with its
+    rotations; the tied points go through stages 2 and 3 one run length
+    at a time.
+    """
+    mask = (1 << n) - 1
+
+    def rol(v, k):
+        return ((v << k) | (v >> (n - k))) & mask if k else v
+
+    def ror(v, k):
+        return ((v >> k) | (v << (n - k))) & mask if k else v
+
+    def run_starts(v, run_len):
+        y = v.copy()
+        for t in range(1, run_len):
+            y = y & ror(v, t)
+        return y & ~rol(v, 1)
+
+    neg_bits = np.arange(1 << n, dtype=np.uint32)
+    pos_bits = neg_bits[::-1]
+    len_neg = (neg_bits != 0).astype(np.int8)
+    y = neg_bits.copy()
+    for k in range(1, n):
+        y &= ror(neg_bits, k)
+        len_neg += y != 0
+    len_pos = len_neg[::-1]
+    table = np.zeros(1 << n, dtype=np.int8)
+    table[len_pos > len_neg] = 1
+    table[len_neg > len_pos] = -1
+
+    fallbacks = 0
+    tied = np.nonzero(table == 0)[0]
+    for run_len in np.unique(len_pos[tied]):
+        run_len = int(run_len)
+        group = tied[len_pos[tied] == run_len]
+        starts_p = run_starts(pos_bits[group], run_len)
+        starts_n = run_starts(neg_bits[group], run_len)
+        verdict = np.sign(
+            np.bitwise_count(starts_p).astype(np.int64) - np.bitwise_count(starts_n)
+        ).astype(np.int8)
+        still = np.nonzero(verdict == 0)[0]
+        if len(still):
+            sp, sn = starts_p[still], starts_n[still]
+            cover = sp | sn
+            for t in range(1, run_len):
+                cover |= rol(sp | sn, t)
+            open_pos = ~cover & mask
+            seed_p = rol(sp, run_len) & open_pos
+            seed_n = rol(sn, run_len) & open_pos
+            for _ in range(n):
+                grown_p = seed_p | (rol(seed_p, 1) & open_pos)
+                grown_n = seed_n | (rol(seed_n, 1) & open_pos)
+                if np.array_equal(grown_p, seed_p) and np.array_equal(grown_n, seed_n):
+                    break
+                seed_p, seed_n = grown_p, grown_n
+            stage3 = np.sign(
+                np.bitwise_count(seed_p).astype(np.int64) - np.bitwise_count(seed_n)
+            ).astype(np.int8)
+            residual = stage3 == 0
+            if residual.any():
+                fallbacks += int(residual.sum())
+                pc = np.bitwise_count(group[still[residual]].astype(np.uint64))
+                stage3[residual] = np.where(pc < n / 2, 1, -1)
+            verdict[still] = stage3
+        table[group] = verdict
+    return table, fallbacks
+
+
+@pytest.mark.parametrize("n", range(3, 22, 2))
+def test_cyclerun_table_matches_shift_loop_pipeline(n):
+    table, fallbacks = cyclerun_table(n)
+    expected, expected_fallbacks = shift_loop_cyclerun_table(n)
+    assert table.dtype == np.int8
+    assert np.array_equal(table, expected)
+    assert fallbacks == expected_fallbacks
 
 
 def test_cyclerun_table_matches_reference_at_11():
