@@ -23,12 +23,22 @@ the end.  The audit replays all recorded orbits at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import BooleanFunction, coordinate_signs, low_degree_sums, popcounts
+from .hypercube import (
+    BooleanFunction,
+    coordinate_signs,
+    low_degree_sums,
+    orbit_members,
+    periods,
+    popcounts,
+    rotate,
+    rotations,
+)
 from .zoo import cyclerun
 
 
@@ -44,62 +54,27 @@ class BudgetExhausted(BuilderError):
     """The |Sbar| budget was hit while sigma was still positive."""
 
 
-def _shift(points: np.ndarray, n: int) -> np.ndarray:
-    """Each point with its coordinates moved one place cyclically."""
-    return (points >> 1) | ((points & 1) << (n - 1))
-
-
-def rotations(points: np.ndarray, n: int) -> np.ndarray:
-    """The (len(points), n) array whose column j is each point shifted j places."""
-    rots = np.empty((len(points), n), dtype=np.int64)
-    rots[:, 0] = points
-    for j in range(1, n):
-        rots[:, j] = _shift(rots[:, j - 1], n)
-    return rots
-
-
-def periods(rots: np.ndarray) -> np.ndarray:
-    """The least shift j > 0 that fixes each row's point, n when none does.
-
-    For odd n a complement has another popcount, so it is never a shift, and
-    the shift orbit (closure under shifts and negation) of a point holds
-    2 * period members.
-    """
-    fixed = rots[:, 1:] == rots[:, :1]
-    return np.where(fixed.any(axis=1), fixed.argmax(axis=1) + 1, rots.shape[1])
-
-
-def orbit_members(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shift orbit of each point, concatenated, and the orbit sizes.
-
-    Each orbit lists its point's distinct shifts, then their complements.
-    """
-    if n % 2 == 0:
-        raise ValueError("shift orbits are used for odd n only")
-    rots = rotations(np.asarray(points, dtype=np.int64), n)
-    period = periods(rots)
-    both = np.stack([rots, rots ^ ((1 << n) - 1)], axis=1)  # (points, 2, n)
-    distinct = np.arange(n) < period[:, None, None]
-    return both[np.broadcast_to(distinct, both.shape)], 2 * period
-
-
-def _orbits_by_level(ones: np.ndarray, ones_pc: np.ndarray, n: int):
-    """Yield (point, period, weight) of each orbit met walking the candidates.
+def _orbits_by_level(ones: np.ndarray, ones_pc: np.ndarray, n: int) -> list:
+    """One lazy walk per popcount level pc = 0..n, yielding (point, period,
+    weight) of each orbit met walking that level's candidates ascending.
 
     `ones` lists the CycleRun = 1 points ascending, `ones_pc` their
     popcounts.  All shifts of a point share its weight and its CycleRun
     value, and for odd n a complement has CycleRun = -1, so within a level
     the first point of an orbit is its least shift.
     """
-    for pc in range(n + 1):
+
+    def level(pc: int):
         least = ones[ones_pc == pc]
         shifted = least
         for _ in range(n - 1):
-            shifted = _shift(shifted, n)
+            shifted = rotate(shifted, 1, n)
             keep = least <= shifted
             least, shifted = least[keep], shifted[keep]
         for point, period in zip(least.tolist(), periods(rotations(least, n)).tolist()):
             yield point, period, n - 2 * pc
+
+    return [level(pc) for pc in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -163,23 +138,24 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
 
     # candidates with CycleRun = 1, highest coordinate sum first, index ascending
     ones = np.flatnonzero(base.table == 1)
-    ones_pc = pc[ones]
-    candidates = _orbits_by_level(ones, ones_pc, n)
-    light_pool = ones[ones_pc == (n - 1) // 2]  # the points of coordinate sum 1
+    levels = _orbits_by_level(ones, pc[ones], n)
+    candidates = itertools.chain.from_iterable(levels)
+    # the light branch draws the orbits of coordinate sum 1 from the same
+    # walk; such an orbit has period n (gcd(n, (n-1)/2) = 1), so its
+    # decrement 4n <= sigma and the branch never fires while x is one
+    light = levels[(n - 1) // 2]
 
-    flipped: set[int] = set()  # the flipped points of the light pool's level
     records: list[IterationRecord] = []
     sbar_size = 0
     sbar_prime_size = 0
     x = None
-    light_cursor = 0
 
     while sigma != 0:
         if sbar_size > budget:
             raise BudgetExhausted(
                 f"|Sbar| = {sbar_size} exceeded budget {budget:.1f} with sigma {sigma}"
             )
-        while x is None or x in flipped:
+        if x is None:
             x, period, weight = next(candidates, (None, 0, 0))
             if x is None:
                 raise BuilderError("no unflipped CycleRun=1 candidates remain")
@@ -188,22 +164,17 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         decrement = 4 * period * weight
 
         if sigma - decrement < 0:
-            while light_cursor < len(light_pool) and int(light_pool[light_cursor]) in flipped:
-                light_cursor += 1
-            if light_cursor >= len(light_pool):
+            point, light_period, _ = next(light, (None, 0, 0))
+            if point is None:
                 raise NoWeightOnePoint(f"no weight-one CycleRun=1 point left at n={n}")
-            point = int(light_pool[light_cursor])
-            orbit_size = 2 * int(periods(rotations(np.array([point]), n))[0])
-            if orbit_size != 2 * n:
+            if light_period != n:
                 raise BuilderError("weight-one orbit does not have size 2n")
-            branch, point_weight, delta = "light", 1, 4 * n
+            branch, point_weight, orbit_size, delta = "light", 1, 2 * n, 4 * n
             sbar_prime_size += orbit_size
         else:
             branch = "heavy" if sigma - decrement > 0 else "boundary"
             point, point_weight, orbit_size, delta = x, weight, 2 * period, decrement
             x = None  # the cursor moves on
-        if point_weight == 1:  # keep the light scan and the cursor off this orbit
-            flipped.update(rotations(np.array([point]), n)[0].tolist())
 
         sbar_size += orbit_size
         records.append(

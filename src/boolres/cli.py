@@ -121,9 +121,11 @@ def parse_function_spec(spec: str) -> CubeFunction:
     if name == "random":
         n = int(_take(pairs, "n", spec))
         seed = int(_take(pairs, "seed", spec))
-        balanced = bool(int(pairs.pop("balanced", "0")))
+        balanced = int(pairs.pop("balanced", "0"))
+        if balanced not in (0, 1):
+            raise SpecError(f"balanced must be 0 or 1 in function spec {spec!r}")
         _done(pairs, spec)
-        return random_boolean(n, seed, balanced=balanced)
+        return random_boolean(n, seed, balanced=bool(balanced))
     if name == "file":
         path = _take(pairs, "path", spec)
         _done(pairs, spec)

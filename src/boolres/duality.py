@@ -118,8 +118,6 @@ def _check_boolean(f: BooleanFunction) -> None:
 def _check_inputs(f: BooleanFunction, d: int) -> None:
     if f.n > MAX_DUALITY_DIM:
         raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
-    if not 0 <= d <= f.n:
-        raise ValueError(f"degree d={d} outside [0, {f.n}]")
 
 
 def _l1_box_lp(
@@ -143,8 +141,10 @@ def _l1_box_lp(
 
     Returns the solution, p, p's table and sum_c w_c |l_c - p(x_c)|
     recomputed from that table, which must be within 1e-7 sum_c w_c of the
-    LP value.
+    LP value.  A degree outside [0, n] raises ValueError before any work.
     """
+    if not 0 <= d <= n:
+        raise ValueError(f"degree d={d} outside [0, {n}]")
     masks = low_degree_masks(n, d)
     chi = np.array([chi_values(n, mask) for mask in masks])
     lp = LinearProgram(

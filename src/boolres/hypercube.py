@@ -9,6 +9,8 @@ Conventions shared by the whole package:
   the coordinates of a point set; influences build on them, and
   `low_degree_sums` splits by the top coordinate again and again to read
   off only the coefficients of degree <= d.
+  `rotate` shifts the coordinates cyclically; `rotations`, `periods` and
+  `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
 * chi_S(x) = prod_{j in S} x_j = (-1)^popcount(mask & index).
 * Fourier coefficients carry the expectation normalization,
@@ -125,6 +127,46 @@ def coordinate_signs(points: np.ndarray, n: int) -> np.ndarray:
     signs *= -2
     signs += 1
     return signs
+
+
+def rotate(points: np.ndarray, k: int | np.ndarray, n: int) -> np.ndarray:
+    """Bit j of each result is bit (j + k) mod n of its point, 0 <= k <= n.
+
+    k broadcasts against the points, and the points' dtype is kept: a left
+    shift only loses bits at or above n, which `& mask` drops anyway, so
+    uint32 is exact for n < 32 (CycleRun's n <= 25) and int64 for n < 63.
+    """
+    return ((points >> k) | (points << (n - k))) & ((1 << n) - 1)
+
+
+def rotations(points: np.ndarray, n: int) -> np.ndarray:
+    """The (len(points), n) int64 array whose column j is each point rotated j places."""
+    return rotate(np.asarray(points, dtype=np.int64)[:, None], np.arange(n), n)
+
+
+def periods(rots: np.ndarray) -> np.ndarray:
+    """The least shift j > 0 that fixes each row's point, n when none does.
+
+    For odd n a complement has another popcount, so it is never a shift, and
+    the shift orbit (closure under shifts and negation) of a point holds
+    2 * period members.
+    """
+    fixed = rots[:, 1:] == rots[:, :1]
+    return np.where(fixed.any(axis=1), fixed.argmax(axis=1) + 1, rots.shape[1])
+
+
+def orbit_members(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shift orbit of each point, concatenated, and the orbit sizes.
+
+    Each orbit lists its point's distinct shifts, then their complements.
+    """
+    if n % 2 == 0:
+        raise ValueError("shift orbits are used for odd n only")
+    rots = rotations(points, n)
+    period = periods(rots)
+    both = np.stack([rots, rots ^ ((1 << n) - 1)], axis=1)  # (points, 2, n)
+    distinct = np.arange(n) < period[:, None, None]
+    return both[np.broadcast_to(distinct, both.shape)], 2 * period
 
 
 def _halves(values: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +293,6 @@ def per_coordinate_influence(fn: CubeFunction) -> np.ndarray:
 
 def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
     """Low-degree Fourier weight (degree <= d) plus influence data."""
-    if not 0 <= d <= fn.n:
-        raise ValueError(f"degree d={d} outside [0, {fn.n}]")
     exact = isinstance(fn, BooleanFunction)
     _, sums = low_degree_sums(fn.table, d, np.int64 if exact else np.float64)
     coeffs = sums / float(1 << fn.n)
@@ -335,8 +375,6 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
     coefficients are at least 2^-n, so the default tolerance makes the
     verdict an exact-zero certificate); bounded inputs use floats.
     """
-    if not 0 <= d <= fn.n:
-        raise ValueError(f"degree d={d} outside [0, {fn.n}]")
     exact = isinstance(fn, BooleanFunction)
     masks, sums = low_degree_sums(fn.table, d, np.int64 if exact else np.float64)
     scale = float(1 << fn.n)

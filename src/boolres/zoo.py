@@ -25,6 +25,7 @@ from .hypercube import (
     chi_values,
     coordinate_values,
     popcounts,
+    rotate,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,20 +135,6 @@ CYCLERUN_MAX_DIM = 25
 CYCLERUN_EXHAUSTIVE_DIM = 17  # fallback is proven absent by enumeration up to here
 
 
-def _ror(v: np.ndarray, k: int, n: int, mask: int) -> np.ndarray:
-    """Cyclic shift: bit j of the result is bit (j+k) mod n of v."""
-    if k == 0:
-        return v
-    return ((v >> k) | (v << (n - k))) & mask
-
-
-def _rol(v: np.ndarray, k: int, n: int, mask: int) -> np.ndarray:
-    """Cyclic shift: bit j of the result is bit (j-k) mod n of v."""
-    if k == 0:
-        return v
-    return ((v << k) | (v >> (n - k))) & mask
-
-
 def _word_runs(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every w-bit word: its longest run of set bits, the run ending at
     bit w-1 and the run starting at bit 0, as three int8 arrays of 2^w.
@@ -192,15 +179,15 @@ def _longest_runs(n: int) -> np.ndarray:
     return runs.reshape(-1)
 
 
-def _run_starts(v: np.ndarray, run_len: int, n: int, mask: int) -> np.ndarray:
+def _run_starts(v: np.ndarray, run_len: int, n: int) -> np.ndarray:
     """Bit j set iff a maximal run of exactly `run_len` set bits starts at j.
 
     Assumes no strictly longer run exists in v.
     """
     y = v.copy()
     for t in range(1, run_len):
-        y = y & _ror(v, t, n, mask)
-    return y & ~_rol(v, 1, n, mask)
+        y = y & rotate(v, t, n)
+    return y & ~rotate(v, n - 1, n)
 
 
 def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
@@ -220,10 +207,8 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
     sum of two stays within 50 and int8 cannot overflow.
 
     The tied points, grouped by run length with one stable argsort, go to
-    stages 2 and 3 as uint32 bit arrays.  That is exact for n <=
-    CYCLERUN_MAX_DIM < 32: a left shift only loses bits it moves past bit
-    31, which are at or above n, and every rotation drops those anyway
-    (`& mask`).
+    stages 2 and 3 as uint32 bit arrays, which `hypercube.rotate` shifts
+    exactly for n <= CYCLERUN_MAX_DIM < 32.
     """
     if n % 2 == 0:
         raise ValueError("cyclerun needs odd n")
@@ -245,8 +230,8 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
             continue
         vn = group.astype(np.uint32)
         vp = np.uint32(mask) - vn
-        starts_p = _run_starts(vp, run_len, n, mask)
-        starts_n = _run_starts(vn, run_len, n, mask)
+        starts_p = _run_starts(vp, run_len, n)
+        starts_n = _run_starts(vn, run_len, n)
         count_p = np.bitwise_count(starts_p).astype(np.int64)
         count_n = np.bitwise_count(starts_n).astype(np.int64)
         verdict = np.sign(count_p - count_n).astype(np.int8)
@@ -258,13 +243,13 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
             both = sp | sn
             cover = both.copy()
             for t in range(1, run_len):
-                cover |= _rol(both, t, n, mask)
+                cover |= rotate(both, n - t, n)
             open_pos = ~cover & mask
-            seed_p = _rol(sp, run_len, n, mask) & open_pos
-            seed_n = _rol(sn, run_len, n, mask) & open_pos
+            seed_p = rotate(sp, n - run_len, n) & open_pos
+            seed_n = rotate(sn, n - run_len, n) & open_pos
             for _ in range(n):
-                grown_p = seed_p | (_rol(seed_p, 1, n, mask) & open_pos)
-                grown_n = seed_n | (_rol(seed_n, 1, n, mask) & open_pos)
+                grown_p = seed_p | (rotate(seed_p, n - 1, n) & open_pos)
+                grown_n = seed_n | (rotate(seed_n, n - 1, n) & open_pos)
                 if np.array_equal(grown_p, seed_p) and np.array_equal(grown_n, seed_n):
                     break
                 seed_p, seed_n = grown_p, grown_n
@@ -411,8 +396,9 @@ def ft_sandwich_report(
 
     influence in [phi(t) sqrt(n)/factor, factor phi(t) sqrt(n)] and
     support in [phi(t)/(factor t), factor phi(t)/t]; t must be positive.
-    A sandwich passes only on a positive lower bound: once phi(t) underflows
-    to 0 the bounds are the vacuous [0, 0].
+    A sandwich passes only on a positive lower bound and a finite upper
+    bound: once phi(t) underflows to 0 the bounds are the vacuous [0, 0],
+    and a huge factor can overflow the upper bound to inf.
     """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sandwich factor must be positive and finite, got {factor}")
@@ -432,10 +418,10 @@ def ft_sandwich_report(
                 phi=phi,
                 influence_low=inf_lo,
                 influence_high=inf_hi,
-                influence_pass=0 < inf_lo <= stats.influence_sum <= inf_hi,
+                influence_pass=0 < inf_lo <= stats.influence_sum <= inf_hi < math.inf,
                 support_low=sup_lo,
                 support_high=sup_hi,
-                support_pass=0 < sup_lo <= stats.support_prob <= sup_hi,
+                support_pass=0 < sup_lo <= stats.support_prob <= sup_hi < math.inf,
             )
         )
     return rows

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,11 +16,16 @@ from boolres.builder import (
     NoWeightOnePoint,
     audit_invariants,
     build_one_resilient,
-    orbit_members,
-    periods,
-    rotations,
 )
-from boolres.hypercube import BooleanFunction, correlation, is_d_resilient, popcounts, wht_int
+from boolres.hypercube import (
+    BooleanFunction,
+    correlation,
+    is_d_resilient,
+    orbit_members,
+    popcounts,
+    rotations,
+    wht_int,
+)
 from boolres.zoo import cyclerun
 
 
@@ -116,69 +122,9 @@ def test_orbit_walk_meets_each_candidate_orbit_at_its_first_point(n):
             orbit = shift_orbit(x, n)
             seen |= orbit
             expected.append((x, len(orbit) // 2, int(wt[x])))
-    assert list(builder._orbits_by_level(ones, popcounts(n)[ones], n)) == expected
-
-
-def test_all_ones_orbit():
-    members, sizes = orbit_members(np.array([0]), 5)  # index 0 is the all-(+1) point
-    assert sorted(members.tolist()) == [0, 0b11111]
-    assert sizes.tolist() == [2]
-    assert periods(rotations(np.array([0]), 5)).tolist() == [1]
-
-
-def test_coprime_weight_orbit_size():
-    # Hamming weight 2 is coprime to 5 -> period n, orbit size 2n
-    assert periods(rotations(np.array([0b00011]), 5)).tolist() == [5]
-    assert orbit_members(np.array([0b00011]), 5)[1].tolist() == [10]
-
-
-def test_periodic_point_orbit_size():
-    # period-3 pattern on n=9: 001 repeated; 3 shifts x 2 signs = 6 members
-    x = 0b001001001
-    assert periods(rotations(np.array([x]), 9)).tolist() == [3]
-    assert orbit_members(np.array([x]), 9)[1].tolist() == [6]
-
-
-def test_rotations_columns_are_successive_shifts():
-    rots = rotations(np.array([0b00011, 0b10110]), 5)
-    assert rots.tolist() == [
-        [0b00011, 0b10001, 0b11000, 0b01100, 0b00110],
-        [0b10110, 0b01011, 0b10101, 0b11010, 0b01101],
-    ]
-
-
-@pytest.mark.parametrize("n", [5, 7, 9])
-def test_orbit_members_match_the_reference_closure(n):
-    points = np.arange(1 << n)
-    members, sizes = orbit_members(points, n)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for x in range(1 << n):
-        orbit = members[offsets[x]:offsets[x + 1]].tolist()
-        assert len(orbit) == len(set(orbit))  # each member once
-        assert frozenset(orbit) == shift_orbit(x, n)
-
-
-def test_orbit_members_need_odd_n():
-    with pytest.raises(ValueError):
-        orbit_members(np.array([1]), 6)
-
-
-def test_orbits_partition_small():
-    n = 5
-    members, sizes = orbit_members(np.arange(1 << n), n)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    seen = {}
-    for x in range(1 << n):
-        orbit = frozenset(members[offsets[x]:offsets[x + 1]].tolist())
-        key = min(orbit)
-        if key in seen:
-            assert seen[key] == orbit
-        else:
-            seen[key] = orbit
-    assert sum(len(m) for m in seen.values()) == 1 << n
-    for orbit in seen.values():
-        assert len(orbit) % 2 == 0
-        assert (2 * n) % len(orbit) == 0
+    levels = builder._orbits_by_level(ones, popcounts(n)[ones], n)
+    assert len(levels) == n + 1  # one walk per popcount, the first level first
+    assert list(itertools.chain.from_iterable(levels)) == expected
 
 
 def test_cyclerun_half_positive_on_each_orbit():

@@ -37,6 +37,18 @@ def test_parse_rejects_unknown_keys():
         parse_function_spec("majority:n=3,n=5")
 
 
+@pytest.mark.parametrize("balanced", ["2", "-1"])
+def test_random_spec_accepts_only_0_or_1_for_balanced(capsys, balanced):
+    spec = f"random:n=4,seed=7,balanced={balanced}"
+    with pytest.raises(cli.SpecError, match="balanced must be 0 or 1"):
+        parse_function_spec(spec)
+    code, out, err = run_cli(capsys, "stats", "--fn", spec, "--d", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "precondition"
+    unbalanced = parse_function_spec("random:n=4,seed=7,balanced=0")
+    assert np.array_equal(unbalanced.table, parse_function_spec("random:n=4,seed=7").table)
+
+
 def test_spectrum_csv_row_count(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--fn", "cyclerun:n=5", "--format", "csv")
     assert code == 0
@@ -127,6 +139,22 @@ def test_learn_cli_exact_and_sampled(capsys):
     assert "--m" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("d", [4, -1])
+@pytest.mark.parametrize("sampling", [(), ("--m", "50", "--seed", "9")], ids=["exact", "sampled"])
+def test_learn_cli_rejects_a_degree_outside_0_n(capsys, d, sampling):
+    code, out, err = run_cli(capsys, "learn", "--fn", "majority:n=3", "--d", str(d), *sampling)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "precondition"
+    assert error["detail"] == f"degree d={d} outside [0, 3]"
+
+
+def test_stats_cli_rejects_a_negative_degree(capsys):
+    code, out, err = run_cli(capsys, "stats", "--fn", "majority:n=3", "--d", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["detail"] == "degree d=-1 outside [0, 3]"
+
+
 def test_learn_cli_rejects_zero_samples(capsys):
     code, _, err = run_cli(
         capsys, "learn", "--fn", "dictator:n=4,i=1", "--d", "1", "--m", "0", "--seed", "9"
@@ -178,6 +206,17 @@ def test_ft_stats_cli_writes_no_artifact_with_an_overflowed_bound(capsys, tmp_pa
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "invariant-violation"
     assert not out_path.exists()
+
+
+def test_ft_stats_csv_fails_a_sandwich_whose_upper_bound_overflowed(capsys):
+    # factor * phi(1) * sqrt(1000) overflows to inf; the support bound stays finite
+    code, out, err = run_cli(
+        capsys, "ft-stats", "--n", "1000", "--t", "1", "--factor", "1e308", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [row[0] for row in rows] == ["standard_phi", "printed_phi"]
+    assert [row[2:] for row in rows] == [["False", "True"], ["False", "True"]]
 
 
 def test_ft_stats_cli_names_a_negative_n(capsys):

@@ -1,4 +1,5 @@
-"""The coordinate split kernels of `hypercube` against independent oracles."""
+"""The coordinate split and cyclic shift kernels of `hypercube` against
+independent oracles."""
 
 import tracemalloc
 
@@ -11,9 +12,15 @@ from boolres.hypercube import (
     coordinate_signs,
     coordinate_values,
     fwht,
+    is_d_resilient,
     low_degree_sums,
+    orbit_members,
     per_coordinate_influence,
+    periods,
     popcounts,
+    rotate,
+    rotations,
+    spectral_stats,
     wht,
     wht_int,
 )
@@ -85,6 +92,14 @@ def test_low_degree_sums_reject_bad_degree():
         low_degree_sums(np.ones(8, dtype=np.int8), 4, np.int64)
     with pytest.raises(ValueError):
         low_degree_sums(np.ones(8, dtype=np.int8), -1, np.int64)
+
+
+@pytest.mark.parametrize("d", [-1, 4])
+@pytest.mark.parametrize("check", [spectral_stats, is_d_resilient])
+def test_degree_checks_read_the_range_off_low_degree_sums(check, d):
+    for fn in (BooleanFunction(3, np.ones(8)), BoundedFunction(3, np.zeros(8))):
+        with pytest.raises(ValueError, match=rf"^degree d={d} outside \[0, 3\]$"):
+            check(fn, d)
 
 
 def test_low_degree_sums_make_no_widened_copy_of_an_int8_table():
@@ -164,3 +179,91 @@ def test_influence_matches_spectral_form(n):
         oracle = _spectral_influence(wht(fn) ** 2)
         # two float64 sums of 2^n terms in [0, 1] in different orders
         assert np.allclose(per_coordinate_influence(fn), oracle, rtol=1e-12, atol=1e-15)
+
+
+def _rotated(x: int, k: int, n: int) -> int:
+    """Reference: bit j of the result is bit (j + k) mod n of x, one bit at a time."""
+    return sum(((x >> ((j + k) % n)) & 1) << j for j in range(n))
+
+
+def shift_orbit(x: int, n: int) -> frozenset[int]:
+    """Reference: closure of a point under cyclic shifts and negation."""
+    mask = (1 << n) - 1
+    return frozenset(v for k in range(n) for v in (_rotated(x, k, n), _rotated(x, k, n) ^ mask))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_rotate_matches_the_bitwise_oracle(dtype):
+    # n = 25 is CycleRun's largest dimension; uint32 is what its stages use
+    n = 25
+    mask = (1 << n) - 1
+    rng = np.random.default_rng(25)
+    points = [0, 1, 1 << (n - 1), mask, 0b10110, mask ^ 1]
+    points += rng.integers(0, 1 << n, size=200).tolist()
+    values = np.array(points, dtype=dtype)
+    for k in range(n + 1):
+        rotated = rotate(values, k, n)
+        assert rotated.dtype == dtype
+        assert rotated.tolist() == [_rotated(x, k, n) for x in points]
+
+
+def test_all_ones_orbit():
+    members, sizes = orbit_members(np.array([0]), 5)  # index 0 is the all-(+1) point
+    assert sorted(members.tolist()) == [0, 0b11111]
+    assert sizes.tolist() == [2]
+    assert periods(rotations(np.array([0]), 5)).tolist() == [1]
+
+
+def test_coprime_weight_orbit_size():
+    # Hamming weight 2 is coprime to 5 -> period n, orbit size 2n
+    assert periods(rotations(np.array([0b00011]), 5)).tolist() == [5]
+    assert orbit_members(np.array([0b00011]), 5)[1].tolist() == [10]
+
+
+def test_periodic_point_orbit_size():
+    # period-3 pattern on n=9: 001 repeated; 3 shifts x 2 signs = 6 members
+    x = 0b001001001
+    assert periods(rotations(np.array([x]), 9)).tolist() == [3]
+    assert orbit_members(np.array([x]), 9)[1].tolist() == [6]
+
+
+def test_rotations_columns_are_successive_shifts():
+    rots = rotations(np.array([0b00011, 0b10110]), 5)
+    assert rots.tolist() == [
+        [0b00011, 0b10001, 0b11000, 0b01100, 0b00110],
+        [0b10110, 0b01011, 0b10101, 0b11010, 0b01101],
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_orbit_members_match_the_reference_closure(n):
+    points = np.arange(1 << n)
+    members, sizes = orbit_members(points, n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for x in range(1 << n):
+        orbit = members[offsets[x]:offsets[x + 1]].tolist()
+        assert len(orbit) == len(set(orbit))  # each member once
+        assert frozenset(orbit) == shift_orbit(x, n)
+
+
+def test_orbit_members_need_odd_n():
+    with pytest.raises(ValueError):
+        orbit_members(np.array([1]), 6)
+
+
+def test_orbits_partition_small():
+    n = 5
+    members, sizes = orbit_members(np.arange(1 << n), n)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    seen = {}
+    for x in range(1 << n):
+        orbit = frozenset(members[offsets[x]:offsets[x + 1]].tolist())
+        key = min(orbit)
+        if key in seen:
+            assert seen[key] == orbit
+        else:
+            seen[key] = orbit
+    assert sum(len(m) for m in seen.values()) == 1 << n
+    for orbit in seen.values():
+        assert len(orbit) % 2 == 0
+        assert (2 * n) % len(orbit) == 0

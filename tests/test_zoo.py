@@ -474,6 +474,17 @@ def test_ft_sandwich_fails_on_vacuous_bounds(printed):
     assert row.support_pass is False
 
 
+@pytest.mark.parametrize("printed", [False, True])
+def test_ft_sandwich_fails_on_an_infinite_upper_bound(printed):
+    # at factor 1e308 the influence bound overflows, the support bound does not
+    (row,) = ft_sandwich_report(1000, [1.0], printed=printed, factor=1e308)
+    assert row.influence_high == math.inf
+    assert row.influence_low <= row.influence
+    assert row.influence_pass is False
+    assert math.isfinite(row.support_high)
+    assert row.support_pass is True
+
+
 def test_gaussian_density_normalizations():
     assert gaussian_density(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
     assert gaussian_density(0.0, printed=True) == pytest.approx(1 / (2 * math.pi))
