@@ -75,62 +75,47 @@ def _parse_kv(body: str) -> dict[str, str]:
     return pairs
 
 
-def _take(pairs: dict[str, str], name: str, spec: str) -> str:
-    if name not in pairs:
-        raise SpecError(f"function spec {spec!r} is missing key {name!r}")
-    return pairs.pop(name)
+def _bit(value: str) -> bool:
+    bit = int(value)
+    if bit not in (0, 1):
+        raise SpecError("must be 0 or 1")
+    return bool(bit)
 
 
-def _done(pairs: dict[str, str], spec: str) -> None:
-    if pairs:
-        raise SpecError(f"unknown keys {sorted(pairs)} in function spec {spec!r}")
+# name -> (constructor, {keyword argument: value parser}, keys it defaults)
+_SPECS = {
+    "tribes": (tribes, {"w": int, "s": int}, ()),
+    "cyclerun": (cyclerun, {"n": int}, ()),
+    "majority": (majority, {"n": int}, ()),
+    "parity": (parity, {"n": int, "mask": functools.partial(int, base=0)}, ()),
+    "dictator": (dictator, {"n": int, "i": int}, ()),
+    "constant": (constant, {"n": int, "sign": int}, ()),
+    "random": (random_boolean, {"n": int, "seed": int, "balanced": _bit}, ("balanced",)),
+    "file": (read_truth_table, {"path": str}, ()),
+}
 
 
 def parse_function_spec(spec: str) -> CubeFunction:
-    """Resolve a `name:key=value,...` spec to a concrete function."""
+    """Resolve a `name:key=value,...` spec to a concrete function.  Errors
+    come in order: malformed chunk, unknown name, missing key, unknown keys.
+    """
     name, _, body = spec.partition(":")
     pairs = _parse_kv(body)
-    if name == "tribes":
-        w = int(_take(pairs, "w", spec))
-        s = int(_take(pairs, "s", spec))
-        _done(pairs, spec)
-        return tribes(w, s)
-    if name == "cyclerun":
-        n = int(_take(pairs, "n", spec))
-        _done(pairs, spec)
-        return cyclerun(n)
-    if name == "majority":
-        n = int(_take(pairs, "n", spec))
-        _done(pairs, spec)
-        return majority(n)
-    if name == "parity":
-        n = int(_take(pairs, "n", spec))
-        mask = int(_take(pairs, "mask", spec), 0)
-        _done(pairs, spec)
-        return parity(mask, n)
-    if name == "dictator":
-        n = int(_take(pairs, "n", spec))
-        i = int(_take(pairs, "i", spec))
-        _done(pairs, spec)
-        return dictator(i, n)
-    if name == "constant":
-        n = int(_take(pairs, "n", spec))
-        sign = int(_take(pairs, "sign", spec))
-        _done(pairs, spec)
-        return constant(n, sign)
-    if name == "random":
-        n = int(_take(pairs, "n", spec))
-        seed = int(_take(pairs, "seed", spec))
-        balanced = int(pairs.pop("balanced", "0"))
-        if balanced not in (0, 1):
-            raise SpecError(f"balanced must be 0 or 1 in function spec {spec!r}")
-        _done(pairs, spec)
-        return random_boolean(n, seed, balanced=bool(balanced))
-    if name == "file":
-        path = _take(pairs, "path", spec)
-        _done(pairs, spec)
-        return read_truth_table(path)
-    raise SpecError(f"unknown function name {name!r}")
+    if name not in _SPECS:
+        raise SpecError(f"unknown function name {name!r}")
+    make, keys, optional = _SPECS[name]
+    for key in keys:
+        if key not in pairs and key not in optional:
+            raise SpecError(f"function spec {spec!r} is missing key {key!r}")
+    if unknown := pairs.keys() - keys.keys():
+        raise SpecError(f"unknown keys {sorted(unknown)} in function spec {spec!r}")
+    kwargs = {}
+    for key, value in pairs.items():
+        try:
+            kwargs[key] = keys[key](value)
+        except SpecError as exc:
+            raise SpecError(f"{key} {exc} in function spec {spec!r}") from None
+    return make(**kwargs)
 
 
 _CONTAINERS = (np.ndarray, dict, list, tuple)

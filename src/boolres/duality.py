@@ -115,11 +115,6 @@ def _check_boolean(f: BooleanFunction) -> None:
         raise ValueError("distance to resilience needs a Boolean (+-1) function")
 
 
-def _check_inputs(f: BooleanFunction, d: int) -> None:
-    if f.n > MAX_DUALITY_DIM:
-        raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
-
-
 def _l1_box_lp(
     n: int,
     d: int,
@@ -174,8 +169,9 @@ def _resilience_lp(
     f: BooleanFunction, d: int
 ) -> tuple[LPSolution, SparsePolynomial, np.ndarray, float]:
     """The resilience LP: every point, labels f, weights 1."""
-    _check_inputs(f, d)
     n = f.n
+    if n > MAX_DUALITY_DIM:
+        raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
     size = 1 << n
     return _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size))
 

@@ -42,7 +42,7 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _check_dim(n: int) -> None:
+def check_dim(n: int) -> None:
     if not 0 <= n <= MAX_DIM:
         raise DimensionTooLarge(f"dimension n={n} outside supported range [0, {MAX_DIM}]")
 
@@ -55,7 +55,7 @@ class BooleanFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        _check_dim(self.n)
+        check_dim(self.n)
         table = np.asarray(self.table)
         if table.shape != (1 << self.n,):
             raise ValueError(f"table must have length 2^{self.n}")
@@ -77,7 +77,7 @@ class BoundedFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        _check_dim(self.n)
+        check_dim(self.n)
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != (1 << self.n,):
             raise ValueError(f"table must have length 2^{self.n}")
@@ -425,13 +425,14 @@ def read_truth_table(path: str) -> CubeFunction:
     """Parse the truth-table text format; +-1 integer tables come back Boolean."""
     with open(path) as handle:
         header = handle.readline().strip()
+        if not header.startswith("n="):
+            raise ValueError(f"bad truth-table header {header!r}")
+        n = int(header[2:])
+        check_dim(n)
         body = handle.readline().split()
-    if not header.startswith("n="):
-        raise ValueError(f"bad truth-table header {header!r}")
-    n = int(header[2:])
     if len(body) != (1 << n):
         raise ValueError(f"expected {1 << n} entries, found {len(body)}")
     values = np.array([float(tok) for tok in body])
-    if np.all(np.abs(values) == 1.0) and np.all(values == np.round(values)):
+    if np.all(np.abs(values) == 1.0):
         return BooleanFunction(n, values.astype(np.int8))
     return BoundedFunction(n, values)

@@ -96,31 +96,20 @@ def _best_threshold(
 
     Error of h_t = sign(p - t) (value +1 iff p(x) > t) equals
     sum_x [up_x (1 - h)/2 + down_x (1 + h)/2]; minimized exactly over the
-    2^n + 1 distinct behaviors.  Ties resolve to the smallest threshold.
+    2^n + 1 distinct behaviors.  Ties (errors within 1e-15 of the minimum)
+    resolve to the smallest threshold.
     """
-    total_up = float(up.sum())
-    total_down = float(down.sum())
     order = np.argsort(p_table, kind="stable")
     sorted_p = p_table[order]
-    up_sorted = up[order]
-    down_sorted = down[order]
-
-    # candidate thresholds: below everything, then each distinct value
-    # h = +1 exactly on the strict suffix above the threshold
+    # candidate thresholds: below everything, then each distinct value;
+    # h = +1 exactly on the points of sorted index >= cut
     boundaries = np.nonzero(np.diff(sorted_p) > 0)[0]
-    cut_positions = np.concatenate([[0], boundaries + 1, [len(sorted_p)]])
-    up_prefix = np.concatenate([[0.0], np.cumsum(up_sorted)])
-    down_prefix = np.concatenate([[0.0], np.cumsum(down_sorted)])
-    best_err, best_cut = np.inf, 0
-    for cut in cut_positions:
-        # points with index >= cut get h = +1
-        err = down_prefix[-1] - down_prefix[cut] + up_prefix[cut]
-        if err < best_err - 1e-15:
-            best_err, best_cut = float(err), int(cut)
-    if best_cut == 0:
-        threshold = float(sorted_p[0] - 1.0)
-    else:
-        threshold = float(sorted_p[best_cut - 1])
+    cuts = np.concatenate([[0], boundaries + 1, [len(sorted_p)]])
+    up_prefix = np.concatenate([[0.0], np.cumsum(up[order])])
+    down_prefix = np.concatenate([[0.0], np.cumsum(down[order])])
+    errs = down_prefix[-1] - down_prefix[cuts] + up_prefix[cuts]
+    best_cut = int(cuts[np.argmax(errs <= errs.min() + 1e-15)])
+    threshold = float(sorted_p[best_cut - 1] if best_cut else sorted_p[0] - 1.0)
     h = np.where(p_table > threshold, 1, -1).astype(np.int8)
     err_direct = float(up[h < 0].sum() + down[h > 0].sum())
     return threshold, err_direct, h

@@ -22,6 +22,7 @@ import numpy as np
 from .hypercube import (
     BooleanFunction,
     BoundedFunction,
+    check_dim,
     chi_values,
     coordinate_values,
     popcounts,
@@ -34,30 +35,35 @@ from .hypercube import (
 
 
 def majority(n: int) -> BooleanFunction:
+    check_dim(n)
     if n % 2 == 0:
         raise ValueError("majority needs odd n")
     return BooleanFunction(n, np.where(popcounts(n) < n / 2, 1, -1))
 
 
 def parity(mask: int, n: int) -> BooleanFunction:
+    check_dim(n)
     if not 0 <= mask < (1 << n):
         raise ValueError("parity mask outside [n]")
     return BooleanFunction(n, chi_values(n, mask))
 
 
 def dictator(i: int, n: int) -> BooleanFunction:
+    check_dim(n)
     if not 1 <= i <= n:
         raise ValueError("dictator coordinate outside [1, n]")
     return BooleanFunction(n, coordinate_values(n, i))
 
 
 def constant(n: int, sign: int) -> BooleanFunction:
+    check_dim(n)
     if sign not in (-1, 1):
         raise ValueError("constant sign must be +-1")
     return BooleanFunction(n, np.full(1 << n, sign, dtype=np.int8))
 
 
 def random_boolean(n: int, seed: int, balanced: bool = False) -> BooleanFunction:
+    check_dim(n)
     rng = np.random.default_rng(seed)
     if balanced:
         table = np.ones(1 << n, dtype=np.int8)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from boolres import cli
 from boolres.cli import main, parse_function_spec
 from boolres.hypercube import write_truth_table
-from boolres.zoo import majority, tribes
+from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,72 @@ def test_random_spec_accepts_only_0_or_1_for_balanced(capsys, balanced):
     assert json.loads(err)["error"] == "precondition"
     unbalanced = parse_function_spec("random:n=4,seed=7,balanced=0")
     assert np.array_equal(unbalanced.table, parse_function_spec("random:n=4,seed=7").table)
+
+
+# every constructor of the README, with the direct call it stands for
+SPEC_CALLS = [
+    ("tribes:w=2,s=3", lambda: tribes(2, 3)),
+    ("cyclerun:n=7", lambda: cyclerun(7)),
+    ("majority:n=5", lambda: majority(5)),
+    ("parity:n=4,mask=0xa", lambda: parity(10, 4)),
+    ("parity:n=4,mask=10", lambda: parity(10, 4)),
+    ("dictator:n=4,i=2", lambda: dictator(2, 4)),
+    ("constant:n=3,sign=-1", lambda: constant(3, -1)),
+    ("random:n=5,seed=3", lambda: random_boolean(5, 3)),
+    ("random:n=5,seed=3,balanced=1", lambda: random_boolean(5, 3, balanced=True)),
+    ("file:path={path}", lambda: random_boolean(4, 9)),
+]
+
+
+@pytest.mark.parametrize("spec, make", SPEC_CALLS, ids=[spec for spec, _ in SPEC_CALLS])
+def test_spec_builds_the_table_of_its_constructor(tmp_path, spec, make):
+    expected = make()
+    path = tmp_path / "f.tt"
+    write_truth_table(expected, str(path))
+    fn = parse_function_spec(spec.format(path=path))
+    assert type(fn) is type(expected) and fn.n == expected.n
+    assert np.array_equal(fn.table, expected.table)
+
+
+def _key_errors():
+    for spec, _ in SPEC_CALLS:
+        name, _, body = spec.partition(":")
+        chunks = body.split(",")
+        for chunk in chunks:
+            key = chunk.split("=")[0]
+            if key != "balanced":  # optional, 0 when absent
+                short = f"{name}:" + ",".join(c for c in chunks if c != chunk)
+                yield short, f"function spec {short!r} is missing key {key!r}"
+        yield spec + ",magic=1", f"unknown keys ['magic'] in function spec {spec + ',magic=1'!r}"
+
+
+@pytest.mark.parametrize("spec, detail", list(_key_errors()))
+def test_spec_missing_or_unknown_key_is_a_precondition_failure(capsys, spec, detail):
+    code, out, err = run_cli(capsys, "stats", "--fn", spec, "--d", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "precondition", "detail": detail}
+
+
+@pytest.mark.parametrize("n", [29, 64, 65])
+@pytest.mark.parametrize("spec", [
+    "majority:n={n}", "parity:n={n},mask=0x1", "dictator:n={n},i=1", "constant:n={n},sign=1",
+    "random:n={n},seed=1", "random:n={n},seed=1,balanced=1", "file:path={path}",
+])
+def test_spec_above_max_dim_is_rejected_before_allocating(capsys, tmp_path, spec, n):
+    path = tmp_path / "big.tt"
+    path.write_text(f"n={n}\n1 -1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "stats", "--fn", spec.format(n=n, path=path), "--d", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "precondition",
+        "detail": f"dimension n={n} outside supported range [0, 28]",
+    }
+    assert peak < 1 << 20
 
 
 def test_spectrum_csv_row_count(capsys):

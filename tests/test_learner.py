@@ -10,6 +10,7 @@ from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
 from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_values
 from boolres.learner import (
     LabeledDistribution,
+    _best_threshold,
     learn_exact,
     learn_sampled,
     opt_of_class,
@@ -81,6 +82,45 @@ def test_threshold_optimality_brute_force():
         h = np.where(p > t, 1, -1)
         best = min(best, float(up[h < 0].sum() + down[h > 0].sum()))
     assert report.error == pytest.approx(best, abs=1e-12)
+
+
+def _loop_threshold(p_table, up, down):
+    """The cut-by-cut sweep the array form replaced: a later cut wins only
+    when its error is below the best so far by more than 1e-15."""
+    order = np.argsort(p_table, kind="stable")
+    sorted_p = p_table[order]
+    boundaries = np.nonzero(np.diff(sorted_p) > 0)[0]
+    up_prefix = np.concatenate([[0.0], np.cumsum(up[order])])
+    down_prefix = np.concatenate([[0.0], np.cumsum(down[order])])
+    best_err, best_cut = np.inf, 0
+    for cut in np.concatenate([[0], boundaries + 1, [len(sorted_p)]]):
+        err = down_prefix[-1] - down_prefix[cut] + up_prefix[cut]
+        if err < best_err - 1e-15:
+            best_err, best_cut = float(err), int(cut)
+    return float(sorted_p[best_cut - 1]) if best_cut else float(sorted_p[0] - 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_threshold_sweep_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + seed
+    # coarse p values tie often; some points carry no weight, as in sampling
+    p = np.round(rng.normal(size=1 << n), 1)
+    up, down = rng.random(1 << n), rng.random(1 << n)
+    up[rng.random(1 << n) < 0.3] = 0.0
+    total = up.sum() + down.sum()
+    up, down = up / total, down / total
+    threshold, error, h = _best_threshold(p, up, down)
+    assert threshold == _loop_threshold(p, up, down)
+    assert np.array_equal(h, np.where(p > threshold, 1, -1))
+    assert error == float(up[h < 0].sum() + down[h > 0].sum())
+
+
+def test_threshold_tie_takes_the_smallest_cut():
+    # cutting below everything and cutting above the first point both err 3/8
+    p = np.array([0.0, 1.0])
+    threshold, error, _ = _best_threshold(p, np.array([0.125, 0.5]), np.array([0.125, 0.25]))
+    assert (threshold, error) == (-1.0, 0.375)
 
 
 def test_error_never_above_half():
