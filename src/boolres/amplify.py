@@ -31,11 +31,13 @@ from .hypercube import (
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
+    correlation,
     is_d_resilient,
+    l1_distance,
     noise_sensitivity,
+    per_coordinate_influence,
     popcounts,
     resilience_order,
-    spectral_stats,
     wht,
 )
 
@@ -187,8 +189,8 @@ def amplification_report(
             f"the arity {n}^{k + 1} has more than {limit} decimal digits, "
             "too many to write as an integer"
         )
-    dist_base = float(np.mean(np.abs(f.table - g.table))) / 2.0
-    influence = spectral_stats(f, 0).total_influence
+    dist_base = l1_distance(f, g) / 2.0
+    influence = float(per_coordinate_influence(f).sum())
     try:
         series = sum(influence**t for t in range(k + 1))
     except OverflowError:
@@ -207,7 +209,7 @@ def amplification_report(
         raise AssertionError("noise sensitivity exceeded its union bound")
 
     weights = level_correlations(f, g)
-    rhos = [float(np.mean(f.table * g.table))]
+    rhos = [correlation(f, g)]
     total = float(polyval(1.0, weights))
     if abs(total - rhos[0]) > 1e-12:
         raise AssertionError(

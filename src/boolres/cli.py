@@ -82,16 +82,18 @@ def _bit(value: str) -> bool:
     return bool(bit)
 
 
-# name -> (constructor, {keyword argument: value parser}, keys it defaults)
+# name -> (constructor, looked up per call; {keyword argument: value parser}; keys it defaults)
 _SPECS = {
-    "tribes": (tribes, {"w": int, "s": int}, ()),
-    "cyclerun": (cyclerun, {"n": int}, ()),
-    "majority": (majority, {"n": int}, ()),
-    "parity": (parity, {"n": int, "mask": functools.partial(int, base=0)}, ()),
-    "dictator": (dictator, {"n": int, "i": int}, ()),
-    "constant": (constant, {"n": int, "sign": int}, ()),
-    "random": (random_boolean, {"n": int, "seed": int, "balanced": _bit}, ("balanced",)),
-    "file": (read_truth_table, {"path": str}, ()),
+    "tribes": (lambda w, s: tribes(w, s), {"w": int, "s": int}, ()),
+    "cyclerun": (lambda n: cyclerun(n), {"n": int}, ()),
+    "majority": (lambda n: majority(n), {"n": int}, ()),
+    "parity": (lambda n, mask: parity(mask, n),
+               {"n": int, "mask": functools.partial(int, base=0)}, ()),
+    "dictator": (lambda n, i: dictator(i, n), {"n": int, "i": int}, ()),
+    "constant": (lambda n, sign: constant(n, sign), {"n": int, "sign": int}, ()),
+    "random": (lambda n, seed, balanced=False: random_boolean(n, seed, balanced),
+               {"n": int, "seed": int, "balanced": _bit}, ("balanced",)),
+    "file": (lambda path: read_truth_table(path), {"path": str}, ()),
 }
 
 

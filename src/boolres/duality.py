@@ -12,11 +12,12 @@ alpha + delta = 1.  Only the primal is solved, a box LP with one row per
 y = c_B B^-1 of its optimal basis.  The learner's weighted regression is
 the same LP over weighted labeled points, and `_l1_box_lp` is the one place
 that turns a solved box LP into a polynomial, for this module and both
-learner modes.
+learner modes; it builds and evaluates p on the character rows of its own
+points only.
 
 Neither side is taken on trust.  The witness g is re-checked for the box
 and for d-resilience, and alpha is its measured E|f - g|.  `_l1_box_lp`
-recomputes E|f - p| from p's table and matches it to the LP value; that
+recomputes E|f - p| at its points and matches it to the LP value; that
 recomputed value is reported as delta.
 The certificate stays sound by weak duality: for every bounded d-resilient
 g and every p of degree <= d,
@@ -31,6 +32,7 @@ objects, bounds how far each is from optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,10 +40,9 @@ from .hypercube import (
     BooleanFunction,
     BoundedFunction,
     ResilienceCheck,
-    chi_values,
+    characters,
     is_d_resilient,
     l1_distance,
-    popcounts,
 )
 from .lp import OPTIMAL, LinearProgram, LPSolution, SolverFailure, solve_lp
 
@@ -54,11 +55,10 @@ class CertificateError(RuntimeError):
 
 
 def low_degree_masks(n: int, d: int) -> list[int]:
-    """All subset masks with popcount <= d, sorted by (popcount, mask)."""
-    pc = popcounts(n)
-    masks = [int(m) for m in np.nonzero(pc <= d)[0]]
-    masks.sort(key=lambda m: (int(pc[m]), m))
-    return masks
+    """All subset masks with popcount <= d, sorted by (popcount, mask): the
+    row order of `_l1_box_lp`, on which its pivots depend."""
+    levels = ([sum(1 << j for j in s) for s in combinations(range(n), k)] for k in range(d + 1))
+    return [mask for level in levels for mask in sorted(level)]
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,22 @@ class SparsePolynomial:
     coeffs: dict[int, float]
 
     def __post_init__(self):
-        pc = popcounts(self.n)
         for mask in self.coeffs:
-            if pc[mask] > self.degree:
+            if mask.bit_count() > self.degree:
                 raise ValueError(f"mask {mask:#x} exceeds degree bound {self.degree}")
 
-    def table(self) -> np.ndarray:
-        values = np.zeros(1 << self.n)
-        for mask, coef in self.coeffs.items():
+    def evaluate(self, rows: np.ndarray) -> np.ndarray:
+        """p at the points of `rows` = `characters(list(self.coeffs), points)`,
+        summed in mask order with zero coefficients skipped, so p is the same
+        to the bit whichever points the rows cover."""
+        values = np.zeros(rows.shape[1])
+        for coef, row in zip(self.coeffs.values(), rows):
             if coef != 0.0:
-                values += coef * chi_values(self.n, mask)
+                values += coef * row
         return values
+
+    def table(self) -> np.ndarray:
+        return self.evaluate(characters(list(self.coeffs), np.arange(1 << self.n)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ def _l1_box_lp(
     points: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-) -> tuple[LPSolution, SparsePolynomial, np.ndarray, float]:
+) -> tuple[LPSolution, SparsePolynomial, float]:
     """Solve the k-row box LP, k = #{|S| <= d}, and read off its checked p.
 
     Column c is the labeled point (points[c], labels[c]) with weight
@@ -134,17 +139,17 @@ def _l1_box_lp(
     y the row duals.  The solver starts at the box-optimal vertex
     g_c = w_c if l_c > 0 else -w_c (= w_c l_c for +-1 labels).
 
-    Returns the solution, p, p's table and sum_c w_c |l_c - p(x_c)|
-    recomputed from that table, which must be within 1e-7 sum_c w_c of the
-    LP value.  A degree outside [0, n] raises ValueError before any work.
+    Returns the solution, p and sum_c w_c |l_c - p(x_c)| recomputed from
+    the LP's own rows, which must be within 1e-7 sum_c w_c of the LP
+    value.  A degree outside [0, n] raises ValueError before any work.
     """
     if not 0 <= d <= n:
         raise ValueError(f"degree d={d} outside [0, {n}]")
     masks = low_degree_masks(n, d)
-    chi = np.array([chi_values(n, mask) for mask in masks])
+    chi = characters(masks, points)  # C order: the pivots depend on the layout
     lp = LinearProgram(
         objective=labels,
-        eq_matrix=chi.take(points, axis=1),  # C order: the pivots depend on the layout
+        eq_matrix=chi,
         eq_rhs=np.zeros(len(masks)),
         lower=-weights,
         upper=weights,
@@ -153,21 +158,15 @@ def _l1_box_lp(
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
     poly = SparsePolynomial(n, d, {mask: float(y) for mask, y in zip(masks, sol.duals)})
-    table = np.zeros(1 << n)  # as poly.table(), from the chi rows of the LP
-    for coef, row in zip(poly.coeffs.values(), chi):
-        if coef != 0.0:
-            table += coef * row
-    error = float(np.sum(weights * np.abs(labels - table[points])))
+    error = float(np.sum(weights * np.abs(labels - poly.evaluate(chi))))
     if abs(error - sol.value) > WITNESS_TOL * float(np.sum(weights)):
         raise CertificateError(
             f"recomputed L1 error {error} does not match LP value {sol.value}"
         )
-    return sol, poly, table, error
+    return sol, poly, error
 
 
-def _resilience_lp(
-    f: BooleanFunction, d: int
-) -> tuple[LPSolution, SparsePolynomial, np.ndarray, float]:
+def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, SparsePolynomial, float]:
     """The resilience LP: every point, labels f, weights 1."""
     n = f.n
     if n > MAX_DUALITY_DIM:
@@ -217,14 +216,14 @@ def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
 
     Also accepts a bounded f: the LP duality holds for any real labels.
     """
-    sol, poly, _, error = _resilience_lp(f, d)
+    sol, poly, error = _resilience_lp(f, d)
     return _verified_poly(f, d, poly, error, sol.iterations)
 
 
 def duality_certificate(f: BooleanFunction, d: int) -> DualityCertificate:
     """Verify both sides of one resilience LP solve and report the duality gap."""
     _check_boolean(f)
-    sol, poly, _, error = _resilience_lp(f, d)
+    sol, poly, error = _resilience_lp(f, d)
     res = _verified_witness(f, d, sol)
     l1 = _verified_poly(f, d, poly, error, sol.iterations)
     gap = abs(l1.delta + res.alpha - 1.0)

@@ -13,6 +13,7 @@ Conventions shared by the whole package:
   `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
 * chi_S(x) = prod_{j in S} x_j = (-1)^popcount(mask & index).
+  `characters` builds every character row; `chi_values` is one, on the cube.
 * Fourier coefficients carry the expectation normalization,
   coef[S] = 2^{-n} * sum_x f(x) chi_S(x), so Parseval reads
   sum_S coef[S]^2 = mean(f^2).
@@ -96,17 +97,20 @@ class BoundedFunction:
 CubeFunction = BooleanFunction | BoundedFunction
 
 
-def coordinate_values(n: int, j: int) -> np.ndarray:
-    """Values of coordinate j (1-based) at every point index, as +-1 int8."""
-    idx = np.arange(1 << n)
-    return np.where((idx >> (j - 1)) & 1, -1, 1).astype(np.int8)
+def characters(masks: list[int], points: np.ndarray) -> np.ndarray:
+    """The (len(masks), len(points)) int8 matrix of chi_S(x) in C order, built row by row."""
+    points = np.asarray(points, dtype=np.uint64)
+    rows = np.empty((len(masks), len(points)), dtype=np.int8)
+    for row, mask in zip(rows, masks):
+        row[:] = np.bitwise_count(points & np.uint64(mask)) & 1
+    rows *= -2
+    rows += 1
+    return rows
 
 
 def chi_values(n: int, mask: int) -> np.ndarray:
     """chi_S over all point indices for the subset mask S."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    par = np.bitwise_count(idx & np.uint64(mask)) & 1
-    return np.where(par, -1, 1).astype(np.int8)
+    return characters([mask], np.arange(1 << n, dtype=np.uint64))[0]
 
 
 def popcounts(n: int) -> np.ndarray:
@@ -351,13 +355,13 @@ def _check_same_dim(f: CubeFunction, g: CubeFunction) -> None:
 def l1_distance(f: CubeFunction, g: CubeFunction) -> float:
     """E|f - g| under the uniform distribution."""
     _check_same_dim(f, g)
-    return float(np.mean(np.abs(f.table.astype(np.float64) - g.table)))
+    return float(np.mean(np.abs(np.subtract(f.table, g.table, dtype=np.float64))))
 
 
 def correlation(f: CubeFunction, g: CubeFunction) -> float:
     """E[f g] under the uniform distribution."""
     _check_same_dim(f, g)
-    return float(np.mean(f.table.astype(np.float64) * g.table))
+    return float(np.mean(np.multiply(f.table, g.table, dtype=np.float64)))
 
 
 @dataclass(frozen=True)

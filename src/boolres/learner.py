@@ -89,6 +89,11 @@ def opt_of_class(functions: list[BooleanFunction], dist: LabeledDistribution) ->
     return best
 
 
+def _error(h: np.ndarray, up: np.ndarray, down: np.ndarray) -> float:
+    """Pr[h(x) != y] under the point-mass weights (up, down)."""
+    return float(up[h < 0].sum() + down[h > 0].sum())
+
+
 def _best_threshold(
     p_table: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
@@ -111,8 +116,7 @@ def _best_threshold(
     best_cut = int(cuts[np.argmax(errs <= errs.min() + 1e-15)])
     threshold = float(sorted_p[best_cut - 1] if best_cut else sorted_p[0] - 1.0)
     h = np.where(p_table > threshold, 1, -1).astype(np.int8)
-    err_direct = float(up[h < 0].sum() + down[h > 0].sum())
-    return threshold, err_direct, h
+    return threshold, _error(h, up, down), h
 
 
 def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
@@ -126,8 +130,8 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    _, poly, p_table, delta = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
-    threshold, error, h_table = _best_threshold(p_table, up, down)
+    _, poly, delta = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
+    threshold, error, h_table = _best_threshold(poly.table(), up, down)
     return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, poly)
 
 
@@ -192,9 +196,7 @@ def learn_sampled(
     down_counts = np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m
     fit = _fit(n, d, up_counts, down_counts)
 
-    h_table = fit.hypothesis.table
-    up, down = dist.label_weights()
-    true_error = float(up[h_table < 0].sum() + down[h_table > 0].sum())
+    true_error = _error(fit.hypothesis.table, *dist.label_weights())
     opt = excess = None
     if comparison_class is not None:
         opt = opt_of_class(comparison_class, dist)

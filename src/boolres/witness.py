@@ -31,6 +31,7 @@ from .hypercube import (
     BooleanFunction,
     BoundedFunction,
     ResilienceCheck,
+    correlation,
     fwht,
     is_d_resilient,
     popcounts,
@@ -157,7 +158,7 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     table = f.table.astype(np.float64)
     high_sup = sup_num / scale
     corr_qf = float(np.mean(q * table))
-    corr_pf = float(np.mean(p.table * table))
+    corr_pf = correlation(p, f)
     # 2^{2n} q_{<=d} = 2^n (2^n q) - 2^{2n} q_{>d}
     low_sup = float(np.max(np.abs((q_num << n) - q_high_num))) / scale
 

@@ -24,7 +24,6 @@ from .hypercube import (
     BoundedFunction,
     check_dim,
     chi_values,
-    coordinate_values,
     popcounts,
     rotate,
 )
@@ -52,7 +51,7 @@ def dictator(i: int, n: int) -> BooleanFunction:
     check_dim(n)
     if not 1 <= i <= n:
         raise ValueError("dictator coordinate outside [1, n]")
-    return BooleanFunction(n, coordinate_values(n, i))
+    return BooleanFunction(n, chi_values(n, 1 << (i - 1)))
 
 
 def constant(n: int, sign: int) -> BooleanFunction:
@@ -76,14 +75,11 @@ def random_boolean(n: int, seed: int, balanced: bool = False) -> BooleanFunction
 # Tribes
 # ---------------------------------------------------------------------------
 
-TRIBES_MAX_BITS = 28
-
 
 def _tribes_check(w: int, s: int) -> None:
     if w < 1 or s < 1:
         raise ValueError("tribes needs w >= 1 and s >= 1")
-    if w * s > TRIBES_MAX_BITS:
-        raise ValueError(f"tribes table limited to w*s <= {TRIBES_MAX_BITS}")
+    check_dim(w * s)
 
 
 def tribes(w: int, s: int) -> BooleanFunction:
@@ -138,7 +134,6 @@ def tribes_weight_bound(w: int, s: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 CYCLERUN_MAX_DIM = 25
-CYCLERUN_EXHAUSTIVE_DIM = 17  # fallback is proven absent by enumeration up to here
 
 
 def _word_runs(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,8 +191,8 @@ def _run_starts(v: np.ndarray, run_len: int, n: int) -> np.ndarray:
     return y & ~rotate(v, n - 1, n)
 
 
-def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
-    """CycleRun truth table plus the number of stage-3 residual-tie fallbacks.
+def cyclerun_table(n: int) -> np.ndarray:
+    """CycleRun truth table.
 
     The set bits of point i are the -1 player's coordinates and those of
     mask - i the +1 player's, so the +1 player's run lengths are the -1
@@ -215,6 +210,9 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
     The tied points, grouped by run length with one stable argsort, go to
     stages 2 and 3 as uint32 bit arrays, which `hypercube.rotate` shifts
     exactly for n <= CYCLERUN_MAX_DIM < 32.
+
+    A point still tied after stage 3 raises RuntimeError; none is left at
+    any odd n <= CYCLERUN_MAX_DIM.
     """
     if n % 2 == 0:
         raise ValueError("cyclerun needs odd n")
@@ -226,7 +224,6 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
     len_pos = len_neg[::-1]
     table = np.sign(len_pos - len_neg)
 
-    fallback_count = 0
     tied = np.flatnonzero(table == 0)
     tied_len = len_neg[tied]
     tied = tied[np.argsort(tied_len, kind="stable")]
@@ -262,24 +259,16 @@ def cyclerun_table(n: int) -> tuple[np.ndarray, int]:
             total_p = np.bitwise_count(seed_p).astype(np.int64)
             total_n = np.bitwise_count(seed_n).astype(np.int64)
             stage3 = np.sign(total_p - total_n).astype(np.int8)
-
-            residual = stage3 == 0
-            if residual.any():
-                fallback_count += int(residual.sum())
-                pts = group[still[residual]]
-                pc = np.bitwise_count(pts.astype(np.uint64)).astype(np.int64)
-                stage3[residual] = np.where(pc < n / 2, 1, -1)
+            if ties := int(np.count_nonzero(stage3 == 0)):
+                raise RuntimeError(f"cyclerun left {ties} points tied after stage 3 at n={n}")
             verdict[still] = stage3
         table[group] = verdict
-    return table, fallback_count
+    return table
 
 
 def cyclerun(n: int) -> BooleanFunction:
-    """CycleRun; for n <= 17 the stage-3 tiebreak is verified total."""
-    table, fallbacks = cyclerun_table(n)
-    if n <= CYCLERUN_EXHAUSTIVE_DIM and fallbacks:
-        raise RuntimeError(f"cyclerun residual fallback fired {fallbacks} times at n={n}")
-    return BooleanFunction(n, table)
+    """CycleRun; its three stages decide every point."""
+    return BooleanFunction(n, cyclerun_table(n))
 
 
 # ---------------------------------------------------------------------------

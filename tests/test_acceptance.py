@@ -23,7 +23,6 @@ from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
     chi_values,
-    coordinate_values,
     is_d_resilient,
     noise_sensitivity,
     noise_sensitivity_direct,
@@ -113,8 +112,7 @@ def test_criterion_04_tribes_spectrum():
 def test_criterion_05_cyclerun_structure():
     started = time.time()
     for n in range(3, 22, 2):
-        table, fallbacks = cyclerun_table(n)
-        assert fallbacks == 0, f"fallback fired at n={n}"
+        table = cyclerun_table(n)  # raises on a point left tied after stage 3
         idx = np.arange(1 << n)
         full = (1 << n) - 1
         assert np.array_equal(table[idx ^ full], -table), f"odd fails at n={n}"
@@ -233,7 +231,7 @@ def test_criterion_10_designs_and_orthogonality():
 
 def test_criterion_11_learner():
     n = 6
-    g = BoundedFunction(n, 0.8 * coordinate_values(n, 1))
+    g = BoundedFunction(n, 0.8 * chi_values(n, 1))
     dist = LabeledDistribution(g)
     cls = [dictator(i, n) for i in range(1, n + 1)]
     cls += [BooleanFunction(n, -c.table) for c in cls]

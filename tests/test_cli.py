@@ -87,17 +87,46 @@ def _key_errors():
         yield spec + ",magic=1", f"unknown keys ['magic'] in function spec {spec + ',magic=1'!r}"
 
 
-@pytest.mark.parametrize("spec, detail", list(_key_errors()))
-def test_spec_missing_or_unknown_key_is_a_precondition_failure(capsys, spec, detail):
-    code, out, err = run_cli(capsys, "stats", "--fn", spec, "--d", "1")
+# a spec whose keys are right but whose values or file are not
+SPEC_VALUE_ERRORS = [
+    ("majority:n", "malformed key=value chunk 'n'"),
+    ("majority:n=3,x", "malformed key=value chunk 'x'"),
+    ("parity:n=3,mask=0x8", "parity mask outside [n]"),
+    ("parity:n=3,mask=-1", "parity mask outside [n]"),
+    ("dictator:n=3,i=0", "dictator coordinate outside [1, n]"),
+    ("dictator:n=3,i=4", "dictator coordinate outside [1, n]"),
+    ("constant:n=3,sign=0", "constant sign must be +-1"),
+    ("file:path={tmp}/header.tt", "bad truth-table header 'x=3'"),
+    ("file:path={tmp}/count.tt", "expected 8 entries, found 2"),
+]
+
+
+@pytest.mark.parametrize("spec, detail", list(_key_errors()) + SPEC_VALUE_ERRORS)
+def test_spec_missing_or_unknown_key_is_a_precondition_failure(capsys, tmp_path, spec, detail):
+    (tmp_path / "header.tt").write_text("x=3\n1 -1 1 -1 1 -1 1 -1\n")
+    (tmp_path / "count.tt").write_text("n=3\n1 -1\n")
+    code, out, err = run_cli(capsys, "stats", "--fn", spec.replace("{tmp}", str(tmp_path)), "--d", "1")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "precondition", "detail": detail}
+
+
+def test_spec_looks_up_its_constructor_when_called(monkeypatch):
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return majority(5)
+
+    monkeypatch.setattr(cli, "cyclerun", stub)
+    assert np.array_equal(parse_function_spec("cyclerun:n=5").table, majority(5).table)
+    assert calls == [((5,), {})]
 
 
 @pytest.mark.parametrize("n", [29, 64, 65])
 @pytest.mark.parametrize("spec", [
     "majority:n={n}", "parity:n={n},mask=0x1", "dictator:n={n},i=1", "constant:n={n},sign=1",
     "random:n={n},seed=1", "random:n={n},seed=1,balanced=1", "file:path={path}",
+    "tribes:w={n},s=1",
 ])
 def test_spec_above_max_dim_is_rejected_before_allocating(capsys, tmp_path, spec, n):
     path = tmp_path / "big.tt"
@@ -524,6 +553,18 @@ def test_usage_errors_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "precondition"
+
+
+@pytest.mark.parametrize("argv, code, detail", [
+    (("stats", "--fn", "majority:n=3", "--format", "csv"), 1, "this subcommand has no CSV form"),
+    (("cyclerun-build", "--n", "9", "--c1", "1e-6"), 2,
+     "|Sbar| = 2 exceeded budget 0.0 with sigma 1188"),
+], ids=["csv-without-csv-form", "cyclerun-build-budget-exhausted"])
+def test_command_errors_report_their_exit_code_and_detail(capsys, argv, code, detail):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    kind = "precondition" if code == 1 else "invariant-violation"
+    assert json.loads(err) == {"error": kind, "detail": detail}
 
 
 @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("learn", "--help")])

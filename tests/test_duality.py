@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from boolres.duality import (
 )
 from boolres.hypercube import (
     BooleanFunction,
+    characters,
     chi_values,
-    coordinate_values,
     is_d_resilient,
     l1_distance,
+    popcounts,
 )
 from boolres.zoo import majority, random_boolean, tribes
 
@@ -24,7 +27,7 @@ def parity(n, k):
 
 
 def majority3():
-    c = [coordinate_values(3, j).astype(int) for j in (1, 2, 3)]
+    c = [chi_values(3, 1 << (j - 1)).astype(int) for j in (1, 2, 3)]
     return BooleanFunction(3, np.sign(c[0] + c[1] + c[2]))
 
 
@@ -37,11 +40,46 @@ def and2():
 def test_low_degree_masks_order():
     masks = low_degree_masks(3, 1)
     assert masks == [0, 1, 2, 4]
+    for n in range(13):
+        pc = popcounts(n)
+        for d in range(n + 1):
+            expected = sorted((m for m in range(1 << n) if pc[m] <= d), key=lambda m: (pc[m], m))
+            assert low_degree_masks(n, d) == expected, (n, d)
 
 
 def test_sparse_polynomial_degree_guard():
     with pytest.raises(ValueError):
         SparsePolynomial(3, 1, {0b11: 1.0})
+
+
+def test_sparse_polynomial_evaluates_its_rows_at_any_points():
+    rng = np.random.default_rng(4)
+    masks = low_degree_masks(7, 2)
+    coeffs = rng.normal(size=len(masks))
+    coeffs[::5] = 0.0
+    poly = SparsePolynomial(7, 2, dict(zip(masks, coeffs.tolist())))
+    table = poly.table()
+    points = rng.integers(0, 1 << 7, size=40)
+    assert np.array_equal(poly.evaluate(characters(masks, points)), table[points])
+    reference = sum(c * chi_values(7, m).astype(np.float64) for m, c in zip(masks, coeffs))
+    assert np.array_equal(table, reference)
+
+
+def test_box_lp_touches_only_its_points_at_n_20():
+    n, d, size = 20, 1, 50
+    rng = np.random.default_rng(20)
+    points = rng.integers(0, 1 << n, size=size)
+    labels = rng.choice([-1.0, 1.0], size=size)
+    weights = rng.uniform(0.5, 1.5, size=size)
+    tracemalloc.start()
+    try:
+        _, poly, error = duality._l1_box_lp(n, d, points, labels, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10  # a single 2^20 int8 row is 1 MiB
+    p = sum(c * chi_values(n, m).astype(np.float64) for m, c in poly.coeffs.items())
+    assert error == float(np.sum(weights * np.abs(labels - p[points])))
 
 
 def test_parity_is_resilient_below_its_degree():
@@ -77,7 +115,7 @@ def test_parity_l1_distance_below_degree():
 
 
 def test_dictator_exactly_representable():
-    f = BooleanFunction(3, coordinate_values(3, 1))
+    f = BooleanFunction(3, chi_values(3, 1))
     out = l1_poly_distance(f, 1)
     assert out.delta == pytest.approx(0.0, abs=1e-9)
     assert out.poly.coeffs[0b001] == pytest.approx(1.0, abs=1e-9)

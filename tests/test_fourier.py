@@ -13,7 +13,6 @@ from boolres.hypercube import (
     DimensionTooLarge,
     chi_values,
     correlation,
-    coordinate_values,
     fwht,
     is_d_resilient,
     l1_distance,
@@ -42,7 +41,7 @@ def brute_force_coefficient(table, n, mask):
 
 
 def make_majority3():
-    coords = [coordinate_values(3, j).astype(int) for j in (1, 2, 3)]
+    coords = [chi_values(3, 1 << (j - 1)).astype(int) for j in (1, 2, 3)]
     return BooleanFunction(3, np.sign(coords[0] + coords[1] + coords[2]))
 
 
@@ -79,7 +78,7 @@ def test_constant_function_spectrum():
 
 def test_dictator_bit_convention_canary():
     # coordinate 1 must decode from bit 0 of the point index
-    f = BooleanFunction(3, coordinate_values(3, 1))
+    f = BooleanFunction(3, chi_values(3, 1))
     spec = wht(f)
     assert spec[0b001] == pytest.approx(1.0)
     assert np.sum(np.abs(spec)) == pytest.approx(1.0)
@@ -221,7 +220,7 @@ def test_resilience_worst_mask_ties_keep_the_lowest_mask():
     # bounded tables below have exact float sums, so ties stay ties
     assert is_d_resilient(make_majority3(), 1).worst_mask == 0b001
     assert is_d_resilient(make_majority3(), 3).worst_mask == 0b001
-    x = [coordinate_values(3, j).astype(np.float64) for j in (1, 2, 3)]
+    x = [chi_values(3, 1 << (j - 1)).astype(np.float64) for j in (1, 2, 3)]
     for table, d, mask in (
         ((x[1] + x[2]) / 2, 1, 0b010),
         ((x[2] - x[0]) / 2, 2, 0b001),
@@ -296,7 +295,7 @@ def test_parity_influence_and_low_weight():
 
 
 def test_dictator_influence_vector():
-    f = BooleanFunction(4, coordinate_values(4, 1))
+    f = BooleanFunction(4, chi_values(4, 1))
     stats = spectral_stats(f, d=1)
     assert stats.per_coordinate_influence == pytest.approx((1.0, 0.0, 0.0, 0.0))
 

@@ -7,7 +7,7 @@ from boolres import duality
 from boolres.builder import build_one_resilient
 from boolres.designs import embed_on_mask, greedy_design
 from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
-from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values, coordinate_values
+from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values
 from boolres.learner import (
     LabeledDistribution,
     _best_threshold,
@@ -19,7 +19,7 @@ from boolres.zoo import constant, dictator, majority, parity, tribes
 
 
 def scaled_dictator(n, scale=0.8):
-    return LabeledDistribution(BoundedFunction(n, scale * coordinate_values(n, 1)))
+    return LabeledDistribution(BoundedFunction(n, scale * chi_values(n, 1)))
 
 
 def dictator_class(n):
@@ -34,7 +34,7 @@ def test_opt_of_dictators_against_scaled_dictator():
 
 
 def test_opt_includes_sign_of_target():
-    g = BoundedFunction(3, 0.6 * coordinate_values(3, 2))
+    g = BoundedFunction(3, 0.6 * chi_values(3, 0b10))
     dist = LabeledDistribution(g)
     cls = [dictator(2, 3)]
     # sign(g) = x2, so OPT = E[(1-|g|)/2] = 0.2
@@ -57,7 +57,7 @@ def test_learn_exact_scaled_dictator():
     assert report.opt == pytest.approx(0.1)
     assert report.error <= 0.1 + 0.01
     # the learner should effectively recover x1
-    assert np.array_equal(report.hypothesis.table, coordinate_values(6, 1))
+    assert np.array_equal(report.hypothesis.table, chi_values(6, 1))
 
 
 def test_learn_exact_parity_labels_below_degree():

@@ -9,8 +9,9 @@ import pytest
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
+    characters,
+    chi_values,
     coordinate_signs,
-    coordinate_values,
     fwht,
     is_d_resilient,
     low_degree_sums,
@@ -116,13 +117,23 @@ def test_low_degree_sums_make_no_widened_copy_of_an_int8_table():
     assert peak < 0.8 * widened.nbytes
 
 
+def test_characters_match_the_parity_of_each_mask_and_point():
+    masks = [0, 1, 0b1010, 0b1111111, 0b100]
+    points = np.array([0, 3, 64, 127, 3, 85])
+    rows = characters(masks, points)
+    assert rows.dtype == np.int8 and rows.flags.c_contiguous and rows.shape == (5, 6)
+    for row, mask in zip(rows, masks):
+        assert row.tolist() == [(-1) ** (mask & int(x)).bit_count() for x in points]
+    assert np.array_equal(characters(masks, np.arange(128))[2], chi_values(7, 0b1010))
+
+
 def test_coordinate_signs_are_coordinate_values_rows():
     n = 6
     points = np.array([0, 1, 5, 37, 63])
     signs = coordinate_signs(points, n)
     assert signs.shape == (len(points), n)
     for j in range(1, n + 1):
-        assert np.array_equal(signs[:, j - 1], coordinate_values(n, j)[points])
+        assert np.array_equal(signs[:, j - 1], chi_values(n, 1 << (j - 1))[points])
 
 
 def test_coordinate_signs_match_shifted_bits_and_make_no_wide_temporaries():
@@ -173,7 +184,7 @@ def test_influence_matches_spectral_form(n):
     rng = np.random.default_rng(300 + n)
     for fn in (
         BoundedFunction(n, rng.uniform(-1.0, 1.0, 1 << n)),
-        BoundedFunction(n, 0.5 * coordinate_values(n, n)),
+        BoundedFunction(n, 0.5 * chi_values(n, 1 << (n - 1))),
         random_boolean(n, seed=300 + n),
     ):
         oracle = _spectral_influence(wht(fn) ** 2)

@@ -192,7 +192,8 @@ def test_longest_run_matches_cyclic_oracle(n):
 
 
 def shift_loop_cyclerun_table(n):
-    """CycleRun's table and fallback count by n - 1 shifted passes over the cube.
+    """CycleRun's table and the number of points left tied after stage 3
+    (settled by majority here), by n - 1 shifted passes over the cube.
 
     Stage 1 finds each point's longest cyclic run by ANDing it with its
     rotations; the tied points go through stages 2 and 3 one run length
@@ -264,23 +265,22 @@ def shift_loop_cyclerun_table(n):
 
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_cyclerun_table_matches_shift_loop_pipeline(n):
-    table, fallbacks = cyclerun_table(n)
-    expected, expected_fallbacks = shift_loop_cyclerun_table(n)
+    table = cyclerun_table(n)
+    expected, residual_ties = shift_loop_cyclerun_table(n)
     assert table.dtype == np.int8
     assert np.array_equal(table, expected)
-    assert fallbacks == expected_fallbacks
+    assert residual_ties == 0
 
 
 def test_cyclerun_table_matches_reference_at_11():
-    table, fallbacks = cyclerun_table(11)
+    table = cyclerun_table(11)
     assert table.dtype == np.int8
-    assert fallbacks == 0
     for idx in range(1 << 11):
         assert table[idx] == cyclerun_reference(bits_of(idx, 11)), idx
 
 
 def test_cyclerun_table_matches_reference_on_sampled_points_at_19():
-    table, _ = cyclerun_table(19)
+    table = cyclerun_table(19)
     assert table.dtype == np.int8
     for idx in np.random.default_rng(19).integers(0, 1 << 19, size=2000):
         assert table[idx] == cyclerun_reference(bits_of(int(idx), 19)), idx
@@ -326,9 +326,16 @@ def test_cyclerun_is_shift_invariant():
 
 
 def test_cyclerun_total_no_fallback():
+    # stage 3 decides every point: a residual tie would raise
     for n in (3, 5, 7, 9, 11, 13):
-        _, fallbacks = cyclerun_table(n)
-        assert fallbacks == 0
+        assert np.all(cyclerun_table(n) != 0)
+
+
+def test_cyclerun_raises_on_a_residual_tie(monkeypatch):
+    # with no run starts found, stages 2 and 3 tie on every point they see
+    monkeypatch.setattr(zoo, "_run_starts", lambda v, run_len, n: np.zeros_like(v))
+    with pytest.raises(RuntimeError, match="cyclerun left 14 points tied after stage 3 at n=7"):
+        cyclerun_table(7)
 
 
 def test_cyclerun_balanced():
