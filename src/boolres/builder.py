@@ -32,7 +32,7 @@ import numpy as np
 from .hypercube import (
     BooleanFunction,
     coordinate_signs,
-    low_degree_sums,
+    level_one_sums,
     orbit_members,
     periods,
     popcounts,
@@ -198,7 +198,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     if np.count_nonzero(table != base.table) != sbar_size:
         raise BuilderError("orbits overlap: flipped entries differ from |Sbar|")
     output = BooleanFunction(n, table)
-    _, sums = low_degree_sums(table, 1, np.int64)  # masks 0, then {1}, ..., {n}
+    sums = level_one_sums(table)  # masks 0, then {1}, ..., {n}
     if sums[0] != 0:
         raise BuilderError("output is not balanced")
     if np.any(sums[1:] != 0):
@@ -257,15 +257,17 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     coefficients equal, the logged sigma equals the recomputed sum of scaled
     first-level coefficients, sigma is a nonnegative multiple of 4n, and the
     decrement matches the orbit.  The level-one sums follow from the orbit
-    member sums; every FULL_RECHECK_EVERY iterations and at the end they are
-    recomputed from the whole replayed table.  The first failing iteration
-    is reported, its checks in that order.
+    member sums, through `coordinate_signs`; every FULL_RECHECK_EVERY
+    iterations and at the end they are recomputed from the whole replayed
+    table by another route, the popcounts of its packed sign bits
+    (`level_one_sums`).  The first failing iteration is reported, its
+    checks in that order.
     """
     n = report.n
     recs = report.iterations
     table = cyclerun(n).table.copy()
-    # the level-one sums sum_x f(x) x_j follow mask 0 in the kernel's order
-    initial = low_degree_sums(table, 1, np.int64)[1][1:]
+    # the level-one sums sum_x f(x) x_j follow mask 0
+    initial = level_one_sums(table)[1:]
 
     points = np.array([rec.point for rec in recs], dtype=np.int64)
     members, sizes = orbit_members(points, n)
@@ -302,7 +304,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
             break
         table[members[offsets[done]:offsets[pos + 1]]] *= -1
         done = pos + 1
-        full = low_degree_sums(table, 1, np.int64)[1][1:]
+        full = level_one_sums(table)[1:]
         if np.any(full != sums[pos]):
             return AuditResult(False, recs[pos].index, "incremental sums drifted")
     if first < len(recs):
@@ -317,7 +319,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
         return AuditResult(False, rec.index, details[int(failed[first].argmax())])
 
     table[members[offsets[done]:]] *= -1
-    full = low_degree_sums(table, 1, np.int64)[1][1:]
+    full = level_one_sums(table)[1:]
     if np.any(full != (sums[-1] if len(recs) else initial)):
         return AuditResult(False, len(recs) - 1, "final sums drifted")
     if not np.array_equal(table, report.output.table):

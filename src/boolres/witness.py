@@ -7,10 +7,12 @@ Pipeline for a Boolean f, degree d and threshold tau > 0:
     q = h zeroed where |l| > tau   (bounded in [-1-tau, 1+tau])
     p = (high-degree part of q) / ||q_{>d}||_inf
 
-The pipeline runs once, on exact int64 tables: 2^n l, 2^n h and 2^n q at
-the points, 2^{2n} q^ on the masks and 2^{2n} q_{>d} at the points (see
-`_table_bits` for why none of them can wrap).  The rational witness
-p* = q_{>d} / ||q_{>d}||_inf is bounded and exactly d-resilient by
+The pipeline runs once, on exact int64 tables at the points: 2^n l, 2^n h,
+2^n q, 2^{2n} q_{<=d} and 2^{2n} q_{>d} = 2^{2n} q - 2^{2n} q_{<=d} (see
+`_table_bits` for why none of them can wrap).  Both low parts come from
+`low_degree_part`, which reads only the coefficients of degree <= d: no
+full transform is taken, and the work is O(2^n) at fixed d.  The rational
+witness p* = q_{>d} / ||q_{>d}||_inf is bounded and exactly d-resilient by
 construction, since its low coefficients are set to integer zeros; the
 report returns p*, rounded to float64, and carries the measured quantities
 that drive the correlation lower bounds.  When the threshold wipes q out
@@ -32,10 +34,8 @@ from .hypercube import (
     BoundedFunction,
     ResilienceCheck,
     correlation,
-    fwht,
     is_d_resilient,
-    popcounts,
-    wht_int,
+    low_degree_part,
 )
 
 WITNESS_MAX_DIM = 22
@@ -45,15 +45,17 @@ CHAIN_TOL = 1e-10
 def _table_bits(n: int) -> int:
     """log2 of a bound on every integer `build_witness` forms at n.
 
-    Each butterfly value of an `fwht` is a signed sum of its input, so it is
-    at most the input's l1 norm.  From |f| = 1: the transforms of f and of
-    its low masks give 2^n f^ and 2^n l with |2^n l| <= sum_S |2^n f^_S| <=
-    2^{3n/2} (Cauchy-Schwarz and Parseval), so |2^n q| <= |2^n h| <=
-    2^n + 2^{3n/2}.  Since |q| <= |h| and ||h||_2 = ||f_{>d}||_2 <= 1,
-    sum_x |2^n q(x)| <= 2^{2n} and sum_S |2^{2n} q^_S| <= 2^{5n/2}, which
-    bounds the last two transforms and 2^{2n} q_{>d}, 2^{2n} q_{<=d}.  The
-    largest value formed, 2^n (2^n q) <= 2^{2n} + 2^{5n/2}, stays below
-    2^{5n/2+1}: 2^56 at n = 22.
+    Every partial value of `low_degree_sums` and of its transpose (the two
+    halves of `low_degree_part`) is a signed sum of a subset of that
+    kernel's input, so it is at most the input's l1 norm.  From |f| = 1:
+    the sums of f give 2^n f^_S with sum_x |f| = 2^n, and their transpose
+    gives 2^n l with |2^n l| <= sum_S |2^n f^_S| <= 2^{3n/2} (Cauchy-Schwarz
+    and Parseval), so |2^n q| <= |2^n h| <= 2^n + 2^{3n/2}.  Since |q| <= |h|
+    and ||h||_2 = ||f_{>d}||_2 <= 1, sum_x |2^n q(x)| <= 2^{2n} bounds the
+    sums of q, and sum_S |2^{2n} q^_S| <= 2^{5n/2} bounds their transpose
+    2^{2n} q_{<=d} and 2^{2n} q_{>d}.  The largest value formed,
+    2^n (2^n q) <= 2^{2n} + 2^{5n/2}, stays below 2^{5n/2+1}: 2^56 at
+    n = 22.
     """
     return (5 * n + 1) // 2 + 1
 
@@ -91,11 +93,6 @@ class WitnessReport:
     degenerate: bool = False  # threshold wiped q entirely; p is the zero witness
 
 
-def _low_num(f: BooleanFunction, low: np.ndarray) -> np.ndarray:
-    """2^n l(x) in exact int64, l the part of f's spectrum on the masks `low`."""
-    return fwht(np.where(low, wht_int(f), 0))
-
-
 def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     """Run the pipeline in exact integers and check the witness it returns.
 
@@ -117,8 +114,7 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
         raise ValueError("degree exceeds dimension")
 
     size = 1 << n
-    pc = popcounts(n)
-    l_num = _low_num(f, pc <= d)
+    l_num = low_degree_part(f.table, d)  # 2^n l
     crossed = _exact_crossed(l_num, tau, size)
     h_num = f.table.astype(np.int64) * size - l_num
     q_num = np.where(crossed, 0, h_num)  # 2^n q
@@ -146,8 +142,8 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
             degenerate=True,
         )
 
-    # 2^{2n} q_{>d}: the coefficients of q with the low masks zeroed, transformed back
-    q_high_num = fwht(np.where(pc > d, fwht(q_num), 0))
+    q_low = low_degree_part(q_num, d)  # 2^{2n} q_{<=d}
+    q_high_num = (q_num << n) - q_low  # 2^{2n} q_{>d}
     sup_num = int(np.max(np.abs(q_high_num)))
     if sup_num == 0:
         raise DegenerateHighPart(f"q has degree <= {d}; no witness direction")
@@ -159,8 +155,7 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     high_sup = sup_num / scale
     corr_qf = float(np.mean(q * table))
     corr_pf = correlation(p, f)
-    # 2^{2n} q_{<=d} = 2^n (2^n q) - 2^{2n} q_{>d}
-    low_sup = float(np.max(np.abs((q_num << n) - q_high_num))) / scale
+    low_sup = float(np.max(np.abs(q_low))) / scale
 
     q_min, q_max = float(q.min()), float(q.max())
     if q_min < -1.0 - tau - 1e-12 or q_max > 1.0 + tau + 1e-12:
@@ -217,14 +212,15 @@ def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationPr
     """Exact tail mass Pr[|l(x)| >= t ||l||_2] of the low-degree part.
 
     Returns the raw pair so callers can fit empirical concentration
-    constants; no universal constant is asserted.
+    constants; no universal constant is asserted.  A degree d >= n gives
+    l = f.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"probe threshold t must be finite and positive, got {t}")
     if not isinstance(f, BooleanFunction):
         raise ValueError("the probe needs a Boolean (+-1) function")
     size = 1 << f.n
-    l_num = _low_num(f, popcounts(f.n) <= d)
+    l_num = low_degree_part(f.table, min(d, f.n))
     # ||l||_2^2 = E[l f], since l is the projection of f
     norm = math.sqrt(int(l_num @ f.table.astype(np.int64)) / (size * size))
     tail = float(np.mean(np.abs(l_num / size) >= t * norm))

@@ -281,7 +281,7 @@ def test_budget_ratio_definition():
 
 def test_audit_detects_drifted_incremental_sums(monkeypatch):
     # corrupt the incremental update once, at iteration 0; the full recheck
-    # there goes through low_degree_sums, a different arithmetic route
+    # there goes through level_one_sums, a different arithmetic route
     report = build_one_resilient(7)
     real = builder.coordinate_signs
     calls = []
@@ -300,14 +300,14 @@ def test_audit_detects_drifted_incremental_sums(monkeypatch):
 
 @pytest.mark.parametrize("mask_index,detail", [(0, "not balanced"), (3, "not exactly 1-resilient")])
 def test_output_check_reads_balance_and_level_one_off_one_call(monkeypatch, mask_index, detail):
-    real = builder.low_degree_sums
+    real = builder.level_one_sums
 
-    def shifted(table, d, dtype):
-        masks, sums = real(table, d, dtype)
+    def shifted(table):
+        sums = real(table)
         sums[mask_index] += 2
-        return masks, sums
+        return sums
 
-    monkeypatch.setattr(builder, "low_degree_sums", shifted)
+    monkeypatch.setattr(builder, "level_one_sums", shifted)
     with pytest.raises(builder.BuilderError, match=detail):
         build_one_resilient(7)
 
@@ -342,14 +342,14 @@ def test_audit_replays_the_table_at_every_checkpoint(monkeypatch):
     # flips made so far
     report = build_one_resilient(15)
     assert len(report.iterations) > 2 * builder.FULL_RECHECK_EVERY
-    real = builder.low_degree_sums
+    real = builder.level_one_sums
     tables = []
 
-    def recording(table, d, dtype):
+    def recording(table):
         tables.append(np.array(table))
-        return real(table, d, dtype)
+        return real(table)
 
-    monkeypatch.setattr(builder, "low_degree_sums", recording)
+    monkeypatch.setattr(builder, "level_one_sums", recording)
     assert audit_invariants(report).ok
     every = builder.FULL_RECHECK_EVERY
     checkpoints = [rec.index for rec in report.iterations if rec.index % every == 0]

@@ -14,6 +14,8 @@ from boolres.hypercube import (
     coordinate_signs,
     fwht,
     is_d_resilient,
+    level_one_sums,
+    low_degree_part,
     low_degree_sums,
     orbit_members,
     per_coordinate_influence,
@@ -21,6 +23,7 @@ from boolres.hypercube import (
     popcounts,
     rotate,
     rotations,
+    sign_words,
     spectral_stats,
     wht,
     wht_int,
@@ -86,6 +89,49 @@ def test_low_degree_sums_match_fwht_at_every_degree(n):
                 assert np.allclose(sums, full[low], rtol=0, atol=1e-13 * max(1, n) * (1 << n))
             else:
                 assert sums.tobytes() == full[low].tobytes()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_low_degree_part_is_the_masked_double_transform(n):
+    rng = np.random.default_rng(500 + n)
+    pc = popcounts(n)
+    ints = rng.integers(-(1 << 20), 1 << 20, 1 << n)
+    for d in range(n + 1):
+        part = low_degree_part(ints, d)
+        assert part.dtype == np.int64
+        assert np.array_equal(part, fwht(np.where(pc <= d, fwht(ints), 0)))
+
+
+def test_low_degree_part_peak_memory_is_a_few_tables_at_middle_degree():
+    # n = 16, d = 8 keeps 39203 masks: a (masks, n) array would take 9.6 tables
+    n, d = 16, 8
+    values = np.random.default_rng(16).integers(-(1 << 20), 1 << 20, 1 << n)
+    tracemalloc.start()
+    try:
+        part = low_degree_part(values, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(part, fwht(np.where(popcounts(n) <= d, fwht(values), 0)))
+    assert peak < 8 * values.nbytes
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 7, 9])
+def test_sign_words_set_bit_x_of_the_minus_one_points(n):
+    table = random_boolean(n, seed=40 + n).table
+    words = sign_words(table)
+    assert words.dtype == np.dtype("<u8") and len(words) == max(1, (1 << n) // 64)
+    bits = [(int(words[x // 64]) >> (x % 64)) & 1 for x in range(64 * len(words))]
+    assert bits == [int(v == -1) for v in table] + [0] * (64 * len(words) - (1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_level_one_sums_match_low_degree_sums(n):
+    # n < 6 fits one padded word; from n = 7 on, coordinates 7.. are word halves
+    for f in (random_boolean(n, seed=60 + n), cyclerun(n) if n % 2 and n > 1 else tribes(1, n)):
+        expected = low_degree_sums(f.table, 1, np.int64)[1]
+        sums = level_one_sums(f.table)
+        assert sums.dtype == np.int64 and np.array_equal(sums, expected)
 
 
 def test_low_degree_sums_reject_bad_degree():
@@ -160,8 +206,9 @@ def test_coordinate_signs_product_is_level_one_sum():
 
 @pytest.mark.parametrize(
     "fn",
-    [cyclerun(13), tribes(3, 4), random_boolean(10, seed=3), random_boolean(1, seed=2)],
-    ids=["cyclerun13", "tribes34", "random10", "random1"],
+    [cyclerun(13), tribes(3, 4), random_boolean(10, seed=3), random_boolean(1, seed=2),
+     random_boolean(6, seed=6), random_boolean(7, seed=7)],
+    ids=["cyclerun13", "tribes34", "random10", "random1", "random6", "random7"],
 )
 def test_boolean_influence_is_bit_identical_to_gather(fn):
     new = per_coordinate_influence(fn)

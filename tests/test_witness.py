@@ -3,7 +3,7 @@ import pytest
 
 from fractions import Fraction
 
-from boolres import witness
+from boolres import hypercube
 from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     INT64_BITS,
@@ -145,6 +145,18 @@ def test_probe_rejects_bad_t():
             concentration_probe(majority(3), 1, t)
 
 
+def test_probe_above_the_dimension_reads_f_itself():
+    f = tribes(2, 3)
+    for d in (f.n, f.n + 1, f.n + 5):
+        probe = concentration_probe(f, d, 1.0)
+        assert probe.p2norm_lowpart == 1.0 and probe.tail_prob == 1.0
+
+
+def test_probe_rejects_negative_degree():
+    with pytest.raises(ValueError, match="outside"):
+        concentration_probe(majority(3), -1, 1.0)
+
+
 def test_probe_is_dataclass_pair():
     probe = concentration_probe(majority(3), 1, 1.0)
     assert isinstance(probe, ConcentrationProbe)
@@ -174,25 +186,36 @@ def test_exact_threshold_matches_fraction_loop(tau):
 
 def test_int64_bound_tied_to_cap(monkeypatch):
     assert _table_bits(WITNESS_MAX_DIM) <= INT64_BITS
-    # a butterfly value is at most the l1 norm of its transform's input, so
-    # recording that norm and the output checks every value of the proof
+    # every partial value of the two kernels behind `low_degree_part` is at
+    # most the l1 norm of that kernel's input, so recording that norm and
+    # the largest output of each int64 call checks every value of the proof
     seen = []
-    real = witness.fwht
+    real_sums, real_transpose = hypercube.low_degree_sums, hypercube._low_degree_transpose
 
-    def recording(values):
-        out = real(values)
-        seen.append(max(int(np.abs(values).sum()), int(np.abs(out).max())))
+    def record(values, out):
+        if out.dtype == np.int64:  # the float re-check of p is not part of it
+            seen.append((int(np.abs(values).sum()), int(np.abs(out).max())))
+
+    def sums(table, d, dtype):
+        masks, out = real_sums(table, d, dtype)
+        record(table, out)
+        return masks, out
+
+    def transpose(masks, values, n, d):
+        out = real_transpose(masks, values, n, d)
+        record(values, out)
         return out
 
-    monkeypatch.setattr(witness, "fwht", recording)
+    monkeypatch.setattr(hypercube, "low_degree_sums", sums)
+    monkeypatch.setattr(hypercube, "_low_degree_transpose", transpose)
     for f in (random_boolean(12, seed=1), random_boolean(11, seed=2), tribes(3, 4), majority(11)):
         for tau in (0.3, 1e300):
             seen.clear()
             build_witness(f, WitnessParams(d=1, tau=tau))
-            assert len(seen) == 3
-            # the last transform reads 2^{2n} q^, whose l1 norm is <= 2^{5n/2}
-            assert seen[-1] <= 2.0 ** (2.5 * f.n)
-            assert max(seen) < 2 ** _table_bits(f.n)
+            assert len(seen) == 4  # the sums and transpose of f, then of q
+            # the last kernel reads 2^{2n} q^ on the low masks, l1 norm <= 2^{5n/2}
+            assert seen[-1][0] <= 2.0 ** (2.5 * f.n)
+            assert max(max(pair) for pair in seen) < 2 ** _table_bits(f.n)
 
 
 def _float_pipeline(f, d, tau):
@@ -271,17 +294,20 @@ def test_exact_certificate_past_the_old_replay_cap(n):
 
 
 def test_float_recheck_catches_a_low_mask_left_in(monkeypatch):
-    # a popcount table that calls mask 0 high keeps f's mean in q_{>d}, so
-    # p has a nonzero constant coefficient that only the float re-check sees
-    real = witness.popcounts
+    # q's low part without its mask-0 sum keeps q's mean in q_{>d}, so p has
+    # a nonzero constant coefficient that only the float re-check sees
+    real = hypercube.low_degree_sums
+    calls = []
 
-    def mask_zero_high(n):
-        pc = real(n).copy()
-        pc[0] = n + 1
-        return pc
+    def drop_mask_zero_on_q(table, d, dtype):
+        masks, sums = real(table, d, dtype)
+        calls.append(d)
+        if len(calls) == 2:  # f's low part first, then q's
+            sums[0] = 0
+        return masks, sums
 
     f = tribes(3, 4)
     build_witness(f, WitnessParams(d=1, tau=0.5))
-    monkeypatch.setattr(witness, "popcounts", mask_zero_high)
+    monkeypatch.setattr(hypercube, "low_degree_sums", drop_mask_zero_on_q)
     with pytest.raises(RuntimeError, match="resilient"):
         build_witness(f, WitnessParams(d=1, tau=0.5))
