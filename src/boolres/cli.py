@@ -36,7 +36,7 @@ from .hypercube import (
     wht,
 )
 from .learner import LabeledDistribution, learn_exact, learn_sampled
-from .witness import WitnessParams, build_witness
+from .witness import build_witness
 from .zoo import (
     constant,
     cyclerun,
@@ -259,7 +259,7 @@ def _cmd_witness(args) -> None:
     taus = [float(tok) for tok in str(args.tau).split(",")]
     sweep = []
     for tau in taus:
-        report = build_witness(fn, WitnessParams(d=args.d, tau=tau))
+        report = build_witness(fn, args.d, tau)
         sweep.append({
             "tau": tau,
             "delta_emp": report.delta_emp,

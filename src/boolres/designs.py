@@ -180,9 +180,8 @@ def _spectral_gram(g: CubeFunction, masks: np.ndarray) -> np.ndarray:
     ambient mask A(T) of every |T| <= t, the largest pairwise intersection.
     """
     k = g.n
-    dtype = np.int64 if isinstance(g, BooleanFunction) else np.float64
     depth = max((int(sizes.max()) for _, sizes in _overlaps(masks)), default=0)
-    base, coeffs = low_degree_sums(g.table, depth, dtype)
+    base, coeffs = low_degree_sums(g.table, depth)
     # the 0-based coordinates of each set, ascending: bit i of T goes to column i
     bits = (masks[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
     coords = np.nonzero(bits)[1].reshape(len(masks), k).astype(np.uint64)
@@ -190,10 +189,10 @@ def _spectral_gram(g: CubeFunction, masks: np.ndarray) -> np.ndarray:
     for i in range(k):
         ambient |= ((base >> i) & 1).astype(np.uint64) << coords[:, i:i + 1]
     columns, where = np.unique(ambient, return_inverse=True)
-    spread = np.zeros((len(masks), len(columns)), dtype=dtype)
+    spread = np.zeros((len(masks), len(columns)), dtype=coeffs.dtype)
     spread[np.arange(len(masks))[:, None], where.reshape(ambient.shape)] = coeffs
     gram = spread @ spread.T
-    np.fill_diagonal(gram, (1 << k) * np.sum(np.square(g.table, dtype=dtype)))
+    np.fill_diagonal(gram, (1 << k) * np.sum(np.square(g.table, dtype=coeffs.dtype)))
     return gram
 
 

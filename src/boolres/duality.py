@@ -147,14 +147,7 @@ def _l1_box_lp(
         raise ValueError(f"degree d={d} outside [0, {n}]")
     masks = low_degree_masks(n, d)
     chi = characters(masks, points)  # C order: the pivots depend on the layout
-    lp = LinearProgram(
-        objective=labels,
-        eq_matrix=chi,
-        eq_rhs=np.zeros(len(masks)),
-        lower=-weights,
-        upper=weights,
-    )
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram(objective=labels, eq_matrix=chi, lower=-weights, upper=weights))
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
     poly = SparsePolynomial(n, d, {mask: float(y) for mask, y in zip(masks, sol.duals)})

@@ -202,7 +202,7 @@ def _count_bits(words: np.ndarray) -> int:
 
 
 def level_one_sums(table: np.ndarray) -> np.ndarray:
-    """low_degree_sums(table, 1, int64)[1] of a +-1 table, from its sign bits.
+    """low_degree_sums(table, 1)[1] of a +-1 table, from its sign bits.
 
     With neg the number of -1 entries and ones_j the number among them with
     x_j = -1, the sums are 2^n - 2 neg for the empty mask and
@@ -220,7 +220,7 @@ def level_one_sums(table: np.ndarray) -> np.ndarray:
     return np.array([(1 << n) - 2 * neg] + [4 * count - 2 * neg for count in ones], dtype=np.int64)
 
 
-def low_degree_sums(table: np.ndarray, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def low_degree_sums(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The masks S with |S| <= d, ascending, and 2^n coef[S] = sum_x f(x) chi_S(x).
 
     Splits on the top coordinate and keeps one row of partial sums per mask
@@ -230,13 +230,14 @@ def low_degree_sums(table: np.ndarray, d: int, dtype) -> tuple[np.ndarray, np.nd
     since a fold keeps a row's total, sum(plus - minus) = 2 sum(plus) - total
     reads one half.  So each step is a few slice operations, reading about
     3.5 * 2^n entries in all at d = 1 and 8 * 2^n at d = 2 against n 2^n
-    for `fwht`; d = n is the full transform.  The sums are computed in `dtype` straight from the
-    table, so an int8 table gets no widened copy.  Integer sums are exact
-    while 2^n max|f| fits in `dtype`; float sums add in another order than
-    `fwht` and agree with it to rounding.
+    for `fwht`; d = n is the full transform.  An integer table is summed in
+    int64 and any other in float64, straight from the table, so an int8
+    table gets no widened copy.  Integer sums are exact while the table's l1
+    norm fits in int64; float sums add in another order than `fwht` and
+    agree with it to rounding.
     """
     src = np.asarray(table)
-    dtype = np.dtype(dtype)
+    dtype = np.int64 if src.dtype.kind in "iu" else np.float64
     n = src.shape[0].bit_length() - 1
     if not 0 <= d <= n:
         raise ValueError(f"degree d={d} outside [0, {n}]")
@@ -310,7 +311,7 @@ def low_degree_part(values: np.ndarray, d: int) -> np.ndarray:
     the table and of its low sums fit in int64.
     """
     src = np.asarray(values)
-    masks, sums = low_degree_sums(src, d, np.int64)
+    masks, sums = low_degree_sums(src, d)
     return _low_degree_transpose(masks, sums, src.shape[0].bit_length() - 1, d)
 
 
@@ -390,9 +391,16 @@ def per_coordinate_influence(fn: CubeFunction) -> np.ndarray:
 
 
 def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
-    """Low-degree Fourier weight (degree <= d) plus influence data."""
-    exact = isinstance(fn, BooleanFunction)
-    _, sums = low_degree_sums(fn.table, d, np.int64 if exact else np.float64)
+    """Low-degree Fourier weight (degree <= d) plus influence data.
+
+    A Boolean table's d = 1 sums are the same int64 integers from its sign
+    bits (`level_one_sums`); every other case, and every degree check,
+    goes through `low_degree_sums`.
+    """
+    if isinstance(fn, BooleanFunction) and d == 1 <= fn.n:
+        sums = level_one_sums(fn.table)
+    else:
+        _, sums = low_degree_sums(fn.table, d)
     coeffs = sums / float(1 << fn.n)
     infl = per_coordinate_influence(fn)
     return SpectralStats(
@@ -402,43 +410,15 @@ def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
     )
 
 
-NS_DIRECT_MAX_DIM = 14
-
-
-def _check_noise_args(fn: BooleanFunction, delta: float) -> None:
+def noise_sensitivity(fn: BooleanFunction, delta: float) -> float:
+    """Probability that f differs on a point and its delta-noisy copy,
+    (1 - sum_S (1-2 delta)^{|S|} coef[S]^2) / 2."""
     if not isinstance(fn, BooleanFunction):
         raise TypeError("noise sensitivity is defined for Boolean functions")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"noise rate delta={delta} outside [0, 1]")
-
-
-def noise_sensitivity(fn: BooleanFunction, delta: float) -> float:
-    """Probability that f differs on a point and its delta-noisy copy,
-    (1 - sum_S (1-2 delta)^{|S|} coef[S]^2) / 2."""
-    _check_noise_args(fn, delta)
     rho = (1.0 - 2.0 * delta) ** popcounts(fn.n)
     return float((1.0 - np.dot(rho, wht(fn) ** 2)) / 2.0)
-
-
-def noise_sensitivity_direct(fn: BooleanFunction, delta: float) -> float:
-    """`noise_sensitivity` by exhaustive enumeration of the noise patterns
-    (n <= 14), the independent oracle the spectral form is validated against."""
-    _check_noise_args(fn, delta)
-    n = fn.n
-    if n > NS_DIRECT_MAX_DIM:
-        raise DimensionTooLarge(f"direct path limited to n <= {NS_DIRECT_MAX_DIM}")
-    idx = np.arange(1 << n)
-    table = fn.table.astype(np.float64)
-    pc = popcounts(n)
-    # log-free weights: delta^k (1-delta)^(n-k) per flip pattern
-    weights = delta ** pc * (1.0 - delta) ** (n - pc)
-    total = 0.0
-    for e in range(1 << n):
-        if weights[e] == 0.0:
-            continue
-        mismatch = np.mean(table != table[idx ^ e])
-        total += weights[e] * mismatch
-    return float(total)
 
 
 def _check_same_dim(f: CubeFunction, g: CubeFunction) -> None:
@@ -473,8 +453,7 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
     coefficients are at least 2^-n, so the default tolerance makes the
     verdict an exact-zero certificate); bounded inputs use floats.
     """
-    exact = isinstance(fn, BooleanFunction)
-    masks, sums = low_degree_sums(fn.table, d, np.int64 if exact else np.float64)
+    masks, sums = low_degree_sums(fn.table, d)
     scale = float(1 << fn.n)
     vals = np.abs(sums)
     worst = int(np.argmax(vals))
@@ -482,7 +461,7 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
         resilient=bool(vals[worst] / scale <= tol),
         worst_mask=int(masks[worst]),
         worst_coefficient=float(vals[worst]) / scale,
-        exact=exact,
+        exact=isinstance(fn, BooleanFunction),
     )
 
 

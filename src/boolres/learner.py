@@ -33,7 +33,6 @@ queries; query tolerance itself is not modeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,18 +137,14 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
 def learn_exact(
     dist: LabeledDistribution,
     d: int,
-    epsilon: float = 0.0,
     comparison_class: list[BooleanFunction] | None = None,
 ) -> LearnReport:
     """Exact-expectation regression + optimal thresholding.
 
     When a comparison class is supplied, the excess-error contract
-    excess <= Delta_d(C)/2 + epsilon is asserted with Delta computed by the
-    independent L1-approximation LP over the class.  epsilon must be finite
-    and >= 0: a NaN would make the contract's comparison always false.
+    excess <= Delta_d(C)/2 is asserted with Delta computed by the
+    independent L1-approximation LP over the class.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     n = dist.n
     boolean_target = bool(np.all(np.abs(dist.g.table) == 1.0))
     limit = EXACT_MAX_DIM_BOOLEAN if boolean_target else EXACT_MAX_DIM_BOUNDED
@@ -161,21 +156,12 @@ def learn_exact(
     opt = opt_of_class(comparison_class, dist)
     excess = report.error - opt
     delta_class = max(l1_poly_distance(c, d).delta for c in comparison_class)
-    if excess > delta_class / 2.0 + epsilon + 1e-9:
-        raise AssertionError(
-            f"excess error {excess} exceeded Delta/2 + eps = "
-            f"{delta_class / 2.0 + epsilon}"
-        )
+    if excess > delta_class / 2.0 + 1e-9:
+        raise AssertionError(f"excess error {excess} exceeded Delta/2 = {delta_class / 2.0}")
     return replace(report, opt=opt, excess=excess)
 
 
-def learn_sampled(
-    dist: LabeledDistribution,
-    d: int,
-    m: int,
-    seed: int,
-    comparison_class: list[BooleanFunction] | None = None,
-) -> LearnReport:
+def learn_sampled(dist: LabeledDistribution, d: int, m: int, seed: int) -> LearnReport:
     """Empirical-L1 regression over m labeled samples, seed-mandatory.
 
     The hypothesis threshold minimizes the empirical error; the report
@@ -197,11 +183,4 @@ def learn_sampled(
     fit = _fit(n, d, up_counts, down_counts)
 
     true_error = _error(fit.hypothesis.table, *dist.label_weights())
-    opt = excess = None
-    if comparison_class is not None:
-        opt = opt_of_class(comparison_class, dist)
-        excess = true_error - opt
-    return replace(
-        fit, error=true_error, opt=opt, excess=excess,
-        empirical_error=fit.error, m=m, seed=seed,
-    )
+    return replace(fit, error=true_error, empirical_error=fit.error, m=m, seed=seed)

@@ -3,11 +3,12 @@
 Problems are stated as maximization over box-bounded variables with dense
 equality constraints:
 
-    max  objective . x    s.t.  eq_matrix @ x = eq_rhs,  lower <= x <= upper
+    max  objective . x    s.t.  eq_matrix @ x = 0,  lower <= x <= upper
 
-with finite bounds only.  Internally each variable is shifted, x = lower + y,
-so it lives in [0, upper - lower], and one slack column per row, fixed at
-[0, 0], completes the matrix to [A | I].
+with finite bounds only; the problem is feasible iff the box meets the null
+space of eq_matrix.  Internally each variable is shifted, x = lower + y, so
+it lives in [0, upper - lower] under A y = -A lower, and one slack column
+per row, fixed at [0, 0], completes the matrix to [A | I].
 
 Every variable is boxed, so the box-optimal vertex (y_j at its upper bound
 iff objective_j > 0) with the all-slack basis is dual feasible: the row
@@ -65,25 +66,19 @@ class SolverFailure(RuntimeError):
 class LinearProgram:
     objective: np.ndarray
     eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=np.float64)
         a = np.asarray(self.eq_matrix, dtype=np.float64)
-        b = np.asarray(self.eq_rhs, dtype=np.float64)
         lo = np.asarray(self.lower, dtype=np.float64)
         hi = np.asarray(self.upper, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("eq_matrix must be two-dimensional")
-        m, n = a.shape
+        n = a.shape[1]
         if c.shape != (n,) or lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("objective/bounds length must match eq_matrix columns")
-        if b.shape != (m,):
-            raise ValueError("eq_rhs length must match eq_matrix rows")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("eq_rhs must be finite")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective must be finite")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -92,7 +87,6 @@ class LinearProgram:
             raise ValueError("empty box: lower > upper")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", b)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -108,7 +102,7 @@ class LPSolution:
     degenerate: int            # dual-degenerate pivots
     perturbations: int         # entries into the anti-cycling guard
     refactors: int             # rebuilds of B^-1
-    residual: float            # max |A x - b| of the final basic solution
+    residual: float            # max |A x| of the final basic solution
 
 
 def _stall_limit(m: int) -> int:
@@ -322,13 +316,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     # x = lower + y with 0 <= y <= upper - lower
     A = lp.eq_matrix
-    b = lp.eq_rhs - A @ lp.lower
+    b = -(A @ lp.lower)
     sx = _DualSimplex(A, b, lp.upper - lp.lower, lp.objective)
     status = sx.run()
 
     point, value, duals = None, float("nan"), None
     x = lp.lower + sx.point()
-    residual = float(np.max(np.abs(A @ x - lp.eq_rhs), initial=0.0))
+    residual = float(np.max(np.abs(A @ x), initial=0.0))
     if status == OPTIMAL:
         if residual > FEAS_TOL:
             raise SolverFailure(f"optimal point violates constraints (residual {residual:.3e})")

@@ -65,18 +65,6 @@ class DegenerateHighPart(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WitnessParams:
-    d: int
-    tau: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("threshold tau must be positive and finite")
-        if self.d < 0:
-            raise ValueError("degree must be nonnegative")
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     p: BoundedFunction
     d: int
@@ -93,7 +81,7 @@ class WitnessReport:
     degenerate: bool = False  # threshold wiped q entirely; p is the zero witness
 
 
-def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
+def build_witness(f: BooleanFunction, d: int, tau: float) -> WitnessReport:
     """Run the pipeline in exact integers and check the witness it returns.
 
     The threshold test compares 2^n l with the exact binary value of tau.
@@ -105,7 +93,11 @@ def build_witness(f: BooleanFunction, params: WitnessParams) -> WitnessReport:
     so |p - p*| <= 2^-51.  The float p is re-checked at tolerance 1e-10,
     with the range of q, the floor on E[q f] and the correlation chain.
     """
-    n, d, tau = f.n, params.d, params.tau
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("threshold tau must be positive and finite")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    n = f.n
     if not isinstance(f, BooleanFunction):
         raise ValueError("the witness pipeline needs a Boolean (+-1) function")
     if n > WITNESS_MAX_DIM:

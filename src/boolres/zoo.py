@@ -94,8 +94,10 @@ def tribes(w: int, s: int) -> BooleanFunction:
     return BooleanFunction(n, np.where(fired, -1, 1))
 
 
-def _tribes_closed_form(w: int, s: int, masks: np.ndarray) -> np.ndarray:
-    """Closed-form Fourier coefficients of Tribes at subsets given as uint64 masks."""
+def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
+    """All 2^(ws) closed-form Fourier coefficients of Tribes, indexed by mask."""
+    _tribes_check(w, s)
+    masks = np.arange(1 << (w * s), dtype=np.uint64)
     size = np.bitwise_count(masks).astype(np.int64)
     hit = np.zeros(len(masks), dtype=np.int64)
     for block in range(s):
@@ -103,22 +105,8 @@ def _tribes_closed_form(w: int, s: int, masks: np.ndarray) -> np.ndarray:
         hit += (masks & bmask) != 0
     q = 1.0 - 2.0 ** (-w)
     coeffs = 2.0 * (-1.0) ** (hit + size) * 2.0 ** (-hit * w) * q ** (s - hit)
-    coeffs[masks == 0] = 2.0 * q**s - 1.0
+    coeffs[0] = 2.0 * q**s - 1.0
     return coeffs
-
-
-def tribes_coefficient(w: int, s: int, mask: int) -> float:
-    """Closed-form Fourier coefficient of Tribes at subset T (as a mask)."""
-    _tribes_check(w, s)
-    if not 0 <= mask < (1 << (w * s)):
-        raise ValueError("mask outside the tribes variable range")
-    return float(_tribes_closed_form(w, s, np.array([mask], dtype=np.uint64))[0])
-
-
-def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
-    """All 2^(ws) closed-form coefficients at once."""
-    _tribes_check(w, s)
-    return _tribes_closed_form(w, s, np.arange(1 << (w * s), dtype=np.uint64))
 
 
 def tribes_weight_bound(w: int, s: int, d: int) -> float:
@@ -385,7 +373,7 @@ class FtSandwichRow:
 
 
 def ft_sandwich_report(
-    n: int, ts: list[float], printed: bool = False, factor: float = 3.0
+    n: int, ts: list[float], factor: float, printed: bool = False
 ) -> list[FtSandwichRow]:
     """Evaluate the influence/support sandwich bounds at each t.
 

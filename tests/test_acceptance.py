@@ -25,14 +25,13 @@ from boolres.hypercube import (
     chi_values,
     is_d_resilient,
     noise_sensitivity,
-    noise_sensitivity_direct,
     popcounts,
     spectral_stats,
     wht,
     wht_int,
 )
 from boolres.learner import LabeledDistribution, learn_exact, opt_of_class
-from boolres.witness import WitnessParams, build_witness
+from boolres.witness import build_witness
 from boolres.zoo import (
     cyclerun,
     cyclerun_table,
@@ -45,6 +44,7 @@ from boolres.zoo import (
     tribes,
     tribes_spectrum_closed_form,
 )
+from reference import noise_sensitivity_direct
 
 
 def test_criterion_01_duality_random_ensemble():
@@ -164,7 +164,7 @@ def test_criterion_08_witness_pipeline():
     lp = distance_to_resilience(f, 1)
     lines = []
     for tau in (0.1, 0.2, 0.3):
-        report = build_witness(f, WitnessParams(d=1, tau=tau))
+        report = build_witness(f, 1, tau)
         assert report.resilience.resilient
         assert report.exact_zero_certified
         assert np.max(np.abs(report.p.table)) <= 1.0
@@ -237,14 +237,14 @@ def test_criterion_11_learner():
     cls += [BooleanFunction(n, -c.table) for c in cls]
     opt = opt_of_class(cls, dist)
     assert opt == pytest.approx(0.1)
-    report = learn_exact(dist, d=1, epsilon=0.01, comparison_class=cls)
+    report = learn_exact(dist, d=1, comparison_class=cls)
     assert report.error <= 0.1 + 0.01
 
     base = build_one_resilient(5).output
     design = greedy_design(12, 5, 1)
     target = embed_on_mask(base, design.sets[0], 12).function()
     hard = LabeledDistribution(BoundedFunction(12, target.table.astype(np.float64)))
-    hard_report = learn_exact(hard, d=1, epsilon=0.01)
+    hard_report = learn_exact(hard, d=1)
     assert hard_report.error >= 0.5 - 1e-9
     print(f"[criterion 11] PASS learner: noisy dictator error "
           f"{report.error:.4f} <= 0.11; embedded resilient target error "

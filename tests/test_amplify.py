@@ -19,12 +19,12 @@ from boolres.hypercube import (
     BoundedFunction,
     chi_values,
     noise_sensitivity,
-    noise_sensitivity_direct,
     resilience_order,
     spectral_stats,
     wht,
 )
 from boolres.zoo import dictator, majority, parity, random_boolean
+from reference import noise_sensitivity_direct
 
 
 def test_parity_composition_is_parity():

@@ -9,7 +9,7 @@ import pytest
 from boolres.cli import main
 from boolres.duality import distance_to_resilience, duality_certificate, l1_poly_distance
 from boolres.hypercube import BoundedFunction
-from boolres.witness import WitnessParams, build_witness
+from boolres.witness import build_witness
 from boolres.zoo import SymmetricFunction
 
 NAN_TABLE = "n=2\nnan 0.5 0.1 1.0\n"
@@ -39,7 +39,7 @@ def test_alpha_side_rejects_bounded_targets():
     with pytest.raises(ValueError, match="Boolean"):
         duality_certificate(f, 1)
     with pytest.raises(ValueError, match="Boolean"):
-        build_witness(f, WitnessParams(1, 0.1))
+        build_witness(f, 1, 0.1)
 
 
 def test_l1_poly_distance_accepts_bounded_targets():

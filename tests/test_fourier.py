@@ -17,7 +17,6 @@ from boolres.hypercube import (
     is_d_resilient,
     l1_distance,
     noise_sensitivity,
-    noise_sensitivity_direct,
     per_coordinate_influence,
     read_truth_table,
     spectral_stats,
@@ -25,6 +24,7 @@ from boolres.hypercube import (
     wht_int,
     write_truth_table,
 )
+from reference import noise_sensitivity_direct
 
 
 def brute_force_coefficient(table, n, mask):

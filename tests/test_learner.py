@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from boolres import duality
+from boolres import duality, learner
 from boolres.builder import build_one_resilient
 from boolres.designs import embed_on_mask, greedy_design
 from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
@@ -53,7 +53,7 @@ def test_opt_rejects_empty_class():
 
 def test_learn_exact_scaled_dictator():
     dist = scaled_dictator(6)
-    report = learn_exact(dist, d=1, epsilon=0.01, comparison_class=dictator_class(6))
+    report = learn_exact(dist, d=1, comparison_class=dictator_class(6))
     assert report.opt == pytest.approx(0.1)
     assert report.error <= 0.1 + 0.01
     # the learner should effectively recover x1
@@ -63,7 +63,7 @@ def test_learn_exact_scaled_dictator():
 def test_learn_exact_parity_labels_below_degree():
     f = parity(0b111, 5)
     dist = LabeledDistribution(BoundedFunction(5, f.table.astype(float)))
-    report = learn_exact(dist, d=1, epsilon=0.01)
+    report = learn_exact(dist, d=1)
     assert report.regression_delta == pytest.approx(1.0, abs=1e-7)
     assert report.error == pytest.approx(0.5, abs=1e-9)
 
@@ -72,7 +72,7 @@ def test_threshold_optimality_brute_force():
     rng = np.random.default_rng(17)
     g = BoundedFunction(5, rng.uniform(-1, 1, size=32))
     dist = LabeledDistribution(g)
-    report = learn_exact(dist, d=1, epsilon=0.05)
+    report = learn_exact(dist, d=1)
     p = report.poly.table()
     up, down = dist.label_weights()
     # brute force over every threshold between consecutive values
@@ -127,7 +127,7 @@ def test_error_never_above_half():
     rng = np.random.default_rng(23)
     for seed in range(3):
         g = BoundedFunction(4, rng.uniform(-1, 1, size=16))
-        report = learn_exact(LabeledDistribution(g), d=1, epsilon=0.05)
+        report = learn_exact(LabeledDistribution(g), d=1)
         assert report.error <= 0.5 + 1e-12
 
 
@@ -145,13 +145,13 @@ def test_hardness_shadow_embedded_resilient_target():
     design = greedy_design(12, 5, 1)
     target = embed_on_mask(base, design.sets[0], 12).function()
     dist = LabeledDistribution(BoundedFunction(12, target.table.astype(float)))
-    report = learn_exact(dist, d=1, epsilon=0.01)
+    report = learn_exact(dist, d=1)
     assert report.error >= 0.5 - 1e-9
 
 
 def test_learn_sampled_recovers_scaled_dictator():
     dist = scaled_dictator(6)
-    report = learn_sampled(dist, d=1, m=50_000, seed=3, comparison_class=dictator_class(6))
+    report = learn_sampled(dist, d=1, m=50_000, seed=3)
     assert report.error <= 0.1 + 0.02
     assert report.m == 50_000 and report.seed == 3
     assert report.empirical_error is not None
@@ -175,21 +175,29 @@ def test_exact_mode_dimension_guards():
     rng = np.random.default_rng(7)
     big_bounded = LabeledDistribution(BoundedFunction(11, rng.uniform(-0.9, 0.9, 2048)))
     with pytest.raises(ValueError):
-        learn_exact(big_bounded, d=1, epsilon=0.1)
+        learn_exact(big_bounded, d=1)
 
 
 def test_excess_error_contract_asserted():
-    # class = {x1}; target noisy x1; Delta_1(class) = 0 so excess <= eps
+    # class = {x1}; target noisy x1; Delta_1(class) = 0 so excess <= 0
     dist = scaled_dictator(5)
-    report = learn_exact(dist, d=1, epsilon=0.01, comparison_class=[dictator(1, 5)])
+    report = learn_exact(dist, d=1, comparison_class=[dictator(1, 5)])
     assert report.excess is not None
-    assert report.excess <= 0.01 + 1e-9
+    assert report.excess <= 1e-9
+
+
+def test_excess_error_contract_allows_only_rounding(monkeypatch):
+    # Delta_1({x1}) = 0, so an excess of 1e-8 over opt breaks the contract
+    real = learner.opt_of_class
+    monkeypatch.setattr(learner, "opt_of_class", lambda cls, dist: real(cls, dist) - 1e-8)
+    with pytest.raises(AssertionError, match="exceeded Delta/2"):
+        learn_exact(scaled_dictator(5), d=1, comparison_class=[dictator(1, 5)])
 
 
 def test_hard_target_regressor_is_zero():
     # the box-optimal start is feasible on a 1-resilient target, so the
     # optimal basis is the starting one and its duals give p = 0
-    report = learn_exact(_hard_target(), d=1, epsilon=0.01)
+    report = learn_exact(_hard_target(), d=1)
     assert all(c == 0.0 for c in report.poly.coeffs.values())
     assert report.regression_delta == 1.0
     assert report.error == 0.5
@@ -230,7 +238,7 @@ def _noisy(n, seed):
 ], ids=["majority7", "tribes24", "noisy6", "noisy8"])
 def test_exact_regression_matches_highs(g, d):
     dist = LabeledDistribution(g)
-    report = learn_exact(dist, d=d, epsilon=0.05)
+    report = learn_exact(dist, d=d)
     up, down = dist.label_weights()
     assert report.regression_delta == pytest.approx(
         _highs_regression(g.n, d, up, down), abs=1e-7
@@ -266,14 +274,8 @@ def test_learn_exact_solves_one_k_row_lp(monkeypatch, g, d):
         return real(lp, **kwargs)
 
     monkeypatch.setattr(duality, "solve_lp", counting)
-    learn_exact(LabeledDistribution(g), d=d, epsilon=0.05)
+    learn_exact(LabeledDistribution(g), d=d)
     assert rows == [len(low_degree_masks(g.n, d))]
-
-
-@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
-def test_learn_exact_rejects_bad_epsilon(epsilon):
-    with pytest.raises(ValueError, match="epsilon"):
-        learn_exact(scaled_dictator(4), d=1, epsilon=epsilon, comparison_class=[dictator(1, 4)])
 
 
 @pytest.mark.parametrize("solve", [

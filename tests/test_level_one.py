@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from boolres import hypercube
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
@@ -60,7 +61,7 @@ def test_level_one_sums_match_exact_spectrum(n):
     for seed in (0, 1):
         f = random_boolean(n, seed=1000 * n + seed)
         coeffs = wht_int(f)
-        masks, sums = low_degree_sums(f.table, 1, np.int64)
+        masks, sums = low_degree_sums(f.table, 1)
         assert sums.dtype == np.int64
         assert masks.tolist() == [0] + [1 << (j - 1) for j in range(1, n + 1)]
         assert sums.tolist() == [int(coeffs[m]) for m in masks]
@@ -72,15 +73,17 @@ def test_low_degree_sums_match_fwht_at_every_degree(n):
     signs = np.where(rng.random(1 << n) < 0.5, 1, -1).astype(np.int8)
     reals = rng.uniform(-1.0, 1.0, 1 << n)
     pc = popcounts(n)
+    # integer tables sum in int64, any other in float64
     for table, dtype in (
         (signs, np.int64),
         (signs.astype(np.int64), np.int64),
+        (signs.astype(np.float32), np.float64),
         (signs.astype(np.float64), np.float64),
         (reals, np.float64),
     ):
         full = fwht(table, dtype)
         for d in range(n + 1):
-            masks, sums = low_degree_sums(table, d, dtype)
+            masks, sums = low_degree_sums(table, d)
             low = np.nonzero(pc <= d)[0]
             assert masks.dtype == np.int64 and sums.dtype == dtype
             assert np.array_equal(masks, low)
@@ -129,16 +132,42 @@ def test_sign_words_set_bit_x_of_the_minus_one_points(n):
 def test_level_one_sums_match_low_degree_sums(n):
     # n < 6 fits one padded word; from n = 7 on, coordinates 7.. are word halves
     for f in (random_boolean(n, seed=60 + n), cyclerun(n) if n % 2 and n > 1 else tribes(1, n)):
-        expected = low_degree_sums(f.table, 1, np.int64)[1]
+        expected = low_degree_sums(f.table, 1)[1]
         sums = level_one_sums(f.table)
         assert sums.dtype == np.int64 and np.array_equal(sums, expected)
 
 
 def test_low_degree_sums_reject_bad_degree():
     with pytest.raises(ValueError):
-        low_degree_sums(np.ones(8, dtype=np.int8), 4, np.int64)
+        low_degree_sums(np.ones(8, dtype=np.int8), 4)
     with pytest.raises(ValueError):
-        low_degree_sums(np.ones(8, dtype=np.int8), -1, np.int64)
+        low_degree_sums(np.ones(8, dtype=np.int8), -1)
+
+
+def _stats_bits(stats):
+    return [v.hex() for v in (stats.low_weight, stats.total_influence,
+                              *stats.per_coordinate_influence)]
+
+
+@pytest.mark.parametrize("fn", [
+    random_boolean(6, seed=16), tribes(3, 2), random_boolean(7, seed=17), cyclerun(7),
+    random_boolean(13, seed=23), cyclerun(13),
+], ids=["random6", "tribes32", "random7", "cyclerun7", "random13", "cyclerun13"])
+def test_spectral_stats_at_degree_one_are_bit_identical_on_both_routes(monkeypatch, fn):
+    # a Boolean table's d = 1 sums come from its sign bits; the int64
+    # low_degree_sums pass gives the same integers, so every field agrees
+    calls = []
+    real = hypercube.level_one_sums
+    monkeypatch.setattr(hypercube, "level_one_sums", lambda t: calls.append(t) or real(t))
+    via_signs = spectral_stats(fn, 1)
+    assert len(calls) == 1
+    monkeypatch.setattr(hypercube, "level_one_sums", lambda t: low_degree_sums(t, 1)[1])
+    assert _stats_bits(spectral_stats(fn, 1)) == _stats_bits(via_signs)
+
+
+def test_spectral_stats_keep_the_degree_check_at_n_zero():
+    with pytest.raises(ValueError, match=r"^degree d=1 outside \[0, 0\]$"):
+        spectral_stats(BooleanFunction(0, np.ones(1)), 1)
 
 
 @pytest.mark.parametrize("d", [-1, 4])
@@ -154,7 +183,7 @@ def test_low_degree_sums_make_no_widened_copy_of_an_int8_table():
     widened = table.astype(np.int64)
     tracemalloc.start()
     try:
-        _, sums = low_degree_sums(table, 1, np.int64)
+        _, sums = low_degree_sums(table, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,7 +230,7 @@ def test_coordinate_signs_product_is_level_one_sum():
     f = random_boolean(9, seed=4)
     points = np.arange(1 << 9)
     via_signs = f.table.astype(np.int64) @ coordinate_signs(points, 9)
-    assert np.array_equal(via_signs, low_degree_sums(f.table, 1, np.int64)[1][1:])
+    assert np.array_equal(via_signs, low_degree_sums(f.table, 1)[1][1:])
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ def test_single_variable_box():
     lp = LinearProgram(
         objective=np.array([1.0]),
         eq_matrix=np.zeros((0, 1)),
-        eq_rhs=np.zeros(0),
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
     )
@@ -35,7 +34,6 @@ def test_balanced_pair():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
         eq_matrix=np.array([[1.0, 1.0]]),
-        eq_rhs=np.array([0.0]),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
     )
@@ -51,7 +49,6 @@ def test_and2_resilience_lp_value_matches_vertex_enumeration():
     lp = LinearProgram(
         objective=table,
         eq_matrix=np.ones((1, 4)),
-        eq_rhs=np.array([0.0]),
         lower=np.full(4, -1.0),
         upper=np.full(4, 1.0),
     )
@@ -81,7 +78,6 @@ def test_rejects_non_finite_objective_and_nan_bounds():
         return LinearProgram(
             objective=np.array(objective),
             eq_matrix=np.ones((1, 2)),
-            eq_rhs=np.zeros(1),
             lower=np.array(lower),
             upper=np.array(upper),
         )
@@ -101,12 +97,12 @@ def test_rejects_non_finite_objective_and_nan_bounds():
 
 
 def test_infeasible_detected():
+    # x1 + x2 = 0 with both x >= 1: the box misses the null space
     lp = LinearProgram(
         objective=np.array([0.0, 0.0]),
-        eq_matrix=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        eq_rhs=np.array([0.0, 1.0]),
-        lower=np.zeros(2),
-        upper=np.ones(2),
+        eq_matrix=np.array([[1.0, 1.0]]),
+        lower=np.ones(2),
+        upper=np.full(2, 2.0),
     )
     assert solve_lp(lp).status == INFEASIBLE
 
@@ -117,39 +113,43 @@ def test_unbounded_detected():
         LinearProgram(
             objective=np.array([1.0]),
             eq_matrix=np.zeros((0, 1)),
-            eq_rhs=np.zeros(0),
             lower=np.array([0.0]),
             upper=np.array([np.inf]),
         )
 
 
-def test_equality_with_negative_rhs():
-    lp = LinearProgram(
+# max -x - y s.t. x - y = -2 on [0, 10]^2, stated around its particular
+# solution (0, 2): u = x, v = y - 2 with u - v = 0.  The shifted box gives the
+# same internal rhs, -A lower = -2, as the original problem.
+_SHIFT = np.array([0.0, 2.0])
+
+
+def _shifted_negative_rhs_lp():
+    return LinearProgram(
         objective=np.array([-1.0, -1.0]),
         eq_matrix=np.array([[1.0, -1.0]]),
-        eq_rhs=np.array([-2.0]),
-        lower=np.zeros(2),
-        upper=np.full(2, 10.0),
+        lower=-_SHIFT,
+        upper=np.full(2, 10.0) - _SHIFT,
     )
+
+
+def test_equality_with_negative_rhs():
+    lp = _shifted_negative_rhs_lp()
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(-2.0)  # x=0, y=2
-    assert sol.point == pytest.approx(np.array([0.0, 2.0]))
+    assert sol.point + _SHIFT == pytest.approx(np.array([0.0, 2.0]))  # x=0, y=2
+    assert sol.value + lp.objective @ _SHIFT == pytest.approx(-2.0)
 
 
 def test_duals_read_off_negatively_signed_artificial():
-    # the negative rhs starts its artificial column at sign -1
-    lp = LinearProgram(
-        objective=np.array([-1.0, -1.0]),
-        eq_matrix=np.array([[1.0, -1.0]]),
-        eq_rhs=np.array([-2.0]),
-        lower=np.zeros(2),
-        upper=np.full(2, 10.0),
-    )
+    # the internal rhs -2 starts its slack row below its bound
+    lp = _shifted_negative_rhs_lp()
     sol = solve_lp(lp)
-    # basis {x2}: y = c_B B^-1 = (-1) / (-1); b . y = -2 equals the optimum
+    # basis {x2}: y = c_B B^-1 = (-1) / (-1); with the original rhs
+    # b = A shift = -2, b . y equals the original optimum
     assert sol.duals == pytest.approx(np.array([1.0]))
-    assert sol.value == pytest.approx(float(lp.eq_rhs @ sol.duals))
+    b = lp.eq_matrix @ _SHIFT
+    assert sol.value + lp.objective @ _SHIFT == pytest.approx(float(b @ sol.duals))
 
 
 def test_determinism_bit_identical():
@@ -159,7 +159,6 @@ def test_determinism_bit_identical():
     lp = LinearProgram(
         objective=f.table.astype(float),
         eq_matrix=a,
-        eq_rhs=np.zeros(4),
         lower=np.full(32, -1.0),
         upper=np.full(32, 1.0),
     )
@@ -183,7 +182,6 @@ def test_pivot_budget_exhaustion_is_a_solver_failure(monkeypatch, capsys):
     primal = LinearProgram(
         objective=f.table.astype(float),
         eq_matrix=np.array([chi_values(7, m) for m in masks], dtype=float),
-        eq_rhs=np.zeros(len(masks)),
         lower=np.full(128, -1.0),
         upper=np.full(128, 1.0),
     )
@@ -207,11 +205,11 @@ def linprog():
 
 def _assert_matches_highs(linprog, lp):
     sol = solve_lp(lp)
-    rows = len(lp.eq_rhs)
+    rows = len(lp.eq_matrix)
     ref = linprog(
         -lp.objective,
         A_eq=lp.eq_matrix if rows else None,
-        b_eq=lp.eq_rhs if rows else None,
+        b_eq=np.zeros(rows) if rows else None,
         bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
     )
@@ -226,7 +224,8 @@ def _assert_matches_highs(linprog, lp):
 
 @st.composite
 def box_lps(draw):
-    """Small integer equality LPs over finite boxes, feasible or not."""
+    """Small integer LPs A x = 0 over finite boxes, feasible iff the box meets
+    A's null space."""
     rows = draw(st.integers(0, 4))
     cols = draw(st.integers(1, 7))
 
@@ -238,11 +237,10 @@ def box_lps(draw):
     lower = ints(cols, -3, 1)
     upper = lower + ints(cols, 0, 3)
     if draw(st.booleans()):
-        # feasible by construction: the rhs of a point in the box
-        b = a @ (lower + (upper - lower) * ints(cols, 0, 2) / 2.0)
-    else:
-        b = ints(rows)
-    return LinearProgram(ints(cols), a, b, lower, upper)
+        # feasible by construction: the box shifted so that 0 is one of its points
+        point = lower + (upper - lower) * ints(cols, 0, 2) / 2.0
+        lower, upper = lower - point, upper - point
+    return LinearProgram(ints(cols), a, lower, upper)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,7 +253,7 @@ def _parity_lp(n, d, objective, weights):
     """The k-row resilience LP shape: chi_S rows for |S| <= d, box [-w, w]."""
     masks = low_degree_masks(n, d)
     chi = np.array([chi_values(n, mask) for mask in masks], dtype=np.float64)
-    return LinearProgram(objective, chi, np.zeros(len(masks)), -weights, weights)
+    return LinearProgram(objective, chi, -weights, weights)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from boolres import hypercube
+from boolres import cli, hypercube
 from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     INT64_BITS,
     BooleanFunction,
+    BoundedFunction,
     chi_values,
     fwht,
     is_d_resilient,
@@ -18,7 +21,6 @@ from boolres.witness import (
     WITNESS_MAX_DIM,
     ConcentrationProbe,
     DegenerateHighPart,
-    WitnessParams,
     _exact_crossed,
     _table_bits,
     build_witness,
@@ -28,21 +30,38 @@ from boolres.zoo import cyclerun, majority, random_boolean, tribes
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        WitnessParams(d=1, tau=0.0)
-    with pytest.raises(ValueError):
-        WitnessParams(d=-1, tau=0.5)
+    f = majority(3)
+    with pytest.raises(ValueError, match="^threshold tau must be positive and finite$"):
+        build_witness(f, 1, 0.0)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        build_witness(f, -1, 0.5)
+    # the parameters are checked before the function
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        build_witness(BoundedFunction(2, np.zeros(4)), -1, 0.5)
 
 
 def test_params_reject_non_finite_tau():
     for tau in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            WitnessParams(d=1, tau=tau)
+        with pytest.raises(ValueError, match="^threshold tau must be positive and finite$"):
+            build_witness(majority(3), 1, tau)
+
+
+@pytest.mark.parametrize("d, tau, detail", [
+    ("1", "0", "threshold tau must be positive and finite"),
+    ("1", "nan", "threshold tau must be positive and finite"),
+    ("1", "0.3,inf", "threshold tau must be positive and finite"),
+    ("-1", "0.3", "degree must be nonnegative"),
+])
+def test_witness_cli_rejects_bad_params(capsys, d, tau, detail):
+    code = cli.main(["witness", "--fn", "majority:n=3", "--d", d, "--tau", tau])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err)["detail"] == detail
 
 
 def test_parity_passes_through_unchanged():
     f = BooleanFunction(4, chi_values(4, 0b111))
-    report = build_witness(f, WitnessParams(d=1, tau=0.3))
+    report = build_witness(f, 1, 0.3)
     # l = 0, q = f, p = f
     assert report.delta_emp == 0.0
     assert report.corr_pf == pytest.approx(1.0)
@@ -52,7 +71,7 @@ def test_parity_passes_through_unchanged():
 
 def test_majority3_threshold_zeroes_extremes():
     f = majority(3)
-    report = build_witness(f, WitnessParams(d=1, tau=0.9))
+    report = build_witness(f, 1, 0.9)
     # l = (x1+x2+x3)/2 exceeds 0.9 only at the two all-equal points
     assert report.delta_emp == pytest.approx(2 / 8)
     assert report.resilience.resilient
@@ -64,20 +83,20 @@ def test_majority3_witness_cannot_beat_lp():
     f = majority(3)
     lp = distance_to_resilience(f, 1)
     for tau in (0.6, 0.9, 1.2):
-        report = build_witness(f, WitnessParams(d=1, tau=tau))
+        report = build_witness(f, 1, tau)
         assert report.corr_pf <= (1.0 - lp.alpha) + 1e-6
 
 
 def test_corr_qf_floor():
     f = tribes(2, 3)
     for tau in (0.2, 0.5, 0.9):
-        report = build_witness(f, WitnessParams(d=1, tau=tau))
+        report = build_witness(f, 1, tau)
         assert report.corr_qf >= (1 - tau) * (1 - report.delta_emp) - 1e-10
 
 
 def test_q_range_within_band():
     f = tribes(2, 2)
-    report = build_witness(f, WitnessParams(d=1, tau=0.4))
+    report = build_witness(f, 1, 0.4)
     assert report.q_min >= -1 - 0.4 - 1e-12
     assert report.q_max <= 1 + 0.4 + 1e-12
 
@@ -86,7 +105,7 @@ def test_tribes23_full_pipeline_certificates():
     f = tribes(2, 3)
     lp = distance_to_resilience(f, 1)
     for tau in (0.1, 0.2, 0.3):
-        report = build_witness(f, WitnessParams(d=1, tau=tau))
+        report = build_witness(f, 1, tau)
         check = is_d_resilient(report.p, 1, tol=1e-10)
         assert check.resilient
         assert report.exact_zero_certified
@@ -96,13 +115,13 @@ def test_tribes23_full_pipeline_certificates():
 def test_degenerate_high_part():
     f = BooleanFunction(3, chi_values(3, 0b1))  # degree-1 dictator
     with pytest.raises(DegenerateHighPart):
-        build_witness(f, WitnessParams(d=1, tau=0.5))
+        build_witness(f, 1, 0.5)
 
 
 def test_total_threshold_wipe_returns_zero_witness():
     # tau below min |l| zeroes every point; the zero function is the witness
     f = tribes(2, 3)
-    report = build_witness(f, WitnessParams(d=1, tau=0.1))
+    report = build_witness(f, 1, 0.1)
     assert report.degenerate
     assert report.delta_emp == 1.0
     assert np.all(report.p.table == 0.0)
@@ -113,7 +132,7 @@ def test_total_threshold_wipe_returns_zero_witness():
 
 def test_chain_inequality_reported_quantities():
     f = tribes(2, 3)
-    report = build_witness(f, WitnessParams(d=1, tau=0.25))
+    report = build_witness(f, 1, 0.25)
     kappa = report.low_part_sup
     q_sup = max(abs(report.q_min), abs(report.q_max))
     if report.corr_qf - kappa >= 0:
@@ -164,7 +183,7 @@ def test_probe_is_dataclass_pair():
 
 def test_witness_spectrum_low_part_tiny():
     f = tribes(3, 2)
-    report = build_witness(f, WitnessParams(d=2, tau=0.5))
+    report = build_witness(f, 2, 0.5)
     coeffs = wht(report.p)
     pc = np.bitwise_count(np.arange(1 << 6, dtype=np.uint64)).astype(int)
     assert np.max(np.abs(coeffs[pc <= 2])) <= 1e-10
@@ -196,8 +215,8 @@ def test_int64_bound_tied_to_cap(monkeypatch):
         if out.dtype == np.int64:  # the float re-check of p is not part of it
             seen.append((int(np.abs(values).sum()), int(np.abs(out).max())))
 
-    def sums(table, d, dtype):
-        masks, out = real_sums(table, d, dtype)
+    def sums(table, d):
+        masks, out = real_sums(table, d)
         record(table, out)
         return masks, out
 
@@ -211,7 +230,7 @@ def test_int64_bound_tied_to_cap(monkeypatch):
     for f in (random_boolean(12, seed=1), random_boolean(11, seed=2), tribes(3, 4), majority(11)):
         for tau in (0.3, 1e300):
             seen.clear()
-            build_witness(f, WitnessParams(d=1, tau=tau))
+            build_witness(f, 1, tau)
             assert len(seen) == 4  # the sums and transpose of f, then of q
             # the last kernel reads 2^{2n} q^ on the low masks, l1 norm <= 2^{5n/2}
             assert seen[-1][0] <= 2.0 ** (2.5 * f.n)
@@ -270,7 +289,7 @@ def test_integer_pipeline_bit_equal_to_float_oracle(name, d):
     f = ORACLE_FUNCTIONS[name]()
     wiped = 0
     for tau in ORACLE_TAUS:
-        report = build_witness(f, WitnessParams(d=d, tau=tau))
+        report = build_witness(f, d, tau)
         expected = _float_pipeline(f, d, tau)
         assert report.exact_zero_certified
         if expected is None:
@@ -289,7 +308,7 @@ def test_integer_pipeline_bit_equal_to_float_oracle(name, d):
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_exact_certificate_past_the_old_replay_cap(n):
     for d in (1, 2):
-        report = build_witness(random_boolean(n, seed=n), WitnessParams(d=d, tau=0.5))
+        report = build_witness(random_boolean(n, seed=n), d, 0.5)
         assert report.exact_zero_certified and not report.degenerate
 
 
@@ -299,15 +318,15 @@ def test_float_recheck_catches_a_low_mask_left_in(monkeypatch):
     real = hypercube.low_degree_sums
     calls = []
 
-    def drop_mask_zero_on_q(table, d, dtype):
-        masks, sums = real(table, d, dtype)
+    def drop_mask_zero_on_q(table, d):
+        masks, sums = real(table, d)
         calls.append(d)
         if len(calls) == 2:  # f's low part first, then q's
             sums[0] = 0
         return masks, sums
 
     f = tribes(3, 4)
-    build_witness(f, WitnessParams(d=1, tau=0.5))
+    build_witness(f, 1, 0.5)
     monkeypatch.setattr(hypercube, "low_degree_sums", drop_mask_zero_on_q)
     with pytest.raises(RuntimeError, match="resilient"):
-        build_witness(f, WitnessParams(d=1, tau=0.5))
+        build_witness(f, 1, 0.5)

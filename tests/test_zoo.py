@@ -25,7 +25,6 @@ from boolres.zoo import (
     random_boolean,
     threshold_ft,
     tribes,
-    tribes_coefficient,
     tribes_spectrum_closed_form,
     tribes_weight_bound,
 )
@@ -51,13 +50,13 @@ def test_tribes_table_matches_dnf_oracle():
 
 
 def test_tribes_empty_set_coefficient():
-    assert tribes_coefficient(2, 2, 0) == pytest.approx(2 * (3 / 4) ** 2 - 1)
-    assert tribes_coefficient(2, 2, 0) == pytest.approx(1 / 8)
+    assert tribes_spectrum_closed_form(2, 2)[0] == pytest.approx(2 * (3 / 4) ** 2 - 1)
+    assert tribes_spectrum_closed_form(2, 2)[0] == pytest.approx(1 / 8)
 
 
 def test_tribes_full_block_coefficient():
     # whole first block: k=1 blocks hit, |T| = 2
-    assert tribes_coefficient(2, 2, 0b0011) == pytest.approx(-3 / 8)
+    assert tribes_spectrum_closed_form(2, 2)[0b0011] == pytest.approx(-3 / 8)
 
 
 def test_tribes_closed_form_equals_wht():
@@ -70,7 +69,7 @@ def test_tribes_closed_form_equals_wht():
 def test_tribes_single_variable_is_dictator():
     f = tribes(1, 1)
     assert np.array_equal(f.table, dictator(1, 1).table)
-    assert tribes_coefficient(1, 1, 0b1) == pytest.approx(1.0)
+    assert tribes_spectrum_closed_form(1, 1)[0b1] == pytest.approx(1.0)
 
 
 def test_tribes_weight_bound_formula():
