@@ -9,7 +9,8 @@ plus a newline; their bytes do not depend on how they are written (the big
 tables go through the C encoder, see `_json_chunks`).  A non-finite float
 is not JSON, so an artifact holding one is an invariant violation and is
 not written.  Exit status: 0 success, 1 precondition failure (usage errors
-included), 2 internal invariant/certificate violation.
+and requests too large for memory included), 2 internal invariant/certificate
+violation.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .builder import audit_invariants, build_one_resilient
 from .designs import greedy_design, orthogonal_family
 from .duality import distance_to_resilience, duality_certificate, l1_poly_distance
 from .hypercube import (
-    BoundedFunction,
     CubeFunction,
     read_truth_table,
     spectral_stats,
     wht,
 )
-from .learner import LabeledDistribution, learn_exact, learn_sampled
+from .learner import learn_exact, learn_sampled
 from .witness import build_witness
 from .zoo import (
     constant,
@@ -331,15 +331,14 @@ def _cmd_ortho_family(args) -> None:
 
 def _cmd_learn(args) -> None:
     fn = parse_function_spec(args.fn)
-    dist = LabeledDistribution(BoundedFunction(fn.n, fn.table.astype(np.float64)))
     if args.m is not None:
         if args.seed is None:
             raise SpecError("sampled learning requires --seed")
-        report = learn_sampled(dist, d=args.d, m=args.m, seed=args.seed)
+        report = learn_sampled(fn, d=args.d, m=args.m, seed=args.seed)
     elif args.seed is not None:
         raise SpecError("--seed applies only to sampled learning, which needs --m")
     else:
-        report = learn_exact(dist, d=args.d)
+        report = learn_exact(fn, d=args.d)
     _emit(args, {
         "error": report.error,
         "regression_delta": report.regression_delta,
@@ -442,7 +441,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         json.dump({"error": "precondition", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -23,7 +23,6 @@ import numpy as np
 
 from .hypercube import (
     BooleanFunction,
-    BoundedFunction,
     CubeFunction,
     low_degree_sums,
     resilience_order,
@@ -125,41 +124,20 @@ def greedy_design(n: int, k: int, d: int) -> Design:
     return design
 
 
-@dataclass(frozen=True)
-class JuntaEmbedding:
-    """A k-variable function read off an ordered coordinate subset of [n]."""
-
-    base: CubeFunction
-    coords: tuple[int, ...]  # 1-based ambient coordinates, ascending
-    ambient: int
-
-    def __post_init__(self):
-        if len(self.coords) != self.base.n:
-            raise ValueError("coordinate count must match the base arity")
-        if list(self.coords) != sorted(self.coords):
-            raise ValueError("coordinates must be ascending (restriction order)")
-        if self.coords and not (1 <= self.coords[0] and self.coords[-1] <= self.ambient):
-            raise ValueError("coordinates outside the ambient range")
-        if self.ambient > MAX_AMBIENT_DIM:
-            raise ValueError(f"ambient dimension limited to {MAX_AMBIENT_DIM}")
-
-    def table(self) -> np.ndarray:
-        idx = np.arange(1 << self.ambient, dtype=np.int64)
-        base_idx = np.zeros(1 << self.ambient, dtype=np.int64)
-        for j, coord in enumerate(self.coords):
-            base_idx |= ((idx >> (coord - 1)) & 1) << j
-        return self.base.table[base_idx]
-
-    def function(self) -> CubeFunction:
-        table = self.table()
-        if isinstance(self.base, BooleanFunction):
-            return BooleanFunction(self.ambient, table)
-        return BoundedFunction(self.ambient, table)
-
-
-def embed_on_mask(base: CubeFunction, mask: int, ambient: int) -> JuntaEmbedding:
-    coords = tuple(j + 1 for j in range(ambient) if mask >> j & 1)
-    return JuntaEmbedding(base, coords, ambient)
+def embed_on_mask(base: CubeFunction, mask: int, ambient: int) -> CubeFunction:
+    """The function on `ambient` variables that reads base's variable i off
+    the i-th lowest set bit of mask, of base's type."""
+    if int(mask).bit_count() != base.n:
+        raise ValueError("the mask's popcount must match the base arity")
+    if not 0 <= mask < 1 << ambient:
+        raise ValueError("mask outside the ambient range")
+    if ambient > MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient dimension limited to {MAX_AMBIENT_DIM}")
+    points = np.arange(1 << ambient, dtype=np.int64)
+    index = np.zeros(1 << ambient, dtype=np.int64)
+    for j, coord in enumerate(c for c in range(ambient) if mask >> c & 1):
+        index |= ((points >> coord) & 1) << j
+    return type(base)(ambient, base.table[index])
 
 
 @dataclass(frozen=True)

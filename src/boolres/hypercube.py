@@ -9,8 +9,7 @@ Conventions shared by the whole package:
   the coordinates of a point set; `low_degree_sums` splits by the top
   coordinate again and again to read off only the coefficients of degree
   <= d, and `low_degree_part` adds its transpose.  `sign_words` packs a
-  +-1 table one bit a point, so Boolean influences and `level_one_sums`
-  split it by a coordinate with word halves and in-word masks.
+  +-1 table one bit a point, and `_word_halves` splits the packed bits.
   `rotate` shifts the coordinates cyclically; `rotations`, `periods` and
   `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
@@ -186,8 +185,8 @@ def _halves(values: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     return split[:, 0, :], split[:, 1, :]
 
 
-# bit p of _BIT_SET[b] is bit b of p: the in-word positions x % 64 with x_{b+1} = -1
-_BIT_SET = [np.uint64(sum(1 << p for p in range(64) if p >> b & 1)) for b in range(6)]
+# bit p of _BIT_CLEAR[b] is bit b of p clear: the in-word positions x % 64 with x_{b+1} = +1
+_BIT_CLEAR = [np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
 
 
 def sign_words(table: np.ndarray) -> np.ndarray:
@@ -201,22 +200,27 @@ def _count_bits(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
+def _word_halves(words: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_halves` of packed sign bits, pairs {x, x^j} at equal bit positions: word
+    halves for j > 6, else the words and the words >> 2^{j-1}, under bit j-1 clear."""
+    if j > 6:
+        return _halves(words, j - 6)
+    return words & _BIT_CLEAR[j - 1], (words >> np.uint64(1 << (j - 1))) & _BIT_CLEAR[j - 1]
+
+
 def level_one_sums(table: np.ndarray) -> np.ndarray:
     """low_degree_sums(table, 1)[1] of a +-1 table, from its sign bits.
 
-    With neg the number of -1 entries and ones_j the number among them with
-    x_j = -1, the sums are 2^n - 2 neg for the empty mask and
-    4 ones_j - 2 neg for each {j}, ascending: every count is a popcount of
-    the packed words, taken over a word half for j > 6 and under the mask of
-    bit j-1 for j <= 6.
+    With neg the number of -1 entries and ones_j the number of them on the
+    x_j = -1 side of `_word_halves`, both popcounts of the packed words, the
+    sums are 2^n - 2 neg for the empty mask, then 4 ones_j - 2 neg for each {j}.
     """
-    words = sign_words(table)
-    n = len(table).bit_length() - 1
+    return _sign_sums(sign_words(table), len(table).bit_length() - 1)
+
+
+def _sign_sums(words: np.ndarray, n: int) -> np.ndarray:
     neg = _count_bits(words)
-    ones = [
-        _count_bits(_halves(words, j - 6)[1] if j > 6 else words & _BIT_SET[j - 1])
-        for j in range(1, n + 1)
-    ]
+    ones = [_count_bits(_word_halves(words, j)[1]) for j in range(1, n + 1)]
     return np.array([(1 << n) - 2 * neg] + [4 * count - 2 * neg for count in ones], dtype=np.int64)
 
 
@@ -369,40 +373,36 @@ class SpectralStats:
 def per_coordinate_influence(fn: CubeFunction) -> np.ndarray:
     """Influence Inf_j = E[((f(x) - f(x^j)) / 2)^2] of each coordinate.
 
-    For Boolean f this is the edge definition Pr[f(x) != f(x^j)]: the
-    mismatched pairs are counted on the packed sign bits, from the XOR of
-    the two word halves for j > 6 and of each word with itself shifted by
-    2^{j-1} under the mask of bit j-1 clear for j <= 6.  For any real f it
-    equals the spectral form sum_{S ni j} coef[S]^2.  Each pair {x, x^j} is
-    visited once.
+    For Boolean f this is the edge definition Pr[f(x) != f(x^j)], counted
+    as the set bits of the XOR of the packed sign bits' `_word_halves`.  For
+    any real f it equals the spectral form sum_{S ni j} coef[S]^2.  Each
+    pair {x, x^j} is visited once.
     """
     js = range(1, fn.n + 1)
     if isinstance(fn, BooleanFunction):
-        words = sign_words(fn.table)
-        pairs = 2.0 ** (fn.n - 1)
-        return np.array([
-            _count_bits(
-                np.bitwise_xor(*_halves(words, j - 6)) if j > 6
-                else (words ^ (words >> np.uint64(1 << (j - 1)))) & ~_BIT_SET[j - 1]
-            ) / pairs
-            for j in js
-        ])
+        return _sign_influence(sign_words(fn.table), fn.n)
     return np.array([np.mean(np.square(np.subtract(*_halves(fn.table, j)) / 2)) for j in js])
+
+
+def _sign_influence(words: np.ndarray, n: int) -> np.ndarray:
+    flips = [_count_bits(np.bitwise_xor(*_word_halves(words, j))) for j in range(1, n + 1)]
+    return np.array(flips) / 2.0 ** (n - 1)
 
 
 def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
     """Low-degree Fourier weight (degree <= d) plus influence data.
 
-    A Boolean table's d = 1 sums are the same int64 integers from its sign
-    bits (`level_one_sums`); every other case, and every degree check,
-    goes through `low_degree_sums`.
+    A Boolean table's sign bits are packed once, for its influences and, at
+    d = 1, the int64 sums of `level_one_sums`; every other case, and every
+    degree check, goes through `low_degree_sums`.
     """
-    if isinstance(fn, BooleanFunction) and d == 1 <= fn.n:
-        sums = level_one_sums(fn.table)
+    words = sign_words(fn.table) if isinstance(fn, BooleanFunction) else None
+    if words is not None and d == 1 <= fn.n:
+        sums = _sign_sums(words, fn.n)
     else:
         _, sums = low_degree_sums(fn.table, d)
     coeffs = sums / float(1 << fn.n)
-    infl = per_coordinate_influence(fn)
+    infl = per_coordinate_influence(fn) if words is None else _sign_influence(words, fn.n)
     return SpectralStats(
         low_weight=float((coeffs**2).sum()),
         total_influence=float(infl.sum()),

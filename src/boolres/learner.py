@@ -38,28 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .duality import SparsePolynomial, _l1_box_lp, l1_poly_distance
-from .hypercube import BooleanFunction, BoundedFunction
+from .hypercube import BooleanFunction, CubeFunction
 
 EXACT_MAX_DIM_BOOLEAN = 12
 EXACT_MAX_DIM_BOUNDED = 10
-
-
-@dataclass(frozen=True)
-class LabeledDistribution:
-    """Uniform marginal over the cube with conditional label mean g."""
-
-    g: BoundedFunction
-
-    @property
-    def n(self) -> int:
-        return self.g.n
-
-    def label_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Point-mass weights of (x, y=+1) and (x, y=-1) pairs."""
-        size = 1 << self.n
-        up = (1.0 + self.g.table) / 2.0 / size
-        down = (1.0 - self.g.table) / 2.0 / size
-        return up, down
 
 
 @dataclass(frozen=True)
@@ -76,16 +58,22 @@ class LearnReport:
     seed: int | None = None
 
 
-def opt_of_class(functions: list[BooleanFunction], dist: LabeledDistribution) -> float:
+def opt_of_class(functions: list[BooleanFunction], g: CubeFunction) -> float:
     """Exact min over the class of Pr[c(x) != y] = E[(1 - c g)/2]."""
     if not functions:
         raise ValueError("empty comparison class")
     best = np.inf
     for c in functions:
-        if c.n != dist.n:
+        if c.n != g.n:
             raise ValueError("class member dimension mismatch")
-        best = min(best, float(np.mean((1.0 - c.table * dist.g.table) / 2.0)))
+        best = min(best, float(np.mean((1.0 - c.table * g.table) / 2.0)))
     return best
+
+
+def _label_weights(g: CubeFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Point-mass weights of (x, y=+1) and (x, y=-1) when E[y | x] = g(x)."""
+    size = 1 << g.n
+    return (1.0 + g.table) / 2.0 / size, (1.0 - g.table) / 2.0 / size
 
 
 def _error(h: np.ndarray, up: np.ndarray, down: np.ndarray) -> float:
@@ -135,25 +123,24 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
 
 
 def learn_exact(
-    dist: LabeledDistribution,
+    g: CubeFunction,
     d: int,
     comparison_class: list[BooleanFunction] | None = None,
 ) -> LearnReport:
-    """Exact-expectation regression + optimal thresholding.
+    """Exact-expectation regression + optimal thresholding on the labels
+    with conditional mean g.
 
     When a comparison class is supplied, the excess-error contract
     excess <= Delta_d(C)/2 is asserted with Delta computed by the
     independent L1-approximation LP over the class.
     """
-    n = dist.n
-    boolean_target = bool(np.all(np.abs(dist.g.table) == 1.0))
-    limit = EXACT_MAX_DIM_BOOLEAN if boolean_target else EXACT_MAX_DIM_BOUNDED
-    if n > limit:
+    limit = EXACT_MAX_DIM_BOOLEAN if isinstance(g, BooleanFunction) else EXACT_MAX_DIM_BOUNDED
+    if g.n > limit:
         raise ValueError(f"exact mode limited to n <= {limit} for this target type")
-    report = _fit(n, d, *dist.label_weights())
+    report = _fit(g.n, d, *_label_weights(g))
     if comparison_class is None:
         return report
-    opt = opt_of_class(comparison_class, dist)
+    opt = opt_of_class(comparison_class, g)
     excess = report.error - opt
     delta_class = max(l1_poly_distance(c, d).delta for c in comparison_class)
     if excess > delta_class / 2.0 + 1e-9:
@@ -161,26 +148,27 @@ def learn_exact(
     return replace(report, opt=opt, excess=excess)
 
 
-def learn_sampled(dist: LabeledDistribution, d: int, m: int, seed: int) -> LearnReport:
-    """Empirical-L1 regression over m labeled samples, seed-mandatory.
+def learn_sampled(g: CubeFunction, d: int, m: int, seed: int) -> LearnReport:
+    """Empirical-L1 regression over m samples labeled with conditional mean g,
+    seed-mandatory.
 
     The hypothesis threshold minimizes the empirical error; the report
     carries both the empirical error and the exact true error.
     """
     if m < 1:
         raise ValueError("sample count m must be positive")
-    n = dist.n
+    n = g.n
     if n > EXACT_MAX_DIM_BOOLEAN:
         raise ValueError(f"sampled mode limited to n <= {EXACT_MAX_DIM_BOOLEAN}")
     rng = np.random.default_rng(seed)
     size = 1 << n
     xs = rng.integers(0, size, size=m)
-    gvals = dist.g.table[xs]
+    gvals = g.table[xs]
     ys = np.where(rng.random(m) < (1.0 + gvals) / 2.0, 1, -1)
 
     up_counts = np.bincount(xs[ys > 0], minlength=size).astype(np.float64) / m
     down_counts = np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m
     fit = _fit(n, d, up_counts, down_counts)
 
-    true_error = _error(fit.hypothesis.table, *dist.label_weights())
+    true_error = _error(fit.hypothesis.table, *_label_weights(g))
     return replace(fit, error=true_error, empirical_error=fit.error, m=m, seed=seed)

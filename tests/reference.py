@@ -29,3 +29,15 @@ def noise_sensitivity_direct(fn: BooleanFunction, delta: float) -> float:
         mismatch = np.mean(table != table[idx ^ e])
         total += weights[e] * mismatch
     return float(total)
+
+
+def shift_orbit(x: int, n: int) -> frozenset[int]:
+    """Closure of a point under cyclic shifts and negation, one member at a time."""
+    mask = (1 << n) - 1
+    members = set()
+    v = x
+    for _ in range(n):
+        members.add(v)
+        members.add(v ^ mask)  # global negation = complement index
+        v = ((v >> 1) | ((v & 1) << (n - 1))) & mask
+    return frozenset(members)

@@ -30,7 +30,7 @@ from boolres.hypercube import (
     wht,
     wht_int,
 )
-from boolres.learner import LabeledDistribution, learn_exact, opt_of_class
+from boolres.learner import learn_exact, opt_of_class
 from boolres.witness import build_witness
 from boolres.zoo import (
     cyclerun,
@@ -232,18 +232,16 @@ def test_criterion_10_designs_and_orthogonality():
 def test_criterion_11_learner():
     n = 6
     g = BoundedFunction(n, 0.8 * chi_values(n, 1))
-    dist = LabeledDistribution(g)
     cls = [dictator(i, n) for i in range(1, n + 1)]
     cls += [BooleanFunction(n, -c.table) for c in cls]
-    opt = opt_of_class(cls, dist)
+    opt = opt_of_class(cls, g)
     assert opt == pytest.approx(0.1)
-    report = learn_exact(dist, d=1, comparison_class=cls)
+    report = learn_exact(g, d=1, comparison_class=cls)
     assert report.error <= 0.1 + 0.01
 
     base = build_one_resilient(5).output
     design = greedy_design(12, 5, 1)
-    target = embed_on_mask(base, design.sets[0], 12).function()
-    hard = LabeledDistribution(BoundedFunction(12, target.table.astype(np.float64)))
+    hard = embed_on_mask(base, design.sets[0], 12)
     hard_report = learn_exact(hard, d=1)
     assert hard_report.error >= 0.5 - 1e-9
     print(f"[criterion 11] PASS learner: noisy dictator error "

@@ -27,18 +27,7 @@ from boolres.hypercube import (
     wht_int,
 )
 from boolres.zoo import cyclerun
-
-
-def shift_orbit(x: int, n: int) -> frozenset[int]:
-    """Reference: closure of a point under cyclic shifts and negation, one member at a time."""
-    mask = (1 << n) - 1
-    members = set()
-    v = x
-    for _ in range(n):
-        members.add(v)
-        members.add(v ^ mask)  # global negation = complement index
-        v = ((v >> 1) | ((v & 1) << (n - 1))) & mask
-    return frozenset(members)
+from reference import shift_orbit
 
 
 def reference_build(n: int, c1: float = 8.0) -> BuilderReport:

@@ -259,6 +259,22 @@ def test_learn_cli_rejects_zero_samples(capsys):
     assert "m must be positive" in err
 
 
+def test_learn_cli_reports_a_sample_too_large_for_memory(capsys, monkeypatch):
+    # --m 10^11 asks for arrays of hundreds of GiB; the failed allocation is
+    # raised here instead of attempted
+    def out_of_memory(g, d, m, seed):
+        raise MemoryError(f"Unable to allocate the sample of m={m}")
+
+    monkeypatch.setattr(cli, "learn_sampled", out_of_memory)
+    code, out, err = run_cli(
+        capsys, "learn", "--fn", "majority:n=3", "--d", "1", "--m", "100000000000", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "precondition", "detail": "Unable to allocate the sample of m=100000000000"
+    }
+
+
 def test_ft_stats_cli(capsys):
     code, out, _ = run_cli(capsys, "ft-stats", "--n", "1000", "--t", "1.0")
     assert code == 0

@@ -6,8 +6,8 @@ import pytest
 from boolres.builder import build_one_resilient
 from boolres import designs
 from boolres.designs import (
+    MAX_AMBIENT_DIM,
     Design,
-    JuntaEmbedding,
     OrthogonalityError,
     _spectral_gram,
     design_size_bound,
@@ -56,7 +56,7 @@ def test_size_bound_only_matters_above_one():
 
 def test_embedding_depends_only_on_its_coordinates():
     g = random_boolean(3, seed=3)
-    emb = embed_on_mask(g, 0b10110, 5).function()
+    emb = embed_on_mask(g, 0b10110, 5)
     # flipping a coordinate outside {2,3,5} never changes the value
     idx = np.arange(32)
     for dead in (1, 4):
@@ -70,7 +70,7 @@ def test_embedding_depends_only_on_its_coordinates():
 
 def test_embedding_preserves_resilience():
     g = parity(0b011, 3)  # 1-resilient on 3 vars
-    emb = embed_on_mask(g, 0b0101010, 7).function()
+    emb = embed_on_mask(g, 0b0101010, 7)
     assert is_d_resilient(emb, 1).resilient
     spec = wht(emb)
     support = np.nonzero(np.abs(spec) > 1e-12)[0]
@@ -82,17 +82,47 @@ def test_embedding_distance_transfer():
     f = random_boolean(3, seed=9)
     g = BoundedFunction(3, np.random.default_rng(10).uniform(-1, 1, 8))
     base_dist = l1_distance(f, g)
-    fe = embed_on_mask(f, 0b011010, 6).function()
-    ge = embed_on_mask(g, 0b011010, 6).function()
+    fe = embed_on_mask(f, 0b011010, 6)
+    ge = embed_on_mask(g, 0b011010, 6)
     assert l1_distance(fe, ge) == pytest.approx(base_dist, abs=1e-12)
 
 
 def test_embedding_validation():
     g = random_boolean(3, seed=5)
-    with pytest.raises(ValueError):
-        JuntaEmbedding(g, (1, 2), 5)  # wrong arity
-    with pytest.raises(ValueError):
-        JuntaEmbedding(g, (3, 2, 5), 5)  # unordered
+    with pytest.raises(ValueError, match="popcount"):
+        embed_on_mask(g, 0b00011, 5)  # wrong arity
+    with pytest.raises(ValueError, match="popcount"):
+        embed_on_mask(g, 0b1111, 5)
+    with pytest.raises(ValueError, match="ambient range"):
+        embed_on_mask(g, 0b100011, 5)  # bit 5 is coordinate 6
+    with pytest.raises(ValueError, match="ambient range"):
+        embed_on_mask(g, -0b111, 5)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        embed_on_mask(g, 0b111, MAX_AMBIENT_DIM + 1)
+
+
+def _loop_embedding(base, mask, ambient):
+    """The embedded table by the coordinate tuple and loop embed_on_mask replaced."""
+    coords = tuple(j + 1 for j in range(ambient) if mask >> j & 1)
+    idx = np.arange(1 << ambient, dtype=np.int64)
+    base_idx = np.zeros(1 << ambient, dtype=np.int64)
+    for j, coord in enumerate(coords):
+        base_idx |= ((idx >> (coord - 1)) & 1) << j
+    return base.table[base_idx]
+
+
+def test_embedding_matches_the_coordinate_loop():
+    rng = np.random.default_rng(21)
+    for k in range(5):
+        bases = [random_boolean(k, seed=k), BoundedFunction(k, rng.uniform(-1.0, 1.0, 1 << k))]
+        for base in bases:
+            for ambient in rng.integers(k, 11, size=3).tolist():
+                mask = sum(1 << int(j) for j in rng.choice(ambient, k, replace=False))
+                emb = embed_on_mask(base, mask, ambient)
+                assert type(emb) is type(base) and emb.n == ambient
+                want = _loop_embedding(base, mask, ambient)
+                assert emb.table.dtype == base.table.dtype
+                assert emb.table.tobytes() == want.tobytes()
 
 
 def test_orthogonal_family_parities():
@@ -139,7 +169,7 @@ def test_non_orthogonal_detection():
 
 def _table_gram(g, sets, ambient):
     """4^k E[g_A g_B] from the stacked 2^N embedding tables (the reference)."""
-    stack = np.stack([embed_on_mask(g, mask, ambient).table() for mask in sets])
+    stack = np.stack([embed_on_mask(g, mask, ambient).table for mask in sets])
     # float64 products of +-1 tables sum exactly: |entries| <= 2^N < 2^53
     scaled = (stack.astype(np.float64) @ stack.T) * (1 << 2 * g.n) / (1 << ambient)
     return np.rint(scaled).astype(np.int64) if isinstance(g, BooleanFunction) else scaled

@@ -9,17 +9,17 @@ from boolres.designs import embed_on_mask, greedy_design
 from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
 from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values
 from boolres.learner import (
-    LabeledDistribution,
+    LearnReport,
     _best_threshold,
     learn_exact,
     learn_sampled,
     opt_of_class,
 )
-from boolres.zoo import constant, dictator, majority, parity, tribes
+from boolres.zoo import constant, dictator, majority, parity, random_boolean, tribes
 
 
 def scaled_dictator(n, scale=0.8):
-    return LabeledDistribution(BoundedFunction(n, scale * chi_values(n, 1)))
+    return BoundedFunction(n, scale * chi_values(n, 1))
 
 
 def dictator_class(n):
@@ -29,21 +29,20 @@ def dictator_class(n):
 
 
 def test_opt_of_dictators_against_scaled_dictator():
-    dist = scaled_dictator(6)
-    assert opt_of_class(dictator_class(6), dist) == pytest.approx(0.1)
+    g = scaled_dictator(6)
+    assert opt_of_class(dictator_class(6), g) == pytest.approx(0.1)
 
 
 def test_opt_includes_sign_of_target():
     g = BoundedFunction(3, 0.6 * chi_values(3, 0b10))
-    dist = LabeledDistribution(g)
     cls = [dictator(2, 3)]
     # sign(g) = x2, so OPT = E[(1-|g|)/2] = 0.2
-    assert opt_of_class(cls, dist) == pytest.approx(0.2)
+    assert opt_of_class(cls, g) == pytest.approx(0.2)
 
 
 def test_opt_constant_class_on_balanced_target():
-    dist = scaled_dictator(4)
-    assert opt_of_class([constant(4, 1), constant(4, -1)], dist) == pytest.approx(0.5)
+    g = scaled_dictator(4)
+    assert opt_of_class([constant(4, 1), constant(4, -1)], g) == pytest.approx(0.5)
 
 
 def test_opt_rejects_empty_class():
@@ -52,8 +51,8 @@ def test_opt_rejects_empty_class():
 
 
 def test_learn_exact_scaled_dictator():
-    dist = scaled_dictator(6)
-    report = learn_exact(dist, d=1, comparison_class=dictator_class(6))
+    g = scaled_dictator(6)
+    report = learn_exact(g, d=1, comparison_class=dictator_class(6))
     assert report.opt == pytest.approx(0.1)
     assert report.error <= 0.1 + 0.01
     # the learner should effectively recover x1
@@ -61,9 +60,7 @@ def test_learn_exact_scaled_dictator():
 
 
 def test_learn_exact_parity_labels_below_degree():
-    f = parity(0b111, 5)
-    dist = LabeledDistribution(BoundedFunction(5, f.table.astype(float)))
-    report = learn_exact(dist, d=1)
+    report = learn_exact(parity(0b111, 5), d=1)
     assert report.regression_delta == pytest.approx(1.0, abs=1e-7)
     assert report.error == pytest.approx(0.5, abs=1e-9)
 
@@ -71,10 +68,9 @@ def test_learn_exact_parity_labels_below_degree():
 def test_threshold_optimality_brute_force():
     rng = np.random.default_rng(17)
     g = BoundedFunction(5, rng.uniform(-1, 1, size=32))
-    dist = LabeledDistribution(g)
-    report = learn_exact(dist, d=1)
+    report = learn_exact(g, d=1)
     p = report.poly.table()
-    up, down = dist.label_weights()
+    up, down = learner._label_weights(g)
     # brute force over every threshold between consecutive values
     candidates = np.concatenate([[p.min() - 1.0], np.unique(p)])
     best = np.inf
@@ -127,15 +123,14 @@ def test_error_never_above_half():
     rng = np.random.default_rng(23)
     for seed in range(3):
         g = BoundedFunction(4, rng.uniform(-1, 1, size=16))
-        report = learn_exact(LabeledDistribution(g), d=1)
+        report = learn_exact(g, d=1)
         assert report.error <= 0.5 + 1e-12
 
 
 def _hard_target():
     base = build_one_resilient(5).output
     design = greedy_design(12, 5, 1)
-    target = embed_on_mask(base, design.sets[0], 12).function()
-    return LabeledDistribution(BoundedFunction(12, target.table.astype(float)))
+    return embed_on_mask(base, design.sets[0], 12)
 
 
 def test_hardness_shadow_embedded_resilient_target():
@@ -143,24 +138,23 @@ def test_hardness_shadow_embedded_resilient_target():
     # cannot beat a coin flip
     base = build_one_resilient(5).output
     design = greedy_design(12, 5, 1)
-    target = embed_on_mask(base, design.sets[0], 12).function()
-    dist = LabeledDistribution(BoundedFunction(12, target.table.astype(float)))
-    report = learn_exact(dist, d=1)
+    target = embed_on_mask(base, design.sets[0], 12)
+    assert isinstance(target, BooleanFunction)
+    report = learn_exact(target, d=1)
     assert report.error >= 0.5 - 1e-9
 
 
 def test_learn_sampled_recovers_scaled_dictator():
-    dist = scaled_dictator(6)
-    report = learn_sampled(dist, d=1, m=50_000, seed=3)
+    report = learn_sampled(scaled_dictator(6), d=1, m=50_000, seed=3)
     assert report.error <= 0.1 + 0.02
     assert report.m == 50_000 and report.seed == 3
     assert report.empirical_error is not None
 
 
 def test_learn_sampled_replay_deterministic():
-    dist = scaled_dictator(5)
-    r1 = learn_sampled(dist, d=1, m=2000, seed=42)
-    r2 = learn_sampled(dist, d=1, m=2000, seed=42)
+    g = scaled_dictator(5)
+    r1 = learn_sampled(g, d=1, m=2000, seed=42)
+    r2 = learn_sampled(g, d=1, m=2000, seed=42)
     assert r1.error == r2.error
     assert r1.regression_delta == r2.regression_delta
     assert np.array_equal(r1.hypothesis.table, r2.hypothesis.table)
@@ -172,16 +166,60 @@ def test_learn_sampled_rejects_zero_samples():
 
 
 def test_exact_mode_dimension_guards():
+    # the cap reads the target's type: n <= 12 for a BooleanFunction (the
+    # hard target tests run n = 12), n <= 10 for a BoundedFunction, +-1 or not
     rng = np.random.default_rng(7)
-    big_bounded = LabeledDistribution(BoundedFunction(11, rng.uniform(-0.9, 0.9, 2048)))
-    with pytest.raises(ValueError):
-        learn_exact(big_bounded, d=1)
+    big_bounded = BoundedFunction(11, rng.uniform(-0.9, 0.9, 2048))
+    big_signs = BoundedFunction(11, random_boolean(11, seed=7).table)
+    for target, limit in [(big_bounded, 10), (big_signs, 10), (random_boolean(13, seed=7), 12)]:
+        with pytest.raises(ValueError, match=rf"^exact mode limited to n <= {limit} "):
+            learn_exact(target, d=1)
+
+
+def _float_route(f, d, m=None, seed=None):
+    """The report for a Boolean f learned as the float table of a bounded
+    target, with the label weights and the sample drawn here."""
+    size = 1 << f.n
+    g = f.table.astype(np.float64)
+    up, down = (1.0 + g) / 2.0 / size, (1.0 - g) / 2.0 / size
+    if m is None:
+        return learner._fit(f.n, d, up, down)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, size, size=m)
+    ys = np.where(rng.random(m) < (1.0 + g[xs]) / 2.0, 1, -1)
+    fit = learner._fit(f.n, d, np.bincount(xs[ys > 0], minlength=size).astype(np.float64) / m,
+                       np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m)
+    error = learner._error(fit.hypothesis.table, up, down)
+    return dataclasses.replace(fit, error=error, empirical_error=fit.error, m=m, seed=seed)
+
+
+def _report_bits(report):
+    """Every LearnReport field, with each float as its bit pattern."""
+    bits = {}
+    for field in dataclasses.fields(LearnReport):
+        value = getattr(report, field.name)
+        if field.name == "hypothesis":
+            value = (value.n, value.table.dtype, value.table.tobytes())
+        elif field.name == "poly":
+            value = (value.n, value.degree, [(k, c.hex()) for k, c in value.coeffs.items()])
+        elif isinstance(value, float):
+            value = value.hex()
+        bits[field.name] = value
+    return bits
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("f", [majority(7), tribes(2, 4), random_boolean(8, seed=11)],
+                         ids=["majority7", "tribes24", "random8"])
+def test_boolean_target_reports_match_the_float_route(f, d):
+    assert _report_bits(learn_exact(f, d=d)) == _report_bits(_float_route(f, d))
+    sampled = learn_sampled(f, d=d, m=500, seed=9)
+    assert _report_bits(sampled) == _report_bits(_float_route(f, d, m=500, seed=9))
 
 
 def test_excess_error_contract_asserted():
     # class = {x1}; target noisy x1; Delta_1(class) = 0 so excess <= 0
-    dist = scaled_dictator(5)
-    report = learn_exact(dist, d=1, comparison_class=[dictator(1, 5)])
+    report = learn_exact(scaled_dictator(5), d=1, comparison_class=[dictator(1, 5)])
     assert report.excess is not None
     assert report.excess <= 1e-9
 
@@ -189,7 +227,7 @@ def test_excess_error_contract_asserted():
 def test_excess_error_contract_allows_only_rounding(monkeypatch):
     # Delta_1({x1}) = 0, so an excess of 1e-8 over opt breaks the contract
     real = learner.opt_of_class
-    monkeypatch.setattr(learner, "opt_of_class", lambda cls, dist: real(cls, dist) - 1e-8)
+    monkeypatch.setattr(learner, "opt_of_class", lambda cls, g: real(cls, g) - 1e-8)
     with pytest.raises(AssertionError, match="exceeded Delta/2"):
         learn_exact(scaled_dictator(5), d=1, comparison_class=[dictator(1, 5)])
 
@@ -237,9 +275,8 @@ def _noisy(n, seed):
     _noisy(8, seed=2),
 ], ids=["majority7", "tribes24", "noisy6", "noisy8"])
 def test_exact_regression_matches_highs(g, d):
-    dist = LabeledDistribution(g)
-    report = learn_exact(dist, d=d)
-    up, down = dist.label_weights()
+    report = learn_exact(g, d=d)
+    up, down = learner._label_weights(g)
     assert report.regression_delta == pytest.approx(
         _highs_regression(g.n, d, up, down), abs=1e-7
     )
@@ -248,12 +285,12 @@ def test_exact_regression_matches_highs(g, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_sampled_regression_matches_highs(d):
     n, m, seed = 6, 300, 4
-    dist = scaled_dictator(n)
-    report = learn_sampled(dist, d=d, m=m, seed=seed)
+    g = scaled_dictator(n)
+    report = learn_sampled(g, d=d, m=m, seed=seed)
     # the learner's sample, redrawn from the same seed
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 1 << n, size=m)
-    ys = np.where(rng.random(m) < (1.0 + dist.g.table[xs]) / 2.0, 1, -1)
+    ys = np.where(rng.random(m) < (1.0 + g.table[xs]) / 2.0, 1, -1)
     up = np.bincount(xs[ys > 0], minlength=1 << n) / m
     down = np.bincount(xs[ys < 0], minlength=1 << n) / m
     assert np.any((up > 0) & (down > 0))  # mixed labels at some point
@@ -274,7 +311,7 @@ def test_learn_exact_solves_one_k_row_lp(monkeypatch, g, d):
         return real(lp, **kwargs)
 
     monkeypatch.setattr(duality, "solve_lp", counting)
-    learn_exact(LabeledDistribution(g), d=d)
+    learn_exact(g, d=d)
     assert rows == [len(low_degree_masks(g.n, d))]
 
 
@@ -301,15 +338,15 @@ def test_regression_delta_is_the_recomputed_l1_error(mode):
     # the published number is sum_c w_c |l_c - p(x_c)| over the labeled
     # points of nonzero weight, not the simplex's own objective value
     n, d, m = 6, 2, 300
-    dist = LabeledDistribution(_noisy(n, seed=7))
+    g = _noisy(n, seed=7)
     if mode == "exact":
-        report = learn_exact(dist, d=d)
-        up, down = dist.label_weights()
+        report = learn_exact(g, d=d)
+        up, down = learner._label_weights(g)
     else:
-        report = learn_sampled(dist, d=d, m=m, seed=5)
+        report = learn_sampled(g, d=d, m=m, seed=5)
         rng = np.random.default_rng(5)
         xs = rng.integers(0, 1 << n, size=m)
-        ys = np.where(rng.random(m) < (1.0 + dist.g.table[xs]) / 2.0, 1, -1)
+        ys = np.where(rng.random(m) < (1.0 + g.table[xs]) / 2.0, 1, -1)
         up = np.bincount(xs[ys > 0], minlength=1 << n) / m
         down = np.bincount(xs[ys < 0], minlength=1 << n) / m
     points = np.tile(np.arange(1 << n), 2)

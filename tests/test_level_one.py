@@ -30,6 +30,7 @@ from boolres.hypercube import (
     wht_int,
 )
 from boolres.zoo import cyclerun, random_boolean, tribes
+from reference import shift_orbit
 
 
 def _gather_influence(fn):
@@ -154,14 +155,17 @@ def _stats_bits(stats):
     random_boolean(13, seed=23), cyclerun(13),
 ], ids=["random6", "tribes32", "random7", "cyclerun7", "random13", "cyclerun13"])
 def test_spectral_stats_at_degree_one_are_bit_identical_on_both_routes(monkeypatch, fn):
-    # a Boolean table's d = 1 sums come from its sign bits; the int64
-    # low_degree_sums pass gives the same integers, so every field agrees
-    calls = []
-    real = hypercube.level_one_sums
-    monkeypatch.setattr(hypercube, "level_one_sums", lambda t: calls.append(t) or real(t))
+    # a Boolean table's sign bits are packed once, for its influences and its
+    # d = 1 sums; the int64 low_degree_sums pass gives the same integers, so
+    # every field agrees
+    packed, calls = [], []
+    real_words, real_sums = hypercube.sign_words, hypercube._sign_sums
+    monkeypatch.setattr(hypercube, "sign_words", lambda t: packed.append(t) or real_words(t))
+    monkeypatch.setattr(hypercube, "_sign_sums", lambda w, n: calls.append(n) or real_sums(w, n))
     via_signs = spectral_stats(fn, 1)
-    assert len(calls) == 1
-    monkeypatch.setattr(hypercube, "level_one_sums", lambda t: low_degree_sums(t, 1)[1])
+    assert len(packed) == 1 and calls == [fn.n]
+    assert via_signs.per_coordinate_influence == tuple(_gather_influence(fn).tolist())
+    monkeypatch.setattr(hypercube, "_sign_sums", lambda w, n: low_degree_sums(fn.table, 1)[1])
     assert _stats_bits(spectral_stats(fn, 1)) == _stats_bits(via_signs)
 
 
@@ -271,12 +275,6 @@ def test_influence_matches_spectral_form(n):
 def _rotated(x: int, k: int, n: int) -> int:
     """Reference: bit j of the result is bit (j + k) mod n of x, one bit at a time."""
     return sum(((x >> ((j + k) % n)) & 1) << j for j in range(n))
-
-
-def shift_orbit(x: int, n: int) -> frozenset[int]:
-    """Reference: closure of a point under cyclic shifts and negation."""
-    mask = (1 << n) - 1
-    return frozenset(v for k in range(n) for v in (_rotated(x, k, n), _rotated(x, k, n) ^ mask))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
