@@ -5,12 +5,15 @@ Function specs use a `name:key=value,...` micro-grammar (unknown keys are
 hard errors), e.g. `tribes:w=3,s=4`, `cyclerun:n=9`, `parity:n=8,mask=0x7`,
 `file:path=table.tt`.  Every JSON artifact embeds the invoking config and
 the tool version.  Artifacts are the text of `json.dumps(payload, indent=2)`
-plus a newline; their bytes do not depend on how they are written (the big
-tables go through the C encoder, see `_json_chunks`).  A non-finite float
-is not JSON, so an artifact holding one is an invariant violation and is
-not written.  Exit status: 0 success, 1 precondition failure (usage errors
-and requests too large for memory included), 2 internal invariant/certificate
-violation.
+plus a newline; their bytes do not depend on how they are written.  Three
+routes hand the C encoder whole tables and record lists (`_json_chunks`):
+a 1-D table of few distinct entries encodes each distinct bit pattern
+once, a list of flat dicts or flat lists is one call re-indented at its row
+boundaries, and any other flat dict or list is one call.  A non-finite
+float is not JSON, so an artifact holding one is an invariant violation and
+is not written.  Exit status: 0 success, 1 precondition failure (usage
+errors and requests too large for memory included), 2 internal
+invariant/certificate violation.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .designs import greedy_design, orthogonal_family
 from .duality import distance_to_resilience, duality_certificate, l1_poly_distance
 from .hypercube import (
     CubeFunction,
+    level_one_sums,
     read_truth_table,
     spectral_stats,
     wht,
@@ -121,6 +125,39 @@ def parse_function_spec(spec: str) -> CubeFunction:
 
 
 _CONTAINERS = (np.ndarray, dict, list, tuple)
+_SAMPLE = 256  # entries of a table whose distinct count picks its route
+
+
+def _table_text(table: np.ndarray, sep: str) -> str | None:
+    """The entries' JSON texts joined by `sep`, each distinct bit pattern
+    encoded once; None when the table is empty, not numeric, or Boolean
+    (one encoder call writes `true`/`false` faster than the join), or when
+    a strided sample of at most `_SAMPLE` entries is over a quarter distinct.
+    """
+    if table.dtype.kind not in "iuf" or table.itemsize > 8 or not len(table):
+        return None
+    bits = table.view(f"u{table.itemsize}")
+    sample = np.sort(bits[:: -(-len(bits) // _SAMPLE)])
+    if 4 * (np.count_nonzero(sample[1:] != sample[:-1]) + 1) > len(sample):
+        return None
+    keys, index = np.unique(bits, return_inverse=True)
+    # a literal newline occurs in JSON text only where a separator puts it
+    texts = json.dumps(keys.view(table.dtype).tolist(), separators=("\n", ":"), allow_nan=False)
+    return sep.join(np.array(texts[1:-1].split("\n"), dtype=object)[index].tolist())
+
+
+def _row_brackets(items) -> str | None:
+    """"{}" when every item is a non-empty dict of scalars, "[]" when every
+    item is a non-empty list or tuple of scalars, else None."""
+    if all(isinstance(item, dict) and item for item in items):
+        rows, brackets = (item.values() for item in items), "{}"
+    elif all(isinstance(item, (list, tuple)) and item for item in items):
+        rows, brackets = items, "[]"
+    else:
+        return None
+    if any(any(map(isinstance, row, repeat(_CONTAINERS))) for row in rows):
+        return None
+    return brackets
 
 
 def _json_chunks(value, pad: str, out: list[str]) -> None:
@@ -129,16 +166,30 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     `value.tolist()`.
 
     Python's `json` drops to its pure-Python encoder whenever `indent` is
-    set, so every dict or list whose items are all scalars (a 1-D array's
-    included) goes through the C encoder instead, with the indented
-    layout's item separator and brackets spliced around it.  Only the dicts
-    and lists that hold a container are walked here, and the keys of those
-    dicts are strings.  The pieces are left unjoined, so a table's text is
-    copied once more only when it is written.  Every call passes
-    `allow_nan=False`, so a non-finite float raises `ValueError`.
+    set, so the C encoder writes, with the indented layout's separators
+    spliced in, along one of three routes:
+
+    * a 1-D int or float array whose strided sample is at most a quarter
+      distinct: its distinct bit patterns (`np.unique` on an unsigned view,
+      so -0.0 and 0.0 stay apart and a NaN is encoded) in one call, joined
+      through the inverse index (`_table_text`);
+    * a list of non-empty dicts of scalars, or of non-empty lists of
+      scalars: the whole list in one call, re-indented at the row
+      boundaries, the only places a bracket precedes a separator;
+    * any other dict or list whose items are all scalars (a 1-D array's
+      included): one call.
+
+    Only the dicts and lists that hold a container are walked here, and
+    the keys of those dicts are strings.  The pieces are left unjoined, so
+    a table's text is copied once more only when it is written.  Every call
+    passes `allow_nan=False`, so a non-finite float raises `ValueError`.
     """
+    inner = pad + "  "
     flat = False
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and (text := _table_text(value, ",\n" + inner)) is not None:
+            out += ("[\n", inner, text, "\n", pad, "]")
+            return
         flat, value = value.ndim == 1, value.tolist()
     if isinstance(value, dict):
         items = value.values()
@@ -147,7 +198,6 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     else:
         out.append(json.dumps(value, allow_nan=False))
         return
-    inner = pad + "  "
     if flat or not any(map(isinstance, items, repeat(_CONTAINERS))):
         body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
         if not value:
@@ -161,6 +211,16 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
+    elif brackets := _row_brackets(value):
+        deeper = inner + "  "
+        body = json.dumps(value, separators=(",\n" + deeper, ": "), allow_nan=False)
+        # a literal newline occurs only in a separator and no scalar's text
+        # ends in a bracket, so each "},\n<deeper>{" joins two rows
+        opened, closed = brackets
+        body = body[2:-2].replace(
+            f"{closed},\n{deeper}{opened}", f"\n{inner}{closed},\n{inner}{opened}\n{deeper}"
+        )
+        out += ("[\n", inner, opened, "\n", deeper, body, "\n", inner, closed, "\n", pad, "]")
     else:
         sep = "[\n" + inner
         for item in value:
@@ -281,9 +341,12 @@ def _cmd_cyclerun_build(args) -> None:
     audit = audit_invariants(report)
     if not audit.ok:
         raise AssertionError(f"invariant audit failed at iteration {audit.failed_iteration}: {audit.detail}")
+    first_level = level_one_sums(report.output.table)[1:]  # 2^n-scaled, exact integers
+    if np.any(first_level != 0):
+        raise RuntimeError(f"output is not 1-resilient: first-level sums {first_level.tolist()}")
     payload = report.to_dict()
     payload["audit_ok"] = audit.ok
-    payload["first_level_coefficients"] = [0] * report.n  # integer-certified zeros
+    payload["first_level_coefficients"] = first_level.tolist()
     _emit(args, payload)
 
 

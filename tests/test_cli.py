@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,44 @@ def test_cyclerun_build_cli(capsys):
     assert payload["sigma_final"] == 0
     assert payload["audit_ok"] is True
     assert payload["first_level_coefficients"] == [0] * 9
+
+
+def test_cyclerun_build_cli_exits_2_on_a_nonzero_first_level_sum(capsys, monkeypatch, tmp_path):
+    real = cli.level_one_sums
+
+    def skewed(table):
+        sums = real(table)
+        sums[3] += 4
+        return sums
+
+    monkeypatch.setattr(cli, "level_one_sums", skewed)
+    out_path = tmp_path / "build.json"
+    code, _, err = run_cli(capsys, "cyclerun-build", "--n", "9", "--out", str(out_path))
+    assert code == 2
+    assert "not 1-resilient" in json.loads(err)["detail"]
+    assert not out_path.exists()
+
+
+def test_witness_cli_writes_no_artifact_with_a_nan_in_a_few_valued_table(
+    capsys, monkeypatch, tmp_path
+):
+    real = cli.build_witness
+
+    def with_nan(f, d, tau):
+        report = real(f, d, tau)
+        table = np.zeros_like(report.p.table)
+        table[5] = np.nan
+        return dataclasses.replace(report, p=SimpleNamespace(table=table))
+
+    monkeypatch.setattr(cli, "build_witness", with_nan)
+    out_path = tmp_path / "witness.json"
+    code, _, err = run_cli(
+        capsys, "witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.3",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert "not JSON compliant" in json.loads(err)["detail"]
+    assert not out_path.exists()
 
 
 def test_stats_and_witness_cli(capsys):
@@ -433,7 +472,19 @@ def _array(dtype, elements=None):
     return hnp.arrays(dtype, st.integers(0, 6), elements=elements)
 
 
-_TRICKY_TEXT = st.sampled_from(["a, b", "line\nbreak", ",\n  ", "[1, 2]", "\"quoted\""])
+_TRICKY_TEXT = st.sampled_from([
+    "a, b", "line\nbreak", ",\n  ", "[1, 2]", "\"quoted\"", "},\n    {", "],\n  [", "}",
+])
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | _TRICKY_TEXT
+
+
+def _pooled(dtype, values):
+    # few distinct entries, so a long enough table takes the distinct-value route
+    return st.lists(values, min_size=1, max_size=3).flatmap(
+        lambda pool: hnp.arrays(dtype, st.integers(0, 64), elements=st.sampled_from(pool))
+    )
+
+
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -445,6 +496,11 @@ _LEAVES = st.one_of(
     _array(np.int64),
     _array(np.int8),
     _array(np.bool_),
+    _pooled(np.float64, st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=True, allow_infinity=True)),
+    _pooled(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    _pooled(np.int8, st.integers(-128, 127)),
+    st.lists(st.dictionaries(st.text(max_size=3) | _TRICKY_TEXT, _SCALARS, max_size=3), max_size=4),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=4),
 )
 _PAYLOADS = st.recursive(
     _LEAVES,
@@ -464,6 +520,13 @@ _PAYLOADS = st.recursive(
 ]})
 @example(np.array([np.inf, -np.inf, np.nan, -0.0, 1e-300]))
 @example({"grid": np.arange(6.0).reshape(2, 3), "empty": np.zeros((0, 2))})
+@example(np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0]))
+@example({"p_table": np.array([0.5, 0.5, np.nan, 0.5, 0.5, 0.5, 0.5, 0.5])})
+@example([{}, {}])
+@example([[], [1]])
+@example([{"a": 1}])
+@example({"rows": [{"s": "},\n    {", "t": "}"}, {"s": "],\n  [", "t": 2}], "pairs": [[1, "]"], ("[",)]})
+@example(np.array([True, False, True, True, True, True, True, True]))
 def test_json_writer_matches_indented_dumps(payload):
     # a non-finite float is not JSON: the writer refuses it as json.dumps does
     try:
@@ -477,6 +540,41 @@ def test_json_writer_matches_indented_dumps(payload):
     assert "".join(chunks) == expected
 
 
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """Every value handed to `json.dumps` while the test runs."""
+    calls = []
+    real = json.dumps
+
+    def dumps(value, **kwargs):
+        calls.append(value)
+        return real(value, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    return calls
+
+
+def test_few_distinct_table_encodes_each_distinct_value_once(encoder_calls):
+    table = np.random.default_rng(5).choice([0.25, -0.0, 0.0], 1 << 16)
+    cli._json_chunks(table, "", [])
+    assert [len(value) for value in encoder_calls] == [3]
+
+
+def test_many_distinct_table_is_one_encoder_call(encoder_calls):
+    table = np.random.default_rng(5).random(1 << 16)
+    cli._json_chunks(table, "", [])
+    assert encoder_calls == [table.tolist()]
+
+
+def test_builder_records_are_one_encoder_call(capsys, encoder_calls):
+    code, out, _ = run_cli(capsys, "cyclerun-build", "--n", "11")
+    assert code == 0
+    records = json.loads(out)["iterations"]
+    lists = [value for value in encoder_calls if isinstance(value, list) and value]
+    assert [value for value in lists if isinstance(value[0], dict)] == [records]
+    assert not any(isinstance(value, dict) and "sigma_before" in value for value in encoder_calls)
+
+
 ARTIFACT_JOBS = [
     ("spectrum", "--fn", "majority:n=3"),
     ("stats", "--fn", "tribes:w=2,s=3", "--d", "1"),
@@ -485,7 +583,11 @@ ARTIFACT_JOBS = [
     ("l1approx", "--fn", "majority:n=5", "--d", "1"),
     ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.3"),
     ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.2,0.3"),
+    # p tables of 1 and 15 distinct values
+    ("witness", "--fn", "tribes:w=3,s=4", "--d", "1", "--tau", "0.05,0.2"),
     ("cyclerun-build", "--n", "7"),
+    # --c1 first: a test id is argv[:2], so this one differs from the line above
+    ("cyclerun-build", "--c1", "8", "--n", "11"),
     ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "1"),
     ("design", "--n", "6", "--k", "3", "--d", "1"),
     ("ortho-family", "--fn", "parity:n=2,mask=0x3", "--n", "8", "--d", "1"),
