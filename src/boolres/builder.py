@@ -31,7 +31,7 @@ import numpy as np
 
 from .hypercube import (
     BooleanFunction,
-    coordinate_signs,
+    characters,
     level_one_sums,
     orbit_members,
     periods,
@@ -95,6 +95,7 @@ class BuilderReport:
     output: BooleanFunction
     sigma_initial: int
     sigma_final: int
+    first_level_sums: tuple[int, ...]  # 2^n-scaled coefficients of {1}..{n}, checked zero
     sbar_size: int
     sbar_prime_size: int
     iterations: tuple[IterationRecord, ...]
@@ -211,6 +212,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         output=output,
         sigma_initial=sigma_initial,
         sigma_final=sigma,
+        first_level_sums=tuple(sums[1:].tolist()),
         sbar_size=sbar_size,
         sbar_prime_size=sbar_prime_size,
         iterations=tuple(records),
@@ -227,7 +229,6 @@ class AuditResult:
 
 
 FULL_RECHECK_EVERY = 50
-SIGN_BLOCK = 1024  # members per coordinate_signs call in the audit
 
 
 def _level_one_deltas(
@@ -235,17 +236,17 @@ def _level_one_deltas(
 ) -> np.ndarray:
     """Each orbit's change to the level-one sums, -2 sum_{y in orbit} f(y) y_j.
 
-    Orbit i is members[offsets[i]:offsets[i + 1]].  The signs are made a
-    block of members at a time, so no (members, n) matrix is ever held.
+    Orbit i is members[offsets[i]:offsets[i + 1]].  Column j sums the
+    character row of {j + 1} over the members, times f, one row at a time,
+    so no (members, n) matrix is ever held.
     """
     deltas = np.zeros((len(offsets) - 1, n), dtype=np.int64)
-    for start in range(0, len(members), SIGN_BLOCK):
-        block = members[start:start + SIGN_BLOCK]
-        terms = np.multiply(table[block, None], coordinate_signs(block, n), dtype=np.int64)
-        first = np.searchsorted(offsets, start, side="right") - 1
-        stop = np.searchsorted(offsets, start + len(block), side="left")
-        cuts = np.maximum(offsets[first:stop], start) - start
-        deltas[first:stop] += np.add.reduceat(terms, cuts, axis=0)
+    values = table[members]
+    points = members.view(np.uint64)  # the indices themselves, so characters copies none
+    for j in range(n):
+        row = characters([1 << j], points)[0]
+        row *= values
+        deltas[:, j] = np.add.reduceat(row, offsets[:-1], dtype=np.int64)
     return -2 * deltas
 
 
@@ -257,7 +258,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     coefficients equal, the logged sigma equals the recomputed sum of scaled
     first-level coefficients, sigma is a nonnegative multiple of 4n, and the
     decrement matches the orbit.  The level-one sums follow from the orbit
-    member sums, through `coordinate_signs`; every FULL_RECHECK_EVERY
+    member sums, through `characters` rows; every FULL_RECHECK_EVERY
     iterations and at the end they are recomputed from the whole replayed
     table by another route, the popcounts of its packed sign bits
     (`level_one_sums`).  The first failing iteration is reported, its

@@ -133,11 +133,10 @@ def embed_on_mask(base: CubeFunction, mask: int, ambient: int) -> CubeFunction:
         raise ValueError("mask outside the ambient range")
     if ambient > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension limited to {MAX_AMBIENT_DIM}")
-    points = np.arange(1 << ambient, dtype=np.int64)
-    index = np.zeros(1 << ambient, dtype=np.int64)
-    for j, coord in enumerate(c for c in range(ambient) if mask >> c & 1):
-        index |= ((points >> coord) & 1) << j
-    return type(base)(ambient, base.table[index])
+    # axis a of the (2,) * ambient view of a table is bit ambient - 1 - a
+    shape = [2 if mask >> (ambient - 1 - a) & 1 else 1 for a in range(ambient)]
+    table = np.broadcast_to(base.table.reshape(shape), (2,) * ambient).reshape(-1)
+    return type(base)(ambient, table)
 
 
 @dataclass(frozen=True)

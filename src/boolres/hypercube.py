@@ -5,16 +5,16 @@ Conventions shared by the whole package:
 * A point of the n-dimensional hypercube is an integer index in [0, 2^n).
   Coordinate j (1-based) is +1 when bit (j-1) of the index is 0 and -1 when
   the bit is 1.
-  `_halves` splits a table by one coordinate and `coordinate_signs` gives
-  the coordinates of a point set; `low_degree_sums` splits by the top
-  coordinate again and again to read off only the coefficients of degree
-  <= d, and `low_degree_part` adds its transpose.  `sign_words` packs a
+  `_halves` splits a table by one coordinate; `low_degree_sums` splits by
+  the top coordinate again and again to read off only the coefficients of
+  degree <= d, and `low_degree_part` adds its transpose.  `sign_words` packs a
   +-1 table one bit a point, and `_word_halves` splits the packed bits.
   `rotate` shifts the coordinates cyclically; `rotations`, `periods` and
   `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
 * chi_S(x) = prod_{j in S} x_j = (-1)^popcount(mask & index).
-  `characters` builds every character row; `chi_values` is one, on the cube.
+  `characters` builds every character row, coordinate x_j of a point set
+  being the row of the mask {j}; `chi_values` is one row, on the cube.
 * Fourier coefficients carry the expectation normalization,
   coef[S] = 2^{-n} * sum_x f(x) chi_S(x), so Parseval reads
   sum_S coef[S]^2 = mean(f^2).
@@ -118,21 +118,6 @@ def chi_values(n: int, mask: int) -> np.ndarray:
 def popcounts(n: int) -> np.ndarray:
     """popcount of every mask in [0, 2^n), as a small-int array."""
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-
-
-def coordinate_signs(points: np.ndarray, n: int) -> np.ndarray:
-    """The (len(points), n) matrix of +-1 coordinates x_1..x_n of each point.
-
-    Unpacks the low bytes of each little-endian uint64 point bit by bit
-    and maps bit b to 1 - 2b in place, so the only work array besides the
-    int8 result is the points' uint64 copy.
-    """
-    words = np.asarray(points, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    signs = np.unpackbits(words[:, : (n + 7) // 8], axis=1, count=n, bitorder="little")
-    signs = signs.view(np.int8)
-    signs *= -2
-    signs += 1
-    return signs
 
 
 def rotate(points: np.ndarray, k: int | np.ndarray, n: int) -> np.ndarray:

@@ -98,7 +98,7 @@ def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
     """All 2^(ws) closed-form Fourier coefficients of Tribes, indexed by mask."""
     _tribes_check(w, s)
     masks = np.arange(1 << (w * s), dtype=np.uint64)
-    size = np.bitwise_count(masks).astype(np.int64)
+    size = popcounts(w * s)
     hit = np.zeros(len(masks), dtype=np.int64)
     for block in range(s):
         bmask = np.uint64(((1 << w) - 1) << (block * w))

@@ -26,7 +26,7 @@ from boolres.hypercube import (
     rotations,
     wht_int,
 )
-from boolres.zoo import cyclerun
+from boolres.zoo import cyclerun, random_boolean
 from reference import shift_orbit
 
 
@@ -82,9 +82,12 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
         ))
         sigma -= delta
     distance = sbar_size / size
+    points = np.arange(size)
     return BuilderReport(
         n=n, c1=c1, output=BooleanFunction(n, table.astype(np.int8)),
-        sigma_initial=sigma_initial, sigma_final=sigma, sbar_size=sbar_size,
+        sigma_initial=sigma_initial, sigma_final=sigma,
+        first_level_sums=tuple(int(table @ (1 - 2 * (points >> j & 1))) for j in range(n)),
+        sbar_size=sbar_size,
         sbar_prime_size=sbar_prime_size, iterations=tuple(records), distance=distance,
         budget_ratio=distance / math.sqrt(math.log2(n) / n),
     )
@@ -95,6 +98,7 @@ def test_batched_build_matches_the_per_orbit_reference(n):
     report = build_one_resilient(n)
     expected = reference_build(n)
     assert report.to_dict() == expected.to_dict()
+    assert report.first_level_sums == expected.first_level_sums == (0,) * n
     assert np.array_equal(report.output.table, expected.output.table)
     assert report.output.table.dtype == expected.output.table.dtype
     assert report.sbar_prime_size == expected.sbar_prime_size
@@ -272,19 +276,38 @@ def test_audit_detects_drifted_incremental_sums(monkeypatch):
     # corrupt the incremental update once, at iteration 0; the full recheck
     # there goes through level_one_sums, a different arithmetic route
     report = build_one_resilient(7)
-    real = builder.coordinate_signs
+    real = builder.characters
     calls = []
 
-    def corrupt_first(points, n):
-        calls.append(len(points))
-        signs = real(points, n)
-        return -signs if len(calls) == 1 else signs
+    def corrupt_first(masks, points):
+        calls.append(masks)
+        rows = real(masks, points)
+        return -rows if len(calls) == 1 else rows
 
-    monkeypatch.setattr(builder, "coordinate_signs", corrupt_first)
+    monkeypatch.setattr(builder, "characters", corrupt_first)
     result = audit_invariants(report)
     assert result.ok is False
     assert result.failed_iteration == 0
     assert result.detail == "incremental sums drifted"
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
+def test_level_one_deltas_match_a_loop_over_every_orbit_member_and_none(n):
+    table = random_boolean(n, seed=n).table
+    orbits, seen = [], set()
+    for x in range(1 << n):
+        if x not in seen:
+            orbits.append(sorted(shift_orbit(x, n)))
+            seen |= set(orbits[-1])
+    members = np.array([y for orbit in orbits for y in orbit], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(orbit) for orbit in orbits])
+    deltas = builder._level_one_deltas(table, members, offsets, n)
+    assert deltas.shape == (len(orbits), n) and deltas.dtype == np.int64
+    for i, orbit in enumerate(orbits):
+        for j in range(n):
+            want = -2 * sum(int(table[y]) * (1 - 2 * (y >> j & 1)) for y in orbit)
+            assert deltas[i, j] == want
+    assert builder._level_one_deltas(table, members[:0], offsets[:1], n).shape == (0, n)
 
 
 @pytest.mark.parametrize("mask_index,detail", [(0, "not balanced"), (3, "not exactly 1-resilient")])

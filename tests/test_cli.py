@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boolres import cli
+from boolres import builder, cli
 from boolres.cli import main, parse_function_spec
 from boolres.hypercube import write_truth_table
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
@@ -186,18 +186,18 @@ def test_cyclerun_build_cli(capsys):
 
 
 def test_cyclerun_build_cli_exits_2_on_a_nonzero_first_level_sum(capsys, monkeypatch, tmp_path):
-    real = cli.level_one_sums
+    real = builder.level_one_sums
 
     def skewed(table):
         sums = real(table)
         sums[3] += 4
         return sums
 
-    monkeypatch.setattr(cli, "level_one_sums", skewed)
+    monkeypatch.setattr(builder, "level_one_sums", skewed)
     out_path = tmp_path / "build.json"
     code, _, err = run_cli(capsys, "cyclerun-build", "--n", "9", "--out", str(out_path))
     assert code == 2
-    assert "not 1-resilient" in json.loads(err)["detail"]
+    assert "not exactly 1-resilient" in json.loads(err)["detail"]
     assert not out_path.exists()
 
 

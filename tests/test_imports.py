@@ -1,11 +1,17 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public function it defines is named outside it."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boolres"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "boolres"
+SOURCES = sorted(
+    path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +47,37 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_functions(source: str) -> list[str]:
+    """The functions a module defines at its top level without a leading underscore."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+@functools.cache
+def names(source: str) -> frozenset[str]:
+    """Every name, attribute and imported name a source mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names}
+    return frozenset(found)
+
+
+def test_the_check_finds_a_public_function_named_nowhere_else():
+    module = "def kept(): pass\ndef lone(): pass\ndef _private(): pass\nclass C:\n    def m(self): pass\n"
+    elsewhere = names("from a import kept\nimport a\nlone_ = 'lone'\n")
+    assert [name for name in public_functions(module) if name not in elsewhere] == ["lone"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_public_function_is_named_outside_its_module(path):
+    elsewhere = set().union(*(names(other.read_text()) for other in SOURCES if other != path))
+    assert [name for name in public_functions(path.read_text()) if name not in elsewhere] == []

@@ -12,7 +12,6 @@ from boolres.hypercube import (
     BoundedFunction,
     characters,
     chi_values,
-    coordinate_signs,
     fwht,
     is_d_resilient,
     level_one_sums,
@@ -204,37 +203,6 @@ def test_characters_match_the_parity_of_each_mask_and_point():
     for row, mask in zip(rows, masks):
         assert row.tolist() == [(-1) ** (mask & int(x)).bit_count() for x in points]
     assert np.array_equal(characters(masks, np.arange(128))[2], chi_values(7, 0b1010))
-
-
-def test_coordinate_signs_are_coordinate_values_rows():
-    n = 6
-    points = np.array([0, 1, 5, 37, 63])
-    signs = coordinate_signs(points, n)
-    assert signs.shape == (len(points), n)
-    for j in range(1, n + 1):
-        assert np.array_equal(signs[:, j - 1], chi_values(n, 1 << (j - 1))[points])
-
-
-def test_coordinate_signs_match_shifted_bits_and_make_no_wide_temporaries():
-    n = 19
-    points = np.random.default_rng(19).integers(0, 1 << n, size=8192)
-    tracemalloc.start()
-    try:
-        signs = coordinate_signs(points, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bits = (points[:, None] >> np.arange(n)) & 1
-    assert signs.dtype == np.int8
-    assert np.array_equal(signs, 1 - 2 * bits)
-    assert peak <= 4 * signs.nbytes
-
-
-def test_coordinate_signs_product_is_level_one_sum():
-    f = random_boolean(9, seed=4)
-    points = np.arange(1 << 9)
-    via_signs = f.table.astype(np.int64) @ coordinate_signs(points, 9)
-    assert np.array_equal(via_signs, low_degree_sums(f.table, 1)[1][1:])
 
 
 @pytest.mark.parametrize(
