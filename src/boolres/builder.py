@@ -129,8 +129,11 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         raise ValueError(f"budget constant c1 must be positive and finite, got {c1}")
     base = cyclerun(n)
     size = 1 << n
-    pc = popcounts(n)
-    sigma = int(np.dot(base.table, n - 2 * pc))  # sum_x f(x) (coordinate sum of x)
+    ones = np.flatnonzero(base.table == 1)
+    ones_pc = popcounts(n)[ones]
+    # sigma = sum_x f(x) (n - 2|x|); the sum over every x is 0, so sigma is
+    # twice the sum over the ones
+    sigma = 2 * (n * len(ones) - 2 * int(ones_pc.sum()))
     sigma_initial = sigma
     if sigma < 0 or sigma % (4 * n) != 0:
         raise BuilderError(f"initial sigma {sigma} is not a nonnegative multiple of 4n")
@@ -138,8 +141,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     budget = c1 * math.sqrt(math.log2(n) / n) * size
 
     # candidates with CycleRun = 1, highest coordinate sum first, index ascending
-    ones = np.flatnonzero(base.table == 1)
-    levels = _orbits_by_level(ones, pc[ones], n)
+    levels = _orbits_by_level(ones, ones_pc, n)
     candidates = itertools.chain.from_iterable(levels)
     # the light branch draws the orbits of coordinate sum 1 from the same
     # walk; such an orbit has period n (gcd(n, (n-1)/2) = 1), so its

@@ -132,13 +132,17 @@ def _table_text(table: np.ndarray, sep: str) -> str | None:
     encoded once; None when the table is empty, not numeric, or Boolean
     (one encoder call writes `true`/`false` faster than the join), or when
     a strided sample of at most `_SAMPLE` entries is over a quarter distinct.
+    A table of one bit pattern repeats its one text without `np.unique`.
     """
     if table.dtype.kind not in "iuf" or table.itemsize > 8 or not len(table):
         return None
     bits = table.view(f"u{table.itemsize}")
     sample = np.sort(bits[:: -(-len(bits) // _SAMPLE)])
-    if 4 * (np.count_nonzero(sample[1:] != sample[:-1]) + 1) > len(sample):
+    distinct = np.count_nonzero(sample[1:] != sample[:-1]) + 1
+    if 4 * distinct > len(sample):
         return None
+    if distinct == 1 and (bits == bits[0]).all():
+        return sep.join(repeat(json.dumps(table[0].item(), allow_nan=False), len(table)))
     keys, index = np.unique(bits, return_inverse=True)
     # a literal newline occurs in JSON text only where a separator puts it
     texts = json.dumps(keys.view(table.dtype).tolist(), separators=("\n", ":"), allow_nan=False)
@@ -171,7 +175,8 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     * a 1-D int or float array whose strided sample is at most a quarter
       distinct: its distinct bit patterns (`np.unique` on an unsigned view,
       so -0.0 and 0.0 stay apart and a NaN is encoded) in one call, joined
-      through the inverse index (`_table_text`);
+      through the inverse index, or the one text of a table of one bit
+      pattern repeated (`_table_text`);
     * a list of non-empty dicts of scalars, or of non-empty lists of
       scalars: the whole list in one call, re-indented at the row
       boundaries, the only places a bracket precedes a separator;

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -88,6 +88,22 @@ def design_size_bound(n: int, k: int, d: int) -> float:
     return (n * d / (math.e**2 * k**2)) ** d
 
 
+def _lex_subset_masks(n: int, k: int) -> np.ndarray:
+    """The uint64 masks of all k-subsets of [n] in lex order, n <= 64.
+
+    The coordinates come in as one (C(n, k), k) uint8 array and are OR-ed
+    in one column at a time, so no wider temporary than the masks is made.
+    """
+    count = math.comb(n, k)
+    coords = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=count * k
+    ).reshape(count, k)
+    masks = np.zeros(count, dtype=np.uint64)
+    for column in coords.T:
+        masks |= np.uint64(1) << column
+    return masks
+
+
 def greedy_design(n: int, k: int, d: int) -> Design:
     """Greedy design construction over all k-subsets of [n] in lex order.
 
@@ -98,11 +114,7 @@ def greedy_design(n: int, k: int, d: int) -> Design:
         raise ValueError(f"need 0 <= d < k <= n <= {MAX_DESIGN_DIM}")
     if math.comb(n, k) > MAX_CANDIDATES:
         raise ValueError(f"candidate space C({n},{k}) exceeds {MAX_CANDIDATES}")
-    candidates = np.fromiter(
-        (sum(1 << j for j in combo) for combo in combinations(range(n), k)),
-        dtype=np.uint64,
-        count=math.comb(n, k),
-    )
+    candidates = _lex_subset_masks(n, k)
 
     chosen = np.zeros(0, dtype=np.uint64)
     for start in range(0, len(candidates), GREEDY_BLOCK):

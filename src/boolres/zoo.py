@@ -199,20 +199,29 @@ def cyclerun_table(n: int) -> np.ndarray:
     stages 2 and 3 as uint32 bit arrays, which `hypercube.rotate` shifts
     exactly for n <= CYCLERUN_MAX_DIM < 32.
 
-    A point still tied after stage 3 raises RuntimeError; none is left at
-    any odd n <= CYCLERUN_MAX_DIM.
+    The stages decide only the low half, i < 2^(n-1).  Complementing a
+    point swaps the players in every stage, so CycleRun is odd,
+    f(mask - i) = -f(i), and the high half is the low half negated and
+    read backwards.
+
+    A point still tied after stage 3 raises RuntimeError, counting the ties
+    of the whole cube, twice the low half's; none is left at any odd
+    n <= CYCLERUN_MAX_DIM.
     """
     if n % 2 == 0:
         raise ValueError("cyclerun needs odd n")
     if not 3 <= n <= CYCLERUN_MAX_DIM:
         raise ValueError(f"cyclerun supported for odd n in [3, {CYCLERUN_MAX_DIM}]")
     mask = (1 << n) - 1
+    half = 1 << (n - 1)
 
     len_neg = _longest_runs(n)
-    len_pos = len_neg[::-1]
-    table = np.sign(len_pos - len_neg)
+    table = np.empty(1 << n, dtype=np.int8)
+    low = table[:half]
+    np.subtract(len_neg[:half - 1:-1], len_neg[:half], out=low)
+    np.sign(low, out=low)
 
-    tied = np.flatnonzero(table == 0)
+    tied = np.flatnonzero(low == 0)
     tied_len = len_neg[tied]
     tied = tied[np.argsort(tied_len, kind="stable")]
     groups = np.split(tied, np.cumsum(np.bincount(tied_len))[:-1])
@@ -238,19 +247,23 @@ def cyclerun_table(n: int) -> np.ndarray:
             open_pos = ~cover & mask
             seed_p = rotate(sp, n - run_len, n) & open_pos
             seed_n = rotate(sn, n - run_len, n) & open_pos
-            for _ in range(n):
-                grown_p = seed_p | (rotate(seed_p, n - 1, n) & open_pos)
-                grown_n = seed_n | (rotate(seed_n, n - 1, n) & open_pos)
-                if np.array_equal(grown_p, seed_p) and np.array_equal(grown_n, seed_n):
-                    break
-                seed_p, seed_n = grown_p, grown_n
+            # grow each seed up its run of open bits by doubling strides:
+            # after stride k a seed has grown 2k - 1 bits and reach marks
+            # the bits whose last 2k bits are all open
+            reach, k = open_pos, 1
+            while k < n:
+                seed_p |= rotate(seed_p, n - k, n) & reach
+                seed_n |= rotate(seed_n, n - k, n) & reach
+                reach &= rotate(reach, n - k, n)
+                k *= 2
             total_p = np.bitwise_count(seed_p).astype(np.int64)
             total_n = np.bitwise_count(seed_n).astype(np.int64)
             stage3 = np.sign(total_p - total_n).astype(np.int8)
             if ties := int(np.count_nonzero(stage3 == 0)):
-                raise RuntimeError(f"cyclerun left {ties} points tied after stage 3 at n={n}")
+                raise RuntimeError(f"cyclerun left {2 * ties} points tied after stage 3 at n={n}")
             verdict[still] = stage3
-        table[group] = verdict
+        low[group] = verdict
+    np.negative(low[::-1], out=table[half:])
     return table
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -558,6 +559,37 @@ def test_few_distinct_table_encodes_each_distinct_value_once(encoder_calls):
     table = np.random.default_rng(5).choice([0.25, -0.0, 0.0], 1 << 16)
     cli._json_chunks(table, "", [])
     assert [len(value) for value in encoder_calls] == [3]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.nan])
+def test_one_valued_table_encodes_its_value_once_and_runs_no_unique(
+    encoder_calls, monkeypatch, value
+):
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on a one-valued table")
+
+    monkeypatch.setattr(cli.np, "unique", no_unique)
+    table = np.full(1 << 16, value)
+    chunks = []
+    if np.isnan(value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_chunks(table, "", chunks)
+    else:
+        cli._json_chunks(table, "", chunks)
+    assert len(encoder_calls) == 1
+    assert np.array_equal(encoder_calls, [value], equal_nan=True)
+    assert math.copysign(1, encoder_calls[0]) == math.copysign(1, value)
+    if not np.isnan(value):
+        assert "".join(chunks) == json.dumps(table.tolist(), indent=2)
+
+
+def test_one_negative_zero_the_sample_misses_keeps_the_unique_route(encoder_calls):
+    table = np.zeros(1 << 16)
+    table[5] = -0.0  # off the strided sample, which reads entries 0, 256, ...
+    chunks = []
+    cli._json_chunks(table, "", chunks)
+    assert [len(value) for value in encoder_calls] == [2]
+    assert "".join(chunks) == json.dumps(table.tolist(), indent=2)
 
 
 def test_many_distinct_table_is_one_encoder_call(encoder_calls):

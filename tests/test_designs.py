@@ -265,6 +265,14 @@ def test_greedy_design_matches_the_pairwise_loop(n, k, d):
         assert (a & b).bit_count() <= d
 
 
+@pytest.mark.parametrize("n,k", [(16, 6), (20, 5), (30, 3), (64, 2), (5, 5)])
+def test_lex_subset_masks_match_the_per_subset_sum(n, k):
+    masks = designs._lex_subset_masks(n, k)
+    expected = [sum(1 << j for j in combo) for combo in combinations(range(n), k)]
+    assert masks.dtype == np.uint64
+    assert masks.tolist() == expected
+
+
 def test_design_constructor_checks_every_pair_and_every_set():
     good = (0b000111, 0b011001, 0b101010, 0b110100)
     Design(6, 3, 1, good)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,51 @@ def test_cyclerun_table_matches_reference_on_sampled_points_at_19():
     assert table.dtype == np.int8
     for idx in np.random.default_rng(19).integers(0, 1 << 19, size=2000):
         assert table[idx] == cyclerun_reference(bits_of(int(idx), 19)), idx
+
+
+def test_cyclerun_table_matches_reference_on_sampled_points_at_23():
+    table = cyclerun_table(23)
+    assert table.dtype == np.int8
+    for idx in np.random.default_rng(23).integers(0, 1 << 23, size=2000):
+        assert table[idx] == cyclerun_reference(bits_of(int(idx), 23)), idx
+
+
+@pytest.mark.parametrize("n", [7, 11, 15])
+def test_cyclerun_ties_run_only_on_the_low_half(monkeypatch, n):
+    # stages 2 and 3 see each stage-1 tie below 2^(n-1) once, as the
+    # +1 player's points (mask - i) and then the -1 player's (i)
+    calls = []
+    run_starts = zoo._run_starts
+
+    def recording(v, run_len, n):
+        calls.append(v.copy())
+        return run_starts(v, run_len, n)
+
+    monkeypatch.setattr(zoo, "_run_starts", recording)
+    cyclerun_table(n)
+    mask = (1 << n) - 1
+    assert calls and len(calls) % 2 == 0
+    pos, neg = calls[0::2], calls[1::2]
+    for vp, vn in zip(pos, neg):
+        assert np.all(vn < 1 << (n - 1))
+        assert np.array_equal(vp, mask - vn)
+    seen = np.concatenate(neg).astype(np.int64)
+    runs = zoo._longest_runs(n)
+    low_ties = np.flatnonzero(runs[: 1 << (n - 1)] == runs[::-1][: 1 << (n - 1)])
+    assert np.array_equal(np.sort(seen), low_ties)
+
+
+def test_cyclerun_table_peak_memory_at_21():
+    cyclerun_table(9)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        cyclerun_table(21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 run table and the int8 output, with the tie stages' arrays
+    # over the low half's ties only
+    assert peak <= 6.5 * (1 << 21)
 
 
 def test_cyclerun_cap_fits_uint32_points():
