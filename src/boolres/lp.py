@@ -17,21 +17,27 @@ needed.  A revised dual simplex then drives the slacks to zero.  It keeps
 only a k x k inverse basis B^-1 (k rows), updated by rank-1 pivots and
 rebuilt from the data every `REFACTOR_PERIOD` pivots; each pivot computes
 one row alpha_r = e_r^T B^-1 [A | I] and one column B^-1 A_q, and writes no
-k x (#columns) array.
+k x (#columns) array.  Its full-length vectors go into buffers allocated
+once per solve; what else it allocates is sized by k or by the candidate
+columns of its ratio test.
 
 Pricing picks the row of largest primal infeasibility, smallest index on
 ties.  The ratio test is the bound-flipping ("long-step") one: every
 breakpoint passed while the dual slope stays positive flips its variable to
-the other bound; at the chosen breakpoint, ties go to the largest |alpha_rj|,
-then the smallest index.  A slope still positive after every breakpoint
-proves the primal infeasible.
+the other bound; among the breakpoints within `TIE_TOL` of the one where it
+stops, the largest |alpha_rj| enters, then the smallest index.  A slope
+still positive after every breakpoint proves the primal infeasible.
 
-Anti-cycling guard: after `_stall_limit(k)` consecutive dual-degenerate
-pivots, the nonbasic costs are shifted once by a deterministic perturbation
-of about `PERTURBATION_SCALE`, each in its dual-feasible direction.  When
-the basis turns primal feasible the shift is removed: B^-1 is rebuilt, any
-nonbasic variable whose true reduced cost has the wrong sign is flipped to
-its other bound, and dual iterations resume until no flip is needed.
+Anti-cycling guard: at the first dual-degenerate pivot while no shift is
+active, the nonbasic costs are shifted by a deterministic perturbation of
+about `PERTURBATION_SCALE`, each in its dual-feasible direction.  The
+box-optimal start needs it early: with +-1 costs and a +-1 row, every
+breakpoint of the first pivot is 1, so that step zeroes about half the
+reduced costs at once, and waiting out a run of degenerate pivots before
+the shift only adds pivots.  When the basis turns primal feasible the shift is
+removed: B^-1 is rebuilt, any nonbasic variable whose true reduced cost has
+the wrong sign is flipped to its other bound, and dual iterations resume
+(shifting again at their first degenerate pivot) until no flip is needed.
 
 Pivoting is deterministic, with no randomization.  Certificates are never
 trusted to the pivot arithmetic alone; callers re-verify solutions against
@@ -105,35 +111,57 @@ class LPSolution:
     residual: float            # max |A x| of the final basic solution
 
 
-def _stall_limit(m: int) -> int:
-    """Dual-degenerate pivots in a row, on m rows, before the costs are shifted."""
-    return max(20, m)
-
-
 def _perturbation(size: int) -> np.ndarray:
     """Deterministic, pairwise distinct shift magnitudes in [1, 2) * scale."""
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     return PERTURBATION_SCALE * (1.0 + np.mod(np.arange(1, size + 1) * golden, 1.0))
 
 
-def _breakpoints(t: np.ndarray, weight: np.ndarray, slope0: float):
-    """Breakpoints in (t, index) order, with the dual slope after each.
+def _ratio_test(t: np.ndarray, abs_a: np.ndarray, weight: np.ndarray, slope0: float):
+    """The bound-flipping ratio test over the candidate columns of one pivot.
 
-    Only the shortest prefix that takes the slope to <= 0 is sorted (all
-    breakpoints if none does); it is the same prefix a full sort gives.
+    Candidate i has breakpoint t[i], |alpha_ri| = abs_a[i] and slope weight
+    weight[i] = abs_a[i] * width; the dual slope starts at slope0, the
+    leaving row's infeasibility.  The breakpoints are taken in (t, position)
+    order.  The step stops at the first one that takes the slope to <= 0, or
+    at the last one; among the breakpoints within TIE_TOL of that one, the
+    largest |alpha_ri| enters, the smallest position on ties.
+
+    Returns (passed, pick): the positions of the breakpoints passed before
+    the stop, whose variables flip, and the position of the entering one;
+    None when the slope stays above FEAS_TOL past every breakpoint, which
+    proves the primal infeasible.  Only the shortest prefix that holds the
+    stop and every breakpoint within TIE_TOL of it is sorted; it is the
+    same prefix a full sort gives.
     """
     k = 64
     while True:
         if k < len(t):
             bound = np.partition(t, k - 1)[k - 1]
-            order = np.nonzero(t <= bound + TIE_TOL)[0]
-            order = order[np.argsort(t[order], kind="stable")]
+            order = (t <= bound + TIE_TOL).nonzero()[0]
+            t_sorted = t[order]
+            perm = t_sorted.argsort(kind="stable")
+            order, t_sorted = order[perm], t_sorted[perm]
         else:
-            order = np.argsort(t, kind="stable")
-        slope = slope0 - np.cumsum(weight[order])
-        if slope[-1] <= 0.0 or len(order) == len(t):
-            return order, slope
+            bound = np.inf
+            order = t.argsort(kind="stable")
+            t_sorted = t[order]
+        slope = slope0 - weight[order].cumsum()
+        if slope[-1] <= 0.0:
+            stop = int((slope <= 0.0).argmax())
+            if t_sorted[stop] <= bound:  # the prefix holds all its ties
+                break
+        elif len(order) == len(t):
+            if slope[-1] > FEAS_TOL:
+                return None
+            stop = len(order) - 1
+            break
         k *= 8
+    end = int(t_sorted.searchsorted(t_sorted[stop] + TIE_TOL, side="right"))
+    if end - stop == 1:
+        return order[:stop], int(order[stop])
+    tie = order[stop:end]
+    return order[:stop], int(tie[np.lexsort((tie, -abs_a[tie]))[0]])
 
 
 class _DualSimplex:
@@ -197,9 +225,9 @@ class _DualSimplex:
 
     def flip(self, cols: np.ndarray) -> None:
         """Move nonbasic columns to their other bound and update x_B."""
-        step = -self.side[cols] * self.width[cols]
-        self.side[cols] = -self.side[cols]
-        self.xb -= self.binv @ (self.A[:, cols] @ step)
+        new_side = -self.side[cols]
+        self.side[cols] = new_side
+        self.xb -= self.binv @ (self.A[:, cols] @ (new_side * self.width[cols]))
         self.flips += len(cols)
 
     def settle(self) -> bool:
@@ -220,13 +248,20 @@ class _DualSimplex:
         self.perturbations += 1
 
     def run(self) -> str:
-        width, basis, side = self.width, self.basis, self.side
-        stall_limit = _stall_limit(self.m)
-        stalled = since_refactor = 0
+        A, width, basis, side, n = self.A, self.width, self.basis, self.side, self.n
+        # a pivot writes its full-length vectors into these
+        basic_width = width[basis]
+        infeas = np.empty(self.m)
+        alpha = np.empty(n + self.m)  # the pivot row, then s t times it
+        work = np.empty(n + self.m)   # s side alpha, then side d
+        movable = np.empty(n + self.m, dtype=bool)
+        since_refactor = 0
         settled = False
         while True:
-            infeas = np.maximum(-self.xb, self.xb - width[basis])
-            r = int(np.argmax(infeas)) if self.m else 0
+            d = self.d  # refactor() replaces it
+            np.subtract(self.xb, basic_width, out=infeas)
+            np.maximum(-self.xb, infeas, out=infeas)
+            r = int(infeas.argmax()) if self.m else 0
             if self.m == 0 or infeas[r] <= FEAS_TOL:
                 if settled:
                     return OPTIMAL
@@ -240,35 +275,39 @@ class _DualSimplex:
             # s = +1: the leaving variable rises to its lower bound (0);
             # s = -1: it falls to its upper bound.  Reduced costs move as
             # d(t) = d - s t alpha_r for a dual step t >= 0, and column j
-            # bounds the step when side_j * s * alpha_rj > 0.
+            # bounds the step when side_j * s * alpha_rj > 0, which then
+            # equals |alpha_rj| (side_j = +-1).
             s = 1.0 if self.xb[r] < 0 else -1.0
-            alpha = self.row(self.binv[r])
-            side_alpha = side * alpha
-            cand = np.nonzero(side_alpha > PIVOT_TOL if s > 0 else side_alpha < -PIVOT_TOL)[0]
+            rho = self.binv[r]
+            np.matmul(rho, A, out=alpha[:n])
+            alpha[n:] = rho
+            np.multiply(side, alpha, out=work)
+            if s < 0:
+                np.negative(work, out=work)
+            np.greater(work, PIVOT_TOL, out=movable)
+            cand = movable.nonzero()[0]
             if len(cand) == 0:
                 return INFEASIBLE
-            abs_a = np.abs(alpha[cand])
-            t = np.maximum(side[cand] * self.d[cand], 0.0) / abs_a
-            order, slope = _breakpoints(t, abs_a * width[cand], infeas[r])
-            if slope[-1] > FEAS_TOL:
+            abs_a = work[cand]
+            t = np.multiply(side, d, out=work)[cand]
+            np.maximum(t, 0.0, out=t)
+            t /= abs_a
+            ratio = _ratio_test(t, abs_a, abs_a * width[cand], infeas[r])
+            if ratio is None:
                 return INFEASIBLE  # flipping every candidate leaves row r infeasible
-            stop = int(np.argmax(slope <= 0.0)) if slope[-1] <= 0.0 else len(order) - 1
-            t_sorted = t[order]
-            end = int(np.searchsorted(t_sorted, t_sorted[stop] + TIE_TOL, side="right"))
-            tie = order[stop:end]
-            pick = tie[np.lexsort((cand[tie], -abs_a[tie]))[0]]
+            passed, pick = ratio
             q = int(cand[pick])
             step = float(t[pick])
 
-            col = self.binv @ self.A[:, q]
+            col = self.binv @ A[:, q]
             pivot = col[r]
             if since_refactor and abs(pivot - alpha[q]) > 1e-7 * max(1.0, abs(alpha[q])):
                 self.refactor()  # row and column disagree: rebuild and price again
                 since_refactor = 0
                 continue
 
-            if stop:
-                self.flip(cand[order[:stop]])
+            if len(passed):
+                self.flip(cand[passed])
             p = int(basis[r])
             target = 0.0 if s > 0 else width[p]
             theta = (self.xb[r] - target) / pivot
@@ -276,16 +315,18 @@ class _DualSimplex:
             self.xb -= theta * col
             self.xb[r] = entering_value
 
-            row = self.binv[r] / pivot
-            self.binv -= np.outer(col, row)
+            row = rho / pivot
+            self.binv -= col[:, None] * row
             self.binv[r] = row
 
             if step:
-                self.d -= (s * step) * alpha
-                self.d[basis] = 0.0
-            self.d[p] = -s * step
-            self.d[q] = 0.0
+                alpha *= s * step
+                d -= alpha
+                d[basis] = 0.0
+            d[p] = -s * step
+            d[q] = 0.0
             basis[r] = q
+            basic_width[r] = width[q]
             side[q] = 0.0
             side[p] = -s if width[p] > 0 else 0.0
 
@@ -293,12 +334,8 @@ class _DualSimplex:
             since_refactor += 1
             if step <= DEGENERATE_STEP:
                 self.degenerate += 1
-                stalled += 1
-                if stalled >= stall_limit and not self.shift.any():
+                if not self.shift.any():
                     self.perturb()
-                    stalled = 0
-            else:
-                stalled = 0
             if since_refactor >= REFACTOR_PERIOD:
                 self.refactor()
                 since_refactor = 0

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolres import lp as lp_module
-from boolres.duality import low_degree_masks
-from boolres.hypercube import BooleanFunction, chi_values
+from boolres.duality import _l1_box_lp, low_degree_masks
+from boolres.hypercube import BooleanFunction, BoundedFunction, characters, chi_values
 from boolres.lp import (
+    FEAS_TOL,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
+    TIE_TOL,
     LinearProgram,
+    _ratio_test,
     solve_lp,
 )
 
@@ -269,17 +272,12 @@ def _parity_lp(n, d, objective, weights):
 )
 def test_matches_highs_on_parity_lps_under_the_guard(linprog, case):
     n, d, objective, weights = case
-    lp = _parity_lp(n, d, np.array(objective), np.array(weights))
-    with pytest.MonkeyPatch.context() as mp:
-        # shift the costs after a single dual-degenerate pivot
-        mp.setattr(lp_module, "_stall_limit", lambda m: 1)
-        _assert_matches_highs(linprog, lp)
+    _assert_matches_highs(linprog, _parity_lp(n, d, np.array(objective), np.array(weights)))
 
 
 @pytest.mark.parametrize("n, d", [(4, 1), (5, 1), (5, 2)])
-def test_guard_reached_on_symmetric_targets(linprog, monkeypatch, n, d):
+def test_guard_reached_on_symmetric_targets(linprog, n, d):
     # majority and AND run into dual-degenerate pivots from the start
-    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 1)
     pc = np.bitwise_count(np.arange(1 << n))
     for objective in (np.where(pc < n / 2, 1.0, -1.0), np.where(pc == 0, -1.0, 1.0)):
         sol = _assert_matches_highs(linprog, _parity_lp(n, d, objective, np.ones(1 << n)))
@@ -295,10 +293,27 @@ def _random_resilience_lp(n, d, seed):
 
 @pytest.mark.parametrize("n, d, seed", [(9, 2, 928266192), (12, 1, 5)])
 def test_stalling_instance_reaches_highs_optimum(linprog, n, d, seed):
-    # long dual-degenerate runs; without the anti-cycling guard the n = 12
-    # LP cycles until the iteration limit
+    # half the reduced costs are zero after the first pivot; without the
+    # anti-cycling guard the n = 12 LP cycles until the iteration limit, and
+    # with the costs shifted at the first degenerate pivot it stalls at most twice
     sol = _assert_matches_highs(linprog, _random_resilience_lp(n, d, seed))
-    assert sol.degenerate > 0
+    assert 0 < sol.degenerate <= 2
+
+
+def test_costs_shift_at_the_first_degenerate_pivot(monkeypatch):
+    calls = []
+    real_perturb = lp_module._DualSimplex.perturb
+
+    def recording(self):
+        calls.append(self.degenerate)
+        real_perturb(self)
+
+    monkeypatch.setattr(lp_module._DualSimplex, "perturb", recording)
+    for lp in (_random_resilience_lp(12, 1, 5), _random_resilience_lp(9, 2, 928266192)):
+        calls.clear()
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and sol.perturbations == len(calls) > 0
+        assert calls[0] == 1
 
 
 def test_cost_shift_cleanup_repairs_dual_infeasibility(linprog, monkeypatch):
@@ -312,7 +327,6 @@ def test_cost_shift_cleanup_repairs_dual_infeasibility(linprog, monkeypatch):
         return settles[-1]
 
     monkeypatch.setattr(lp_module._DualSimplex, "settle", recording)
-    monkeypatch.setattr(lp_module, "_stall_limit", lambda m: 1)
     monkeypatch.setattr(lp_module, "PERTURBATION_SCALE", 0.5)
     for lp in (_random_resilience_lp(7, 2, 5), _random_resilience_lp(8, 2, 2)):
         settles.clear()
@@ -330,3 +344,130 @@ def test_repeat_is_bit_identical_with_flips_and_perturbations():
         assert getattr(s1, field) == getattr(s2, field), field
     assert np.array_equal(s1.point, s2.point)
     assert np.array_equal(s1.duals, s2.duals)
+
+
+# -- the ratio test's partial sort against a full one ------------------------
+
+
+def _full_sort_ratio_test(t, abs_a, weight, slope0):
+    """Every breakpoint in stable (t, position) order, then the tie rule."""
+    order = np.argsort(t, kind="stable")
+    slope = slope0 - np.cumsum(weight[order])
+    if slope[-1] > FEAS_TOL:
+        return None
+    stop = int(np.argmax(slope <= 0.0)) if slope[-1] <= 0.0 else len(order) - 1
+    t_sorted = t[order]
+    end = int(np.searchsorted(t_sorted, t_sorted[stop] + TIE_TOL, side="right"))
+    tie = order[stop:end]
+    return order[:stop], int(tie[np.lexsort((tie, -abs_a[tie]))[0]])
+
+
+def _assert_same_ratio_test(t, abs_a, weight, slope0):
+    got = _ratio_test(t, abs_a, weight, slope0)
+    want = _full_sort_ratio_test(t, abs_a, weight, slope0)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    return got
+
+
+def test_ratio_test_keeps_ties_past_the_partition_bound():
+    # the slope crosses at 1 + 0.6e-12, above the 64th smallest breakpoint
+    # 1.0; its tie range reaches 1 + 1.5e-12, whose |alpha| is larger
+    t = np.concatenate([np.zeros(63), [1.0, 1.0 + 0.6e-12, 1.0 + 1.5e-12]])
+    abs_a = np.concatenate([np.ones(65), [2.0]])
+    weight = np.concatenate([np.full(64, 0.001), [1.0, 1.0]])
+    passed, pick = _assert_same_ratio_test(t, abs_a, weight, 0.5)
+    assert np.array_equal(passed, np.arange(64)) and pick == 65
+
+
+@st.composite
+def breakpoint_sets(draw):
+    """Breakpoints with a run of zeros and a cluster of near-ties that often
+    holds the partial sort's bound (the 64th smallest breakpoint), with a
+    slope that often crosses zero inside the cluster."""
+    zeros = draw(st.one_of(st.integers(54, 63), st.integers(0, 140)))
+    least = max(1, 70 - zeros)  # the cluster then holds sorted positions 63-69
+    cluster = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 8), st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                  st.sampled_from([0.01, 0.1, 1.0])),
+        min_size=least, max_size=least + 12)))
+    rest = sorted(draw(st.lists(st.integers(1, 16), max_size=300)))
+    offsets, cluster_a, cluster_width = (np.array(v) for v in zip(*cluster))
+    t = np.concatenate([np.zeros(zeros), 1.0 + 0.3e-12 * offsets,
+                        2.0 + np.array(rest, dtype=np.float64) / 4.0])
+    abs_a = np.concatenate([np.ones(zeros), cluster_a, np.full(len(rest), 2.0)])
+    weight = abs_a * np.concatenate([np.full(zeros, 0.001), cluster_width, np.ones(len(rest))])
+    # the slope crosses zero near sorted position `cross`, or never
+    size = len(t)
+    cross = draw(st.one_of(st.integers(64, 69), st.integers(0, size)))
+    cum = np.cumsum(weight)
+    slope0 = cum[cross] - weight[cross] / 2.0 if cross < size else cum[-1] + 1.0
+    perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(size)
+    return t[perm], abs_a[perm], weight[perm], float(slope0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(breakpoint_sets())
+def test_ratio_test_matches_a_full_sort(case):
+    _assert_same_ratio_test(*case)
+
+
+# -- HiGHS at benchmark sizes, and the pivot count of a fixed LP set ---------
+
+
+def _cube_case(f, d):
+    size = 1 << f.n
+    return f.n, d, np.arange(size), f.table.astype(np.float64), np.ones(size)
+
+
+def _learn_case(n, d, seed):
+    """The learner's LP for a noisy bounded target: points (x, +1) and
+    (x, -1), weighted by the label frequencies (1 +- g(x)) / 2^(n+1)."""
+    from boolres.learner import _label_weights
+
+    rng = np.random.default_rng(seed)
+    g = BoundedFunction(n, rng.choice([-1.0, 1.0], 1 << n) * rng.uniform(0.5, 0.96, 1 << n))
+    points = np.tile(np.arange(1 << n), 2)
+    labels = np.repeat([1.0, -1.0], 1 << n)
+    return n, d, points, labels, np.concatenate(_label_weights(g))
+
+
+def _benchmark_sized_cases():
+    from boolres.zoo import majority, random_boolean, tribes
+
+    return {
+        "random:n=12,seed=1 d=1": _cube_case(random_boolean(12, seed=1), 1),
+        "random:n=12,seed=5 d=1": _cube_case(random_boolean(12, seed=5), 1),
+        "random:n=9,seed=2 d=2": _cube_case(random_boolean(9, seed=2), 2),
+        "random:n=9,seed=928266192 d=2": _cube_case(random_boolean(9, seed=928266192), 2),
+        "tribes:w=3,s=4 d=1": _cube_case(tribes(3, 4), 1),
+        "majority:n=11 d=1": _cube_case(majority(11), 1),
+        "learn noisy n=9 d=1": _learn_case(9, 1, 3),
+    }
+
+
+# summed pivots of `_benchmark_sized_cases`; the solver before the cost
+# shift at the first degenerate pivot took 731
+BENCHMARK_SIZED_PIVOTS = 668
+
+
+@pytest.mark.parametrize("name", list(_benchmark_sized_cases()))
+def test_matches_highs_at_benchmark_sizes(linprog, name):
+    n, d, points, labels, weights = _benchmark_sized_cases()[name]
+    sol, _, error = _l1_box_lp(n, d, points, labels, weights)  # rechecks p's error
+    chi = characters(low_degree_masks(n, d), points)
+    ref = linprog(-labels, A_eq=chi, b_eq=np.zeros(len(chi)),
+                  bounds=list(zip(-weights, weights)), method="highs")
+    assert ref.status == 0, ref.message
+    assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
+    assert error == pytest.approx(sol.value, abs=1e-7 * float(weights.sum()))
+
+
+def test_pivot_count_of_benchmark_sized_lps():
+    # pivot counts are deterministic, so this catches pivot regressions
+    # that timing cannot resolve
+    total = sum(_l1_box_lp(*case)[0].iterations for case in _benchmark_sized_cases().values())
+    assert total <= BENCHMARK_SIZED_PIVOTS
