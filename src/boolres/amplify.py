@@ -1,20 +1,12 @@
-"""Disjoint composition and resilience/distance amplification.
+"""Resilience/distance amplification by disjoint self-composition.
 
-Composition is the multilinear extension of the outer function at the inner
-values: for independent random signs b_i with mean t_i,
-
-    E[G(b_1, ..., b_m)] = sum_y G(y) prod_i (1 + y_i t_i) / 2,
-
-so (G o g)(x^1, ..., x^m) is this sum at t_i = g(x^i).  `compose` computes
-it for every composed point at once, contracting each axis of the outer
-table, reshaped to (2,)*m, with the (2, 2^a) weights [(1 + g)/2, (1 - g)/2]
-(a = inner arity).  Composed tables are capped at 22 total bits.  The
-amplification distance needs no composed table: it follows from a
-recursion on the correlation E[f_k g_k] (`amplification_report`), exact at
-every depth.
-
-Block convention: outer coordinate i (1-based) reads bits
-[(i-1)*a, i*a) of the composed point index.
+f_0 = f and f_{j+1} = f o f_j, where outer coordinate i reads the i-th block
+of f_j's bits; g_k is built from g the same way.  The amplification
+distance needs no composed table: it follows from a recursion on the
+correlation E[f_k g_k] (`amplification_report`), exact at every depth.
+Composition on tables (`compose`, up to 22 bits) and the composed
+resilience certificate are test oracles in `tests/reference.py`, which the
+recursion is checked against.
 """
 
 from __future__ import annotations
@@ -27,102 +19,16 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .hypercube import (
-    FLOAT_ZERO_TOL,
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
     correlation,
-    is_d_resilient,
     l1_distance,
     noise_sensitivity,
     per_coordinate_influence,
     popcounts,
-    resilience_order,
     wht,
 )
-
-COMPOSE_MAX_BITS = 22
-
-
-class ArityOverflow(ValueError):
-    pass
-
-
-def compose(outer: CubeFunction, inner: CubeFunction) -> CubeFunction:
-    """Disjoint composition outer o inner, as a table of outer.n * inner.n bits.
-
-    A Boolean inner gives weights of exactly 0 and 1, so the contraction
-    only copies outer values: a Boolean pair composes exactly and comes
-    back Boolean.
-    """
-    m, a = outer.n, inner.n
-    if m * a > COMPOSE_MAX_BITS:
-        raise ArityOverflow(f"{m * a} bits exceeds the {COMPOSE_MAX_BITS}-bit cap")
-    t = inner.table.astype(np.float64)
-    weights = np.stack([(1.0 + t) / 2.0, (1.0 - t) / 2.0])
-    table = outer.table.astype(np.float64).reshape((2,) * m)
-    # axis 0 is the top outer coordinate; each contraction appends its
-    # block last, so the blocks end in the order of the block convention
-    for _ in range(m):
-        table = np.tensordot(table, weights, axes=(0, 0))
-    table = table.reshape(-1)
-    if isinstance(outer, BooleanFunction) and isinstance(inner, BooleanFunction):
-        return BooleanFunction(m * a, table.astype(np.int8))
-    return BoundedFunction(m * a, table)
-
-
-def self_composition(base: CubeFunction, k: int) -> CubeFunction:
-    """f_k with f_0 = base and f_j = base o f_{j-1} (outer factor fixed)."""
-    if k < 0:
-        raise ValueError("composition depth must be nonnegative")
-    current = base
-    for _ in range(k):
-        current = compose(base, current)
-    return current
-
-
-@dataclass(frozen=True)
-class ComposedResilienceCertificate:
-    d1: int
-    d2: int
-    guaranteed_order: int  # d1 * d2
-    sharp_order: int       # (d1+1)(d2+1) - 1
-    measured_order: int
-    max_low_coefficient: float  # over |S| <= sharp_order
-    arity: int
-
-
-def check_composed_resilience(
-    G: CubeFunction, g: CubeFunction
-) -> ComposedResilienceCertificate:
-    """Exact spectrum check of the composed function's resilience.
-
-    Certifies the product guarantee d1*d2 and the sharper
-    (d1+1)(d2+1) - 1 level that holds because every surviving outer
-    set has size > d1; orders d1, d2 are measured from the inputs.
-    """
-    d1 = resilience_order(G)
-    d2 = resilience_order(g)
-    table = compose(G, g)
-    sharp = (d1 + 1) * (d2 + 1) - 1
-    max_low = 0.0
-    if sharp >= 0:
-        max_low = is_d_resilient(table, min(sharp, table.n)).worst_coefficient
-    measured = resilience_order(table)
-    if max_low > FLOAT_ZERO_TOL:
-        raise AssertionError(
-            f"composition broke the resilience guarantee: coefficient {max_low:.3e} "
-            f"at order <= {sharp}"
-        )
-    return ComposedResilienceCertificate(
-        d1=d1,
-        d2=d2,
-        guaranteed_order=d1 * d2,
-        sharp_order=sharp,
-        measured_order=measured,
-        max_low_coefficient=max_low,
-        arity=table.n,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Greedy set designs, junta embeddings and orthogonal resilient families.
+"""Greedy set designs and orthogonal families of resilient junta embeddings.
 
 An (n, k, d)-design is a family of k-subsets of [n] with pairwise
 intersections of size at most d.  Embedding a function g on k variables
@@ -29,7 +29,6 @@ from .hypercube import (
 )
 
 MAX_CANDIDATES = 2_000_000
-MAX_AMBIENT_DIM = 22
 MAX_DESIGN_DIM = 64  # set masks are checked as uint64 words
 MAX_FAMILY_SIZE = 2048  # the Gram matrix is size^2 entries
 GREEDY_BLOCK = 64  # candidates tested against the chosen sets at once
@@ -134,21 +133,6 @@ def greedy_design(n: int, k: int, d: int) -> Design:
                 f"greedy design of size {design.size} fell below the bound {bound:.3f}"
             )
     return design
-
-
-def embed_on_mask(base: CubeFunction, mask: int, ambient: int) -> CubeFunction:
-    """The function on `ambient` variables that reads base's variable i off
-    the i-th lowest set bit of mask, of base's type."""
-    if int(mask).bit_count() != base.n:
-        raise ValueError("the mask's popcount must match the base arity")
-    if not 0 <= mask < 1 << ambient:
-        raise ValueError("mask outside the ambient range")
-    if ambient > MAX_AMBIENT_DIM:
-        raise ValueError(f"ambient dimension limited to {MAX_AMBIENT_DIM}")
-    # axis a of the (2,) * ambient view of a table is bit ambient - 1 - a
-    shape = [2 if mask >> (ambient - 1 - a) & 1 else 1 for a in range(ambient)]
-    table = np.broadcast_to(base.table.reshape(shape), (2,) * ambient).reshape(-1)
-    return type(base)(ambient, table)
 
 
 @dataclass(frozen=True)

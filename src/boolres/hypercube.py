@@ -466,25 +466,16 @@ def resilience_order(fn: CubeFunction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared serialization formats
+# the truth-table file format
 # ---------------------------------------------------------------------------
 
-def write_truth_table(fn: CubeFunction, path: str) -> None:
-    """Write the repo-wide truth-table text format.
+def read_truth_table(path: str) -> CubeFunction:
+    """Parse the repo-wide truth-table text format; +-1 integer tables come
+    back Boolean.
 
     Line 1 is `n=<k>`, line 2 holds exactly 2^k space-separated entries in
-    point-index order.
+    point-index order, and anything after line 2 must be blank.
     """
-    if isinstance(fn, BooleanFunction):
-        entries = " ".join(str(int(v)) for v in fn.table)
-    else:
-        entries = " ".join(repr(float(v)) for v in fn.table)
-    with open(path, "w") as handle:
-        handle.write(f"n={fn.n}\n{entries}\n")
-
-
-def read_truth_table(path: str) -> CubeFunction:
-    """Parse the truth-table text format; +-1 integer tables come back Boolean."""
     with open(path) as handle:
         header = handle.readline().strip()
         if not header.startswith("n="):
@@ -492,8 +483,11 @@ def read_truth_table(path: str) -> CubeFunction:
         n = int(header[2:])
         check_dim(n)
         body = handle.readline().split()
+        trailing = handle.read().strip()
     if len(body) != (1 << n):
         raise ValueError(f"expected {1 << n} entries, found {len(body)}")
+    if trailing:
+        raise ValueError("unexpected content after the truth table's line 2")
     values = np.array([float(tok) for tok in body])
     if np.all(np.abs(values) == 1.0):
         return BooleanFunction(n, values.astype(np.int8))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import SparsePolynomial, _l1_box_lp, l1_poly_distance
+from .duality import SparsePolynomial, _l1_box_lp
 from .hypercube import BooleanFunction, CubeFunction
 
 EXACT_MAX_DIM_BOOLEAN = 12
@@ -51,23 +51,9 @@ class LearnReport:
     regression_delta: float   # optimal E|p - y| (empirical in sampled mode)
     threshold: float
     poly: SparsePolynomial
-    opt: float | None = None
-    excess: float | None = None
     empirical_error: float | None = None
     m: int | None = None
     seed: int | None = None
-
-
-def opt_of_class(functions: list[BooleanFunction], g: CubeFunction) -> float:
-    """Exact min over the class of Pr[c(x) != y] = E[(1 - c g)/2]."""
-    if not functions:
-        raise ValueError("empty comparison class")
-    best = np.inf
-    for c in functions:
-        if c.n != g.n:
-            raise ValueError("class member dimension mismatch")
-        best = min(best, float(np.mean((1.0 - c.table * g.table) / 2.0)))
-    return best
 
 
 def _label_weights(g: CubeFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -122,30 +108,13 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, poly)
 
 
-def learn_exact(
-    g: CubeFunction,
-    d: int,
-    comparison_class: list[BooleanFunction] | None = None,
-) -> LearnReport:
+def learn_exact(g: CubeFunction, d: int) -> LearnReport:
     """Exact-expectation regression + optimal thresholding on the labels
-    with conditional mean g.
-
-    When a comparison class is supplied, the excess-error contract
-    excess <= Delta_d(C)/2 is asserted with Delta computed by the
-    independent L1-approximation LP over the class.
-    """
+    with conditional mean g."""
     limit = EXACT_MAX_DIM_BOOLEAN if isinstance(g, BooleanFunction) else EXACT_MAX_DIM_BOUNDED
     if g.n > limit:
         raise ValueError(f"exact mode limited to n <= {limit} for this target type")
-    report = _fit(g.n, d, *_label_weights(g))
-    if comparison_class is None:
-        return report
-    opt = opt_of_class(comparison_class, g)
-    excess = report.error - opt
-    delta_class = max(l1_poly_distance(c, d).delta for c in comparison_class)
-    if excess > delta_class / 2.0 + 1e-9:
-        raise AssertionError(f"excess error {excess} exceeded Delta/2 = {delta_class / 2.0}")
-    return replace(report, opt=opt, excess=excess)
+    return _fit(g.n, d, *_label_weights(g))
 
 
 def learn_sampled(g: CubeFunction, d: int, m: int, seed: int) -> LearnReport:

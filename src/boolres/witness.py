@@ -192,28 +192,3 @@ def _exact_crossed(l_num: np.ndarray, tau: float, size: int) -> np.ndarray:
     rational tau * size iff it exceeds its floor.
     """
     return np.abs(l_num) > math.floor(Fraction(tau) * size)
-
-
-@dataclass(frozen=True)
-class ConcentrationProbe:
-    p2norm_lowpart: float
-    tail_prob: float
-
-
-def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationProbe:
-    """Exact tail mass Pr[|l(x)| >= t ||l||_2] of the low-degree part.
-
-    Returns the raw pair so callers can fit empirical concentration
-    constants; no universal constant is asserted.  A degree d >= n gives
-    l = f.
-    """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"probe threshold t must be finite and positive, got {t}")
-    if not isinstance(f, BooleanFunction):
-        raise ValueError("the probe needs a Boolean (+-1) function")
-    size = 1 << f.n
-    l_num = low_degree_part(f.table, min(d, f.n))
-    # ||l||_2^2 = E[l f], since l is the projection of f
-    norm = math.sqrt(int(l_num @ f.table.astype(np.int64)) / (size * size))
-    tail = float(np.mean(np.abs(l_num / size) >= t * norm))
-    return ConcentrationProbe(p2norm_lowpart=norm, tail_prob=tail)

@@ -1,5 +1,6 @@
-"""Explicit function constructions: Tribes, CycleRun, majorities, parities,
-dictators and symmetric threshold functions with binomial-exact statistics.
+"""Explicit function constructions: Tribes, CycleRun, majorities, parities and
+dictators, and binomial-exact statistics of the symmetric threshold
+functions f_t.
 
 Sign conventions are per-function and deliberately explicit:
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .hypercube import (
     BooleanFunction,
-    BoundedFunction,
     check_dim,
     chi_values,
     popcounts,
@@ -63,6 +63,8 @@ def constant(n: int, sign: int) -> BooleanFunction:
 
 def random_boolean(n: int, seed: int, balanced: bool = False) -> BooleanFunction:
     check_dim(n)
+    if balanced and n < 1:
+        raise ValueError("a balanced table needs n >= 1: one point cannot be balanced")
     rng = np.random.default_rng(seed)
     if balanced:
         table = np.ones(1 << n, dtype=np.int8)
@@ -92,29 +94,6 @@ def tribes(w: int, s: int) -> BooleanFunction:
         bmask = ((1 << w) - 1) << (block * w)
         fired |= (idx & bmask) == bmask
     return BooleanFunction(n, np.where(fired, -1, 1))
-
-
-def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:
-    """All 2^(ws) closed-form Fourier coefficients of Tribes, indexed by mask."""
-    _tribes_check(w, s)
-    masks = np.arange(1 << (w * s), dtype=np.uint64)
-    size = popcounts(w * s)
-    hit = np.zeros(len(masks), dtype=np.int64)
-    for block in range(s):
-        bmask = np.uint64(((1 << w) - 1) << (block * w))
-        hit += (masks & bmask) != 0
-    q = 1.0 - 2.0 ** (-w)
-    coeffs = 2.0 * (-1.0) ** (hit + size) * 2.0 ** (-hit * w) * q ** (s - hit)
-    coeffs[0] = 2.0 * q**s - 1.0
-    return coeffs
-
-
-def tribes_weight_bound(w: int, s: int, d: int) -> float:
-    """Upper bound 2 (2 ln n)^(2d+4) / n for the Fourier weight at degree <= d."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    n = w * s
-    return 2.0 * (2.0 * math.log(n)) ** (2 * d + 4) / n
 
 
 # ---------------------------------------------------------------------------
@@ -280,44 +259,11 @@ FT_EXACT_MAX = 64  # rational arithmetic below this, log-space above
 FT_MAX_N = 10**6
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
-    """Function of the coordinate sum; level k holds the value at k plus-ones."""
-
-    n: int
-    level_values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.level_values, dtype=np.float64)
-        if vals.shape != (self.n + 1,):
-            raise ValueError("level_values must have n+1 entries")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("level values must be finite")
-        if np.max(np.abs(vals), initial=0.0) > 1.0:
-            raise ValueError("level values must lie in [-1, 1]")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "level_values", vals)
-
-    def to_bounded(self) -> BoundedFunction:
-        k = self.n - popcounts(self.n)  # number of +1 coordinates
-        return BoundedFunction(self.n, self.level_values[k])
-
-
 def _check_ft_args(t: float, n: int) -> None:
     if not t >= 0:
         raise ValueError(f"threshold parameter t must be nonnegative, got {t}")
     if not 0 <= n <= FT_MAX_N:
         raise ValueError(f"n={n} outside [0, {FT_MAX_N}]")
-
-
-def threshold_ft(t: float, n: int) -> SymmetricFunction:
-    """Sign of the coordinate sum, zeroed on the band |sum| <= t sqrt(n)."""
-    _check_ft_args(t, n)
-    tau = t * math.sqrt(n)
-    levels = np.arange(n + 1) * 2 - n  # sum at k plus-ones
-    vals = np.where(levels > tau, 1.0, np.where(levels < -tau, -1.0, 0.0))
-    return SymmetricFunction(n, vals)
 
 
 @dataclass(frozen=True)

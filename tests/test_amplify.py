@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from boolres import amplify
-from boolres.amplify import (
-    COMPOSE_MAX_BITS,
-    ArityOverflow,
-    amplification_report,
-    check_composed_resilience,
-    compose,
-    self_composition,
-)
+from boolres.amplify import amplification_report
 from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     BooleanFunction,
@@ -24,7 +17,14 @@ from boolres.hypercube import (
     wht,
 )
 from boolres.zoo import dictator, majority, parity, random_boolean
-from reference import noise_sensitivity_direct
+from reference import (
+    COMPOSE_MAX_BITS,
+    ArityOverflow,
+    check_composed_resilience,
+    compose,
+    noise_sensitivity_direct,
+    self_composition,
+)
 
 
 def test_parity_composition_is_parity():

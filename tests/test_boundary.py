@@ -10,7 +10,7 @@ from boolres.cli import main
 from boolres.duality import distance_to_resilience, duality_certificate, l1_poly_distance
 from boolres.hypercube import BoundedFunction
 from boolres.witness import build_witness
-from boolres.zoo import SymmetricFunction
+from reference import SymmetricFunction
 
 NAN_TABLE = "n=2\nnan 0.5 0.1 1.0\n"
 

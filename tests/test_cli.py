@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from boolres import builder, cli
 from boolres.cli import main, parse_function_spec
-from boolres.hypercube import write_truth_table
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
+from reference import write_truth_table
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,8 @@ SPEC_VALUE_ERRORS = [
     ("constant:n=3,sign=0", "constant sign must be +-1"),
     ("file:path={tmp}/header.tt", "bad truth-table header 'x=3'"),
     ("file:path={tmp}/count.tt", "expected 8 entries, found 2"),
+    ("file:path={tmp}/trailing.tt", "unexpected content after the truth table's line 2"),
+    ("random:n=0,seed=1,balanced=1", "a balanced table needs n >= 1: one point cannot be balanced"),
 ]
 
 
@@ -107,9 +109,16 @@ SPEC_VALUE_ERRORS = [
 def test_spec_missing_or_unknown_key_is_a_precondition_failure(capsys, tmp_path, spec, detail):
     (tmp_path / "header.tt").write_text("x=3\n1 -1 1 -1 1 -1 1 -1\n")
     (tmp_path / "count.tt").write_text("n=3\n1 -1\n")
+    (tmp_path / "trailing.tt").write_text("n=1\n1 -1\ngarbage\n")
     code, out, err = run_cli(capsys, "stats", "--fn", spec.replace("{tmp}", str(tmp_path)), "--d", "1")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "precondition", "detail": detail}
+
+
+def test_truth_table_file_may_end_in_blank_lines(tmp_path):
+    path = tmp_path / "blank.tt"
+    path.write_text("n=1\n1 -1\n\n  \n")
+    assert np.array_equal(parse_function_spec(f"file:path={path}").table, [1, -1])
 
 
 def test_spec_looks_up_its_constructor_when_called(monkeypatch):

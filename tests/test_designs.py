@@ -6,12 +6,10 @@ import pytest
 from boolres.builder import build_one_resilient
 from boolres import designs
 from boolres.designs import (
-    MAX_AMBIENT_DIM,
     Design,
     OrthogonalityError,
     _spectral_gram,
     design_size_bound,
-    embed_on_mask,
     greedy_design,
     orthogonal_family,
 )
@@ -23,6 +21,7 @@ from boolres.hypercube import (
     wht,
 )
 from boolres.zoo import parity, random_boolean, tribes
+from reference import MAX_AMBIENT_DIM, embed_on_mask
 
 
 def test_lex_greedy_small_case():

@@ -22,9 +22,8 @@ from boolres.hypercube import (
     spectral_stats,
     wht,
     wht_int,
-    write_truth_table,
 )
-from reference import noise_sensitivity_direct
+from reference import noise_sensitivity_direct, write_truth_table
 
 
 def brute_force_coefficient(table, n, mask):

@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every public function it defines is named outside it."""
+"""Every name a module of the package (or `tests/reference.py`) imports is
+used in that module, and every public function or class the package defines
+is named somewhere in the package outside its own definition: code that only
+tests reach belongs in `tests/reference.py`."""
 
 import ast
 import functools
@@ -9,9 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "boolres"
-SOURCES = sorted(
-    path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")
-)
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,40 +44,87 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os", "b"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + [ROOT / "tests" / "reference.py"], ids=lambda path: path.name
+)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def public_functions(source: str) -> list[str]:
-    """The functions a module defines at its top level without a leading underscore."""
+def public_definitions(source: str) -> list[str]:
+    """The functions and classes a module defines at its top level without a
+    leading underscore."""
     return [
         node.name for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
 
 
 @functools.cache
-def names(source: str) -> frozenset[str]:
-    """Every name, attribute and imported name a source mentions."""
+def names(source: str, outside: str | None = None) -> frozenset[str]:
+    """Every name, attribute, imported name and `__all__` entry a source
+    mentions, leaving out the top-level definition named `outside`."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found |= {alias.name for alias in node.names}
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == outside:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                found |= set(ast.literal_eval(node.value))
     return frozenset(found)
+
+
+def unnamed_definitions(module: str, sources: dict[str, str]) -> list[str]:
+    """The public definitions of `module` that no package source (a path
+    under src/boolres) names outside the definition itself.  Sources
+    elsewhere, tests and perfbench among them, do not count."""
+    package = {path: source for path, source in sources.items() if path.startswith("src/boolres/")}
+    return [
+        name for name in public_definitions(sources[module])
+        if not any(
+            name in names(source, name if path == module else None)
+            for path, source in package.items()
+        )
+    ]
 
 
 def test_the_check_finds_a_public_function_named_nowhere_else():
     module = "def kept(): pass\ndef lone(): pass\ndef _private(): pass\nclass C:\n    def m(self): pass\n"
-    elsewhere = names("from a import kept\nimport a\nlone_ = 'lone'\n")
-    assert [name for name in public_functions(module) if name not in elsewhere] == ["lone"]
+    sources = {
+        "src/boolres/a.py": module,
+        "src/boolres/b.py": "from .a import kept, C\nimport a\nlone_ = 'lone'\n",
+    }
+    assert unnamed_definitions("src/boolres/a.py", sources) == ["lone"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_the_check_counts_only_callers_in_the_package():
+    module = (
+        "def oracle(): pass\nclass Probe: pass\n"
+        "def helper(): pass\ndef caller():\n    return helper()\n"
+        "def recursive(k):\n    return recursive(k - 1)\ndef exported(): pass\n"
+    )
+    sources = {
+        "src/boolres/m.py": module,
+        "src/boolres/__init__.py": "__all__ = ['exported']\n",
+        "tests/test_m.py": "from boolres.m import oracle, Probe, caller, recursive\n",
+        "perfbench/jobs.py": "from boolres.m import caller\n",
+    }
+    assert unnamed_definitions("src/boolres/m.py", sources) == [
+        "oracle", "Probe", "caller", "recursive"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_public_function_is_named_outside_its_module(path):
-    elsewhere = set().union(*(names(other.read_text()) for other in SOURCES if other != path))
-    assert [name for name in public_functions(path.read_text()) if name not in elsewhere] == []
+    # "outside" its own definition, by a caller in the package or by
+    # `__init__.__all__`; a caller in the same module counts, a test does not
+    sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
+    assert unnamed_definitions(str(path.relative_to(ROOT)), sources) == []

@@ -19,14 +19,13 @@ from boolres.hypercube import (
 )
 from boolres.witness import (
     WITNESS_MAX_DIM,
-    ConcentrationProbe,
     DegenerateHighPart,
     _exact_crossed,
     _table_bits,
     build_witness,
-    concentration_probe,
 )
 from boolres.zoo import cyclerun, majority, random_boolean, tribes
+from reference import ConcentrationProbe, concentration_probe
 
 
 def test_params_validation():

@@ -13,7 +13,6 @@ from boolres.hypercube import (
     wht,
 )
 from boolres.zoo import (
-    SymmetricFunction,
     constant,
     cyclerun,
     cyclerun_table,
@@ -24,8 +23,11 @@ from boolres.zoo import (
     majority,
     parity,
     random_boolean,
-    threshold_ft,
     tribes,
+)
+from reference import (
+    SymmetricFunction,
+    threshold_ft,
     tribes_spectrum_closed_form,
     tribes_weight_bound,
 )
