@@ -44,7 +44,7 @@ from .zoo import (
     constant,
     cyclerun,
     dictator,
-    ft_sandwich_report,
+    ft_sandwich,
     ft_stats,
     majority,
     parity,
@@ -430,19 +430,13 @@ def _cmd_ft_stats(args) -> None:
         sandwich = {}
         rows = []
         for printed in (False, True):
-            row = ft_sandwich_report(args.n, [args.t], printed=printed, factor=args.factor)[0]
+            row = ft_sandwich(stats, args.factor, printed=printed)
             key = "printed_phi" if printed else "standard_phi"
-            sandwich[key] = {
-                "phi": row.phi,
-                "influence_low": row.influence_low,
-                "influence_high": row.influence_high,
-                "influence_pass": row.influence_pass,
-                "support_low": row.support_low,
-                "support_high": row.support_high,
-                "support_pass": row.support_pass,
-            }
+            sandwich[key] = dict(vars(row))
             rows.append((key, row.phi, row.influence_pass, row.support_pass))
         payload["sandwich"] = sandwich
+    elif args.format == "csv":
+        raise SpecError("ft-stats writes CSV rows only for t > 0: at t = 0 there is no sandwich")
     _emit(args, payload, csv_rows=rows)
 
 

@@ -478,9 +478,10 @@ def read_truth_table(path: str) -> CubeFunction:
     """
     with open(path) as handle:
         header = handle.readline().strip()
-        if not header.startswith("n="):
-            raise ValueError(f"bad truth-table header {header!r}")
-        n = int(header[2:])
+        try:
+            n = int(header[2:] if header.startswith("n=") else "")
+        except ValueError:
+            raise ValueError(f"bad truth-table header {header!r}") from None
         check_dim(n)
         body = handle.readline().split()
         trailing = handle.read().strip()

@@ -1,6 +1,6 @@
 """Explicit function constructions: Tribes, CycleRun, majorities, parities and
 dictators, and binomial-exact statistics of the symmetric threshold
-functions f_t.
+functions f_t with their influence/support sandwich.
 
 Sign conventions are per-function and deliberately explicit:
 
@@ -252,10 +252,10 @@ def cyclerun(n: int) -> BooleanFunction:
 
 
 # ---------------------------------------------------------------------------
-# symmetric threshold functions f_t
+# symmetric threshold functions f_t: exact level sums and their sandwich
 # ---------------------------------------------------------------------------
 
-FT_EXACT_MAX = 64  # rational arithmetic below this, log-space above
+FT_EXACT_MAX = 64  # integer binomials up to this n, log-space above
 FT_MAX_N = 10**6
 
 
@@ -268,6 +268,8 @@ def _check_ft_args(t: float, n: int) -> None:
 
 @dataclass(frozen=True)
 class FtStats:
+    n: int
+    t: float
     influence_sum: float  # E[f_t(x) * sum(x)] = sum of level-1 coefficients
     support_prob: float   # Pr[f_t(x) != 0]
 
@@ -275,27 +277,22 @@ class FtStats:
 def ft_stats(t: float, n: int) -> FtStats:
     """Exact binomial statistics of f_t, no hypercube enumeration.
 
-    Rational arithmetic for n <= 64, log-space otherwise.
+    f_t is nonzero on the levels whose sum s = 2k - n has |s| > tau =
+    t sqrt(n).  An integer s exceeds tau iff it exceeds floor(tau), so the
+    first counted level k0 = (n + floor(tau)) // 2 + 1 is an exact integer,
+    and both paths sum the levels k0..n and double them for the negative
+    side: integer binomials and exact Fractions for n <= 64, log-space above.
     """
     _check_ft_args(t, n)
     tau = t * math.sqrt(n)
-    if tau >= n:  # no level exceeds tau; the floor below overflows on an infinite tau
-        return FtStats(0.0, 0.0)
+    if tau >= n:  # no level exceeds tau; an infinite tau has no floor
+        return FtStats(n, t, 0.0, 0.0)
+    k0 = (n + math.floor(tau)) // 2 + 1  # floor(tau) <= n - 1, so k0 <= n
     if n <= FT_EXACT_MAX:
-        infl = Fraction(0)
-        supp = Fraction(0)
-        denom = 1 << n
-        for k in range(n + 1):
-            s = 2 * k - n
-            if s > tau:
-                p = Fraction(math.comb(n, k), denom)
-                infl += p * s
-                supp += p
-        return FtStats(float(2 * infl), float(2 * supp))
-    # positive side levels s = 2k - n > tau
-    k0 = int(math.floor((tau + n) / 2.0)) + 1
-    if k0 > n:
-        return FtStats(0.0, 0.0)
+        levels = range(k0, n + 1)
+        infl = Fraction(2 * sum(math.comb(n, k) * (2 * k - n) for k in levels), 1 << n)
+        supp = Fraction(2 * sum(math.comb(n, k) for k in levels), 1 << n)
+        return FtStats(n, t, float(infl), float(supp))
     ks = np.arange(k0, n + 1, dtype=np.float64)
     # log Pr[level k] accumulated from the previous level, seeded at k0
     logp0 = (
@@ -308,7 +305,7 @@ def ft_stats(t: float, n: int) -> FtStats:
     probs = np.exp(logp - shift)
     supp = 2.0 * math.exp(shift) * float(probs.sum())
     infl = 2.0 * math.exp(shift) * float((probs * (2.0 * ks - n)).sum())
-    return FtStats(infl, supp)
+    return FtStats(n, t, infl, supp)
 
 
 def gaussian_density(u: float, printed: bool = False) -> float:
@@ -319,9 +316,6 @@ def gaussian_density(u: float, printed: bool = False) -> float:
 
 @dataclass(frozen=True)
 class FtSandwichRow:
-    t: float
-    influence: float
-    support: float
     phi: float
     influence_low: float
     influence_high: float
@@ -331,10 +325,9 @@ class FtSandwichRow:
     support_pass: bool
 
 
-def ft_sandwich_report(
-    n: int, ts: list[float], factor: float, printed: bool = False
-) -> list[FtSandwichRow]:
-    """Evaluate the influence/support sandwich bounds at each t.
+def ft_sandwich(stats: FtStats, factor: float, printed: bool = False) -> FtSandwichRow:
+    """The influence/support sandwich of `stats`, at the n and t they were
+    computed at.
 
     influence in [phi(t) sqrt(n)/factor, factor phi(t) sqrt(n)] and
     support in [phi(t)/(factor t), factor phi(t)/t]; t must be positive.
@@ -344,26 +337,18 @@ def ft_sandwich_report(
     """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sandwich factor must be positive and finite, got {factor}")
-    rows = []
-    for t in ts:
-        if t <= 0:
-            raise ValueError("sandwich bounds need t > 0")
-        stats = ft_stats(t, n)
-        phi = gaussian_density(t, printed=printed)
-        inf_lo, inf_hi = phi * math.sqrt(n) / factor, factor * phi * math.sqrt(n)
-        sup_lo, sup_hi = phi / (factor * t), factor * phi / t
-        rows.append(
-            FtSandwichRow(
-                t=t,
-                influence=stats.influence_sum,
-                support=stats.support_prob,
-                phi=phi,
-                influence_low=inf_lo,
-                influence_high=inf_hi,
-                influence_pass=0 < inf_lo <= stats.influence_sum <= inf_hi < math.inf,
-                support_low=sup_lo,
-                support_high=sup_hi,
-                support_pass=0 < sup_lo <= stats.support_prob <= sup_hi < math.inf,
-            )
-        )
-    return rows
+    n, t = stats.n, stats.t
+    if t <= 0:
+        raise ValueError("sandwich bounds need t > 0")
+    phi = gaussian_density(t, printed=printed)
+    inf_lo, inf_hi = phi * math.sqrt(n) / factor, factor * phi * math.sqrt(n)
+    sup_lo, sup_hi = phi / (factor * t), factor * phi / t
+    return FtSandwichRow(
+        phi=phi,
+        influence_low=inf_lo,
+        influence_high=inf_hi,
+        influence_pass=0 < inf_lo <= stats.influence_sum <= inf_hi < math.inf,
+        support_low=sup_lo,
+        support_high=sup_hi,
+        support_pass=0 < sup_lo <= stats.support_prob <= sup_hi < math.inf,
+    )

@@ -1,12 +1,14 @@
 """Brute-force reference implementations that tests check the package
 against, and the oracles of the paper's lemmas that only tests evaluate:
 disjoint composition and its resilience certificate, the Tribes closed-form
-spectrum, the symmetric threshold functions f_t, the low-degree concentration
+spectrum, the symmetric threshold functions f_t and their exact statistics,
+the low-degree concentration
 probe, truth-table writing, junta embedding and the learner's excess-error
 contract."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from boolres.hypercube import (
     resilience_order,
 )
 from boolres.learner import LearnReport, learn_exact
-from boolres.zoo import _check_ft_args, _tribes_check
+from boolres.zoo import FtStats, _check_ft_args, _tribes_check
 
 NS_DIRECT_MAX_DIM = 14
 
@@ -229,6 +231,23 @@ def threshold_ft(t: float, n: int) -> SymmetricFunction:
     levels = np.arange(n + 1) * 2 - n  # sum at k plus-ones
     vals = np.where(levels > tau, 1.0, np.where(levels < -tau, -1.0, 0.0))
     return SymmetricFunction(n, vals)
+
+
+def ft_stats_exact(t: float, n: int) -> FtStats:
+    """`zoo.ft_stats` from running integer binomials over every level, each
+    tested exactly with s = 2k - n > tau as an int-float comparison, and one
+    Fraction per statistic at the end."""
+    _check_ft_args(t, n)
+    tau = t * math.sqrt(n)
+    comb = 1  # C(n, k)
+    infl = supp = 0
+    for k in range(n + 1):
+        s = 2 * k - n
+        if s > tau:
+            infl += comb * s
+            supp += comb
+        comb = comb * (n - k) // (k + 1)
+    return FtStats(n, t, float(Fraction(2 * infl, 1 << n)), float(Fraction(2 * supp, 1 << n)))
 
 
 # ---------------------------------------------------------------------------

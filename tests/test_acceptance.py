@@ -32,7 +32,7 @@ from boolres.zoo import (
     cyclerun,
     cyclerun_table,
     dictator,
-    ft_sandwich_report,
+    ft_sandwich,
     ft_stats,
     majority,
     random_boolean,
@@ -265,15 +265,14 @@ def test_criterion_12_ft_estimates():
     # sandwich bounds at large n, both phi normalizations reported
     report_lines = []
     for n in (10**3, 10**4):
-        grid = [0.5, 1.0, 2.0, 3.0, math.sqrt(math.log(n))]
-        standard = ft_sandwich_report(n, grid, printed=False, factor=4.0)
-        printed = ft_sandwich_report(n, grid, printed=True, factor=4.0)
-        for row in standard:
-            assert row.influence_pass, (n, row)
-            assert row.support_pass, (n, row)
-        for std_row, pr_row in zip(standard, printed):
+        for t in (0.5, 1.0, 2.0, 3.0, math.sqrt(math.log(n))):
+            stats = ft_stats(t, n)
+            std_row = ft_sandwich(stats, printed=False, factor=4.0)
+            pr_row = ft_sandwich(stats, printed=True, factor=4.0)
+            assert std_row.influence_pass, (n, t, std_row)
+            assert std_row.support_pass, (n, t, std_row)
             report_lines.append(
-                f"n={n} t={std_row.t:.2f}: standard inf/supp="
+                f"n={n} t={t:.2f}: standard inf/supp="
                 f"{std_row.influence_pass}/{std_row.support_pass} "
                 f"printed={pr_row.influence_pass}/{pr_row.support_pass}"
             )

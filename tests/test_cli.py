@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boolres import builder, cli
+from boolres import builder, cli, zoo
 from boolres.cli import main, parse_function_spec
+from boolres.hypercube import MAX_DIM
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
 from reference import write_truth_table
 
@@ -99,17 +100,32 @@ SPEC_VALUE_ERRORS = [
     ("dictator:n=3,i=4", "dictator coordinate outside [1, n]"),
     ("constant:n=3,sign=0", "constant sign must be +-1"),
     ("file:path={tmp}/header.tt", "bad truth-table header 'x=3'"),
+    ("file:path={tmp}/letters.tt", "bad truth-table header 'n=abc'"),
+    ("file:path={tmp}/empty.tt", "bad truth-table header 'n='"),
+    ("file:path={tmp}/fraction.tt", "bad truth-table header 'n=1.5'"),
+    ("file:path={tmp}/negative.tt", f"dimension n=-1 outside supported range [0, {MAX_DIM}]"),
     ("file:path={tmp}/count.tt", "expected 8 entries, found 2"),
     ("file:path={tmp}/trailing.tt", "unexpected content after the truth table's line 2"),
     ("random:n=0,seed=1,balanced=1", "a balanced table needs n >= 1: one point cannot be balanced"),
 ]
 
 
+# the truth-table files SPEC_VALUE_ERRORS reads, by name
+BAD_TABLES = {
+    "header.tt": "x=3\n1 -1 1 -1 1 -1 1 -1\n",
+    "letters.tt": "n=abc\n1 -1\n",
+    "empty.tt": "n=\n1 -1\n",
+    "fraction.tt": "n=1.5\n1 -1\n",
+    "negative.tt": "n=-1\n1 -1\n",
+    "count.tt": "n=3\n1 -1\n",
+    "trailing.tt": "n=1\n1 -1\ngarbage\n",
+}
+
+
 @pytest.mark.parametrize("spec, detail", list(_key_errors()) + SPEC_VALUE_ERRORS)
 def test_spec_missing_or_unknown_key_is_a_precondition_failure(capsys, tmp_path, spec, detail):
-    (tmp_path / "header.tt").write_text("x=3\n1 -1 1 -1 1 -1 1 -1\n")
-    (tmp_path / "count.tt").write_text("n=3\n1 -1\n")
-    (tmp_path / "trailing.tt").write_text("n=1\n1 -1\ngarbage\n")
+    for name, text in BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, "stats", "--fn", spec.replace("{tmp}", str(tmp_path)), "--d", "1")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "precondition", "detail": detail}
@@ -378,6 +394,24 @@ def test_ft_stats_csv_fails_a_sandwich_whose_upper_bound_overflowed(capsys):
     rows = [line.split(",") for line in out.splitlines()]
     assert [row[0] for row in rows] == ["standard_phi", "printed_phi"]
     assert [row[2:] for row in rows] == [["False", "True"], ["False", "True"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "12", "--t", "0"),
+    ("--n", "12", "--t", "1"),
+    ("--n", "1000", "--t", "1", "--format", "csv"),
+], ids=" ".join)
+def test_ft_stats_cli_computes_the_stats_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(t, n):
+        calls.append((t, n))
+        return zoo.ft_stats(t, n)
+
+    monkeypatch.setattr(cli, "ft_stats", counted)
+    code, _, err = run_cli(capsys, "ft-stats", *argv)
+    assert (code, err) == (0, "")
+    assert calls == [(float(argv[3]), int(argv[1]))]
 
 
 def test_ft_stats_cli_names_a_negative_n(capsys):
@@ -716,9 +750,11 @@ def test_usage_errors_exit_1(capsys, argv):
 
 @pytest.mark.parametrize("argv, code, detail", [
     (("stats", "--fn", "majority:n=3", "--format", "csv"), 1, "this subcommand has no CSV form"),
+    (("ft-stats", "--n", "9", "--t", "0", "--format", "csv"), 1,
+     "ft-stats writes CSV rows only for t > 0: at t = 0 there is no sandwich"),
     (("cyclerun-build", "--n", "9", "--c1", "1e-6"), 2,
      "|Sbar| = 2 exceeded budget 0.0 with sigma 1188"),
-], ids=["csv-without-csv-form", "cyclerun-build-budget-exhausted"])
+], ids=["csv-without-csv-form", "ft-stats-csv-at-t-0", "cyclerun-build-budget-exhausted"])
 def test_command_errors_report_their_exit_code_and_detail(capsys, argv, code, detail):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

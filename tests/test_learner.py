@@ -220,10 +220,10 @@ def test_boolean_target_reports_match_the_float_route(f, d):
 
 def test_excess_error_contract_asserted():
     # class = {x1}; target noisy x1; Delta_1(class) = 0 so excess <= 0
-    _, _, excess = learn_against_class(
-        scaled_dictator(5), d=1, comparison_class=[dictator(1, 5)]
-    )
-    assert excess is not None
+    g, x1 = scaled_dictator(5), dictator(1, 5)
+    report, opt, excess = learn_against_class(g, d=1, comparison_class=[x1])
+    assert opt == float(np.mean((1.0 - x1.table * g.table) / 2.0))
+    assert excess == report.error - opt
     assert excess <= 1e-9
 
 

@@ -17,7 +17,7 @@ from boolres.zoo import (
     cyclerun,
     cyclerun_table,
     dictator,
-    ft_sandwich_report,
+    ft_sandwich,
     ft_stats,
     gaussian_density,
     majority,
@@ -27,6 +27,7 @@ from boolres.zoo import (
 )
 from reference import (
     SymmetricFunction,
+    ft_stats_exact,
     threshold_ft,
     tribes_spectrum_closed_form,
     tribes_weight_bound,
@@ -492,38 +493,40 @@ def test_ft_symmetric_and_odd():
     assert np.all(np.diff(vals) >= 0)  # monotone in the level
 
 
-def test_ft_log_space_matches_exact_bigint():
-    n, t = 200, 1.5
-    tau = t * math.sqrt(n)
-    infl = Fraction(0)
-    supp = Fraction(0)
-    for k in range(n + 1):
-        s = 2 * k - n
-        if s > tau:
-            p = Fraction(math.comb(n, k), 1 << n)
-            infl += p * s
-            supp += p
-    stats = ft_stats(t, n)
-    assert stats.influence_sum == pytest.approx(float(2 * infl), rel=1e-10)
-    assert stats.support_prob == pytest.approx(float(2 * supp), rel=1e-10)
+# n <= 64 takes the rational path, which is exact; at n = 400 and n >= 2500
+# the cases sit on the level cutoff, where tau + n rounds up in floats
+@pytest.mark.parametrize("n, t", [
+    (9, 1.0), (12, 0.5), (64, 0.25), (64, 1.0),
+    (200, 1.5), (2500, 1.16), (10**4, 0.58), (10**4, 1.16), (10**4, 2.32),
+    (400, 0.9999999999999999),
+])
+def test_ft_log_space_matches_exact_bigint(n, t):
+    stats, exact = ft_stats(t, n), ft_stats_exact(t, n)
+    if n <= zoo.FT_EXACT_MAX:
+        assert stats == exact
+        return
+    assert (stats.n, stats.t) == (n, t)
+    assert stats.influence_sum == pytest.approx(exact.influence_sum, rel=1e-10)
+    assert stats.support_prob == pytest.approx(exact.support_prob, rel=1e-10)
 
 
 def test_ft_sandwich_standard_normalization_large_n():
-    rows = ft_sandwich_report(1000, [0.5, 1.0, 2.0, 3.0], printed=False, factor=4.0)
-    for row in rows:
-        assert row.influence_pass, row
-        assert row.support_pass, row
+    for t in (0.5, 1.0, 2.0, 3.0):
+        row = ft_sandwich(ft_stats(t, 1000), printed=False, factor=4.0)
+        assert row.influence_pass, (t, row)
+        assert row.support_pass, (t, row)
 
 
 @pytest.mark.parametrize("printed", [False, True])
 def test_ft_sandwich_fails_on_vacuous_bounds(printed):
     # phi(t) underflows to 0 at t = 40, so both sandwiches shrink to [0, 0];
     # f_t is 0 there too, but a zero lower bound certifies nothing
-    (row,) = ft_sandwich_report(100, [40.0], printed=printed, factor=4.0)
+    stats = ft_stats(40.0, 100)
+    row = ft_sandwich(stats, printed=printed, factor=4.0)
     assert row.phi == 0.0
     assert (row.influence_low, row.influence_high) == (0.0, 0.0)
     assert (row.support_low, row.support_high) == (0.0, 0.0)
-    assert (row.influence, row.support) == (0.0, 0.0)
+    assert (stats.influence_sum, stats.support_prob) == (0.0, 0.0)
     assert row.influence_pass is False
     assert row.support_pass is False
 
@@ -531,9 +534,10 @@ def test_ft_sandwich_fails_on_vacuous_bounds(printed):
 @pytest.mark.parametrize("printed", [False, True])
 def test_ft_sandwich_fails_on_an_infinite_upper_bound(printed):
     # at factor 1e308 the influence bound overflows, the support bound does not
-    (row,) = ft_sandwich_report(1000, [1.0], printed=printed, factor=1e308)
+    stats = ft_stats(1.0, 1000)
+    row = ft_sandwich(stats, printed=printed, factor=1e308)
     assert row.influence_high == math.inf
-    assert row.influence_low <= row.influence
+    assert row.influence_low <= stats.influence_sum
     assert row.influence_pass is False
     assert math.isfinite(row.support_high)
     assert row.support_pass is True
