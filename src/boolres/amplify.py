@@ -30,6 +30,12 @@ from .hypercube import (
     wht,
 )
 
+# Deepest composition a report computes: the largest k whose arity 2^(k+1)
+# has at most 4300 decimal digits, Python's default limit.  At n >= 2 the
+# arity check rejects a deeper k first; at n = 1, or with no digit limit,
+# this bound keeps the recursion's time and memory, linear in k, in check.
+MAX_DEPTH = 14283
+
 
 @dataclass(frozen=True)
 class AmplificationReport:
@@ -95,6 +101,8 @@ def amplification_report(
             f"the arity {n}^{k + 1} has more than {limit} decimal digits, "
             "too many to write as an integer"
         )
+    if k > MAX_DEPTH:
+        raise ValueError(f"amplification depth k={k} exceeds MAX_DEPTH = {MAX_DEPTH}")
     dist_base = l1_distance(f, g) / 2.0
     influence = float(per_coordinate_influence(f).sum())
     try:

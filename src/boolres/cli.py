@@ -31,7 +31,7 @@ from . import __version__
 from .amplify import amplification_report
 from .builder import audit_invariants, build_one_resilient
 from .designs import greedy_design, orthogonal_family
-from .duality import distance_to_resilience, duality_certificate, l1_poly_distance
+from .duality import distance_to_resilience, l1_poly_distance
 from .hypercube import (
     CubeFunction,
     read_truth_table,
@@ -284,26 +284,26 @@ def _cmd_duality(args) -> None:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"duality gap tolerance must be finite and >= 0, got {args.tol}")
     fn = parse_function_spec(args.fn)
-    cert = duality_certificate(fn, args.d)
+    cert = distance_to_resilience(fn, args.d)
     if cert.gap > args.tol:
         raise AssertionError(f"duality gap {cert.gap:.3e} exceeds tolerance {args.tol}")
     _emit(args, {
         "alpha": cert.alpha,
-        "delta": cert.delta,
+        "delta": cert.l1.delta,
         "gap": cert.gap,
-        "witness_table": cert.resilience.witness.table,
+        "witness_table": cert.witness.table,
         "poly_coefficients": {hex(m): c for m, c in cert.l1.poly.coeffs.items()},
     })
 
 
 def _cmd_resilience(args) -> None:
     fn = parse_function_spec(args.fn)
-    res = distance_to_resilience(fn, args.d)
+    cert = distance_to_resilience(fn, args.d)
     _emit(args, {
-        "alpha": res.alpha,
-        "d": res.d,
-        "lp_iterations": res.lp_iterations,
-        "witness_table": res.witness.table,
+        "alpha": cert.alpha,
+        "d": cert.l1.d,
+        "lp_iterations": cert.l1.lp_iterations,
+        "witness_table": cert.witness.table,
     })
 
 

@@ -15,6 +15,11 @@ that turns a solved box LP into a polynomial, for this module and both
 learner modes; it builds and evaluates p on the character rows of its own
 points only.
 
+`distance_to_resilience` is the one Boolean entry point: each call solves
+the LP once and returns one `DualityCertificate` holding g, alpha, the gap
+and, as its `l1` part, p and delta; `l1_poly_distance` returns that part
+alone and also takes a bounded f.
+
 Neither side is taken on trust.  The witness g is re-checked for the box
 and for d-resilience, and alpha is its measured E|f - g|.  `_l1_box_lp`
 recomputes E|f - p| at its points and matches it to the LP value; that
@@ -39,7 +44,6 @@ import numpy as np
 from .hypercube import (
     BooleanFunction,
     BoundedFunction,
-    ResilienceCheck,
     characters,
     is_d_resilient,
     l1_distance,
@@ -89,15 +93,6 @@ class SparsePolynomial:
 
 
 @dataclass(frozen=True)
-class ResilienceResult:
-    alpha: float
-    witness: BoundedFunction
-    d: int
-    lp_iterations: int
-    witness_check: ResilienceCheck
-
-
-@dataclass(frozen=True)
 class L1ApproxResult:
     delta: float
     poly: SparsePolynomial
@@ -107,17 +102,14 @@ class L1ApproxResult:
 
 @dataclass(frozen=True)
 class DualityCertificate:
+    """Both sides of one resilience LP solve: the checked witness g with
+    alpha = E|f - g|, the gap |alpha + delta - 1|, and in `l1` the checked
+    p with delta, d and the pivot count."""
+
     alpha: float
-    delta: float
+    witness: BoundedFunction
     gap: float
-    resilience: ResilienceResult
     l1: L1ApproxResult
-
-
-def _check_boolean(f: BooleanFunction) -> None:
-    """alpha = 1 - value/2^n and the witness checks hold only for +-1 tables."""
-    if not isinstance(f, BooleanFunction):
-        raise ValueError("distance to resilience needs a Boolean (+-1) function")
 
 
 def _l1_box_lp(
@@ -159,17 +151,30 @@ def _l1_box_lp(
     return sol, poly, error
 
 
-def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, SparsePolynomial, float]:
-    """The resilience LP: every point, labels f, weights 1."""
+def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, L1ApproxResult]:
+    """The resilience LP: every point, labels f, weights 1; delta = E|f - p|
+    from the checked error of the box LP."""
     n = f.n
     if n > MAX_DUALITY_DIM:
         raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
     size = 1 << n
-    return _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size))
+    sol, poly, error = _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size))
+    delta = error / size
+    if not 0.0 <= delta <= 2.0:
+        raise CertificateError(f"delta {delta} outside [0, 2]")
+    return sol, L1ApproxResult(delta, poly, d, sol.iterations)
 
 
-def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> ResilienceResult:
-    """The primal point as a bounded d-resilient g, alpha = measured E|f - g|."""
+def distance_to_resilience(f: BooleanFunction, d: int) -> DualityCertificate:
+    """Exact L1 distance from f to the closest bounded d-resilient function,
+    with both sides of its one LP solve verified and their duality gap.
+
+    The primal point is the witness g: it must lie in the unit box, be
+    d-resilient and have measured E|f - g| equal to the LP's alpha.
+    """
+    if not isinstance(f, BooleanFunction):
+        raise ValueError("distance to resilience needs a Boolean (+-1) function")
+    sol, l1 = _resilience_lp(f, d)
     point = sol.point
     if np.max(np.abs(point)) > 1.0 + WITNESS_TOL:
         raise CertificateError("witness exceeds the unit box beyond tolerance")
@@ -184,24 +189,7 @@ def _verified_witness(f: BooleanFunction, d: int, sol: LPSolution) -> Resilience
     alpha = l1_distance(f, witness)
     if abs(alpha - alpha_lp) > WITNESS_TOL:
         raise CertificateError(f"witness distance {alpha} does not match LP alpha {alpha_lp}")
-    return ResilienceResult(alpha, witness, d, sol.iterations, check)
-
-
-def _verified_poly(
-    f: BooleanFunction, d: int, poly: SparsePolynomial, error: float, iterations: int
-) -> L1ApproxResult:
-    """delta = E|f - p| from the checked error of the box LP."""
-    delta = error / (1 << f.n)
-    if not 0.0 <= delta <= 2.0:
-        raise CertificateError(f"delta {delta} outside [0, 2]")
-    return L1ApproxResult(delta, poly, d, iterations)
-
-
-def distance_to_resilience(f: BooleanFunction, d: int) -> ResilienceResult:
-    """Exact L1 distance from f to the closest bounded d-resilient function."""
-    _check_boolean(f)
-    sol, *_ = _resilience_lp(f, d)
-    return _verified_witness(f, d, sol)
+    return DualityCertificate(alpha, witness, abs(l1.delta + alpha - 1.0), l1)
 
 
 def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
@@ -209,15 +197,4 @@ def l1_poly_distance(f: BooleanFunction, d: int) -> L1ApproxResult:
 
     Also accepts a bounded f: the LP duality holds for any real labels.
     """
-    sol, poly, error = _resilience_lp(f, d)
-    return _verified_poly(f, d, poly, error, sol.iterations)
-
-
-def duality_certificate(f: BooleanFunction, d: int) -> DualityCertificate:
-    """Verify both sides of one resilience LP solve and report the duality gap."""
-    _check_boolean(f)
-    sol, poly, error = _resilience_lp(f, d)
-    res = _verified_witness(f, d, sol)
-    l1 = _verified_poly(f, d, poly, error, sol.iterations)
-    gap = abs(l1.delta + res.alpha - 1.0)
-    return DualityCertificate(res.alpha, l1.delta, gap, res, l1)
+    return _resilience_lp(f, d)[1]

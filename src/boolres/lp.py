@@ -198,13 +198,6 @@ class _DualSimplex:
         vals[self.basis] = self.xb
         return vals[: self.n]
 
-    def row(self, rho: np.ndarray) -> np.ndarray:
-        """rho^T [A | I] over every column."""
-        out = np.empty(self.n + self.m)
-        np.matmul(rho, self.A, out=out[: self.n])
-        out[self.n:] = rho
-        return out
-
     def refactor(self) -> None:
         """Rebuild B^-1, the basic values and the reduced costs from the data."""
         m, n = self.m, self.n
@@ -217,9 +210,10 @@ class _DualSimplex:
         except np.linalg.LinAlgError as exc:
             raise SolverFailure("basis matrix became numerically singular") from exc
         self.xb = self.binv @ (self.b - self.A @ self.nonbasic_values()[:n])
-        cost = self.cost + self.shift
-        self.y = cost[self.basis] @ self.binv
-        self.d = cost - self.row(self.y)
+        self.d = self.cost + self.shift
+        self.y = self.d[self.basis] @ self.binv
+        self.d[:n] -= self.y @ self.A  # reduced costs: cost - y^T [A | I]
+        self.d[n:] -= self.y
         self.d[self.basis] = 0.0
         self.refactors += 1
 

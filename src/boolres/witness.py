@@ -60,8 +60,9 @@ def _table_bits(n: int) -> int:
     return (5 * n + 1) // 2 + 1
 
 
-class DegenerateHighPart(RuntimeError):
-    """q has no mass above degree d (e.g. f itself has degree <= d)."""
+class DegenerateHighPart(ValueError):
+    """q has no mass above degree d (e.g. f itself has degree <= d): the
+    input admits no witness direction, a precondition failure."""
 
 
 @dataclass(frozen=True)

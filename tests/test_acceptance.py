@@ -14,7 +14,7 @@ import pytest
 from boolres.amplify import amplification_report
 from boolres.builder import audit_invariants, build_one_resilient
 from boolres.designs import greedy_design, orthogonal_family
-from boolres.duality import distance_to_resilience, duality_certificate
+from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
@@ -60,10 +60,10 @@ def test_criterion_01_duality_random_ensemble():
         for d in (0, 1, 2):
             if d > f.n:
                 continue
-            cert = duality_certificate(f, d)
+            cert = distance_to_resilience(f, d)
             assert cert.gap <= 1e-6, (f.n, d, cert.gap)
             worst_gap = max(worst_gap, cert.gap)
-            witness = cert.resilience.witness
+            witness = cert.witness
             assert np.max(np.abs(witness.table)) <= 1.0 + 1e-12
             check = is_d_resilient(witness, d, tol=1e-7)
             assert check.resilient

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boolres.cli import main
-from boolres.duality import distance_to_resilience, duality_certificate, l1_poly_distance
+from boolres.duality import distance_to_resilience, l1_poly_distance
 from boolres.hypercube import BoundedFunction
 from boolres.witness import build_witness
 from reference import SymmetricFunction
@@ -36,8 +36,6 @@ def test_alpha_side_rejects_bounded_targets():
     f = _bounded()
     with pytest.raises(ValueError, match="Boolean"):
         distance_to_resilience(f, 1)
-    with pytest.raises(ValueError, match="Boolean"):
-        duality_certificate(f, 1)
     with pytest.raises(ValueError, match="Boolean"):
         build_witness(f, 1, 0.1)
 

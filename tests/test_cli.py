@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boolres import builder, cli, zoo
+from boolres import amplify, builder, cli, zoo
 from boolres.cli import main, parse_function_spec
 from boolres.hypercube import MAX_DIM
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
@@ -467,9 +467,9 @@ def test_exit_code_1_on_bad_precondition(capsys):
 def test_exit_code_2_on_invariant_violation(capsys, monkeypatch):
     # a certificate whose gap exceeds --tol is reported as an invariant
     # violation; the gap is forced, since a real solve can reach exactly 0
-    real = cli.duality_certificate
+    real = cli.distance_to_resilience
     monkeypatch.setattr(
-        cli, "duality_certificate",
+        cli, "distance_to_resilience",
         lambda f, d: dataclasses.replace(real(f, d), gap=1e-3),
     )
     code, _, err = run_cli(
@@ -754,12 +754,58 @@ def test_usage_errors_exit_1(capsys, argv):
      "ft-stats writes CSV rows only for t > 0: at t = 0 there is no sandwich"),
     (("cyclerun-build", "--n", "9", "--c1", "1e-6"), 2,
      "|Sbar| = 2 exceeded budget 0.0 with sigma 1188"),
-], ids=["csv-without-csv-form", "ft-stats-csv-at-t-0", "cyclerun-build-budget-exhausted"])
+    (("witness", "--fn", "dictator:n=3,i=1", "--d", "1", "--tau", "0.5"), 1,
+     "f itself has degree <= 1; no witness direction"),
+    (("witness", "--fn", "majority:n=5", "--d", "5", "--tau", "0.5"), 1,
+     "f itself has degree <= 5; no witness direction"),
+], ids=["csv-without-csv-form", "ft-stats-csv-at-t-0", "cyclerun-build-budget-exhausted",
+        "witness-of-a-dictator-at-d-1", "witness-at-d-equal-n"])
 def test_command_errors_report_their_exit_code_and_detail(capsys, argv, code, detail):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     kind = "precondition" if code == 1 else "invariant-violation"
     assert json.loads(err) == {"error": kind, "detail": detail}
+
+
+def test_amplify_depth_is_capped_where_the_arity_guard_cannot_fire(capsys):
+    # at n = 1 the arity 1^(k+1) has one digit at every depth k
+    argv = ("amplify", "--fn", "majority:n=1", "--d", "0", "--k")
+    code, out, _ = run_cli(capsys, *argv, str(amplify.MAX_DEPTH))
+    assert code == 0
+    assert json.loads(out)["k"] == amplify.MAX_DEPTH
+    code, out, err = run_cli(capsys, *argv, str(amplify.MAX_DEPTH + 1))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "precondition",
+        "detail": f"amplification depth k={amplify.MAX_DEPTH + 1} exceeds "
+                  f"MAX_DEPTH = {amplify.MAX_DEPTH}",
+    }
+
+
+@pytest.mark.parametrize("spec, balanced", [
+    ("tribes:w=2,s=3", False),
+    ("random:n=8,seed=3", False),
+    ("random:n=8,seed=3,balanced=1", True),
+    ("majority:n=7", True),
+])
+def test_resilience_duality_and_amplify_read_one_certificate(capsys, spec, balanced):
+    artifacts = []
+    for command in ("resilience", "duality"):
+        code, out, _ = run_cli(capsys, command, "--fn", spec, "--d", "1")
+        assert code == 0
+        artifacts.append(json.loads(out))
+    res, dual = artifacts
+    assert res["alpha"] == dual["alpha"]
+    assert (np.array(res["witness_table"], dtype=np.float64).tobytes()
+            == np.array(dual["witness_table"], dtype=np.float64).tobytes())
+    code, out, err = run_cli(capsys, "amplify", "--fn", spec, "--d", "1", "--k", "1")
+    if balanced:
+        assert code == 0
+        assert json.loads(out)["dist_base"] == res["alpha"] / 2
+    else:  # amplify solves the same LP, then rejects f as unbalanced
+        assert (code, json.loads(err)["detail"]) == (
+            1, "amplification needs balanced (mean-zero) inputs"
+        )
 
 
 @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("learn", "--help")])

@@ -7,7 +7,6 @@ from boolres import duality
 from boolres.duality import (
     SparsePolynomial,
     distance_to_resilience,
-    duality_certificate,
     l1_poly_distance,
     low_degree_masks,
 )
@@ -122,10 +121,10 @@ def test_dictator_exactly_representable():
 
 
 def test_majority3_duality_gap():
-    cert = duality_certificate(majority3(), 1)
+    cert = distance_to_resilience(majority3(), 1)
     assert cert.gap <= 1e-6
     # delta must match 1 - alpha from the independent primal solve
-    assert cert.delta == pytest.approx(1.0 - cert.alpha, abs=1e-6)
+    assert cert.l1.delta == pytest.approx(1.0 - cert.alpha, abs=1e-6)
 
 
 def test_random_duality_gaps_n6():
@@ -133,10 +132,10 @@ def test_random_duality_gaps_n6():
     for _ in range(8):
         f = BooleanFunction(6, rng.choice([-1, 1], size=64))
         for d in (0, 1):
-            cert = duality_certificate(f, d)
+            cert = distance_to_resilience(f, d)
             assert cert.gap <= 1e-6
-            assert cert.resilience.witness_check.resilient
-            assert cert.delta + cert.alpha >= 1.0 - 1e-8  # weak duality
+            assert is_d_resilient(cert.witness, d, tol=1e-7).resilient
+            assert cert.l1.delta + cert.alpha >= 1.0 - 1e-8  # weak duality
 
 
 def _highs_l1_delta(f, d):
@@ -168,7 +167,7 @@ def test_dual_polynomial_matches_highs_l1_lp(f):
         assert out.delta == pytest.approx(_highs_l1_delta(f, d), abs=1e-7)
 
 
-def test_duality_certificate_solves_one_lp(monkeypatch):
+def test_distance_to_resilience_solves_one_lp(monkeypatch):
     calls = []
     real = duality.solve_lp
 
@@ -177,7 +176,7 @@ def test_duality_certificate_solves_one_lp(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(duality, "solve_lp", counting)
-    duality_certificate(majority3(), 1)
+    distance_to_resilience(majority3(), 1)
     assert len(calls) == 1
 
 

@@ -1,7 +1,8 @@
 """Every name a module of the package (or `tests/reference.py`) imports is
-used in that module, and every public function or class the package defines
-is named somewhere in the package outside its own definition: code that only
-tests reach belongs in `tests/reference.py`."""
+used in that module, and every public function or class the package defines,
+and every public method of a public class, is named somewhere in the package
+outside its own definition: code that only tests reach belongs in
+`tests/reference.py`."""
 
 import ast
 import functools
@@ -60,15 +61,40 @@ def public_definitions(source: str) -> list[str]:
     ]
 
 
+def public_methods(source: str) -> list[str]:
+    """`Class.method` for each method without a leading underscore of each
+    top-level class without one."""
+    return [
+        f"{top.name}.{member.name}"
+        for top in ast.parse(source).body
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+        for member in top.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    ]
+
+
+def _defines(node: ast.AST, name: str | None) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+
+
 @functools.cache
 def names(source: str, outside: str | None = None) -> frozenset[str]:
     """Every name, attribute, imported name and `__all__` entry a source
-    mentions, leaving out the top-level definition named `outside`."""
-    found = set()
+    mentions, leaving out the definition named `outside`: a top-level
+    function or class, or a method written `Class.method`."""
+    owner, _, member = (outside or "").rpartition(".")
+    roots = []
     for top in ast.parse(source).body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == outside:
+        if _defines(top, outside):
             continue
-        for node in ast.walk(top):
+        if owner and _defines(top, owner):
+            roots += [node for node in top.body if not _defines(node, member)]
+            roots += top.bases + top.keywords + top.decorator_list
+        else:
+            roots.append(top)
+    found = set()
+    for root in roots:
+        for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -82,15 +108,18 @@ def names(source: str, outside: str | None = None) -> frozenset[str]:
     return frozenset(found)
 
 
-def unnamed_definitions(module: str, sources: dict[str, str]) -> list[str]:
-    """The public definitions of `module` that no package source (a path
-    under src/boolres) names outside the definition itself.  Sources
-    elsewhere, tests and perfbench among them, do not count."""
+def unnamed_definitions(
+    module: str, sources: dict[str, str], definitions=public_definitions
+) -> list[str]:
+    """The `definitions` of `module` (its public top-level functions and
+    classes, or with `public_methods` its public methods) that no package
+    source (a path under src/boolres) names outside the definition itself.
+    Sources elsewhere, tests and perfbench among them, do not count."""
     package = {path: source for path, source in sources.items() if path.startswith("src/boolres/")}
     return [
-        name for name in public_definitions(sources[module])
+        qualified for qualified in definitions(sources[module])
         if not any(
-            name in names(source, name if path == module else None)
+            qualified.rpartition(".")[2] in names(source, qualified if path == module else None)
             for path, source in package.items()
         )
     ]
@@ -122,9 +151,38 @@ def test_the_check_counts_only_callers_in_the_package():
     ]
 
 
+def test_the_check_finds_a_public_method_named_nowhere_else():
+    module = (
+        "class Shape:\n"
+        "    def area(self): return self.side ** 2\n"
+        "    def lone(self): return self.lone()\n"
+        "    def called_by_sibling(self): pass\n"
+        "    def caller(self): return self.called_by_sibling()\n"
+        "    def _private(self): pass\n"
+        "    def __repr__(self): return 'Shape'\n"
+        "class _Hidden:\n"
+        "    def unused(self): pass\n"
+        "def make(): return Shape().area()\n"
+    )
+    sources = {
+        "src/boolres/shape.py": module,
+        "src/boolres/__init__.py": "from .shape import make\n__all__ = ['make']\n",
+        "tests/test_shape.py": "from boolres.shape import Shape\nShape().caller()\n",
+    }
+    assert unnamed_definitions("src/boolres/shape.py", sources, public_methods) == [
+        "Shape.lone", "Shape.caller"
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_public_function_is_named_outside_its_module(path):
     # "outside" its own definition, by a caller in the package or by
     # `__init__.__all__`; a caller in the same module counts, a test does not
     sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
     assert unnamed_definitions(str(path.relative_to(ROOT)), sources) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_public_method_is_named_outside_its_definition(path):
+    sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
+    assert unnamed_definitions(str(path.relative_to(ROOT)), sources, public_methods) == []
