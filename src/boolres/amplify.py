@@ -23,6 +23,7 @@ from .hypercube import (
     BoundedFunction,
     CubeFunction,
     correlation,
+    is_d_resilient,
     l1_distance,
     noise_sensitivity,
     per_coordinate_influence,
@@ -55,12 +56,6 @@ class AmplificationReport:
     samples: int = 0
 
 
-def _check_balanced(fn: CubeFunction) -> None:
-    mean = float(np.mean(fn.table.astype(np.float64)))
-    if abs(mean) > 1e-12:
-        raise ValueError("amplification needs balanced (mean-zero) inputs")
-
-
 def level_correlations(f: CubeFunction, g: CubeFunction) -> np.ndarray:
     """W_i = sum_{|S|=i} fhat(S) ghat(S) for i = 0..n."""
     products = wht(f) * wht(g)
@@ -88,8 +83,8 @@ def amplification_report(
         raise ValueError("inner and outer bases must share a dimension")
     if k < 1:
         raise ValueError("amplification depth k must be >= 1")
-    _check_balanced(f)
-    _check_balanced(g)
+    if not all(is_d_resilient(fn, 0, tol=1e-12).resilient for fn in (f, g)):
+        raise ValueError("amplification needs balanced (mean-zero) inputs")
 
     n = f.n
     # the report's arity n^(k+1) must be writable as a decimal string; it

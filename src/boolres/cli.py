@@ -301,7 +301,7 @@ def _cmd_resilience(args) -> None:
     cert = distance_to_resilience(fn, args.d)
     _emit(args, {
         "alpha": cert.alpha,
-        "d": cert.l1.d,
+        "d": cert.l1.poly.degree,
         "lp_iterations": cert.l1.lp_iterations,
         "witness_table": cert.witness.table,
     })
@@ -312,7 +312,7 @@ def _cmd_l1approx(args) -> None:
     out = l1_poly_distance(fn, args.d)
     _emit(args, {
         "delta": out.delta,
-        "d": out.d,
+        "d": out.poly.degree,
         "lp_iterations": out.lp_iterations,
         "poly_coefficients": {hex(m): c for m, c in out.poly.coeffs.items()},
     })

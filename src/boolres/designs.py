@@ -21,12 +21,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .hypercube import (
-    BooleanFunction,
-    CubeFunction,
-    low_degree_sums,
-    resilience_order,
-)
+from .hypercube import BooleanFunction, CubeFunction, is_d_resilient, low_degree_sums
 
 MAX_CANDIDATES = 2_000_000
 MAX_DESIGN_DIM = 64  # set masks are checked as uint64 words
@@ -54,6 +49,8 @@ class Design:
     def __post_init__(self):
         if not 0 <= self.n <= MAX_DESIGN_DIM:
             raise ValueError(f"design ground set n={self.n} outside [0, {MAX_DESIGN_DIM}]")
+        if not 0 <= self.d <= self.k:
+            raise ValueError(f"design intersection bound d={self.d} outside [0, {self.k}]")
         for mask in self.sets:
             if not (0 <= mask < 1 << self.n and int(mask).bit_count() == self.k):
                 raise ValueError(f"design set {mask:#x} is not a {self.k}-subset of [{self.n}]")
@@ -173,16 +170,19 @@ def orthogonal_family(g: CubeFunction, design: Design) -> OrthogonalFamilyReport
     """Embed g along every design set and certify pairwise orthogonality.
 
     Requires g to be at least design.d-resilient (otherwise the
-    orthogonality argument has no footing and the call is rejected).  The
-    Gram matrix is read off g's low-degree coefficients, see the module
+    orthogonality argument has no footing and the call is rejected), read
+    off its coefficients of degree <= design.d at tolerance 1e-10, which is
+    exact for a Boolean g (its nonzero coefficients are at least 2^-28).
+    The Gram matrix is read off g's low-degree coefficients, see the module
     docstring.
     """
     if g.n != design.k:
         raise ValueError("base arity must equal the design's set size")
-    order = resilience_order(g)
-    if order < design.d:
+    check = is_d_resilient(g, design.d, tol=1e-10)
+    if not check.resilient:
         raise ValueError(
-            f"resilience mismatch: base is only {order}-resilient, design needs {design.d}"
+            f"resilience mismatch: the design needs a {design.d}-resilient base, but "
+            f"coef[{check.worst_mask:#x}] = {check.worst_coefficient:.3e}"
         )
     if design.size > MAX_FAMILY_SIZE:
         raise ValueError(f"family of {design.size} functions exceeds {MAX_FAMILY_SIZE}")

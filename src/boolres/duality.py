@@ -96,7 +96,6 @@ class SparsePolynomial:
 class L1ApproxResult:
     delta: float
     poly: SparsePolynomial
-    d: int
     lp_iterations: int
 
 
@@ -104,7 +103,7 @@ class L1ApproxResult:
 class DualityCertificate:
     """Both sides of one resilience LP solve: the checked witness g with
     alpha = E|f - g|, the gap |alpha + delta - 1|, and in `l1` the checked
-    p with delta, d and the pivot count."""
+    p with delta and the pivot count."""
 
     alpha: float
     witness: BoundedFunction
@@ -162,7 +161,7 @@ def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, L1ApproxResu
     delta = error / size
     if not 0.0 <= delta <= 2.0:
         raise CertificateError(f"delta {delta} outside [0, 2]")
-    return sol, L1ApproxResult(delta, poly, d, sol.iterations)
+    return sol, L1ApproxResult(delta, poly, sol.iterations)
 
 
 def distance_to_resilience(f: BooleanFunction, d: int) -> DualityCertificate:

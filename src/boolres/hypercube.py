@@ -34,7 +34,6 @@ MAX_DIM = 28  # 2^28 table entries; hard memory guard for dense transforms
 INT64_BITS = 62  # integer paths keep |value| <= 2^62, inside int64
 
 BOUNDED_TOL = 1e-12
-FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
 
 
 class DimensionTooLarge(ValueError):
@@ -428,7 +427,6 @@ class ResilienceCheck:
     resilient: bool
     worst_mask: int
     worst_coefficient: float
-    exact: bool
 
 
 def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceCheck:
@@ -446,23 +444,7 @@ def is_d_resilient(fn: CubeFunction, d: int, tol: float = 1e-9) -> ResilienceChe
         resilient=bool(vals[worst] / scale <= tol),
         worst_mask=int(masks[worst]),
         worst_coefficient=float(vals[worst]) / scale,
-        exact=isinstance(fn, BooleanFunction),
     )
-
-
-def _spectral_order(n: int, coeffs: np.ndarray, tol: float) -> int:
-    """Largest d with |coeffs[S]| <= tol for every |S| <= d (n if none exceeds tol)."""
-    nonzero = np.nonzero(np.abs(coeffs) > tol)[0]
-    if len(nonzero) == 0:
-        return n
-    return int(popcounts(n)[nonzero].min()) - 1
-
-
-def resilience_order(fn: CubeFunction) -> int:
-    """Largest d such that fn is d-resilient (n for the zero function)."""
-    if isinstance(fn, BooleanFunction):
-        return _spectral_order(fn.n, wht_int(fn), 0)
-    return _spectral_order(fn.n, wht(fn), FLOAT_ZERO_TOL)
 
 
 # ---------------------------------------------------------------------------

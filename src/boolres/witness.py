@@ -32,7 +32,6 @@ import numpy as np
 from .hypercube import (
     BooleanFunction,
     BoundedFunction,
-    ResilienceCheck,
     correlation,
     is_d_resilient,
     low_degree_part,
@@ -68,8 +67,6 @@ class DegenerateHighPart(ValueError):
 @dataclass(frozen=True)
 class WitnessReport:
     p: BoundedFunction
-    d: int
-    tau: float
     delta_emp: float    # Pr[|l(x)| > tau]
     corr_qf: float      # E[q f]
     low_part_sup: float  # ||q_{<=d}||_inf
@@ -77,7 +74,6 @@ class WitnessReport:
     corr_pf: float       # E[p f]
     q_min: float
     q_max: float
-    resilience: ResilienceCheck
     exact_zero_certified: bool
     degenerate: bool = False  # threshold wiped q entirely; p is the zero witness
 
@@ -121,8 +117,6 @@ def build_witness(f: BooleanFunction, d: int, tau: float) -> WitnessReport:
         zero = BoundedFunction(n, np.zeros(size))
         return WitnessReport(
             p=zero,
-            d=d,
-            tau=tau,
             delta_emp=delta_emp,
             corr_qf=0.0,
             low_part_sup=0.0,
@@ -130,7 +124,6 @@ def build_witness(f: BooleanFunction, d: int, tau: float) -> WitnessReport:
             corr_pf=0.0,
             q_min=0.0,
             q_max=0.0,
-            resilience=is_d_resilient(zero, d),
             exact_zero_certified=True,
             degenerate=True,
         )
@@ -172,8 +165,6 @@ def build_witness(f: BooleanFunction, d: int, tau: float) -> WitnessReport:
 
     return WitnessReport(
         p=p,
-        d=d,
-        tau=tau,
         delta_emp=delta_emp,
         corr_qf=corr_qf,
         low_part_sup=low_sup,
@@ -181,7 +172,6 @@ def build_witness(f: BooleanFunction, d: int, tau: float) -> WitnessReport:
         corr_pf=corr_pf,
         q_min=q_min,
         q_max=q_max,
-        resilience=check,
         exact_zero_certified=True,
     )
 

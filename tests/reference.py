@@ -1,10 +1,10 @@
 """Brute-force reference implementations that tests check the package
 against, and the oracles of the paper's lemmas that only tests evaluate:
-disjoint composition and its resilience certificate, the Tribes closed-form
-spectrum, the symmetric threshold functions f_t and their exact statistics,
-the low-degree concentration
-probe, truth-table writing, junta embedding and the learner's excess-error
-contract."""
+the resilience order read off the full spectrum, disjoint composition and
+its resilience certificate, the Tribes closed-form spectrum, the symmetric
+threshold functions f_t and their exact statistics, the low-degree
+concentration probe, truth-table writing, junta embedding and the learner's
+excess-error contract."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ import numpy as np
 
 from boolres.duality import l1_poly_distance
 from boolres.hypercube import (
-    FLOAT_ZERO_TOL,
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
@@ -22,7 +21,8 @@ from boolres.hypercube import (
     is_d_resilient,
     low_degree_part,
     popcounts,
-    resilience_order,
+    wht,
+    wht_int,
 )
 from boolres.learner import LearnReport, learn_exact
 from boolres.zoo import FtStats, _check_ft_args, _tribes_check
@@ -64,6 +64,28 @@ def shift_orbit(x: int, n: int) -> frozenset[int]:
         members.add(v ^ mask)  # global negation = complement index
         v = ((v >> 1) | ((v & 1) << (n - 1))) & mask
     return frozenset(members)
+
+
+# ---------------------------------------------------------------------------
+# resilience order from the full spectrum
+# ---------------------------------------------------------------------------
+
+FLOAT_ZERO_TOL = 1e-10  # a float Fourier coefficient at most this large counts as 0
+
+
+def _spectral_order(n: int, coeffs: np.ndarray, tol: float) -> int:
+    """Largest d with |coeffs[S]| <= tol for every |S| <= d (n if none exceeds tol)."""
+    nonzero = np.nonzero(np.abs(coeffs) > tol)[0]
+    if len(nonzero) == 0:
+        return n
+    return int(popcounts(n)[nonzero].min()) - 1
+
+
+def resilience_order(fn: CubeFunction) -> int:
+    """Largest d such that fn is d-resilient (n for the zero function)."""
+    if isinstance(fn, BooleanFunction):
+        return _spectral_order(fn.n, wht_int(fn), 0)
+    return _spectral_order(fn.n, wht(fn), FLOAT_ZERO_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion_08_witness_pipeline():
     lines = []
     for tau in (0.1, 0.2, 0.3):
         report = build_witness(f, 1, tau)
-        assert report.resilience.resilient
+        assert is_d_resilient(report.p, 1, tol=1e-10).resilient
         assert report.exact_zero_certified
         assert np.max(np.abs(report.p.table)) <= 1.0
         assert report.corr_qf >= (1 - tau) * (1 - report.delta_emp) - 1e-10

@@ -12,7 +12,6 @@ from boolres.hypercube import (
     BoundedFunction,
     chi_values,
     noise_sensitivity,
-    resilience_order,
     spectral_stats,
     wht,
 )
@@ -23,6 +22,7 @@ from reference import (
     check_composed_resilience,
     compose,
     noise_sensitivity_direct,
+    resilience_order,
     self_composition,
 )
 
@@ -168,6 +168,20 @@ def test_amplification_rejects_unbalanced():
     g = BoundedFunction(3, np.zeros(8))
     with pytest.raises(ValueError):
         amplification_report(f, g, k=1)
+
+
+@pytest.mark.parametrize(
+    "offset,accepted", [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)]
+)
+def test_amplification_balance_tolerance_is_1e_12(offset, accepted):
+    f = majority(3)
+    g = BoundedFunction(3, 0.5 * parity(0b111, 3).table + offset)
+    assert abs(np.mean(g.table) - offset) < 1e-15
+    if accepted:
+        assert amplification_report(f, g, k=1).k == 1
+    else:
+        with pytest.raises(ValueError, match="balanced"):
+            amplification_report(f, g, k=1)
 
 
 def test_amplification_beyond_the_table_cap_is_exact():

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boolres import amplify, builder, cli, zoo
+from boolres import amplify, builder, cli, hypercube, zoo
 from boolres.cli import main, parse_function_spec
-from boolres.hypercube import MAX_DIM
+from boolres.hypercube import MAX_DIM, BoundedFunction
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
 from reference import write_truth_table
 
@@ -274,6 +274,64 @@ def test_design_and_ortho_cli(capsys):
     )
     assert code == 0
     assert json.loads(out)["max_offdiagonal"] == 0.0
+
+
+def test_ortho_family_cli_names_the_coefficient_an_unbalanced_base_fails_on(capsys):
+    code, out, err = run_cli(
+        capsys, "ortho-family", "--fn", "constant:n=1,sign=1", "--n", "2", "--d", "0"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "precondition",
+        "detail": "resilience mismatch: the design needs a 0-resilient base, "
+        "but coef[0x0] = 1.000e+00",
+    }
+
+
+# every subcommand that reads only low-degree coefficients; `{bounded}` is a
+# file holding 0.5 chi_{1,2,3}, a bounded 2-resilient table
+LOW_DEGREE_JOBS = {
+    "resilience": ("resilience", "--fn", "majority:n=5", "--d", "1"),
+    "duality": ("duality", "--fn", "tribes:w=2,s=3", "--d", "1"),
+    "l1approx": ("l1approx", "--fn", "majority:n=5", "--d", "2"),
+    "witness": ("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.2,0.3"),
+    "stats-boolean": ("stats", "--fn", "cyclerun:n=7", "--d", "1"),
+    "stats-bounded": ("stats", "--fn", "file:path={bounded}", "--d", "2"),
+    "cyclerun-build": ("cyclerun-build", "--n", "7"),
+    "design": ("design", "--n", "8", "--k", "3", "--d", "1"),
+    "ortho-family-boolean": ("ortho-family", "--fn", "parity:n=3,mask=0x7", "--n", "12",
+                             "--d", "2"),
+    "ortho-family-bounded": ("ortho-family", "--fn", "file:path={bounded}", "--n", "10",
+                             "--d", "2"),
+    "learn-exact": ("learn", "--fn", "majority:n=5", "--d", "1"),
+    "learn-sampled": ("learn", "--fn", "majority:n=5", "--d", "1", "--m", "50", "--seed", "1"),
+}
+
+
+def _no_full_transform(*args, **kwargs):
+    raise RuntimeError("a full Walsh-Hadamard transform was taken")
+
+
+@pytest.mark.parametrize("argv", LOW_DEGREE_JOBS.values(), ids=LOW_DEGREE_JOBS.keys())
+def test_low_degree_commands_take_no_full_transform(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "bounded.tt"
+    write_truth_table(BoundedFunction(3, 0.5 * parity(0b111, 3).table), str(path))
+    monkeypatch.setattr(hypercube, "fwht", _no_full_transform)
+    code, out, err = run_cli(capsys, *(arg.format(bounded=path) for arg in argv))
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--fn", "majority:n=3"),
+    ("amplify", "--fn", "majority:n=3", "--d", "1", "--k", "1"),
+], ids=["spectrum", "amplify"])
+def test_full_spectrum_commands_meet_the_transform_guard(capsys, monkeypatch, argv):
+    # the two subcommands that need every coefficient show the guard is live
+    monkeypatch.setattr(hypercube, "fwht", _no_full_transform)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "full Walsh-Hadamard transform" in err
 
 
 def test_learn_cli_exact_and_sampled(capsys):

@@ -20,8 +20,8 @@ from boolres.hypercube import (
     l1_distance,
     wht,
 )
-from boolres.zoo import parity, random_boolean, tribes
-from reference import MAX_AMBIENT_DIM, embed_on_mask
+from boolres.zoo import constant, dictator, majority, parity, random_boolean, tribes
+from reference import MAX_AMBIENT_DIM, embed_on_mask, resilience_order
 
 
 def test_lex_greedy_small_case():
@@ -148,6 +148,43 @@ def test_orthogonality_requires_enough_resilience():
     g = BooleanFunction(2, np.array([1, -1, 1, -1], dtype=np.int8))  # dictator, 0-resilient
     with pytest.raises(ValueError):
         orthogonal_family(g, design)
+
+
+def _resilience_bases():
+    rng = np.random.default_rng(7)
+    boolean = [
+        parity(0b111, 3), parity(0b011, 3), dictator(2, 3), majority(3), constant(3, -1),
+        tribes(2, 2), random_boolean(4, seed=3), random_boolean(4, seed=4, balanced=True),
+        build_one_resilient(5).output,
+    ]
+    half_parity = 0.5 * parity(0b111, 3).table
+    bounded = [
+        BoundedFunction(3, np.zeros(8)),
+        BoundedFunction(3, half_parity),
+        BoundedFunction(4, rng.uniform(-1.0, 1.0, 16)),
+        BoundedFunction(4, 0.25 * (parity(0b1111, 4).table + parity(0b0111, 4).table)),
+    ]
+    # coefficients 1e-11 (counted as zero) and 1e-9 (not) at degrees 0, 1 and 2
+    for eps in (1e-11, 1e-9):
+        bounded.append(BoundedFunction(3, np.full(8, eps)))
+        for mask in (0b0, 0b1, 0b11):
+            bounded.append(BoundedFunction(3, half_parity + eps * parity(mask, 3).table))
+    return boolean + bounded
+
+
+def test_orthogonal_family_accepts_exactly_the_resilient_enough_bases():
+    for g in _resilience_bases():
+        order = resilience_order(g)
+        for d in range(g.n):
+            design = greedy_design(g.n + 3, g.n, d)
+            try:
+                orthogonal_family(g, design)
+                accepted = True
+            except ValueError as exc:
+                accepted = False
+                assert f"needs a {d}-resilient base" in str(exc)
+                assert "-1-resilient" not in str(exc)
+            assert accepted == (order >= d), (g, d, order)
 
 
 def test_single_set_family_trivially_passes():
@@ -286,5 +323,8 @@ def test_design_constructor_checks_every_pair_and_every_set():
         Design(6, 3, 1, (0b1000011,))
     with pytest.raises(ValueError):
         Design(65, 2, 1, (0b11,))
+    for d in (-1, 4):  # one set meets no other, so only d itself is wrong
+        with pytest.raises(ValueError, match="bound d"):
+            Design(6, 3, d, (0b111,))
     with pytest.raises(ValueError):
         greedy_design(65, 2, 1)

@@ -16,6 +16,7 @@ from boolres.hypercube import (
     fwht,
     is_d_resilient,
     l1_distance,
+    low_degree_sums,
     noise_sensitivity,
     per_coordinate_influence,
     read_truth_table,
@@ -401,7 +402,8 @@ def test_dimension_mismatch_raises():
 def test_resilience_check_exact_integer_path():
     f = BooleanFunction(4, chi_values(4, 0b111))
     check = is_d_resilient(f, 2)
-    assert check.resilient and check.exact
+    assert check.resilient
+    assert low_degree_sums(f.table, 2)[1].dtype == np.int64  # int8 table, exact int64 sums
     check3 = is_d_resilient(f, 3)
     assert not check3.resilient
     assert check3.worst_mask == 0b111

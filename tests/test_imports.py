@@ -1,7 +1,8 @@
 """Every name a module of the package (or `tests/reference.py`) imports is
-used in that module, and every public function or class the package defines,
+used in that module, every public function or class the package defines,
 and every public method of a public class, is named somewhere in the package
-outside its own definition: code that only tests reach belongs in
+outside its own definition, and every UPPER_CASE module constant is read
+somewhere in the package: code that only tests reach belongs in
 `tests/reference.py`."""
 
 import ast
@@ -186,3 +187,61 @@ def test_every_public_function_is_named_outside_its_module(path):
 def test_every_public_method_is_named_outside_its_definition(path):
     sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
     assert unnamed_definitions(str(path.relative_to(ROOT)), sources, public_methods) == []
+
+
+def module_constants(source: str) -> list[str]:
+    """The UPPER_CASE names (a leading underscore allowed) a module assigns
+    at its top level, in order of appearance."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            found += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append(node.target.id)
+    return [name for name in found if name.strip("_")[:1].isalpha() and name == name.upper()]
+
+
+@functools.cache
+def reads(source: str) -> frozenset[str]:
+    """Every name and attribute a source loads, and its `__all__` entries;
+    an assignment and an import are not reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            found.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            found |= set(ast.literal_eval(node.value))
+    return frozenset(found)
+
+
+def unread_constants(module: str, sources: dict[str, str]) -> list[str]:
+    """The constants of `module` that no package source (a path under
+    src/boolres) reads; tests and perfbench do not count."""
+    package = [source for path, source in sources.items() if path.startswith("src/boolres/")]
+    return [
+        name for name in module_constants(sources[module])
+        if not any(name in reads(source) for source in package)
+    ]
+
+
+def test_the_check_finds_a_constant_read_nowhere_in_the_package():
+    module = (
+        "LIMIT = 3\nTOL: float = 1e-9\n_STEP = 2\nLONE = 1\nIMPORTED_ONLY = 5\n"
+        "EXPORTED = 0\nTESTED = 6\nlower = 4\n"
+        "def f(x):\n    return x < LIMIT * _STEP\n"
+    )
+    sources = {
+        "src/boolres/a.py": module,
+        "src/boolres/b.py": "from . import a\nfrom .a import IMPORTED_ONLY\ny = a.TOL\n",
+        "src/boolres/__init__.py": "__all__ = ['EXPORTED']\n",
+        "tests/test_a.py": "from boolres.a import TESTED\nprint(TESTED)\n",
+    }
+    assert unread_constants("src/boolres/a.py", sources) == ["LONE", "IMPORTED_ONLY", "TESTED"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_constant_is_read_in_the_package(path):
+    sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
+    assert unread_constants(str(path.relative_to(ROOT)), sources) == []
