@@ -40,8 +40,6 @@ MAX_DEPTH = 14283
 
 @dataclass(frozen=True)
 class AmplificationReport:
-    n: int
-    k: int
     arity: int
     dist_base: float
     influence: float
@@ -138,8 +136,6 @@ def amplification_report(
             f"{cor2_bound}"
         )
     return AmplificationReport(
-        n=n,
-        k=k,
         arity=n ** (k + 1),
         dist_base=dist_base,
         influence=influence,

@@ -18,7 +18,9 @@ CycleRun(x) = 1 and D = 2 |Shift_x| |x|:
 
 Orbits are handled in batches: each weight level's orbits are found in whole
 arrays, the branch rules run on Python ints, and the table is flipped once at
-the end.  The audit replays all recorded orbits at once.
+the end.  The audit replays all recorded orbits at once.  The report holds
+what the build computed; the CLI writes the `cyclerun-build` artifact from
+it and from its own arguments.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _orbits_by_level(ones: np.ndarray, ones_pc: np.ndarray, n: int) -> list:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    index: int
+    """One flipped orbit; its iteration number is its position in the report."""
+
     branch: str  # "heavy" | "light" | "boundary"
     point: int
     weight: int
@@ -90,8 +93,6 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class BuilderReport:
-    n: int
-    c1: float
     output: BooleanFunction
     sigma_initial: int
     sigma_final: int
@@ -101,19 +102,6 @@ class BuilderReport:
     iterations: tuple[IterationRecord, ...]
     distance: float
     budget_ratio: float  # distance / sqrt(log2(n)/n)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c1": self.c1,
-            "sigma_initial": self.sigma_initial,
-            "sigma_final": self.sigma_final,
-            "sbar_size": self.sbar_size,
-            "sbar_prime_size": self.sbar_prime_size,
-            "distance": self.distance,
-            "budget_ratio": self.budget_ratio,
-            "iterations": [dict(vars(rec)) for rec in self.iterations],
-        }
 
 
 def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
@@ -182,7 +170,6 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
         sbar_size += orbit_size
         records.append(
             IterationRecord(
-                index=len(records),
                 branch=branch,
                 point=point,
                 weight=point_weight,
@@ -209,8 +196,6 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
 
     distance = sbar_size / size
     return BuilderReport(
-        n=n,
-        c1=c1,
         output=output,
         sigma_initial=sigma_initial,
         sigma_final=sigma,
@@ -226,7 +211,7 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
 @dataclass(frozen=True)
 class AuditResult:
     ok: bool
-    failed_iteration: int  # -1 when ok
+    failed_iteration: int  # position in report.iterations; -1 when ok
     detail: str
 
 
@@ -266,7 +251,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     (`level_one_sums`).  The first failing iteration is reported, its
     checks in that order.
     """
-    n = report.n
+    n = report.output.n
     recs = report.iterations
     table = cyclerun(n).table.copy()
     # the level-one sums sum_x f(x) x_j follow mask 0
@@ -299,17 +284,16 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
 
     # replay the flips checkpoint by checkpoint up to the first failure; an
     # overlapping orbit fails before its checkpoint would be read
-    indices = np.array([rec.index for rec in recs], dtype=np.int64)
-    checkpoints = np.flatnonzero(indices[:first + 1] % FULL_RECHECK_EVERY == 0)
+    checkpoints = range(0, min(first + 1, len(recs)), FULL_RECHECK_EVERY)
     done = 0
-    for pos in checkpoints.tolist():
+    for pos in checkpoints:
         if pos == first and overlaps[pos]:
             break
         table[members[offsets[done]:offsets[pos + 1]]] *= -1
         done = pos + 1
         full = level_one_sums(table)[1:]
         if np.any(full != sums[pos]):
-            return AuditResult(False, recs[pos].index, "incremental sums drifted")
+            return AuditResult(False, pos, "incremental sums drifted")
     if first < len(recs):
         rec = recs[first]
         details = [
@@ -319,7 +303,7 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
             "sigma not a nonnegative multiple of 4n",
             "sigma decrement does not match the orbit",
         ]
-        return AuditResult(False, rec.index, details[int(failed[first].argmax())])
+        return AuditResult(False, first, details[int(failed[first].argmax())])
 
     table[members[offsets[done]:]] *= -1
     full = level_one_sums(table)[1:]

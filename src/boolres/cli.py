@@ -33,6 +33,7 @@ from .builder import audit_invariants, build_one_resilient
 from .designs import greedy_design, orthogonal_family
 from .duality import distance_to_resilience, l1_poly_distance
 from .hypercube import (
+    BooleanFunction,
     CubeFunction,
     read_truth_table,
     spectral_stats,
@@ -345,10 +346,19 @@ def _cmd_cyclerun_build(args) -> None:
     audit = audit_invariants(report)
     if not audit.ok:
         raise AssertionError(f"invariant audit failed at iteration {audit.failed_iteration}: {audit.detail}")
-    payload = report.to_dict()
-    payload["audit_ok"] = audit.ok
-    payload["first_level_coefficients"] = list(report.first_level_sums)
-    _emit(args, payload)
+    _emit(args, {
+        "n": args.n,
+        "c1": args.c1,
+        "sigma_initial": report.sigma_initial,
+        "sigma_final": report.sigma_final,
+        "sbar_size": report.sbar_size,
+        "sbar_prime_size": report.sbar_prime_size,
+        "distance": report.distance,
+        "budget_ratio": report.budget_ratio,
+        "iterations": [{"index": i, **vars(rec)} for i, rec in enumerate(report.iterations)],
+        "audit_ok": audit.ok,
+        "first_level_coefficients": list(report.first_level_sums),
+    })
 
 
 def _cmd_amplify(args) -> None:
@@ -356,8 +366,8 @@ def _cmd_amplify(args) -> None:
     witness = distance_to_resilience(fn, args.d).witness
     report = amplification_report(fn, witness, k=args.k)
     _emit(args, {
-        "n": report.n,
-        "k": report.k,
+        "n": fn.n,
+        "k": args.k,
         "arity": report.arity,
         "dist_base": report.dist_base,
         "influence": report.influence,
@@ -389,7 +399,7 @@ def _cmd_ortho_family(args) -> None:
         "sets": design.index_lists(),
         "max_offdiagonal": report.max_offdiagonal,
         "diagonal_value": report.diagonal_value,
-        "exact_integer_arithmetic": report.exact,
+        "exact_integer_arithmetic": isinstance(base, BooleanFunction),
     })
 
 
@@ -408,8 +418,8 @@ def _cmd_learn(args) -> None:
         "regression_delta": report.regression_delta,
         "threshold": report.threshold,
         "empirical_error": report.empirical_error,
-        "m": report.m,
-        "seed": report.seed,
+        "m": args.m,
+        "seed": args.seed,
         "hypothesis_table": report.hypothesis.table,
         "poly_coefficients": {hex(m): c for m, c in report.poly.coeffs.items()},
     })

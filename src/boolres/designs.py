@@ -137,7 +137,6 @@ class OrthogonalFamilyReport:
     gram: np.ndarray           # m x m matrix of E[g_i g_j]
     max_offdiagonal: float
     diagonal_value: float      # E[g^2], shared by construction
-    exact: bool                # integer arithmetic (Boolean base)
 
 
 def _spectral_gram(g: CubeFunction, masks: np.ndarray) -> np.ndarray:
@@ -200,5 +199,4 @@ def orthogonal_family(g: CubeFunction, design: Design) -> OrthogonalFamilyReport
         gram=gram,
         max_offdiagonal=max_off,
         diagonal_value=float(gram[0, 0]) if design.size else 0.0,
-        exact=exact,
     )

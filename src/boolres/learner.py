@@ -37,11 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import SparsePolynomial, _l1_box_lp
+from .duality import MAX_DUALITY_DIM, SparsePolynomial, _l1_box_lp
 from .hypercube import BooleanFunction, CubeFunction
-
-EXACT_MAX_DIM_BOOLEAN = 12
-EXACT_MAX_DIM_BOUNDED = 10
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,6 @@ class LearnReport:
     threshold: float
     poly: SparsePolynomial
     empirical_error: float | None = None
-    m: int | None = None
-    seed: int | None = None
 
 
 def _label_weights(g: CubeFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -111,9 +106,8 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
 def learn_exact(g: CubeFunction, d: int) -> LearnReport:
     """Exact-expectation regression + optimal thresholding on the labels
     with conditional mean g."""
-    limit = EXACT_MAX_DIM_BOOLEAN if isinstance(g, BooleanFunction) else EXACT_MAX_DIM_BOUNDED
-    if g.n > limit:
-        raise ValueError(f"exact mode limited to n <= {limit} for this target type")
+    if g.n > MAX_DUALITY_DIM:
+        raise ValueError(f"exact mode limited to n <= {MAX_DUALITY_DIM}")
     return _fit(g.n, d, *_label_weights(g))
 
 
@@ -127,8 +121,8 @@ def learn_sampled(g: CubeFunction, d: int, m: int, seed: int) -> LearnReport:
     if m < 1:
         raise ValueError("sample count m must be positive")
     n = g.n
-    if n > EXACT_MAX_DIM_BOOLEAN:
-        raise ValueError(f"sampled mode limited to n <= {EXACT_MAX_DIM_BOOLEAN}")
+    if n > MAX_DUALITY_DIM:
+        raise ValueError(f"sampled mode limited to n <= {MAX_DUALITY_DIM}")
     rng = np.random.default_rng(seed)
     size = 1 << n
     xs = rng.integers(0, size, size=m)
@@ -140,4 +134,4 @@ def learn_sampled(g: CubeFunction, d: int, m: int, seed: int) -> LearnReport:
     fit = _fit(n, d, up_counts, down_counts)
 
     true_error = _error(fit.hypothesis.table, *_label_weights(g))
-    return replace(fit, error=true_error, empirical_error=fit.error, m=m, seed=seed)
+    return replace(fit, error=true_error, empirical_error=fit.error)

@@ -27,6 +27,7 @@ from boolres.hypercube import (
 from boolres.learner import LearnReport, learn_exact
 from boolres.zoo import FtStats, _check_ft_args, _tribes_check
 
+INT64_BITS = 62  # integer paths keep |value| <= 2^62, inside int64
 NS_DIRECT_MAX_DIM = 14
 
 

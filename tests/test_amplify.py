@@ -178,7 +178,7 @@ def test_amplification_balance_tolerance_is_1e_12(offset, accepted):
     g = BoundedFunction(3, 0.5 * parity(0b111, 3).table + offset)
     assert abs(np.mean(g.table) - offset) < 1e-15
     if accepted:
-        assert amplification_report(f, g, k=1).k == 1
+        assert amplification_report(f, g, k=1).arity == 9
     else:
         with pytest.raises(ValueError, match="balanced"):
             amplification_report(f, g, k=1)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boolres import builder
+from boolres import builder, cli
 from boolres.builder import (
     BudgetExhausted,
     BuilderError,
@@ -78,14 +78,14 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
         table[members] *= -1
         sbar_size += len(orbit)
         records.append(IterationRecord(
-            index=len(records), branch=branch, point=chosen, weight=int(wt[chosen]),
+            branch=branch, point=chosen, weight=int(wt[chosen]),
             orbit_size=len(orbit), sigma_before=sigma, sigma_after=sigma - delta,
         ))
         sigma -= delta
     distance = sbar_size / size
     points = np.arange(size)
     return BuilderReport(
-        n=n, c1=c1, output=BooleanFunction(n, table.astype(np.int8)),
+        output=BooleanFunction(n, table.astype(np.int8)),
         sigma_initial=sigma_initial, sigma_final=sigma,
         first_level_sums=tuple(int(table @ (1 - 2 * (points >> j & 1))) for j in range(n)),
         sbar_size=sbar_size,
@@ -98,7 +98,8 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
 def test_batched_build_matches_the_per_orbit_reference(n):
     report = build_one_resilient(n)
     expected = reference_build(n)
-    assert report.to_dict() == expected.to_dict()
+    # every field but the table, which is compared below
+    assert dataclasses.replace(report, output=None) == dataclasses.replace(expected, output=None)
     assert report.first_level_sums == expected.first_level_sums == (0,) * n
     assert np.array_equal(report.output.table, expected.output.table)
     assert report.output.table.dtype == expected.output.table.dtype
@@ -170,7 +171,7 @@ def test_builder_outputs_for_range():
         base = cyclerun(n)
         corr = correlation(report.output, base)
         assert corr == pytest.approx(1.0 - 2.0 * report.distance, abs=1e-12)
-        assert report.budget_ratio <= report.c1
+        assert report.budget_ratio <= 8.0  # the default c1
 
 
 def test_builder_rejects_bad_params():
@@ -194,18 +195,26 @@ def test_audit_detects_corrupted_sigma():
     report = build_one_resilient(7)
     target = len(report.iterations) // 2
     broken = []
-    for rec in report.iterations:
-        if rec.index == target:
+    for i, rec in enumerate(report.iterations):
+        if i == target:
             rec = dataclasses.replace(rec, sigma_after=rec.sigma_after - 4)
         broken.append(rec)
-    bad = BuilderReport(
-        **{
-            **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
-            "iterations": tuple(broken),
-        }
-    )
+    bad = dataclasses.replace(report, iterations=tuple(broken))
     result = audit_invariants(bad)
     assert not result.ok
+    assert result.failed_iteration == target
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_audit_reports_a_tampered_record_by_its_position(offset):
+    # at a checkpoint and just past it; records carry no index of their own
+    report = build_one_resilient(15)
+    target = 2 * builder.FULL_RECHECK_EVERY + offset
+    assert target < len(report.iterations)
+    recs = list(report.iterations)
+    recs[target] = dataclasses.replace(recs[target], sigma_after=recs[target].sigma_after - 4)
+    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    assert result.ok is False
     assert result.failed_iteration == target
 
 
@@ -213,58 +222,52 @@ def test_audit_detects_wrong_orbit():
     report = build_one_resilient(7)
     recs = list(report.iterations)
     # claim a different flip point for the first heavy iteration
-    first = recs[0]
-    recs[0] = IterationRecord(
-        index=0,
-        branch=first.branch,
-        point=0b0000011,
-        weight=first.weight,
-        orbit_size=first.orbit_size,
-        sigma_before=first.sigma_before,
-        sigma_after=first.sigma_after,
-    )
-    bad = BuilderReport(
-        **{
-            **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
-            "iterations": tuple(recs),
-        }
-    )
-    result = audit_invariants(bad)
+    recs[0] = dataclasses.replace(recs[0], point=0b0000011)
+    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
     assert not result.ok
 
 
-def test_report_json_round_trips():
+def _cyclerun_build_artifact(tmp_path, n):
+    out = tmp_path / "build.json"
+    assert cli.main(["cyclerun-build", "--n", str(n), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_report_json_round_trips(tmp_path):
     report = build_one_resilient(5)
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert payload["n"] == 5
+    payload = _cyclerun_build_artifact(tmp_path, 5)
+    assert payload["n"] == 5 and payload["c1"] == 8.0
     assert payload["sigma_final"] == 0
     assert len(payload["iterations"]) == len(report.iterations)
     assert payload["distance"] == report.distance
 
 
-def test_report_dict_is_its_json_payload():
-    # the CLI emits to_dict() directly, so it must hold JSON values only
+def test_report_dict_is_its_json_payload(tmp_path):
+    # the CLI writes the report's values as they are, so each must be a
+    # JSON value already: a plain int, float or str, never a numpy scalar
     report = build_one_resilient(9)
-    payload = report.to_dict()
-    assert json.loads(json.dumps(payload)) == payload
+    values = [
+        getattr(report, field.name)
+        for field in dataclasses.fields(report)
+        if field.name not in ("output", "first_level_sums", "iterations")
+    ]
+    values += list(report.first_level_sums)
+    values += [value for rec in report.iterations for value in vars(rec).values()]
+    assert {type(value) for value in values} <= {int, float, str}
+    payload = _cyclerun_build_artifact(tmp_path, 9)
+    assert payload["first_level_coefficients"] == list(report.first_level_sums)
 
-    def leaf_types(value):
-        if isinstance(value, dict):
-            return set().union(*map(leaf_types, value.values()))
-        if isinstance(value, list):
-            return set().union(set(), *map(leaf_types, value))
-        return {type(value)}
 
-    assert leaf_types(payload) <= {int, float, str}
-
-
-def test_report_iteration_dicts_match_asdict():
-    # asdict is the oracle only: to_dict copies the flat records directly
+def test_report_iteration_dicts_match_asdict(tmp_path):
+    # asdict is the oracle only: the CLI copies the flat records directly,
+    # each after its position
     report = build_one_resilient(11)
-    payload = report.to_dict()
-    assert payload["iterations"] == [dataclasses.asdict(rec) for rec in report.iterations]
+    payload = _cyclerun_build_artifact(tmp_path, 11)
+    assert payload["iterations"] == [
+        {"index": i, **dataclasses.asdict(rec)} for i, rec in enumerate(report.iterations)
+    ]
     assert [list(entry) for entry in payload["iterations"]] == [
-        [field.name for field in dataclasses.fields(IterationRecord)]
+        ["index"] + [field.name for field in dataclasses.fields(IterationRecord)]
     ] * len(report.iterations)
 
 
@@ -366,7 +369,7 @@ def test_audit_replays_the_table_at_every_checkpoint(monkeypatch):
     monkeypatch.setattr(builder, "level_one_sums", recording)
     assert audit_invariants(report).ok
     every = builder.FULL_RECHECK_EVERY
-    checkpoints = [rec.index for rec in report.iterations if rec.index % every == 0]
+    checkpoints = list(range(0, len(report.iterations), every))
     assert len(tables) == 1 + len(checkpoints) + 1  # initial, checkpoints, final
     base = cyclerun(15).table
     points = np.array([rec.point for rec in report.iterations])

@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boolres import amplify, builder, cli, hypercube, zoo
+from boolres import __version__, amplify, builder, cli, hypercube, zoo
+from boolres.builder import audit_invariants, build_one_resilient
 from boolres.cli import main, parse_function_spec
+from boolres.designs import greedy_design, orthogonal_family
+from boolres.duality import distance_to_resilience
 from boolres.hypercube import MAX_DIM, BoundedFunction
+from boolres.learner import learn_exact, learn_sampled
 from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
 from reference import write_truth_table
 
@@ -735,6 +739,121 @@ def test_artifact_is_indented_json(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def _artifact_text(tmp_path, *argv):
+    """The text `main` writes for argv, and argv's --out path."""
+    out = str(tmp_path / "artifact.json")
+    assert main([*argv, "--out", out]) == 0
+    with open(out) as handle:
+        return handle.read(), out
+
+
+def _expected_text(payload, config):
+    payload = {**payload, "config": config, "version": __version__}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_cyclerun_build_artifact_is_the_report_and_argv(tmp_path):
+    text, out = _artifact_text(tmp_path, "cyclerun-build", "--n", "9")
+    report = build_one_resilient(9, c1=8.0)
+    assert audit_invariants(report).ok
+    payload = {
+        "n": 9,
+        "c1": 8.0,
+        "sigma_initial": report.sigma_initial,
+        "sigma_final": report.sigma_final,
+        "sbar_size": report.sbar_size,
+        "sbar_prime_size": report.sbar_prime_size,
+        "distance": report.distance,
+        "budget_ratio": report.budget_ratio,
+        "iterations": [
+            {
+                "index": i,
+                "branch": rec.branch,
+                "point": rec.point,
+                "weight": rec.weight,
+                "orbit_size": rec.orbit_size,
+                "sigma_before": rec.sigma_before,
+                "sigma_after": rec.sigma_after,
+            }
+            for i, rec in enumerate(report.iterations)
+        ],
+        "audit_ok": True,
+        "first_level_coefficients": [0] * 9,
+    }
+    config = {"command": "cyclerun-build", "n": 9, "c1": 8.0, "out": out, "format": "json"}
+    assert text == _expected_text(payload, config)
+
+
+@pytest.mark.parametrize("sampling", [(), ("--m", "200", "--seed", "3")], ids=["exact", "sampled"])
+def test_learn_artifact_is_the_report_and_argv(tmp_path, sampling):
+    text, out = _artifact_text(tmp_path, "learn", "--fn", "dictator:n=4,i=1", "--d", "1", *sampling)
+    fn = dictator(1, 4)
+    if sampling:
+        report, m, seed = learn_sampled(fn, d=1, m=200, seed=3), 200, 3
+    else:
+        report, m, seed = learn_exact(fn, d=1), None, None
+    payload = {
+        "error": report.error,
+        "regression_delta": report.regression_delta,
+        "threshold": report.threshold,
+        "empirical_error": report.empirical_error,
+        "m": m,
+        "seed": seed,
+        "hypothesis_table": report.hypothesis.table.tolist(),
+        "poly_coefficients": {hex(mask): c for mask, c in report.poly.coeffs.items()},
+    }
+    config = {"command": "learn", "fn": "dictator:n=4,i=1", "d": 1}
+    if sampling:
+        config |= {"m": 200, "seed": 3}
+    config |= {"out": out, "format": "json"}
+    assert text == _expected_text(payload, config)
+
+
+def test_amplify_artifact_is_the_report_and_argv(tmp_path):
+    text, out = _artifact_text(tmp_path, "amplify", "--fn", "majority:n=3", "--d", "1", "--k", "2")
+    fn = majority(3)
+    report = amplify.amplification_report(fn, distance_to_resilience(fn, 1).witness, k=2)
+    payload = {
+        "n": 3,
+        "k": 2,
+        "arity": report.arity,
+        "dist_base": report.dist_base,
+        "influence": report.influence,
+        "cor2_bound": report.cor2_bound,
+        "dist_measured": report.dist_measured,
+        "exact": report.exact,
+        "ci_width": report.ci_width,
+        "ns_delta_exact": report.ns_delta_exact,
+        "ns_union_bound": report.ns_union_bound,
+    }
+    config = {"command": "amplify", "fn": "majority:n=3", "d": 1, "k": 2, "out": out,
+              "format": "json"}
+    assert text == _expected_text(payload, config)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["boolean", "bounded"])
+def test_ortho_family_artifact_is_the_report_and_argv(tmp_path, bounded):
+    base = parity(0b111, 3)
+    if bounded:
+        base = BoundedFunction(3, 0.5 * base.table)
+    path = str(tmp_path / "base.tt")
+    write_truth_table(base, path)
+    spec = f"file:path={path}"
+    text, out = _artifact_text(tmp_path, "ortho-family", "--fn", spec, "--n", "10", "--d", "1")
+    design = greedy_design(10, 3, 1)
+    report = orthogonal_family(base, design)
+    payload = {
+        "design_size": design.size,
+        "sets": design.index_lists(),
+        "max_offdiagonal": report.max_offdiagonal,
+        "diagonal_value": report.diagonal_value,
+        "exact_integer_arithmetic": not bounded,
+    }
+    config = {"command": "ortho-family", "fn": spec, "n": 10, "d": 1, "out": out,
+              "format": "json"}
+    assert text == _expected_text(payload, config)
 
 
 def test_main_builds_one_parser_and_reuses_it(capsys, monkeypatch):

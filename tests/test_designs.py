@@ -128,7 +128,7 @@ def test_orthogonal_family_parities():
     design = greedy_design(8, 2, 1)
     g = parity(0b11, 2)  # 1-resilient
     report = orthogonal_family(g, design)
-    assert report.exact
+    assert _spectral_gram(g, design.masks()).dtype == np.int64  # the integer route
     assert report.max_offdiagonal == 0.0
     assert report.diagonal_value == pytest.approx(1.0)
 
@@ -137,7 +137,7 @@ def test_orthogonal_family_builder_output_in_ambient_12():
     g = build_one_resilient(5).output
     design = greedy_design(12, 5, 1)
     report = orthogonal_family(g, design)
-    assert report.exact
+    assert _spectral_gram(g, design.masks()).dtype == np.int64  # the integer route
     assert report.max_offdiagonal == 0.0
     assert np.allclose(np.diag(report.gram), 1.0)
     assert design.size >= 3
@@ -249,7 +249,8 @@ def test_orthogonal_family_matches_the_table_gram_on_designs():
     for g, design in cases:
         report = orthogonal_family(g, design)
         want = _table_gram(g, design.sets, design.n) / float(1 << 2 * g.n)
-        assert report.exact == isinstance(g, BooleanFunction)
+        integer = _spectral_gram(g, design.masks()).dtype == np.int64
+        assert integer == isinstance(g, BooleanFunction)
         assert report.gram.tobytes() == want.tobytes()
         assert report.max_offdiagonal == 0.0
         assert report.diagonal_value == float(np.mean(np.square(g.table, dtype=np.float64)))

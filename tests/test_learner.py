@@ -148,7 +148,6 @@ def test_hardness_shadow_embedded_resilient_target():
 def test_learn_sampled_recovers_scaled_dictator():
     report = learn_sampled(scaled_dictator(6), d=1, m=50_000, seed=3)
     assert report.error <= 0.1 + 0.02
-    assert report.m == 50_000 and report.seed == 3
     assert report.empirical_error is not None
 
 
@@ -167,14 +166,26 @@ def test_learn_sampled_rejects_zero_samples():
 
 
 def test_exact_mode_dimension_guards():
-    # the cap reads the target's type: n <= 12 for a BooleanFunction (the
-    # hard target tests run n = 12), n <= 10 for a BoundedFunction, +-1 or not
+    # one cap for every target type, duality.MAX_DUALITY_DIM = 12, the cap
+    # of the same k-row box LP
+    assert duality.MAX_DUALITY_DIM == 12
     rng = np.random.default_rng(7)
-    big_bounded = BoundedFunction(11, rng.uniform(-0.9, 0.9, 2048))
-    big_signs = BoundedFunction(11, random_boolean(11, seed=7).table)
-    for target, limit in [(big_bounded, 10), (big_signs, 10), (random_boolean(13, seed=7), 12)]:
-        with pytest.raises(ValueError, match=rf"^exact mode limited to n <= {limit} "):
+    big_bounded = BoundedFunction(13, rng.uniform(-0.9, 0.9, 1 << 13))
+    big_signs = BoundedFunction(13, random_boolean(13, seed=7).table)
+    for target in (big_bounded, big_signs, random_boolean(13, seed=7)):
+        with pytest.raises(ValueError, match=r"^exact mode limited to n <= 12$"):
             learn_exact(target, d=1)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_bounded_targets_learn_exactly_up_to_the_duality_cap(n):
+    # a noisy dictator plus bounded noise: the learner does no worse than
+    # the dictators, whose degree-1 L1 distance is 0
+    rng = np.random.default_rng(n)
+    g = BoundedFunction(n, 0.6 * chi_values(n, 1) + rng.uniform(-0.3, 0.3, 1 << n))
+    report, opt, excess = learn_against_class(g, d=1, comparison_class=dictator_class(n))
+    assert opt == pytest.approx(0.2, abs=0.01)
+    assert excess <= 1e-9
 
 
 def _float_route(f, d, m=None, seed=None):
@@ -191,7 +202,7 @@ def _float_route(f, d, m=None, seed=None):
     fit = learner._fit(f.n, d, np.bincount(xs[ys > 0], minlength=size).astype(np.float64) / m,
                        np.bincount(xs[ys < 0], minlength=size).astype(np.float64) / m)
     error = learner._error(fit.hypothesis.table, up, down)
-    return dataclasses.replace(fit, error=error, empirical_error=fit.error, m=m, seed=seed)
+    return dataclasses.replace(fit, error=error, empirical_error=fit.error)
 
 
 def _report_bits(report):

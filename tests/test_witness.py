@@ -8,7 +8,6 @@ from fractions import Fraction
 from boolres import cli, hypercube
 from boolres.duality import distance_to_resilience
 from boolres.hypercube import (
-    INT64_BITS,
     BooleanFunction,
     BoundedFunction,
     chi_values,
@@ -25,7 +24,7 @@ from boolres.witness import (
     build_witness,
 )
 from boolres.zoo import cyclerun, majority, random_boolean, tribes
-from reference import ConcentrationProbe, concentration_probe
+from reference import INT64_BITS, ConcentrationProbe, concentration_probe
 
 
 def test_params_validation():
