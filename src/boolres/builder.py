@@ -16,16 +16,24 @@ CycleRun(x) = 1 and D = 2 |Shift_x| |x|:
   choice reaching the required terminal state; neither strict branch covers
   the boundary).
 
-Orbits are handled in batches: each weight level's orbits are found in whole
-arrays, the branch rules run on Python ints, and the table is flipped once at
-the end.  The audit replays all recorded orbits at once.  The report holds
-what the build computed; the CLI writes the `cyclerun-build` artifact from
-it and from its own arguments.
+The greedy choice runs as int64 array passes.  The build takes the orbits of
+every weight level it reads at once, weight descending and least point
+ascending, and the heavy run is the prefix of their cumulative decrements at
+most sigma (`np.searchsorted`), one equal to sigma being the boundary
+branch.  Once the light branch fires it runs until sigma = 0, so it takes
+exactly sigma / 4n weight-one orbits.  |Sbar|, sigma, the budget test and
+the sigma invariant are array checks that raise at the iteration a loop over
+one orbit at a time would.  The table is flipped once at the end; the audit
+replays the records in packed sign bits.  The CLI writes the
+`cyclerun-build` artifact from the report and from its own arguments.
+
+The int64 sums cannot wrap.  The orbits are disjoint, and an orbit O's
+decrement is 2 |O| weight <= 2n |O|, so sigma and every cumulative sum of
+decrements are at most 2n 2^n, under 2^27 at n = 21.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +42,14 @@ import numpy as np
 from .hypercube import (
     BooleanFunction,
     characters,
+    flip_sign_bits,
     level_one_sums,
     orbit_members,
     periods,
-    popcounts,
     rotate,
     rotations,
+    sign_sums,
+    sign_words,
 )
 from .zoo import cyclerun
 
@@ -56,39 +66,31 @@ class BudgetExhausted(BuilderError):
     """The |Sbar| budget was hit while sigma was still positive."""
 
 
-def _orbits_by_level(ones: np.ndarray, ones_pc: np.ndarray, n: int) -> list:
-    """One lazy walk per popcount level pc = 0..n, yielding (point, period,
-    weight) of each orbit met walking that level's candidates ascending.
+def _least_shifts(points: np.ndarray, n: int) -> np.ndarray:
+    """The points, kept in order, that are no larger than any of their shifts.
 
-    `ones` lists the CycleRun = 1 points ascending, `ones_pc` their
-    popcounts.  All shifts of a point share its weight and its CycleRun
-    value, and for odd n a complement has CycleRun = -1, so within a level
-    the first point of an orbit is its least shift.
+    All shifts of a point share its weight and its CycleRun value, and for
+    odd n a complement has CycleRun = -1, so among CycleRun = 1 points,
+    ascending, these are the first points of their orbits.
     """
-
-    def level(pc: int):
-        least = ones[ones_pc == pc]
-        shifted = least
-        for _ in range(n - 1):
-            shifted = rotate(shifted, 1, n)
-            keep = least <= shifted
-            least, shifted = least[keep], shifted[keep]
-        for point, period in zip(least.tolist(), periods(rotations(least, n)).tolist()):
-            yield point, period, n - 2 * pc
-
-    return [level(pc) for pc in range(n + 1)]
+    least = shifted = points
+    for _ in range(n - 1):
+        shifted = rotate(shifted, 1, n)
+        keep = least <= shifted
+        least, shifted = least[keep], shifted[keep]
+    return least
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One flipped orbit; its iteration number is its position in the report."""
-
-    branch: str  # "heavy" | "light" | "boundary"
-    point: int
-    weight: int
-    orbit_size: int
-    sigma_before: int
-    sigma_after: int
+def _first_least_shifts(points: np.ndarray, count: int, n: int) -> np.ndarray:
+    """The first `count` of `_least_shifts(points, n)`, fewer if it has fewer,
+    read off the shortest prefix of the points that holds them: 16 n points
+    an orbit to begin with, then four times as many each time."""
+    stop = 16 * n * max(count, 1)
+    while True:
+        least = _least_shifts(points[:stop], n)
+        if len(least) >= count or stop >= len(points):
+            return least[:count]
+        stop *= 4
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,10 @@ class BuilderReport:
     first_level_sums: tuple[int, ...]  # 2^n-scaled coefficients of {1}..{n}, checked zero
     sbar_size: int
     sbar_prime_size: int
-    iterations: tuple[IterationRecord, ...]
+    # one read-only row per flipped orbit, its iteration number its position:
+    # branch ("heavy" | "light" | "boundary"), point, weight, orbit_size,
+    # sigma_before and sigma_after
+    iterations: np.ndarray
     distance: float
     budget_ratio: float  # distance / sqrt(log2(n)/n)
 
@@ -118,72 +123,87 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     base = cyclerun(n)
     size = 1 << n
     ones = np.flatnonzero(base.table == 1)
-    ones_pc = popcounts(n)[ones]
+    ones_pc = np.bitwise_count(ones)
+    count = np.bincount(ones_pc, minlength=n + 1)  # the ones of each popcount
+    level_weight = n - 2 * np.arange(n + 1)
     # sigma = sum_x f(x) (n - 2|x|); the sum over every x is 0, so sigma is
     # twice the sum over the ones
-    sigma = 2 * (n * len(ones) - 2 * int(ones_pc.sum()))
+    sigma = 2 * int(np.dot(count, level_weight))
     sigma_initial = sigma
     if sigma < 0 or sigma % (4 * n) != 0:
         raise BuilderError(f"initial sigma {sigma} is not a nonnegative multiple of 4n")
 
     budget = c1 * math.sqrt(math.log2(n) / n) * size
 
-    # candidates with CycleRun = 1, highest coordinate sum first, index ascending
-    levels = _orbits_by_level(ones, ones_pc, n)
-    candidates = itertools.chain.from_iterable(levels)
-    # the light branch draws the orbits of coordinate sum 1 from the same
-    # walk; such an orbit has period n (gcd(n, (n-1)/2) = 1), so its
-    # decrement 4n <= sigma and the branch never fires while x is one
-    light = levels[(n - 1) // 2]
+    # The heavy walk takes the orbits weight level by weight level, highest
+    # first, and each level's by least point ascending.  A level's orbits
+    # hold its count[pc] ones, period of them each, so their decrements add
+    # up to 4 weight count[pc], and no level past `last` is read.
+    light_pc = (n - 1) // 2  # weight one
+    reach = np.cumsum(4 * level_weight[:light_pc + 1] * count[:light_pc + 1])
+    last = min(int(np.searchsorted(reach, sigma)), light_pc)
+    least = _least_shifts(ones[ones_pc <= last], n)
+    least_pc = np.bitwise_count(least)
+    least = np.concatenate([least[least_pc == pc] for pc in range(last + 1)])
+    period = periods(rotations(least, n))
+    spent = np.cumsum(4 * period * (n - 2 * np.bitwise_count(least).astype(np.int64)))
+    take = int(np.searchsorted(spent, sigma, side="right"))
+    points, period = least[:take], period[:take]
+    rest = sigma - (int(spent[take - 1]) if take else 0)
+    # a failure belongs to the iteration after the last orbit taken
+    failure, light = None, 0
+    if rest and take < len(least):
+        # the light branch runs until sigma = 0.  An orbit of weight one has
+        # period n (gcd(n, (n-1)/2) = 1), so its decrement 4n <= sigma and
+        # the branch never fires at the weight-one level itself
+        need = rest // (4 * n)
+        star = _first_least_shifts(ones[ones_pc == light_pc], need, n)
+        star_period = periods(rotations(star, n))
+        if (bad := np.flatnonzero(star_period != n)).size:
+            star = star[:bad[0]]
+            failure = BuilderError("weight-one orbit does not have size 2n")
+        elif len(star) < need:
+            failure = NoWeightOnePoint(f"no weight-one CycleRun=1 point left at n={n}")
+        light = len(star)
+        points = np.concatenate([points, star])
+        period = np.concatenate([period, star_period[:light]])
+    elif rest and count[light_pc + 1:].any():
+        failure = BuilderError("best remaining candidate has nonpositive weight")
+    elif rest:
+        failure = BuilderError("no unflipped CycleRun=1 candidates remain")
 
-    records: list[IterationRecord] = []
-    sbar_size = 0
-    sbar_prime_size = 0
-    x = None
-
-    while sigma != 0:
-        if sbar_size > budget:
-            raise BudgetExhausted(
-                f"|Sbar| = {sbar_size} exceeded budget {budget:.1f} with sigma {sigma}"
-            )
-        if x is None:
-            x, period, weight = next(candidates, (None, 0, 0))
-            if x is None:
-                raise BuilderError("no unflipped CycleRun=1 candidates remain")
-        if weight <= 0:
-            raise BuilderError("best remaining candidate has nonpositive weight")
-        decrement = 4 * period * weight
-
-        if sigma - decrement < 0:
-            point, light_period, _ = next(light, (None, 0, 0))
-            if point is None:
-                raise NoWeightOnePoint(f"no weight-one CycleRun=1 point left at n={n}")
-            if light_period != n:
-                raise BuilderError("weight-one orbit does not have size 2n")
-            branch, point_weight, orbit_size, delta = "light", 1, 2 * n, 4 * n
-            sbar_prime_size += orbit_size
-        else:
-            branch = "heavy" if sigma - decrement > 0 else "boundary"
-            point, point_weight, orbit_size, delta = x, weight, 2 * period, decrement
-            x = None  # the cursor moves on
-
-        sbar_size += orbit_size
-        records.append(
-            IterationRecord(
-                branch=branch,
-                point=point,
-                weight=point_weight,
-                orbit_size=orbit_size,
-                sigma_before=sigma,
-                sigma_after=sigma - delta,
-            )
+    orbit_size = 2 * period
+    point_weight = n - 2 * np.bitwise_count(points).astype(np.int64)
+    sigma_after = sigma_initial - np.cumsum(2 * orbit_size * point_weight)
+    # |Sbar| and sigma at the top of each iteration and at the end
+    sbar = np.concatenate([[0], np.cumsum(orbit_size)])
+    sigma_before = np.concatenate([[sigma_initial], sigma_after])
+    # the budget is tested at the top of every iteration, a failing one included
+    over = np.flatnonzero(sbar[:len(points) + (failure is not None)] > budget)
+    broken = np.flatnonzero((sigma_after < 0) | (sigma_after % (4 * n) != 0))
+    if over.size and not (broken.size and broken[0] < over[0]):
+        raise BudgetExhausted(
+            f"|Sbar| = {int(sbar[over[0]])} exceeded budget {budget:.1f}"
+            f" with sigma {int(sigma_before[over[0]])}"
         )
-        sigma -= delta
-        if sigma < 0 or sigma % (4 * n) != 0:
-            raise BuilderError(f"sigma invariant broken at iteration {len(records) - 1}")
+    if broken.size:
+        raise BuilderError(f"sigma invariant broken at iteration {broken[0]}")
+    if failure is not None:
+        raise failure
+
+    branch = np.full(len(points), "heavy", dtype="U8")
+    branch[sigma_after == 0] = "boundary"
+    branch[len(points) - light:] = "light"
+    columns = {"branch": branch, "point": points, "weight": point_weight, "orbit_size": orbit_size,
+               "sigma_before": sigma_before[:-1], "sigma_after": sigma_after}
+    records = np.empty(len(points), [(name, column.dtype) for name, column in columns.items()])
+    for name, column in columns.items():
+        records[name] = column
+    records.setflags(write=False)
+    sbar_size = int(sbar[-1])
 
     table = base.table.copy()
-    table[orbit_members(np.array([rec.point for rec in records], dtype=np.int64), n)[0]] *= -1
+    table[orbit_members(points, n)[0]] *= -1
     # a member shared by two orbits would be flipped once and counted twice
     if np.count_nonzero(table != base.table) != sbar_size:
         raise BuilderError("orbits overlap: flipped entries differ from |Sbar|")
@@ -198,11 +218,11 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     return BuilderReport(
         output=output,
         sigma_initial=sigma_initial,
-        sigma_final=sigma,
+        sigma_final=int(sigma_before[-1]),
         first_level_sums=tuple(sums[1:].tolist()),
         sbar_size=sbar_size,
-        sbar_prime_size=sbar_prime_size,
-        iterations=tuple(records),
+        sbar_prime_size=2 * n * light,
+        iterations=records,
         distance=distance,
         budget_ratio=distance / math.sqrt(math.log2(n) / n),
     )
@@ -245,22 +265,24 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     coefficients equal, the logged sigma equals the recomputed sum of scaled
     first-level coefficients, sigma is a nonnegative multiple of 4n, and the
     decrement matches the orbit.  The level-one sums follow from the orbit
-    member sums, through `characters` rows; every FULL_RECHECK_EVERY
-    iterations and at the end they are recomputed from the whole replayed
-    table by another route, the popcounts of its packed sign bits
-    (`level_one_sums`).  The first failing iteration is reported, its
-    checks in that order.
+    member sums, through `characters` rows.  The replayed table is held as
+    packed sign bits, each checkpoint's members flipped in them; every
+    FULL_RECHECK_EVERY iterations and at the end the sums are recomputed
+    from the whole packed table by another route, its popcounts
+    (`sign_sums`), and at the end the bits are compared with the output's.
+    The first failing iteration is reported, its checks in that order.
     """
     n = report.output.n
     recs = report.iterations
-    table = cyclerun(n).table.copy()
+    base = cyclerun(n).table
+    words = sign_words(base)
     # the level-one sums sum_x f(x) x_j follow mask 0
-    initial = level_one_sums(table)[1:]
+    initial = sign_sums(words, n)[1:]
 
-    points = np.array([rec.point for rec in recs], dtype=np.int64)
+    points = recs["point"]
     members, sizes = orbit_members(points, n)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    sums = initial + np.cumsum(_level_one_deltas(table, members, offsets, n), axis=0)
+    sums = initial + np.cumsum(_level_one_deltas(base, members, offsets, n), axis=0)
 
     # sorted by member, then by iteration: a repeat belongs to a later orbit
     span = max(len(recs), 1)
@@ -269,8 +291,8 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     overlaps = np.zeros(len(recs), dtype=bool)
     overlaps[keys[1:][repeated] % span] = True
 
-    after = np.array([rec.sigma_after for rec in recs], dtype=np.int64)
-    decrement = np.array([rec.sigma_before for rec in recs], dtype=np.int64) - after
+    after = recs["sigma_after"]
+    decrement = recs["sigma_before"] - after
     weights = n - 2 * np.bitwise_count(points).astype(np.int64)
     failed = np.column_stack([
         overlaps,
@@ -289,26 +311,24 @@ def audit_invariants(report: BuilderReport) -> AuditResult:
     for pos in checkpoints:
         if pos == first and overlaps[pos]:
             break
-        table[members[offsets[done]:offsets[pos + 1]]] *= -1
+        flip_sign_bits(words, members[offsets[done]:offsets[pos + 1]])
         done = pos + 1
-        full = level_one_sums(table)[1:]
-        if np.any(full != sums[pos]):
+        if np.any(sign_sums(words, n)[1:] != sums[pos]):
             return AuditResult(False, pos, "incremental sums drifted")
     if first < len(recs):
         rec = recs[first]
         details = [
-            f"orbit of point {rec.point} overlaps an earlier orbit",
+            f"orbit of point {rec['point']} overlaps an earlier orbit",
             "first-level coefficients differ",
-            f"logged sigma {rec.sigma_after} != recomputed {int(sums[first].sum())}",
+            f"logged sigma {rec['sigma_after']} != recomputed {int(sums[first].sum())}",
             "sigma not a nonnegative multiple of 4n",
             "sigma decrement does not match the orbit",
         ]
         return AuditResult(False, first, details[int(failed[first].argmax())])
 
-    table[members[offsets[done]:]] *= -1
-    full = level_one_sums(table)[1:]
-    if np.any(full != (sums[-1] if len(recs) else initial)):
+    flip_sign_bits(words, members[offsets[done]:])
+    if np.any(sign_sums(words, n)[1:] != (sums[-1] if len(recs) else initial)):
         return AuditResult(False, len(recs) - 1, "final sums drifted")
-    if not np.array_equal(table, report.output.table):
+    if not np.array_equal(words, sign_words(report.output.table)):
         return AuditResult(False, len(recs) - 1, "replayed table differs")
     return AuditResult(True, -1, "")

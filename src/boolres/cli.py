@@ -143,11 +143,34 @@ def _table_text(table: np.ndarray, sep: str) -> str | None:
     if 4 * distinct > len(sample):
         return None
     if distinct == 1 and (bits == bits[0]).all():
-        return sep.join(repeat(json.dumps(table[0].item(), allow_nan=False), len(table)))
+        text = json.dumps(table[0].item(), allow_nan=False)
+        return (text + sep) * (len(table) - 1) + text
     keys, index = np.unique(bits, return_inverse=True)
     # a literal newline occurs in JSON text only where a separator puts it
     texts = json.dumps(keys.view(table.dtype).tolist(), separators=("\n", ":"), allow_nan=False)
     return sep.join(np.array(texts[1:-1].split("\n"), dtype=object)[index].tolist())
+
+
+def _records_text(records: np.ndarray, pad: str) -> str:
+    """The text of a 1-D structured array of scalar fields as the list of
+    its rows, each a dict keyed by field name: one encoder call per field,
+    the columns interleaved row by row."""
+    if not len(records):
+        return "[]"
+    inner, deeper = pad + "  ", pad + "    "
+    names = records.dtype.names
+    # a literal newline occurs in JSON text only where a separator puts it
+    keys = json.dumps(names, separators=("\n", ":"))[1:-1].split("\n")
+    step = 2 * len(names)
+    parts = [""] * (step * len(records))
+    for j, (name, key) in enumerate(zip(names, keys)):
+        column = json.dumps(records[name].tolist(), separators=("\n", ":"), allow_nan=False)
+        lead = f"\n{inner}}},\n{inner}{{\n{deeper}" if j == 0 else f",\n{deeper}"
+        parts[2 * j::step] = [f"{lead}{key}: "] * len(records)
+        parts[2 * j + 1::step] = column[1:-1].split("\n")
+    parts[0] = f"[\n{inner}{{\n{deeper}{keys[0]}: "
+    parts.append(f"\n{inner}}}\n{pad}]")
+    return "".join(parts)
 
 
 def _row_brackets(items) -> str | None:
@@ -167,12 +190,15 @@ def _row_brackets(items) -> str | None:
 def _json_chunks(value, pad: str, out: list[str]) -> None:
     """Append the text of `json.dumps(value, indent=2)`, continued at
     indentation `pad`, to `out`, with each numpy array written as the list
-    `value.tolist()`.
+    `value.tolist()`, except that a 1-D structured array of scalar fields is
+    written as the list of its rows, each a dict keyed by field name.
 
     Python's `json` drops to its pure-Python encoder whenever `indent` is
     set, so the C encoder writes, with the indented layout's separators
-    spliced in, along one of three routes:
+    spliced in, along one of four routes:
 
+    * a 1-D structured array of scalar fields: each field's column in one
+      call, the columns interleaved row by row (`_records_text`);
     * a 1-D int or float array whose strided sample is at most a quarter
       distinct: its distinct bit patterns (`np.unique` on an unsigned view,
       so -0.0 and 0.0 stay apart and a NaN is encoded) in one call, joined
@@ -192,10 +218,16 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     inner = pad + "  "
     flat = False
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.names and all(
+            value.dtype[name].shape == () and value.dtype[name].names is None
+            for name in value.dtype.names
+        ):
+            out.append(_records_text(value, pad))
+            return
         if value.ndim == 1 and (text := _table_text(value, ",\n" + inner)) is not None:
             out += ("[\n", inner, text, "\n", pad, "]")
             return
-        flat, value = value.ndim == 1, value.tolist()
+        flat, value = value.ndim == 1 and not value.dtype.names, value.tolist()
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
@@ -321,7 +353,12 @@ def _cmd_l1approx(args) -> None:
 
 def _cmd_witness(args) -> None:
     fn = parse_function_spec(args.fn)
-    taus = [float(tok) for tok in str(args.tau).split(",")]
+    taus = []
+    for tok in str(args.tau).split(","):
+        try:
+            taus.append(float(tok))
+        except ValueError:
+            raise SpecError(f"--tau: {tok!r} is not a number") from None
     sweep = []
     for tau in taus:
         report = build_witness(fn, args.d, tau)
@@ -346,6 +383,13 @@ def _cmd_cyclerun_build(args) -> None:
     audit = audit_invariants(report)
     if not audit.ok:
         raise AssertionError(f"invariant audit failed at iteration {audit.failed_iteration}: {audit.detail}")
+    # each record after its position
+    recs = report.iterations
+    fields = [(name, recs.dtype[name]) for name in recs.dtype.names]
+    records = np.empty(len(recs), [("index", np.int64), *fields])
+    records["index"] = np.arange(len(recs))
+    for name, _ in fields:
+        records[name] = recs[name]
     _emit(args, {
         "n": args.n,
         "c1": args.c1,
@@ -355,7 +399,7 @@ def _cmd_cyclerun_build(args) -> None:
         "sbar_prime_size": report.sbar_prime_size,
         "distance": report.distance,
         "budget_ratio": report.budget_ratio,
-        "iterations": [{"index": i, **vars(rec)} for i, rec in enumerate(report.iterations)],
+        "iterations": records,
         "audit_ok": audit.ok,
         "first_level_coefficients": list(report.first_level_sums),
     })

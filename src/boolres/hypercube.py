@@ -8,7 +8,9 @@ Conventions shared by the whole package:
   `_halves` splits a table by one coordinate; `low_degree_sums` splits by
   the top coordinate again and again to read off only the coefficients of
   degree <= d, and `low_degree_part` adds its transpose.  `sign_words` packs a
-  +-1 table one bit a point, and `_word_halves` splits the packed bits.
+  +-1 table one bit a point, `_word_halves` splits the packed bits,
+  `flip_sign_bits` negates points in them and `sign_sums` reads the sums of
+  degree <= 1 off them.
   `rotate` shifts the coordinates cyclically; `rotations`, `periods` and
   `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
@@ -191,20 +193,37 @@ def _word_halves(words: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     return words & _BIT_CLEAR[j - 1], (words >> np.uint64(1 << (j - 1))) & _BIT_CLEAR[j - 1]
 
 
+def flip_sign_bits(words: np.ndarray, points: np.ndarray) -> None:
+    """Negate f at each of the points in the packed sign bits, in place; a
+    point listed twice is flipped twice."""
+    points = np.asarray(points)
+    np.bitwise_xor.at(words, points >> 6, np.uint64(1) << (points & 63).astype(np.uint64))
+
+
 def level_one_sums(table: np.ndarray) -> np.ndarray:
-    """low_degree_sums(table, 1)[1] of a +-1 table, from its sign bits.
+    """low_degree_sums(table, 1)[1] of a +-1 table, from its sign bits (`sign_sums`)."""
+    return sign_sums(sign_words(table), len(table).bit_length() - 1)
 
-    With neg the number of -1 entries and ones_j the number of them on the
-    x_j = -1 side of `_word_halves`, both popcounts of the packed words, the
-    sums are 2^n - 2 neg for the empty mask, then 4 ones_j - 2 neg for each {j}.
+
+def sign_sums(words: np.ndarray, n: int) -> np.ndarray:
+    """low_degree_sums(t, 1)[1] of the +-1 table t whose `sign_words` these are.
+
+    With neg the number of -1 entries and ones_j the number of them with
+    x_j = -1, the sums are 2^n - 2 neg for the empty mask and 4 ones_j - 2 neg
+    for each {j}.  The words are popcounted once.  A coordinate j <= 6 picks
+    bit positions inside a word, so ones_j is a masked popcount; a coordinate
+    j > 6 picks whole words, and its sum is -2 times the level-one sum of the
+    per-word counts (`low_degree_sums(counts, 1)`).
     """
-    return _sign_sums(sign_words(table), len(table).bit_length() - 1)
-
-
-def _sign_sums(words: np.ndarray, n: int) -> np.ndarray:
-    neg = _count_bits(words)
-    ones = [_count_bits(_word_halves(words, j)[1]) for j in range(1, n + 1)]
-    return np.array([(1 << n) - 2 * neg] + [4 * count - 2 * neg for count in ones], dtype=np.int64)
+    counts = np.bitwise_count(words)
+    neg = int(counts.sum(dtype=np.int64))
+    inner = [4 * _count_bits(words & ~_BIT_CLEAR[b]) - 2 * neg for b in range(min(n, 6))]
+    sums = np.empty(n + 1, dtype=np.int64)
+    sums[0] = (1 << n) - 2 * neg
+    sums[1:len(inner) + 1] = inner
+    if n > 6:
+        sums[7:] = -2 * low_degree_sums(counts, 1)[1][1:]
+    return sums
 
 
 def low_degree_sums(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +398,7 @@ def spectral_stats(fn: CubeFunction, d: int) -> SpectralStats:
     """
     words = sign_words(fn.table) if isinstance(fn, BooleanFunction) else None
     if words is not None and d == 1 <= fn.n:
-        sums = _sign_sums(words, fn.n)
+        sums = sign_sums(words, fn.n)
     else:
         _, sums = low_degree_sums(fn.table, d)
     coeffs = sums / float(1 << fn.n)

@@ -85,15 +85,19 @@ def _tribes_check(w: int, s: int) -> None:
 
 
 def tribes(w: int, s: int) -> BooleanFunction:
-    """Disjunction of s disjoint width-w conjunctions; TRUE maps to -1."""
+    """Disjunction of s disjoint width-w conjunctions; TRUE maps to -1.
+
+    Block b is bits b w .. (b + 1) w - 1 of a point, so the table is the
+    outer OR over the blocks of one block's int8 table, -1 at the all-ones
+    word; with TRUE = -1, OR is the minimum.
+    """
     _tribes_check(w, s)
-    n = w * s
-    idx = np.arange(1 << n, dtype=np.int64)
-    fired = np.zeros(1 << n, dtype=bool)
-    for block in range(s):
-        bmask = ((1 << w) - 1) << (block * w)
-        fired |= (idx & bmask) == bmask
-    return BooleanFunction(n, np.where(fired, -1, 1))
+    block = np.ones(1 << w, dtype=np.int8)
+    block[-1] = -1
+    table = block
+    for _ in range(s - 1):
+        table = np.minimum.outer(block, table).ravel()
+    return BooleanFunction(w * s, table)
 
 
 # ---------------------------------------------------------------------------

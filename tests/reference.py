@@ -1,7 +1,8 @@
 """Brute-force reference implementations that tests check the package
 against, and the oracles of the paper's lemmas that only tests evaluate:
 the resilience order read off the full spectrum, disjoint composition and
-its resilience certificate, the Tribes closed-form spectrum, the symmetric
+its resilience certificate, Tribes by one block mask at a time and its
+closed-form spectrum, the symmetric
 threshold functions f_t and their exact statistics, the low-degree
 concentration probe, truth-table writing, junta embedding and the learner's
 excess-error contract."""
@@ -193,6 +194,19 @@ def check_composed_resilience(
 # ---------------------------------------------------------------------------
 # Tribes closed forms
 # ---------------------------------------------------------------------------
+
+
+def tribes_loop(w: int, s: int) -> BooleanFunction:
+    """Tribes one block mask at a time over an int64 index array: the oracle
+    for `zoo.tribes`'s outer products."""
+    _tribes_check(w, s)
+    n = w * s
+    idx = np.arange(1 << n, dtype=np.int64)
+    fired = np.zeros(1 << n, dtype=bool)
+    for block in range(s):
+        bmask = ((1 << w) - 1) << (block * w)
+        fired |= (idx & bmask) == bmask
+    return BooleanFunction(n, np.where(fired, -1, 1))
 
 
 def tribes_spectrum_closed_form(w: int, s: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import tracemalloc
@@ -12,7 +11,6 @@ from boolres.builder import (
     BudgetExhausted,
     BuilderError,
     BuilderReport,
-    IterationRecord,
     NoWeightOnePoint,
     audit_invariants,
     build_one_resilient,
@@ -25,10 +23,17 @@ from boolres.hypercube import (
     orbit_members,
     popcounts,
     rotations,
+    sign_words,
     wht_int,
 )
 from boolres.zoo import cyclerun, random_boolean
 from reference import shift_orbit
+
+
+RECORD_FIELDS = [
+    ("branch", "U8"), ("point", np.int64), ("weight", np.int64),
+    ("orbit_size", np.int64), ("sigma_before", np.int64), ("sigma_after", np.int64),
+]
 
 
 def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
@@ -48,7 +53,9 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
     sbar_size = sbar_prime_size = cursor = light_cursor = 0
     while sigma != 0:
         if sbar_size > budget:
-            raise BudgetExhausted("budget")
+            raise BudgetExhausted(
+                f"|Sbar| = {sbar_size} exceeded budget {budget:.1f} with sigma {sigma}"
+            )
         while cursor < len(order) and flipped[order[cursor]]:
             cursor += 1
         if cursor >= len(order):
@@ -77,10 +84,7 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
         flipped[members] = True
         table[members] *= -1
         sbar_size += len(orbit)
-        records.append(IterationRecord(
-            branch=branch, point=chosen, weight=int(wt[chosen]),
-            orbit_size=len(orbit), sigma_before=sigma, sigma_after=sigma - delta,
-        ))
+        records.append((branch, chosen, int(wt[chosen]), len(orbit), sigma, sigma - delta))
         sigma -= delta
     distance = sbar_size / size
     points = np.arange(size)
@@ -89,17 +93,29 @@ def reference_build(n: int, c1: float = 8.0) -> BuilderReport:
         sigma_initial=sigma_initial, sigma_final=sigma,
         first_level_sums=tuple(int(table @ (1 - 2 * (points >> j & 1))) for j in range(n)),
         sbar_size=sbar_size,
-        sbar_prime_size=sbar_prime_size, iterations=tuple(records), distance=distance,
+        sbar_prime_size=sbar_prime_size, iterations=np.array(records, dtype=RECORD_FIELDS),
+        distance=distance,
         budget_ratio=distance / math.sqrt(math.log2(n) / n),
     )
+
+
+def _scalar_fields(report):
+    return {
+        field.name: getattr(report, field.name)
+        for field in dataclasses.fields(report)
+        if field.name not in ("output", "iterations")
+    }
 
 
 @pytest.mark.parametrize("n", range(5, 20, 2))
 def test_batched_build_matches_the_per_orbit_reference(n):
     report = build_one_resilient(n)
     expected = reference_build(n)
-    # every field but the table, which is compared below
-    assert dataclasses.replace(report, output=None) == dataclasses.replace(expected, output=None)
+    # every field but the table and the records, which are compared below
+    assert _scalar_fields(report) == _scalar_fields(expected)
+    assert report.iterations.dtype == expected.iterations.dtype
+    assert report.iterations.tolist() == expected.iterations.tolist()
+    assert not report.iterations.flags.writeable
     assert report.first_level_sums == expected.first_level_sums == (0,) * n
     assert np.array_equal(report.output.table, expected.output.table)
     assert report.output.table.dtype == expected.output.table.dtype
@@ -109,17 +125,18 @@ def test_batched_build_matches_the_per_orbit_reference(n):
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 def test_orbit_walk_meets_each_candidate_orbit_at_its_first_point(n):
     # every level, the light one and the nonpositive ones included
-    wt = n - 2 * popcounts(n)
+    pc = popcounts(n)
     ones = np.flatnonzero(cyclerun(n).table == 1)
-    seen, expected = set(), []
-    for x in ones[np.lexsort((ones, -wt[ones]))].tolist():
-        if x not in seen:
-            orbit = shift_orbit(x, n)
-            seen |= orbit
-            expected.append((x, len(orbit) // 2, int(wt[x])))
-    levels = builder._orbits_by_level(ones, popcounts(n)[ones], n)
-    assert len(levels) == n + 1  # one walk per popcount, the first level first
-    assert list(itertools.chain.from_iterable(levels)) == expected
+    for level in range(n + 1):
+        points = ones[pc[ones] == level]
+        seen, expected = set(), []
+        for x in points.tolist():
+            if x not in seen:
+                seen |= shift_orbit(x, n)
+                expected.append(x)
+        assert builder._least_shifts(points, n).tolist() == expected
+        for count in range(len(expected) + 2):
+            assert builder._first_least_shifts(points, count, n).tolist() == expected[:count]
 
 
 def test_cyclerun_half_positive_on_each_orbit():
@@ -144,9 +161,9 @@ def test_sigma_initialization_multiple_of_4n():
 def test_builder_first_iteration_is_all_ones_orbit():
     report = build_one_resilient(7)
     first = report.iterations[0]
-    assert first.point == 0
-    assert first.orbit_size == 2
-    assert first.sigma_before - first.sigma_after == 4 * 7
+    assert first["point"] == 0
+    assert first["orbit_size"] == 2
+    assert first["sigma_before"] - first["sigma_after"] == 4 * 7
 
 
 def test_builder_n5_output_certified():
@@ -191,15 +208,18 @@ def test_audit_accepts_honest_run():
         assert result.ok, result.detail
 
 
+def _tampered(report, position, **values):
+    """The report with these fields of the record at `position` replaced."""
+    recs = report.iterations.copy()
+    for name, value in values.items():
+        recs[name][position] = value
+    return dataclasses.replace(report, iterations=recs)
+
+
 def test_audit_detects_corrupted_sigma():
     report = build_one_resilient(7)
     target = len(report.iterations) // 2
-    broken = []
-    for i, rec in enumerate(report.iterations):
-        if i == target:
-            rec = dataclasses.replace(rec, sigma_after=rec.sigma_after - 4)
-        broken.append(rec)
-    bad = dataclasses.replace(report, iterations=tuple(broken))
+    bad = _tampered(report, target, sigma_after=report.iterations[target]["sigma_after"] - 4)
     result = audit_invariants(bad)
     assert not result.ok
     assert result.failed_iteration == target
@@ -211,19 +231,16 @@ def test_audit_reports_a_tampered_record_by_its_position(offset):
     report = build_one_resilient(15)
     target = 2 * builder.FULL_RECHECK_EVERY + offset
     assert target < len(report.iterations)
-    recs = list(report.iterations)
-    recs[target] = dataclasses.replace(recs[target], sigma_after=recs[target].sigma_after - 4)
-    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    sigma_after = report.iterations[target]["sigma_after"]
+    result = audit_invariants(_tampered(report, target, sigma_after=sigma_after - 4))
     assert result.ok is False
     assert result.failed_iteration == target
 
 
 def test_audit_detects_wrong_orbit():
     report = build_one_resilient(7)
-    recs = list(report.iterations)
     # claim a different flip point for the first heavy iteration
-    recs[0] = dataclasses.replace(recs[0], point=0b0000011)
-    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    result = audit_invariants(_tampered(report, 0, point=0b0000011))
     assert not result.ok
 
 
@@ -252,22 +269,25 @@ def test_report_dict_is_its_json_payload(tmp_path):
         if field.name not in ("output", "first_level_sums", "iterations")
     ]
     values += list(report.first_level_sums)
-    values += [value for rec in report.iterations for value in vars(rec).values()]
     assert {type(value) for value in values} <= {int, float, str}
+    # the records are int64 and str columns, written column by column
+    dtype = report.iterations.dtype
+    assert {dtype[name].kind for name in dtype.names} == {"i", "U"}
     payload = _cyclerun_build_artifact(tmp_path, 9)
     assert payload["first_level_coefficients"] == list(report.first_level_sums)
 
 
-def test_report_iteration_dicts_match_asdict(tmp_path):
-    # asdict is the oracle only: the CLI copies the flat records directly,
-    # each after its position
+def test_report_iteration_dicts_match_the_record_rows(tmp_path):
+    # the CLI writes each record's fields in order, after its position
     report = build_one_resilient(11)
     payload = _cyclerun_build_artifact(tmp_path, 11)
+    names = report.iterations.dtype.names
+    assert names == tuple(name for name, _ in RECORD_FIELDS)
     assert payload["iterations"] == [
-        {"index": i, **dataclasses.asdict(rec)} for i, rec in enumerate(report.iterations)
+        {"index": i, **dict(zip(names, row))} for i, row in enumerate(report.iterations.tolist())
     ]
     assert [list(entry) for entry in payload["iterations"]] == [
-        ["index"] + [field.name for field in dataclasses.fields(IterationRecord)]
+        ["index", *names]
     ] * len(report.iterations)
 
 
@@ -342,41 +362,144 @@ def test_audit_detects_a_changed_output_table():
 
 def test_audit_detects_two_records_naming_one_orbit():
     report = build_one_resilient(9)
-    recs = list(report.iterations)
-    first = next(i for i, rec in enumerate(recs) if rec.orbit_size > 2)
-    shifted = int(rotations(np.array([recs[first].point]), 9)[0, 1])
-    assert shifted != recs[first].point
-    recs[first + 1] = dataclasses.replace(recs[first + 1], point=shifted)
-    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    recs = report.iterations
+    first = int(np.flatnonzero(recs["orbit_size"] > 2)[0])
+    shifted = int(rotations(recs["point"][first:first + 1], 9)[0, 1])
+    assert shifted != recs[first]["point"]
+    result = audit_invariants(_tampered(report, first + 1, point=shifted))
     assert result.ok is False
     assert result.failed_iteration == first + 1
     assert result.detail == f"orbit of point {shifted} overlaps an earlier orbit"
 
 
+def _minus_one_points(words, n):
+    """The points whose packed sign bit is set."""
+    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n])
+
+
 def test_audit_replays_the_table_at_every_checkpoint(monkeypatch):
     # every FULL_RECHECK_EVERY iterations and once at the end, the level-one
-    # sums are recomputed from the replayed table, which holds exactly the
-    # flips made so far
+    # sums are recomputed from the packed replayed table, which holds
+    # exactly the flips made so far
     report = build_one_resilient(15)
     assert len(report.iterations) > 2 * builder.FULL_RECHECK_EVERY
-    real = builder.level_one_sums
+    real = builder.sign_sums
     tables = []
 
-    def recording(table):
-        tables.append(np.array(table))
-        return real(table)
+    def recording(words, n):
+        tables.append(_minus_one_points(words, n))
+        return real(words, n)
 
-    monkeypatch.setattr(builder, "level_one_sums", recording)
+    monkeypatch.setattr(builder, "sign_sums", recording)
     assert audit_invariants(report).ok
     every = builder.FULL_RECHECK_EVERY
     checkpoints = list(range(0, len(report.iterations), every))
     assert len(tables) == 1 + len(checkpoints) + 1  # initial, checkpoints, final
     base = cyclerun(15).table
-    points = np.array([rec.point for rec in report.iterations])
+    assert np.array_equal(tables[0], np.flatnonzero(base == -1))
+    points = report.iterations["point"]
     for table, done in zip(tables[1:-1], checkpoints):
         members = orbit_members(points[:done + 1], 15)[0]
-        assert np.array_equal(np.flatnonzero(table != base), np.sort(members))
-    assert np.array_equal(tables[-1], report.output.table)
+        flipped = np.setxor1d(table, np.flatnonzero(base == -1))
+        assert np.array_equal(flipped, np.sort(members))
+    assert np.array_equal(tables[-1], np.flatnonzero(report.output.table == -1))
+
+
+@pytest.mark.parametrize("checkpoint", [0, 1, 2])
+def test_audit_fails_at_the_checkpoint_whose_replay_skips_a_member(monkeypatch, checkpoint):
+    # the incremental sums count every member, so a flip the packed table
+    # misses shows at the next full recheck
+    report = build_one_resilient(15)
+    real = builder.flip_sign_bits
+    calls = []
+
+    def skipping(words, points):
+        calls.append(len(points))
+        return real(words, points[1:] if len(calls) == checkpoint + 1 else points)
+
+    monkeypatch.setattr(builder, "flip_sign_bits", skipping)
+    result = audit_invariants(report)
+    assert result.ok is False
+    assert result.failed_iteration == checkpoint * builder.FULL_RECHECK_EVERY
+    assert result.detail == "incremental sums drifted"
+    assert len(calls) == checkpoint + 1
+
+
+def test_audit_fails_when_the_last_replay_skips_a_member(monkeypatch):
+    report = build_one_resilient(15)
+    real = builder.flip_sign_bits
+    calls = []
+
+    def skipping_the_last(words, points):
+        calls.append(len(points))
+        last = len(calls) > len(range(0, len(report.iterations), builder.FULL_RECHECK_EVERY))
+        return real(words, points[1:] if last else points)
+
+    monkeypatch.setattr(builder, "flip_sign_bits", skipping_the_last)
+    result = audit_invariants(report)
+    assert (result.ok, result.failed_iteration) == (False, len(report.iterations) - 1)
+    assert result.detail == "final sums drifted"
+
+
+def test_budget_exhausted_as_the_per_orbit_reference_words_it():
+    with pytest.raises(BudgetExhausted) as expected:
+        reference_build(7, c1=0.01)
+    with pytest.raises(BudgetExhausted) as raised:
+        build_one_resilient(7, c1=0.01)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("|Sbar| = 2 exceeded budget")
+
+
+@pytest.mark.parametrize("n", [5, 9, 13, 17, 19])
+def test_budget_fires_at_the_reference_iteration(n):
+    # a budget just under the |Sbar| some iteration starts with
+    report = reference_build(n)
+    sbar = np.concatenate([[0], np.cumsum(report.iterations["orbit_size"])])
+    for stop in (1, len(report.iterations) // 2, len(report.iterations) - 1):
+        c1 = (sbar[stop] - 0.5) / (math.sqrt(math.log2(n) / n) * (1 << n))
+        with pytest.raises(BudgetExhausted) as expected:
+            reference_build(n, c1=c1)
+        with pytest.raises(BudgetExhausted) as raised:
+            build_one_resilient(n, c1=c1)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("light_points,error", [
+    ([], NoWeightOnePoint),
+    ([0], BuilderError),  # period 1, not n
+])
+def test_light_branch_failures_fire_after_the_budget_test(monkeypatch, light_points, error):
+    # at n = 19 the light branch takes two orbits after 2983 heavy ones
+    n = 19
+    report = build_one_resilient(n)
+    heavy = int(np.count_nonzero(report.iterations["branch"] != "light"))
+    light = np.array(light_points, dtype=np.int64)
+    monkeypatch.setattr(builder, "_first_least_shifts", lambda points, count, n: light)
+    with pytest.raises(error) as raised:
+        build_one_resilient(n)
+    assert type(raised.value) is error
+    # a budget just under the |Sbar| of the failing iteration fires first
+    sbar = int(report.iterations["orbit_size"][:heavy].sum())
+    c1 = (sbar - 0.5) / (math.sqrt(math.log2(n) / n) * (1 << n))
+    sigma = report.iterations["sigma_before"][heavy]
+    expected = rf"^\|Sbar\| = {sbar} exceeded .* with sigma {sigma}$"
+    with pytest.raises(BudgetExhausted, match=expected):
+        build_one_resilient(n, c1=c1)
+
+
+def test_int64_cumulative_sums_cannot_wrap():
+    # the orbits are disjoint and an orbit's decrement 2 |O| |weight| is at
+    # most 2n |O|, so every cumulative sum of decrements, like sigma, is at
+    # most 2n 2^n: under 2^27 at the largest n
+    assert 2 * 21 * (1 << 21) < 1 << 27
+    for n in range(5, 22, 2):
+        bound = 2 * n * (1 << n)
+        # the decrements of every orbit, each counted once, add up to
+        # 2 sum_x |n - 2|x||
+        assert 2 * int(np.abs(n - 2 * popcounts(n)).sum()) <= bound
+        report = build_one_resilient(n)
+        decrements = report.iterations["sigma_before"] - report.iterations["sigma_after"]
+        assert report.sigma_initial == int(decrements.sum()) <= bound
 
 
 def test_build_and_audit_hold_no_members_by_n_matrix():
@@ -401,10 +524,9 @@ def test_build_and_audit_hold_no_members_by_n_matrix():
 
 def test_audit_detects_a_decrement_that_does_not_match_the_orbit():
     report = build_one_resilient(9)
-    recs = list(report.iterations)
-    target = len(recs) // 2
-    recs[target] = dataclasses.replace(recs[target], sigma_before=recs[target].sigma_before + 8 * 9)
-    result = audit_invariants(dataclasses.replace(report, iterations=tuple(recs)))
+    target = len(report.iterations) // 2
+    sigma_before = report.iterations[target]["sigma_before"]
+    result = audit_invariants(_tampered(report, target, sigma_before=sigma_before + 8 * 9))
     assert result.ok is False
     assert result.failed_iteration == target
     assert result.detail == "sigma decrement does not match the orbit"

@@ -565,6 +565,8 @@ def test_resilience_and_l1_cli_consistent(capsys):
 
 
 def _as_lists(value):
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.names:
+        return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
@@ -582,6 +584,20 @@ _TRICKY_TEXT = st.sampled_from([
     "a, b", "line\nbreak", ",\n  ", "[1, 2]", "\"quoted\"", "},\n    {", "],\n  [", "}",
 ])
 _SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | _TRICKY_TEXT
+
+
+@st.composite
+def _records(draw):
+    """A 1-D structured array of int, float, bool and str fields."""
+    kinds = {"i": (np.int64, st.integers(-(2**63), 2**63 - 1)),
+             "f": (np.float64, st.floats(allow_nan=True, allow_infinity=True)),
+             "b": (np.bool_, st.booleans()),
+             "U": ("U8", st.sampled_from(["heavy", "", "a, b", "\n}", "],\n  ["]))}
+    names = draw(st.lists(st.text(min_size=1, max_size=3) | _TRICKY_TEXT,
+                          min_size=1, max_size=4, unique=True))
+    fields = [(name, kinds[draw(st.sampled_from("ifbU"))]) for name in names]
+    rows = draw(st.lists(st.tuples(*(values for _, (_, values) in fields)), max_size=5))
+    return np.array(rows, dtype=[(name, dtype) for name, (dtype, _) in fields])
 
 
 def _pooled(dtype, values):
@@ -606,6 +622,7 @@ _LEAVES = st.one_of(
     _pooled(np.int64, st.integers(-(2**63), 2**63 - 1)),
     _pooled(np.int8, st.integers(-128, 127)),
     st.lists(st.dictionaries(st.text(max_size=3) | _TRICKY_TEXT, _SCALARS, max_size=3), max_size=4),
+    _records(),
     st.lists(st.lists(_SCALARS, max_size=3), max_size=4),
 )
 _PAYLOADS = st.recursive(
@@ -633,6 +650,9 @@ _PAYLOADS = st.recursive(
 @example([{"a": 1}])
 @example({"rows": [{"s": "},\n    {", "t": "}"}, {"s": "],\n  [", "t": 2}], "pairs": [[1, "]"], ("[",)]})
 @example(np.array([True, False, True, True, True, True, True, True]))
+@example({"rows": np.array([("light", 3)], dtype=[("branch", "U8"), ("point", np.int64)])})
+@example(np.zeros(0, dtype=[("a", np.int64)]))
+@example([np.array([(1, 0.5), (2, np.nan)], dtype=[("i", np.int64), ("x", np.float64)])])
 def test_json_writer_matches_indented_dumps(payload):
     # a non-finite float is not JSON: the writer refuses it as json.dumps does
     try:
@@ -703,13 +723,23 @@ def test_many_distinct_table_is_one_encoder_call(encoder_calls):
     assert encoder_calls == [table.tolist()]
 
 
-def test_builder_records_are_one_encoder_call(capsys, encoder_calls):
+def test_builder_records_are_one_encoder_call_per_column(capsys, encoder_calls):
     code, out, _ = run_cli(capsys, "cyclerun-build", "--n", "11")
     assert code == 0
     records = json.loads(out)["iterations"]
-    lists = [value for value in encoder_calls if isinstance(value, list) and value]
-    assert [value for value in lists if isinstance(value[0], dict)] == [records]
+    columns = [[record[key] for record in records] for key in records[0]]
+    lists = [value for value in encoder_calls if isinstance(value, list) and len(value) > 1]
+    assert [value for value in lists if value in columns] == columns
     assert not any(isinstance(value, dict) and "sigma_before" in value for value in encoder_calls)
+    assert not any(isinstance(value, list) and value and isinstance(value[0], dict)
+                   for value in encoder_calls)
+
+
+def test_structured_arrays_of_nested_records_are_written_as_lists():
+    rows = np.zeros(2, dtype=[("pair", [("a", np.int64), ("b", np.int64)]), ("x", np.float64)])
+    chunks = []
+    cli._json_chunks({"rows": rows}, "", chunks)
+    assert "".join(chunks) == json.dumps({"rows": rows.tolist()}, indent=2)
 
 
 ARTIFACT_JOBS = [
@@ -770,14 +800,15 @@ def test_cyclerun_build_artifact_is_the_report_and_argv(tmp_path):
         "iterations": [
             {
                 "index": i,
-                "branch": rec.branch,
-                "point": rec.point,
-                "weight": rec.weight,
-                "orbit_size": rec.orbit_size,
-                "sigma_before": rec.sigma_before,
-                "sigma_after": rec.sigma_after,
+                "branch": branch,
+                "point": point,
+                "weight": weight,
+                "orbit_size": orbit_size,
+                "sigma_before": sigma_before,
+                "sigma_after": sigma_after,
             }
-            for i, rec in enumerate(report.iterations)
+            for i, (branch, point, weight, orbit_size, sigma_before, sigma_after)
+            in enumerate(report.iterations.tolist())
         ],
         "audit_ok": True,
         "first_level_coefficients": [0] * 9,
@@ -935,8 +966,13 @@ def test_usage_errors_exit_1(capsys, argv):
      "f itself has degree <= 1; no witness direction"),
     (("witness", "--fn", "majority:n=5", "--d", "5", "--tau", "0.5"), 1,
      "f itself has degree <= 5; no witness direction"),
+    (("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.1,,0.2"), 1,
+     "--tau: '' is not a number"),
+    (("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.1,x"), 1,
+     "--tau: 'x' is not a number"),
 ], ids=["csv-without-csv-form", "ft-stats-csv-at-t-0", "cyclerun-build-budget-exhausted",
-        "witness-of-a-dictator-at-d-1", "witness-at-d-equal-n"])
+        "witness-of-a-dictator-at-d-1", "witness-at-d-equal-n", "witness-empty-tau-token",
+        "witness-non-numeric-tau-token"])
 def test_command_errors_report_their_exit_code_and_detail(capsys, argv, code, detail):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

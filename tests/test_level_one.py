@@ -12,6 +12,7 @@ from boolres.hypercube import (
     BoundedFunction,
     characters,
     chi_values,
+    flip_sign_bits,
     fwht,
     is_d_resilient,
     level_one_sums,
@@ -23,12 +24,13 @@ from boolres.hypercube import (
     popcounts,
     rotate,
     rotations,
+    sign_sums,
     sign_words,
     spectral_stats,
     wht,
     wht_int,
 )
-from boolres.zoo import cyclerun, random_boolean, tribes
+from boolres.zoo import constant, cyclerun, dictator, majority, parity, random_boolean, tribes
 from reference import shift_orbit
 
 
@@ -137,6 +139,42 @@ def test_level_one_sums_match_low_degree_sums(n):
         assert sums.dtype == np.int64 and np.array_equal(sums, expected)
 
 
+def _zoo_tables(n):
+    yield random_boolean(n, seed=80 + n).table
+    yield constant(n, -1).table
+    yield majority(n).table if n % 2 else parity((1 << n) - 1, n).table
+    if n:
+        yield dictator(n, n).table
+        yield random_boolean(n, seed=90 + n, balanced=True).table
+    if n % 2 and n > 1:
+        yield cyclerun(n).table
+    if n >= 2:
+        yield tribes(2, n // 2).table if n % 2 == 0 else tribes(1, n).table
+
+
+@pytest.mark.parametrize("n", range(0, 17))
+def test_packed_sums_match_low_degree_sums(n):
+    # n <= 6 is one word, padded below n = 6; from n = 7 on the per-word
+    # counts carry the cross-word coordinates
+    for table in _zoo_tables(n):
+        sums = sign_sums(sign_words(table), n)
+        assert sums.dtype == np.int64 and len(sums) == n + 1
+        assert np.array_equal(sums, low_degree_sums(table, min(n, 1))[1])
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 7, 12])
+def test_flip_sign_bits_negates_the_listed_points(n):
+    table = random_boolean(n, seed=70 + n).table
+    points = np.random.default_rng(n).choice(1 << n, size=(1 << n) // 2 + 1, replace=False)
+    words = sign_words(table)
+    flip_sign_bits(words, points)
+    flipped = table.copy()
+    flipped[points] *= -1
+    assert np.array_equal(words, sign_words(flipped))
+    flip_sign_bits(words, np.concatenate([points, points]))  # twice is no flip
+    assert np.array_equal(words, sign_words(flipped))
+
+
 def test_low_degree_sums_reject_bad_degree():
     with pytest.raises(ValueError):
         low_degree_sums(np.ones(8, dtype=np.int8), 4)
@@ -158,13 +196,13 @@ def test_spectral_stats_at_degree_one_are_bit_identical_on_both_routes(monkeypat
     # d = 1 sums; the int64 low_degree_sums pass gives the same integers, so
     # every field agrees
     packed, calls = [], []
-    real_words, real_sums = hypercube.sign_words, hypercube._sign_sums
+    real_words, real_sums = hypercube.sign_words, hypercube.sign_sums
     monkeypatch.setattr(hypercube, "sign_words", lambda t: packed.append(t) or real_words(t))
-    monkeypatch.setattr(hypercube, "_sign_sums", lambda w, n: calls.append(n) or real_sums(w, n))
+    monkeypatch.setattr(hypercube, "sign_sums", lambda w, n: calls.append(n) or real_sums(w, n))
     via_signs = spectral_stats(fn, 1)
     assert len(packed) == 1 and calls == [fn.n]
     assert via_signs.per_coordinate_influence == tuple(_gather_influence(fn).tolist())
-    monkeypatch.setattr(hypercube, "_sign_sums", lambda w, n: low_degree_sums(fn.table, 1)[1])
+    monkeypatch.setattr(hypercube, "sign_sums", lambda w, n: low_degree_sums(fn.table, 1)[1])
     assert _stats_bits(spectral_stats(fn, 1)) == _stats_bits(via_signs)
 
 

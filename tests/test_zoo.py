@@ -29,6 +29,7 @@ from reference import (
     SymmetricFunction,
     ft_stats_exact,
     threshold_ft,
+    tribes_loop,
     tribes_spectrum_closed_form,
     tribes_weight_bound,
 )
@@ -51,6 +52,13 @@ def test_tribes_table_matches_dnf_oracle():
         f = tribes(w, s)
         for idx in range(1 << (w * s)):
             assert f(idx) == tribes_reference(w, s, idx)
+
+
+@pytest.mark.parametrize("w,s", [(w, s) for w in range(1, 17) for s in range(1, 17) if w * s <= 16])
+def test_tribes_outer_products_match_the_block_mask_loop(w, s):
+    f, expected = tribes(w, s), tribes_loop(w, s)
+    assert f.table.dtype == expected.table.dtype == np.int8
+    assert np.array_equal(f.table, expected.table)
 
 
 def test_tribes_empty_set_coefficient():
