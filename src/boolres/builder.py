@@ -29,7 +29,7 @@ replays the records in packed sign bits.  The CLI writes the
 
 The int64 sums cannot wrap.  The orbits are disjoint, and an orbit O's
 decrement is 2 |O| weight <= 2n |O|, so sigma and every cumulative sum of
-decrements are at most 2n 2^n, under 2^27 at n = 21.
+decrements are at most 2n 2^n, under 2^31 at n = 25.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .hypercube import (
     sign_sums,
     sign_words,
 )
-from .zoo import cyclerun
+from .zoo import CYCLERUN_MAX_DIM, cyclerun
 
 
 class BuilderError(RuntimeError):
@@ -116,8 +116,8 @@ def build_one_resilient(n: int, c1: float = 8.0) -> BuilderReport:
     raises NoWeightOnePoint or BudgetExhausted on the documented failure
     modes.
     """
-    if n % 2 == 0 or not 5 <= n <= 21:
-        raise ValueError("builder needs odd n in [5, 21]")
+    if n % 2 == 0 or not 5 <= n <= CYCLERUN_MAX_DIM:
+        raise ValueError(f"builder needs odd n in [5, {CYCLERUN_MAX_DIM}]")
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError(f"budget constant c1 must be positive and finite, got {c1}")
     base = cyclerun(n)

@@ -10,10 +10,10 @@ whose optima satisfy alpha = 1 - value/2^n and delta = value/2^n with
 alpha + delta = 1.  Only the primal is solved, a box LP with one row per
 |S| <= d; the dual's p = sum_S y_S chi_S comes from the row duals
 y = c_B B^-1 of its optimal basis.  The learner's weighted regression is
-the same LP over weighted labeled points, and `_l1_box_lp` is the one place
-that turns a solved box LP into a polynomial, for this module and both
-learner modes; it builds and evaluates p on the character rows of its own
-points only.
+the same LP over weighted labeled points.  `_l1_box_lp` solves it over any
+rows and column masses its caller passes and rechecks p = y^T rows against
+the LP value; this module and both learner modes pass the cube's character
+rows, built once per solve, and read p's coefficients off the row duals.
 
 `distance_to_resilience` is the one Boolean entry point: each call solves
 the LP once and returns one `DualityCertificate` holding g, alpha, the gap
@@ -22,7 +22,7 @@ alone and also takes a bounded f.
 
 Neither side is taken on trust.  The witness g is re-checked for the box
 and for d-resilience, and alpha is its measured E|f - g|.  `_l1_box_lp`
-recomputes E|f - p| at its points and matches it to the LP value; that
+recomputes E|f - p| over its columns and matches it to the LP value; that
 recomputed value is reported as delta.
 The certificate stays sound by weak duality: for every bounded d-resilient
 g and every p of degree <= d,
@@ -60,16 +60,27 @@ class CertificateError(RuntimeError):
 
 def low_degree_masks(n: int, d: int) -> list[int]:
     """All subset masks with popcount <= d, sorted by (popcount, mask): the
-    row order of `_l1_box_lp`, on which its pivots depend."""
+    cube LPs' row order, on which their pivots depend.  Needs 0 <= d <= n."""
+    if not 0 <= d <= n:
+        raise ValueError(f"degree d={d} outside [0, {n}]")
     levels = ([sum(1 << j for j in s) for s in combinations(range(n), k)] for k in range(d + 1))
     return [mask for level in levels for mask in sorted(level)]
+
+
+def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] rows[i] in row order, zero coefficients skipped: the
+    one sum behind p's values, so p is the same to the bit on any columns."""
+    values = np.zeros(rows.shape[1])
+    for coef, row in zip(coeffs, rows):
+        if coef != 0.0:
+            values += coef * row
+    return values
 
 
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Real multilinear polynomial with support on subsets of size <= degree."""
 
-    n: int
     degree: int
     coeffs: dict[int, float]
 
@@ -79,17 +90,8 @@ class SparsePolynomial:
                 raise ValueError(f"mask {mask:#x} exceeds degree bound {self.degree}")
 
     def evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """p at the points of `rows` = `characters(list(self.coeffs), points)`,
-        summed in mask order with zero coefficients skipped, so p is the same
-        to the bit whichever points the rows cover."""
-        values = np.zeros(rows.shape[1])
-        for coef, row in zip(self.coeffs.values(), rows):
-            if coef != 0.0:
-                values += coef * row
-        return values
-
-    def table(self) -> np.ndarray:
-        return self.evaluate(characters(list(self.coeffs), np.arange(1 << self.n)))
+        """p at the points of `rows` = `characters(list(self.coeffs), points)`."""
+        return _combine(self.coeffs.values(), rows)
 
 
 @dataclass(frozen=True)
@@ -111,56 +113,47 @@ class DualityCertificate:
     l1: L1ApproxResult
 
 
-def _l1_box_lp(
-    n: int,
-    d: int,
-    points: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[LPSolution, SparsePolynomial, float]:
-    """Solve the k-row box LP, k = #{|S| <= d}, and read off its checked p.
+def _l1_box_lp(rows: np.ndarray, labels: np.ndarray,
+               masses: np.ndarray) -> tuple[LPSolution, float]:
+    """Solve the box LP over the k x m matrix `rows` and recheck p's error.
 
-    Column c is the labeled point (points[c], labels[c]) with weight
-    weights[c] > 0:
+    Column c has label labels[c] and mass masses[c] > 0:
 
-        max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d,
-                                -w_c <= g_c <= w_c
+        max sum_c l_c g_c  s.t. rows @ g = 0,  -m_c <= g_c <= m_c
 
-    Its dual is min sum_c w_c |l_c - p(x_c)| over p = sum_S y_S chi_S, with
-    y the row duals.  The solver starts at the box-optimal vertex
-    g_c = w_c if l_c > 0 else -w_c (= w_c l_c for +-1 labels).
+    Its dual is min sum_c m_c |l_c - p_c| over p = y^T rows, with y the row
+    duals.  The solver starts at the box-optimal vertex g_c = m_c if l_c > 0
+    else -m_c (= m_c l_c for +-1 labels); its pivots depend on the layout of
+    `rows`, so callers pass them in C order.
 
-    Returns the solution, p and sum_c w_c |l_c - p(x_c)| recomputed from
-    the LP's own rows, which must be within 1e-7 sum_c w_c of the LP
-    value.  A degree outside [0, n] raises ValueError before any work.
+    Returns the solution and sum_c m_c |l_c - p_c|, with p summed as
+    `SparsePolynomial.evaluate` sums it, which must be within
+    1e-7 sum_c m_c of the LP value.
     """
-    if not 0 <= d <= n:
-        raise ValueError(f"degree d={d} outside [0, {n}]")
-    masks = low_degree_masks(n, d)
-    chi = characters(masks, points)  # C order: the pivots depend on the layout
-    sol = solve_lp(LinearProgram(objective=labels, eq_matrix=chi, lower=-weights, upper=weights))
+    sol = solve_lp(LinearProgram(objective=labels, eq_matrix=rows, lower=-masses, upper=masses))
     if sol.status != OPTIMAL:
         raise SolverFailure(f"k-row L1 box LP ended with status {sol.status}")
-    poly = SparsePolynomial(n, d, {mask: float(y) for mask, y in zip(masks, sol.duals)})
-    error = float(np.sum(weights * np.abs(labels - poly.evaluate(chi))))
-    if abs(error - sol.value) > WITNESS_TOL * float(np.sum(weights)):
+    error = float(np.sum(masses * np.abs(labels - _combine(sol.duals, rows))))
+    if abs(error - sol.value) > WITNESS_TOL * float(np.sum(masses)):
         raise CertificateError(
             f"recomputed L1 error {error} does not match LP value {sol.value}"
         )
-    return sol, poly, error
+    return sol, error
 
 
 def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, L1ApproxResult]:
-    """The resilience LP: every point, labels f, weights 1; delta = E|f - p|
-    from the checked error of the box LP."""
+    """The resilience LP: the cube's character rows, labels f, masses 1;
+    delta = E|f - p| from the checked error of the box LP."""
     n = f.n
     if n > MAX_DUALITY_DIM:
         raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
+    masks = low_degree_masks(n, d)
     size = 1 << n
-    sol, poly, error = _l1_box_lp(n, d, np.arange(size), f.table, np.ones(size))
+    sol, error = _l1_box_lp(characters(masks, np.arange(size)), f.table, np.ones(size))
     delta = error / size
     if not 0.0 <= delta <= 2.0:
         raise CertificateError(f"delta {delta} outside [0, 2]")
+    poly = SparsePolynomial(d, dict(zip(masks, sol.duals.tolist())))
     return sol, L1ApproxResult(delta, poly, sol.iterations)
 
 

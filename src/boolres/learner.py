@@ -11,9 +11,10 @@ Both modes solve it through its dual, the k-row box LP of `duality`
 
     max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d, |g_c| <= w_c,
 
-and `duality._l1_box_lp` reads p = sum_S y_S chi_S off its row duals and
-checks p's recomputed L1 error against the LP value; both modes run it and
-the threshold through `_fit`.  The simplex starts at the box-optimal vertex
+its rows the cube's character rows once per label.  `_fit` builds them once
+for both modes, solves the LP by `duality._l1_box_lp`, which checks p's L1
+error against the LP value, and evaluates p = sum_S y_S chi_S, y the row
+duals, on the same rows.  The simplex starts at the box-optimal vertex
 g_c = w_c l_c.  When the target is d-resilient (the sums
 sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
 all-slack starting basis is optimal at pivot 0 and its duals give p = 0.
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import MAX_DUALITY_DIM, SparsePolynomial, _l1_box_lp
-from .hypercube import BooleanFunction, CubeFunction
+from .duality import MAX_DUALITY_DIM, SparsePolynomial, _l1_box_lp, low_degree_masks
+from .hypercube import BooleanFunction, CubeFunction, characters
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,15 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     (up, down); its regression_delta is p's L1 error recomputed over those
     points, which `_l1_box_lp` has checked against the LP value.
     """
-    points = np.tile(np.arange(1 << n), 2)
+    masks = low_degree_masks(n, d)
+    chi = characters(masks, np.arange(1 << n))
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    _, poly, delta = _l1_box_lp(n, d, points[keep], labels[keep], weights[keep])
-    threshold, error, h_table = _best_threshold(poly.table(), up, down)
+    rows = np.ascontiguousarray(np.tile(chi, 2)[:, keep])  # the pivots depend on the layout
+    sol, delta = _l1_box_lp(rows, labels[keep], weights[keep])
+    poly = SparsePolynomial(d, dict(zip(masks, sol.duals.tolist())))
+    threshold, error, h_table = _best_threshold(poly.evaluate(chi), up, down)
     return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, poly)
 
 
@@ -120,6 +124,8 @@ def learn_sampled(g: CubeFunction, d: int, m: int, seed: int) -> LearnReport:
     """
     if m < 1:
         raise ValueError("sample count m must be positive")
+    if seed < 0:
+        raise ValueError(f"sample seed must be non-negative, got {seed}")
     n = g.n
     if n > MAX_DUALITY_DIM:
         raise ValueError(f"sampled mode limited to n <= {MAX_DUALITY_DIM}")

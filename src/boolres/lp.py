@@ -104,6 +104,7 @@ class LPSolution:
     point: np.ndarray | None
     iterations: int            # pivots
     duals: np.ndarray | None   # y = c_B B^-1 of the final basis
+    basis: np.ndarray | None   # final basic indices into [A | I], row i's slack at #columns + i
     flips: int                 # bound flips
     degenerate: int            # dual-degenerate pivots
     perturbations: int         # entries into the anti-cycling guard
@@ -341,9 +342,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     The solve starts at the box-optimal vertex, so the start is fixed by the
     signs of the objective.  `iterations` counts pivots; a solve that uses
     up `MAX_ITERATIONS` of them stops with status `ITERATION_LIMIT`.  Only
-    an optimal solve returns a point, its value and the row duals
-    `y = c_B B^-1` of its final basis, computed from a freshly rebuilt
-    B^-1; the duals are not re-checked here.
+    an optimal solve returns a point, its value, its final basis and that
+    basis' row duals `y = c_B B^-1`, computed from a freshly rebuilt B^-1;
+    the duals are not re-checked here.
     """
     # x = lower + y with 0 <= y <= upper - lower
     A = lp.eq_matrix
@@ -351,7 +352,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     sx = _DualSimplex(A, b, lp.upper - lp.lower, lp.objective)
     status = sx.run()
 
-    point, value, duals = None, float("nan"), None
+    point, value, duals, basis = None, float("nan"), None, None
     x = lp.lower + sx.point()
     residual = float(np.max(np.abs(A @ x), initial=0.0))
     if status == OPTIMAL:
@@ -359,9 +360,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             raise SolverFailure(f"optimal point violates constraints (residual {residual:.3e})")
         if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
             raise SolverFailure("optimal point violates box bounds")
-        point, value, duals = x, float(lp.objective @ x), sx.y
+        point, value, duals, basis = x, float(lp.objective @ x), sx.y, sx.basis
     return LPSolution(
-        status, value, point, sx.iterations, duals,
+        status, value, point, sx.iterations, duals, basis,
         flips=sx.flips,
         degenerate=sx.degenerate,
         perturbations=sx.perturbations,

@@ -8,7 +8,7 @@ import pytest
 
 from boolres.cli import main
 from boolres.duality import distance_to_resilience, l1_poly_distance
-from boolres.hypercube import BoundedFunction
+from boolres.hypercube import BoundedFunction, characters
 from boolres.witness import build_witness
 from reference import SymmetricFunction
 
@@ -44,7 +44,8 @@ def test_l1_poly_distance_accepts_bounded_targets():
     for seed in range(5):
         f = _bounded(seed=seed)
         out = l1_poly_distance(f, 1)
-        recomputed = float(np.mean(np.abs(f.table - out.poly.table())))
+        p = out.poly.evaluate(characters(list(out.poly.coeffs), np.arange(1 << f.n)))
+        recomputed = float(np.mean(np.abs(f.table - p)))
         assert out.delta == pytest.approx(recomputed, abs=1e-12)
 
 

@@ -194,15 +194,16 @@ def test_builder_outputs_for_range():
 def test_builder_rejects_bad_params():
     with pytest.raises(ValueError):
         build_one_resilient(6)
-    with pytest.raises(ValueError):
-        build_one_resilient(3)
+    for n in (3, 27):
+        with pytest.raises(ValueError, match=r"^builder needs odd n in \[5, 25\]$"):
+            build_one_resilient(n)
     for c1 in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             build_one_resilient(7, c1=c1)
 
 
 def test_audit_accepts_honest_run():
-    for n in (5, 7, 9):
+    for n in (5, 7, 9, 23):
         report = build_one_resilient(n)
         result = audit_invariants(report)
         assert result.ok, result.detail
@@ -490,8 +491,8 @@ def test_light_branch_failures_fire_after_the_budget_test(monkeypatch, light_poi
 def test_int64_cumulative_sums_cannot_wrap():
     # the orbits are disjoint and an orbit's decrement 2 |O| |weight| is at
     # most 2n |O|, so every cumulative sum of decrements, like sigma, is at
-    # most 2n 2^n: under 2^27 at the largest n
-    assert 2 * 21 * (1 << 21) < 1 << 27
+    # most 2n 2^n: under 2^31 at the largest n
+    assert 2 * 25 * (1 << 25) < 1 << 31
     for n in range(5, 22, 2):
         bound = 2 * n * (1 << n)
         # the decrements of every orbit, each counted once, add up to

@@ -970,9 +970,11 @@ def test_usage_errors_exit_1(capsys, argv):
      "--tau: '' is not a number"),
     (("witness", "--fn", "tribes:w=2,s=3", "--d", "1", "--tau", "0.1,x"), 1,
      "--tau: 'x' is not a number"),
+    (("learn", "--fn", "majority:n=5", "--d", "1", "--m", "5", "--seed", "-1"), 1,
+     "sample seed must be non-negative, got -1"),
 ], ids=["csv-without-csv-form", "ft-stats-csv-at-t-0", "cyclerun-build-budget-exhausted",
         "witness-of-a-dictator-at-d-1", "witness-at-d-equal-n", "witness-empty-tau-token",
-        "witness-non-numeric-tau-token"])
+        "witness-non-numeric-tau-token", "learn-negative-seed"])
 def test_command_errors_report_their_exit_code_and_detail(capsys, argv, code, detail):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

@@ -18,7 +18,7 @@ from boolres.hypercube import (
     l1_distance,
     popcounts,
 )
-from boolres.zoo import majority, random_boolean, tribes
+from boolres.zoo import cyclerun, majority, random_boolean, tribes
 
 
 def parity(n, k):
@@ -48,7 +48,7 @@ def test_low_degree_masks_order():
 
 def test_sparse_polynomial_degree_guard():
     with pytest.raises(ValueError):
-        SparsePolynomial(3, 1, {0b11: 1.0})
+        SparsePolynomial(1, {0b11: 1.0})
 
 
 def test_sparse_polynomial_evaluates_its_rows_at_any_points():
@@ -56,8 +56,8 @@ def test_sparse_polynomial_evaluates_its_rows_at_any_points():
     masks = low_degree_masks(7, 2)
     coeffs = rng.normal(size=len(masks))
     coeffs[::5] = 0.0
-    poly = SparsePolynomial(7, 2, dict(zip(masks, coeffs.tolist())))
-    table = poly.table()
+    poly = SparsePolynomial(2, dict(zip(masks, coeffs.tolist())))
+    table = poly.evaluate(characters(masks, np.arange(1 << 7)))
     points = rng.integers(0, 1 << 7, size=40)
     assert np.array_equal(poly.evaluate(characters(masks, points)), table[points])
     reference = sum(c * chi_values(7, m).astype(np.float64) for m, c in zip(masks, coeffs))
@@ -70,15 +70,43 @@ def test_box_lp_touches_only_its_points_at_n_20():
     points = rng.integers(0, 1 << n, size=size)
     labels = rng.choice([-1.0, 1.0], size=size)
     weights = rng.uniform(0.5, 1.5, size=size)
+    masks = low_degree_masks(n, d)
     tracemalloc.start()
     try:
-        _, poly, error = duality._l1_box_lp(n, d, points, labels, weights)
+        sol, error = duality._l1_box_lp(characters(masks, points), labels, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 << 10  # a single 2^20 int8 row is 1 MiB
-    p = sum(c * chi_values(n, m).astype(np.float64) for m, c in poly.coeffs.items())
+    p = sum(c * chi_values(n, m).astype(np.float64) for m, c in zip(masks, sol.duals))
     assert error == float(np.sum(weights * np.abs(labels - p[points])))
+
+
+def _weight_class_alpha(f):
+    """1 - the value of the d = 1 box LP over the classes (weight w, value of
+    f): rows [1, (n - 2w)/sqrt(n)], each class's mass its share of the cube.
+    The class sums of a cube witness are feasible here, so this is at most
+    alpha(f, 1), and equal to it for a symmetric f."""
+    n = f.n
+    weight = popcounts(n)
+    counts = np.bincount(2 * weight + (f.table > 0), minlength=2 * (n + 1))
+    keep = counts > 0
+    w = np.repeat(np.arange(n + 1), 2)[keep]
+    rows = np.vstack([np.ones(len(w)), (n - 2 * w) / np.sqrt(n)])
+    labels = np.tile([-1.0, 1.0], n + 1)[keep]
+    sol, _ = duality._l1_box_lp(rows, labels, counts[keep] / (1 << n))
+    return 1.0 - sol.value
+
+
+@pytest.mark.parametrize("f", [majority(9), cyclerun(9), cyclerun(11), tribes(2, 3), tribes(3, 3)],
+                         ids=["majority9", "cyclerun9", "cyclerun11", "tribes23", "tribes33"])
+def test_weight_class_lp_matches_the_cube_lp(f):
+    assert _weight_class_alpha(f) == pytest.approx(distance_to_resilience(f, 1).alpha, abs=1e-12)
+
+
+def test_weight_class_lp_bounds_the_cube_lp_from_below():
+    f = random_boolean(10, seed=1)
+    assert _weight_class_alpha(f) <= distance_to_resilience(f, 1).alpha + 1e-12
 
 
 def test_parity_is_resilient_below_its_degree():
@@ -191,7 +219,7 @@ def test_witness_reverified_outside_solver():
 def test_poly_recomputation_independent():
     f = majority3()
     out = l1_poly_distance(f, 1)
-    table = out.poly.table()
+    table = out.poly.evaluate(characters(list(out.poly.coeffs), np.arange(8)))
     assert np.mean(np.abs(f.table - table)) == pytest.approx(out.delta, abs=1e-7)
 
 

@@ -7,7 +7,7 @@ from boolres import duality, learner
 from boolres.builder import build_one_resilient
 from boolres.designs import greedy_design
 from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
-from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values
+from boolres.hypercube import BooleanFunction, BoundedFunction, characters, chi_values
 from boolres.learner import (
     LearnReport,
     _best_threshold,
@@ -70,7 +70,7 @@ def test_threshold_optimality_brute_force():
     rng = np.random.default_rng(17)
     g = BoundedFunction(5, rng.uniform(-1, 1, size=32))
     report = learn_exact(g, d=1)
-    p = report.poly.table()
+    p = report.poly.evaluate(characters(list(report.poly.coeffs), np.arange(32)))
     up, down = learner._label_weights(g)
     # brute force over every threshold between consecutive values
     candidates = np.concatenate([[p.min() - 1.0], np.unique(p)])
@@ -213,7 +213,7 @@ def _report_bits(report):
         if field.name == "hypothesis":
             value = (value.n, value.table.dtype, value.table.tobytes())
         elif field.name == "poly":
-            value = (value.n, value.degree, [(k, c.hex()) for k, c in value.coeffs.items()])
+            value = (value.degree, [(k, c.hex()) for k, c in value.coeffs.items()])
         elif isinstance(value, float):
             value = value.hex()
         bits[field.name] = value
@@ -367,6 +367,6 @@ def test_regression_delta_is_the_recomputed_l1_error(mode):
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    p_table = report.poly.table()
+    p_table = report.poly.evaluate(characters(list(report.poly.coeffs), np.arange(1 << n)))
     error = float(np.sum(weights[keep] * np.abs(labels[keep] - p_table[points[keep]])))
     assert report.regression_delta == error

@@ -419,20 +419,22 @@ def test_ratio_test_matches_a_full_sort(case):
 
 
 def _cube_case(f, d):
+    """The resilience LP's rows, labels and masses."""
     size = 1 << f.n
-    return f.n, d, np.arange(size), f.table.astype(np.float64), np.ones(size)
+    rows = characters(low_degree_masks(f.n, d), np.arange(size))
+    return rows, f.table.astype(np.float64), np.ones(size)
 
 
 def _learn_case(n, d, seed):
-    """The learner's LP for a noisy bounded target: points (x, +1) and
-    (x, -1), weighted by the label frequencies (1 +- g(x)) / 2^(n+1)."""
+    """The learner's LP for a noisy bounded target: columns (x, +1) and
+    (x, -1), with masses the label frequencies (1 +- g(x)) / 2^(n+1)."""
     from boolres.learner import _label_weights
 
     rng = np.random.default_rng(seed)
     g = BoundedFunction(n, rng.choice([-1.0, 1.0], 1 << n) * rng.uniform(0.5, 0.96, 1 << n))
-    points = np.tile(np.arange(1 << n), 2)
+    rows = np.tile(characters(low_degree_masks(n, d), np.arange(1 << n)), 2)
     labels = np.repeat([1.0, -1.0], 1 << n)
-    return n, d, points, labels, np.concatenate(_label_weights(g))
+    return rows, labels, np.concatenate(_label_weights(g))
 
 
 def _benchmark_sized_cases():
@@ -456,14 +458,13 @@ BENCHMARK_SIZED_PIVOTS = 668
 
 @pytest.mark.parametrize("name", list(_benchmark_sized_cases()))
 def test_matches_highs_at_benchmark_sizes(linprog, name):
-    n, d, points, labels, weights = _benchmark_sized_cases()[name]
-    sol, _, error = _l1_box_lp(n, d, points, labels, weights)  # rechecks p's error
-    chi = characters(low_degree_masks(n, d), points)
-    ref = linprog(-labels, A_eq=chi, b_eq=np.zeros(len(chi)),
-                  bounds=list(zip(-weights, weights)), method="highs")
+    rows, labels, masses = _benchmark_sized_cases()[name]
+    sol, error = _l1_box_lp(rows, labels, masses)  # rechecks p's error
+    ref = linprog(-labels, A_eq=rows, b_eq=np.zeros(len(rows)),
+                  bounds=list(zip(-masses, masses)), method="highs")
     assert ref.status == 0, ref.message
     assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
-    assert error == pytest.approx(sol.value, abs=1e-7 * float(weights.sum()))
+    assert error == pytest.approx(sol.value, abs=1e-7 * float(masses.sum()))
 
 
 def test_pivot_count_of_benchmark_sized_lps():
@@ -471,3 +472,34 @@ def test_pivot_count_of_benchmark_sized_lps():
     # that timing cannot resolve
     total = sum(_l1_box_lp(*case)[0].iterations for case in _benchmark_sized_cases().values())
     assert total <= BENCHMARK_SIZED_PIVOTS
+
+
+@pytest.mark.parametrize("name", list(_benchmark_sized_cases()))
+def test_basis_reproduces_the_point(name):
+    # the nonbasic columns sit at a bound and the slacks at 0, so B x_B
+    # solved from the data alone gives back the basic part of the point
+    rows, labels, masses = _benchmark_sized_cases()[name]
+    sol = _l1_box_lp(rows, labels, masses)[0]
+    k, m = rows.shape
+    basis = sol.basis
+    assert len(basis) == len(set(basis.tolist())) == k
+    assert 0 <= basis.min() and basis.max() < m + k
+    full = np.hstack([rows.astype(np.float64), np.eye(k)])
+    nonbasic = np.setdiff1d(np.arange(m), basis)
+    at_bound = np.where(sol.point[nonbasic] > 0, masses[nonbasic], -masses[nonbasic])
+    assert np.allclose(sol.point[nonbasic], at_bound, rtol=0, atol=FEAS_TOL)
+    x = np.zeros(m + k)
+    x[nonbasic] = at_bound
+    x[basis] = np.linalg.solve(full[:, basis], -(full[:, nonbasic] @ at_bound))
+    assert np.max(np.abs(x[:m] - sol.point)) <= FEAS_TOL
+    assert np.max(np.abs(x[m:]), initial=0.0) <= FEAS_TOL  # every slack is 0
+
+
+def test_basis_only_on_an_optimal_solve(monkeypatch):
+    infeasible = LinearProgram(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), np.array([2.0]))
+    sol = solve_lp(infeasible)
+    assert sol.status == INFEASIBLE and sol.basis is None
+    rows, labels, masses = _benchmark_sized_cases()["majority:n=11 d=1"]
+    monkeypatch.setattr(lp_module, "MAX_ITERATIONS", 3)
+    sol = solve_lp(LinearProgram(labels, rows, -masses, masses))
+    assert sol.status == ITERATION_LIMIT and sol.basis is None
