@@ -100,7 +100,7 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    rows = np.ascontiguousarray(np.tile(chi, 2)[:, keep])  # the pivots depend on the layout
+    rows = chi.take(np.flatnonzero(keep) % (1 << n), axis=1)
     sol, delta = _l1_box_lp(rows, labels[keep], weights[keep])
     poly = SparsePolynomial(d, dict(zip(masks, sol.duals.tolist())))
     threshold, error, h_table = _best_threshold(poly.evaluate(chi), up, down)

@@ -13,12 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from boolres.duality import l1_poly_distance
+from boolres.duality import SparsePolynomial, l1_poly_distance
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
     CubeFunction,
     DimensionTooLarge,
+    characters,
     is_d_resilient,
     low_degree_part,
     popcounts,
@@ -315,6 +316,11 @@ def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationPr
     norm = math.sqrt(int(l_num @ f.table.astype(np.int64)) / (size * size))
     tail = float(np.mean(np.abs(l_num / size) >= t * norm))
     return ConcentrationProbe(p2norm_lowpart=norm, tail_prob=tail)
+
+
+def poly_table(poly: SparsePolynomial, n: int) -> np.ndarray:
+    """p's values at every point of the n-cube, in point-index order."""
+    return poly.evaluate(characters(list(poly.coeffs), np.arange(1 << n)))
 
 
 # ---------------------------------------------------------------------------

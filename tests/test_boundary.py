@@ -8,9 +8,9 @@ import pytest
 
 from boolres.cli import main
 from boolres.duality import distance_to_resilience, l1_poly_distance
-from boolres.hypercube import BoundedFunction, characters
+from boolres.hypercube import BoundedFunction
 from boolres.witness import build_witness
-from reference import SymmetricFunction
+from reference import SymmetricFunction, poly_table
 
 NAN_TABLE = "n=2\nnan 0.5 0.1 1.0\n"
 
@@ -44,7 +44,7 @@ def test_l1_poly_distance_accepts_bounded_targets():
     for seed in range(5):
         f = _bounded(seed=seed)
         out = l1_poly_distance(f, 1)
-        p = out.poly.evaluate(characters(list(out.poly.coeffs), np.arange(1 << f.n)))
+        p = poly_table(out.poly, f.n)
         recomputed = float(np.mean(np.abs(f.table - p)))
         assert out.delta == pytest.approx(recomputed, abs=1e-12)
 

@@ -19,6 +19,7 @@ from boolres.hypercube import (
     popcounts,
 )
 from boolres.zoo import cyclerun, majority, random_boolean, tribes
+from reference import poly_table
 
 
 def parity(n, k):
@@ -57,7 +58,7 @@ def test_sparse_polynomial_evaluates_its_rows_at_any_points():
     coeffs = rng.normal(size=len(masks))
     coeffs[::5] = 0.0
     poly = SparsePolynomial(2, dict(zip(masks, coeffs.tolist())))
-    table = poly.evaluate(characters(masks, np.arange(1 << 7)))
+    table = poly_table(poly, 7)
     points = rng.integers(0, 1 << 7, size=40)
     assert np.array_equal(poly.evaluate(characters(masks, points)), table[points])
     reference = sum(c * chi_values(7, m).astype(np.float64) for m, c in zip(masks, coeffs))
@@ -219,7 +220,7 @@ def test_witness_reverified_outside_solver():
 def test_poly_recomputation_independent():
     f = majority3()
     out = l1_poly_distance(f, 1)
-    table = out.poly.evaluate(characters(list(out.poly.coeffs), np.arange(8)))
+    table = poly_table(out.poly, 3)
     assert np.mean(np.abs(f.table - table)) == pytest.approx(out.delta, abs=1e-7)
 
 

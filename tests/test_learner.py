@@ -7,7 +7,7 @@ from boolres import duality, learner
 from boolres.builder import build_one_resilient
 from boolres.designs import greedy_design
 from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
-from boolres.hypercube import BooleanFunction, BoundedFunction, characters, chi_values
+from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values
 from boolres.learner import (
     LearnReport,
     _best_threshold,
@@ -16,7 +16,7 @@ from boolres.learner import (
 )
 from boolres.zoo import constant, dictator, majority, parity, random_boolean, tribes
 import reference
-from reference import embed_on_mask, learn_against_class, opt_of_class
+from reference import embed_on_mask, learn_against_class, opt_of_class, poly_table
 
 
 def scaled_dictator(n, scale=0.8):
@@ -70,7 +70,7 @@ def test_threshold_optimality_brute_force():
     rng = np.random.default_rng(17)
     g = BoundedFunction(5, rng.uniform(-1, 1, size=32))
     report = learn_exact(g, d=1)
-    p = report.poly.evaluate(characters(list(report.poly.coeffs), np.arange(32)))
+    p = poly_table(report.poly, 5)
     up, down = learner._label_weights(g)
     # brute force over every threshold between consecutive values
     candidates = np.concatenate([[p.min() - 1.0], np.unique(p)])
@@ -367,6 +367,6 @@ def test_regression_delta_is_the_recomputed_l1_error(mode):
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    p_table = report.poly.evaluate(characters(list(report.poly.coeffs), np.arange(1 << n)))
+    p_table = poly_table(report.poly, n)
     error = float(np.sum(weights[keep] * np.abs(labels[keep] - p_table[points[keep]])))
     assert report.regression_delta == error
