@@ -5,11 +5,11 @@ Function specs use a `name:key=value,...` micro-grammar (unknown keys are
 hard errors), e.g. `tribes:w=3,s=4`, `cyclerun:n=9`, `parity:n=8,mask=0x7`,
 `file:path=table.tt`.  Every JSON artifact embeds the invoking config and
 the tool version.  Artifacts are the text of `json.dumps(payload, indent=2)`
-plus a newline; their bytes do not depend on how they are written.  Three
-routes hand the C encoder whole tables and record lists (`_json_chunks`):
-a 1-D table of few distinct entries encodes each distinct bit pattern
-once, a list of flat dicts or flat lists is one call re-indented at its row
-boundaries, and any other flat dict or list is one call.  A non-finite
+plus a newline; their bytes do not depend on how they are written.  One
+such call lays out each artifact, and only its 1-D tables and record
+arrays are spliced in, written by the C encoder (`_json_pieces`): a table
+of few distinct entries encodes each distinct bit pattern once, a record
+array one column per call, and any other table is one call.  A non-finite
 float is not JSON, so an artifact holding one is an invariant violation and
 is not written.  Exit status: 0 success, 1 precondition failure (usage
 errors and requests too large for memory included), 2 internal
@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -124,8 +123,10 @@ def parse_function_spec(spec: str) -> CubeFunction:
     return make(**kwargs)
 
 
-_CONTAINERS = (np.ndarray, dict, list, tuple)
 _SAMPLE = 256  # entries of a table whose distinct count picks its route
+# what `_json_pieces` writes in place of a 1-D array, and that string's JSON text
+_MARK = "\0array\0"
+_MARK_TEXT = json.dumps(_MARK)
 
 
 def _table_text(table: np.ndarray, sep: str) -> str | None:
@@ -173,98 +174,67 @@ def _records_text(records: np.ndarray, pad: str) -> str:
     return "".join(parts)
 
 
-def _row_brackets(items) -> str | None:
-    """"{}" when every item is a non-empty dict of scalars, "[]" when every
-    item is a non-empty list or tuple of scalars, else None."""
-    if all(isinstance(item, dict) and item for item in items):
-        rows, brackets = (item.values() for item in items), "{}"
-    elif all(isinstance(item, (list, tuple)) and item for item in items):
-        rows, brackets = items, "[]"
-    else:
-        return None
-    if any(any(map(isinstance, row, repeat(_CONTAINERS))) for row in rows):
-        return None
-    return brackets
+def _json_pieces(payload) -> list[str]:
+    """The text of `json.dumps(payload, indent=2)`, in pieces, with each
+    numpy array or scalar written as its `.tolist()`, except that a 1-D
+    structured array of scalar fields is written as the list of its rows,
+    each a dict keyed by field name.
 
+    With `indent` set, Python's `json` runs its pure-Python encoder, so its
+    one call lays out the payload with each non-empty 1-D array of bools,
+    numbers or records of scalars written as the string `_MARK`.  Each mark
+    is then replaced, at the indentation of its line, by its array's text,
+    which the C encoder writes along one of three routes:
 
-def _json_chunks(value, pad: str, out: list[str]) -> None:
-    """Append the text of `json.dumps(value, indent=2)`, continued at
-    indentation `pad`, to `out`, with each numpy array written as the list
-    `value.tolist()`, except that a 1-D structured array of scalar fields is
-    written as the list of its rows, each a dict keyed by field name.
+    * a structured array: each field's column in one call, the columns
+      interleaved row by row (`_records_text`);
+    * a table whose strided sample is at most a quarter distinct: its
+      distinct bit patterns (`np.unique` on an unsigned view, so -0.0 and
+      0.0 stay apart and a NaN is encoded) in one call, joined through the
+      inverse index, or the one text of a table of one bit pattern
+      repeated (`_table_text`);
+    * any other table: one call on its `.tolist()`.
 
-    Python's `json` drops to its pure-Python encoder whenever `indent` is
-    set, so the C encoder writes, with the indented layout's separators
-    spliced in, along one of four routes:
-
-    * a 1-D structured array of scalar fields: each field's column in one
-      call, the columns interleaved row by row (`_records_text`);
-    * a 1-D int or float array whose strided sample is at most a quarter
-      distinct: its distinct bit patterns (`np.unique` on an unsigned view,
-      so -0.0 and 0.0 stay apart and a NaN is encoded) in one call, joined
-      through the inverse index, or the one text of a table of one bit
-      pattern repeated (`_table_text`);
-    * a list of non-empty dicts of scalars, or of non-empty lists of
-      scalars: the whole list in one call, re-indented at the row
-      boundaries, the only places a bracket precedes a separator;
-    * any other dict or list whose items are all scalars (a 1-D array's
-      included): one call.
-
-    Only the dicts and lists that hold a container are walked here, and
-    the keys of those dicts are strings.  The pieces are left unjoined, so
-    a table's text is copied once more only when it is written.  Every call
-    passes `allow_nan=False`, so a non-finite float raises `ValueError`.
+    The pieces are left unjoined, so a table's text is copied once more only
+    when it is written.  A non-finite float raises `ValueError`, and a
+    payload string that reads as a mark raises `RuntimeError`.
     """
-    inner = pad + "  "
-    flat = False
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.names and all(
-            value.dtype[name].shape == () and value.dtype[name].names is None
-            for name in value.dtype.names
+    arrays = []
+
+    def stash(value):
+        if isinstance(value, np.ndarray) and value.ndim == 1 and len(value) and (
+            value.dtype.kind in "biuf" or value.dtype.names and all(
+                value.dtype[name].shape == () and value.dtype[name].names is None
+                for name in value.dtype.names
+            )
         ):
-            out.append(_records_text(value, pad))
-            return
-        if value.ndim == 1 and (text := _table_text(value, ",\n" + inner)) is not None:
-            out += ("[\n", inner, text, "\n", pad, "]")
-            return
-        flat, value = value.ndim == 1 and not value.dtype.names, value.tolist()
-    if isinstance(value, dict):
-        items = value.values()
-    elif isinstance(value, (list, tuple)):
-        items = value
-    else:
-        out.append(json.dumps(value, allow_nan=False))
-        return
-    if flat or not any(map(isinstance, items, repeat(_CONTAINERS))):
-        body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
-        if not value:
-            out.append(body)
-        else:
-            out += (body[0], "\n", inner, body[1:-1], "\n", pad, body[-1])
-    elif isinstance(value, dict):
-        sep = "{\n" + inner
-        for key, item in value.items():
-            out += (sep, json.dumps(key, allow_nan=False), ": ")
-            _json_chunks(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif brackets := _row_brackets(value):
-        deeper = inner + "  "
-        body = json.dumps(value, separators=(",\n" + deeper, ": "), allow_nan=False)
-        # a literal newline occurs only in a separator and no scalar's text
-        # ends in a bracket, so each "},\n<deeper>{" joins two rows
-        opened, closed = brackets
-        body = body[2:-2].replace(
-            f"{closed},\n{deeper}{opened}", f"\n{inner}{closed},\n{inner}{opened}\n{deeper}"
-        )
-        out += ("[\n", inner, opened, "\n", deeper, body, "\n", inner, closed, "\n", pad, "]")
-    else:
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _json_chunks(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+            arrays.append(value)
+            return _MARK
+        if isinstance(value, (np.ndarray, np.generic)):
+            return value.tolist()
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    try:
+        parts = json.dumps(payload, indent=2, allow_nan=False, default=stash).split(_MARK_TEXT)
+        if len(parts) != len(arrays) + 1:
+            raise RuntimeError(f"a payload string reads as the array mark {_MARK!r}")
+        pieces = [parts[0]]
+        for array, before, after in zip(arrays, parts, parts[1:]):
+            line = before[before.rfind("\n") + 1:]
+            pad = line[: len(line) - len(line.lstrip(" "))]
+            if array.dtype.names:
+                pieces.append(_records_text(array, pad))
+            else:
+                sep = ",\n" + pad + "  "
+                text = _table_text(array, sep) or json.dumps(
+                    array.tolist(), separators=(sep, ":"), allow_nan=False)[1:-1]
+                pieces += ("[\n", pad, "  ", text, "\n", pad, "]")
+            pieces.append(after)
+        return pieces
+    finally:
+        # the indenting encoder's closures hold `stash` in a reference cycle,
+        # which would keep every array alive until the cyclic GC runs
+        arrays.clear()
 
 
 def _emit(args, payload=None, csv_rows=None) -> None:
@@ -278,9 +248,8 @@ def _emit(args, payload=None, csv_rows=None) -> None:
             key: value for key, value in vars(args).items() if key != "func" and value is not None
         }
         payload["version"] = __version__
-        chunks = []
         try:
-            _json_chunks(payload, "", chunks)
+            chunks = _json_pieces(payload)
         except ValueError as exc:  # a non-finite float: not JSON
             raise RuntimeError(f"artifact is not valid JSON: {exc}") from exc
         chunks.append("\n")

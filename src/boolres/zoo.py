@@ -65,6 +65,8 @@ def random_boolean(n: int, seed: int, balanced: bool = False) -> BooleanFunction
     check_dim(n)
     if balanced and n < 1:
         raise ValueError("a balanced table needs n >= 1: one point cannot be balanced")
+    if seed < 0:
+        raise ValueError(f"random function seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if balanced:
         table = np.ones(1 << n, dtype=np.int8)

@@ -2,13 +2,14 @@
 
     python tests/artifact_diff.py <parent checkout> [seed ...]
 
-Runs the perfbench warm-up list, its probe list and the certify, construct
-and learn job lists (seeds 1, 2 and 3 unless given) through `boolres.cli.main`
-once with the other tree's `src` and once with this checkout's, each in its
-own subprocess with PYTHONPATH set to that tree's `src`.  The job lists come
-from this checkout's `perfbench/jobs.py`.  Both runs read the same noisy
-target files and write the same `--out` paths, so their artifacts, config
-included, compare byte for byte.  Prints the argv of every job whose
+Runs the perfbench warm-up list, its probe list, the certify, construct
+and learn job lists (seeds 1, 2 and 3 unless given) and `EXTRA`, commands
+no benchmark job runs, through `boolres.cli.main` once with the other
+tree's `src` and once with this checkout's, each in its own subprocess with
+PYTHONPATH set to that tree's `src`.  The job lists come from this
+checkout's `perfbench/jobs.py`.  Both runs read the same noisy target files
+and write the same `--out` paths, so their artifacts, config included,
+compare byte for byte.  Prints the argv of every job whose
 artifacts differ or that fails in either tree, and exits 1 if there is one.
 """
 
@@ -18,12 +19,27 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# commands no benchmark job runs; {target} is a bounded truth-table file
+EXTRA = [
+    ["spectrum", "--fn", "random:n=13,seed=1"],
+    ["spectrum", "--fn", "random:n=13,seed=1", "--format", "csv"],
+    ["ft-stats", "--n", "21", "--t", "1.5"],
+    ["ft-stats", "--n", "21", "--t", "0"],
+    ["ft-stats", "--n", "21", "--t", "1.5", "--format", "csv"],
+    ["stats", "--fn", "file:path={target}", "--d", "2"],
+    ["l1approx", "--fn", "file:path={target}", "--d", "1"],
+    ["learn", "--fn", "file:path={target}", "--d", "1", "--m", "300", "--seed", "1"],
+    ["witness", "--fn", "tribes:w=3,s=4", "--d", "1", "--tau", "0.05,0.2", "--format", "csv"],
+    ["design", "--n", "12", "--k", "4", "--d", "1", "--format", "csv"],
+]
 
 # reads [[argv, ...], ...] on stdin, prints each job's exit status as JSON
 CHILD = """
@@ -80,8 +96,12 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for name in jobs.FOCUS:
                 job_list += jobs.workload_jobs(name, seed, workdir)
-        outs = [workdir / f"artifact-{i}.json" for i in range(len(job_list))]
-        argvs = [[*job.argv, "--out", str(out)] for job, out in zip(job_list, outs)]
+        target = workdir / "bounded.tt"
+        jobs._write_noisy_target(target, 8, random.Random(0))
+        argv_list = [job.argv for job in job_list]
+        argv_list += [[arg.format(target=target) for arg in argv] for argv in EXTRA]
+        outs = [workdir / f"artifact-{i}.json" for i in range(len(argv_list))]
+        argvs = [[*argv, "--out", str(out)] for argv, out in zip(argv_list, outs)]
 
         parent_codes = _run(args.parent.resolve(), argvs, workdir)
         parent_bytes = _collect(outs)

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +113,7 @@ SPEC_VALUE_ERRORS = [
     ("file:path={tmp}/count.tt", "expected 8 entries, found 2"),
     ("file:path={tmp}/trailing.tt", "unexpected content after the truth table's line 2"),
     ("random:n=0,seed=1,balanced=1", "a balanced table needs n >= 1: one point cannot be balanced"),
+    ("random:n=4,seed=-1", "random function seed must be non-negative, got -1"),
 ]
 
 
@@ -653,27 +656,55 @@ _PAYLOADS = st.recursive(
 @example({"rows": np.array([("light", 3)], dtype=[("branch", "U8"), ("point", np.int64)])})
 @example(np.zeros(0, dtype=[("a", np.int64)]))
 @example([np.array([(1, 0.5), (2, np.nan)], dtype=[("i", np.int64), ("x", np.float64)])])
+@example({"lists": np.array([[1], [2, 3]], dtype=object)})
+@example({"names": np.array(["a, b", "},\n    {", ""])})
 def test_json_writer_matches_indented_dumps(payload):
     # a non-finite float is not JSON: the writer refuses it as json.dumps does
     try:
         expected = json.dumps(_as_lists(payload), indent=2, allow_nan=False)
     except ValueError:
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_chunks(payload, "", [])
+            cli._json_pieces(payload)
         return
-    chunks = []
-    cli._json_chunks(payload, "", chunks)
-    assert "".join(chunks) == expected
+    assert "".join(cli._json_pieces(payload)) == expected
+
+
+def test_a_payload_string_equal_to_the_array_mark_exits_2_and_writes_nothing(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "design", "--n", "4", "--k", "2", "--d", "1",
+                             "--out", cli._MARK)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invariant-violation"
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(RuntimeError, match="array mark"):
+        cli._json_pieces({cli._MARK: np.arange(3)})
+
+
+def test_a_written_table_is_released_without_the_cyclic_gc():
+    # json's indenting encoder holds its `default` in a reference cycle
+    table = np.arange(8.0)
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        cli._json_pieces({"p_table": table})
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.fixture
 def encoder_calls(monkeypatch):
-    """Every value handed to `json.dumps` while the test runs."""
+    """Every value handed to `json.dumps` while the test runs, but for the
+    one call per artifact that lays out the payload (the `default=` call)."""
     calls = []
     real = json.dumps
 
     def dumps(value, **kwargs):
-        calls.append(value)
+        if "default" not in kwargs:
+            calls.append(value)
         return real(value, **kwargs)
 
     monkeypatch.setattr(cli.json, "dumps", dumps)
@@ -682,7 +713,7 @@ def encoder_calls(monkeypatch):
 
 def test_few_distinct_table_encodes_each_distinct_value_once(encoder_calls):
     table = np.random.default_rng(5).choice([0.25, -0.0, 0.0], 1 << 16)
-    cli._json_chunks(table, "", [])
+    cli._json_pieces(table)
     assert [len(value) for value in encoder_calls] == [3]
 
 
@@ -698,9 +729,9 @@ def test_one_valued_table_encodes_its_value_once_and_runs_no_unique(
     chunks = []
     if np.isnan(value):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_chunks(table, "", chunks)
+            cli._json_pieces(table)
     else:
-        cli._json_chunks(table, "", chunks)
+        chunks = cli._json_pieces(table)
     assert len(encoder_calls) == 1
     assert np.array_equal(encoder_calls, [value], equal_nan=True)
     assert math.copysign(1, encoder_calls[0]) == math.copysign(1, value)
@@ -711,15 +742,14 @@ def test_one_valued_table_encodes_its_value_once_and_runs_no_unique(
 def test_one_negative_zero_the_sample_misses_keeps_the_unique_route(encoder_calls):
     table = np.zeros(1 << 16)
     table[5] = -0.0  # off the strided sample, which reads entries 0, 256, ...
-    chunks = []
-    cli._json_chunks(table, "", chunks)
+    chunks = cli._json_pieces(table)
     assert [len(value) for value in encoder_calls] == [2]
     assert "".join(chunks) == json.dumps(table.tolist(), indent=2)
 
 
 def test_many_distinct_table_is_one_encoder_call(encoder_calls):
     table = np.random.default_rng(5).random(1 << 16)
-    cli._json_chunks(table, "", [])
+    cli._json_pieces(table)
     assert encoder_calls == [table.tolist()]
 
 
@@ -737,8 +767,7 @@ def test_builder_records_are_one_encoder_call_per_column(capsys, encoder_calls):
 
 def test_structured_arrays_of_nested_records_are_written_as_lists():
     rows = np.zeros(2, dtype=[("pair", [("a", np.int64), ("b", np.int64)]), ("x", np.float64)])
-    chunks = []
-    cli._json_chunks({"rows": rows}, "", chunks)
+    chunks = cli._json_pieces({"rows": rows})
     assert "".join(chunks) == json.dumps({"rows": rows.tolist()}, indent=2)
 
 
