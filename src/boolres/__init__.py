@@ -2,6 +2,11 @@
 
 __version__ = "0.1.0"
 
+import numpy
+
+if not hasattr(numpy, "bitwise_count"):  # new in numpy 2.0, and every kernel counts bits with it
+    raise ImportError(f"boolres requires numpy >= 2.0, found numpy {numpy.__version__}")
+
 from .hypercube import (
     BooleanFunction,
     BoundedFunction,

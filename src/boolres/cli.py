@@ -124,17 +124,19 @@ def parse_function_spec(spec: str) -> CubeFunction:
 
 
 _SAMPLE = 256  # entries of a table whose distinct count picks its route
+_BLOCK = 4096  # entries of the one text a one-pattern table repeats
 # what `_json_pieces` writes in place of a 1-D array, and that string's JSON text
 _MARK = "\0array\0"
 _MARK_TEXT = json.dumps(_MARK)
 
 
-def _table_text(table: np.ndarray, sep: str) -> str | None:
-    """The entries' JSON texts joined by `sep`, each distinct bit pattern
-    encoded once; None when the table is empty, not numeric, or Boolean
-    (one encoder call writes `true`/`false` faster than the join), or when
-    a strided sample of at most `_SAMPLE` entries is over a quarter distinct.
-    A table of one bit pattern repeats its one text without `np.unique`.
+def _table_text(table: np.ndarray, sep: str) -> list[str] | None:
+    """The entries' JSON texts joined by `sep`, in pieces, each distinct bit
+    pattern encoded once; None when the table is empty, not numeric, or
+    Boolean (one encoder call writes `true`/`false` faster than the join),
+    or when a strided sample of at most `_SAMPLE` entries is over a quarter
+    distinct.  A table of one bit pattern runs no `np.unique`: its pieces
+    are one block of `_BLOCK` texts, repeated, and the rest.
     """
     if table.dtype.kind not in "iuf" or table.itemsize > 8 or not len(table):
         return None
@@ -145,11 +147,12 @@ def _table_text(table: np.ndarray, sep: str) -> str | None:
         return None
     if distinct == 1 and (bits == bits[0]).all():
         text = json.dumps(table[0].item(), allow_nan=False)
-        return (text + sep) * (len(table) - 1) + text
+        blocks, rest = divmod(len(table) - 1, _BLOCK)
+        return [(text + sep) * _BLOCK] * blocks + [(text + sep) * rest + text]
     keys, index = np.unique(bits, return_inverse=True)
     # a literal newline occurs in JSON text only where a separator puts it
     texts = json.dumps(keys.view(table.dtype).tolist(), separators=("\n", ":"), allow_nan=False)
-    return sep.join(np.array(texts[1:-1].split("\n"), dtype=object)[index].tolist())
+    return [sep.join(np.array(texts[1:-1].split("\n"), dtype=object)[index].tolist())]
 
 
 def _records_text(records: np.ndarray, pad: str) -> str:
@@ -191,8 +194,8 @@ def _json_pieces(payload) -> list[str]:
     * a table whose strided sample is at most a quarter distinct: its
       distinct bit patterns (`np.unique` on an unsigned view, so -0.0 and
       0.0 stay apart and a NaN is encoded) in one call, joined through the
-      inverse index, or the one text of a table of one bit pattern
-      repeated (`_table_text`);
+      inverse index, or for a table of one bit pattern a block of its
+      one text repeated, handed out as often as it fits (`_table_text`);
     * any other table: one call on its `.tolist()`.
 
     The pieces are left unjoined, so a table's text is copied once more only
@@ -226,9 +229,9 @@ def _json_pieces(payload) -> list[str]:
                 pieces.append(_records_text(array, pad))
             else:
                 sep = ",\n" + pad + "  "
-                text = _table_text(array, sep) or json.dumps(
-                    array.tolist(), separators=(sep, ":"), allow_nan=False)[1:-1]
-                pieces += ("[\n", pad, "  ", text, "\n", pad, "]")
+                texts = _table_text(array, sep) or [json.dumps(
+                    array.tolist(), separators=(sep, ":"), allow_nan=False)[1:-1]]
+                pieces += ("[\n", pad, "  ", *texts, "\n", pad, "]")
             pieces.append(after)
         return pieces
     finally:
@@ -260,8 +263,13 @@ def _emit(args, payload=None, csv_rows=None) -> None:
         sys.stdout.writelines(chunks)
 
 
+SPECTRUM_MAX_DIM = 22  # all 2^n coefficients as Python floats and text: n = 20 peaks near 415 MB
+
+
 def _cmd_spectrum(args) -> None:
     fn = parse_function_spec(args.fn)
+    if fn.n > SPECTRUM_MAX_DIM:
+        raise ValueError(f"spectrum limited to n <= {SPECTRUM_MAX_DIM}, got n={fn.n}")
     coeffs = wht(fn).tolist()
     masks = [hex(mask) for mask in range(len(coeffs))]
     if args.format == "csv":

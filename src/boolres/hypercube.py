@@ -5,12 +5,12 @@ Conventions shared by the whole package:
 * A point of the n-dimensional hypercube is an integer index in [0, 2^n).
   Coordinate j (1-based) is +1 when bit (j-1) of the index is 0 and -1 when
   the bit is 1.
-  `_halves` splits a table by one coordinate; `low_degree_sums` splits by
+  `_halves` splits a table by one coordinate; `_low_degree_pass` splits by
   the top coordinate again and again to read off only the coefficients of
-  degree <= d, and `low_degree_part` adds its transpose.  `sign_words` packs a
-  +-1 table one bit a point, `_word_halves` splits the packed bits,
-  `flip_sign_bits` negates points in them and `sign_sums` reads the sums of
-  degree <= 1 off them.
+  degree <= d, which `low_degree_sums` sorts by mask and `low_degree_part`'s
+  transpose reads in pass order.  `sign_words` packs a +-1 table one bit a
+  point, `_word_halves` splits the packed bits, `flip_sign_bits` negates
+  points in them and `sign_sums` reads the sums of degree <= 1 off them.
   `rotate` shifts the coordinates cyclically; `rotations`, `periods` and
   `orbit_members` build the Z_n shift orbits on it.
 * A subset S of [n] is an n-bit mask; |S| = popcount(mask).
@@ -227,7 +227,15 @@ def sign_sums(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def low_degree_sums(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks S with |S| <= d, ascending, and 2^n coef[S] = sum_x f(x) chi_S(x).
+    """The masks S with |S| <= d, ascending, and 2^n coef[S] = sum_x f(x) chi_S(x):
+    `_low_degree_pass`, sorted by mask once."""
+    masks, sums = _low_degree_pass(table, d)
+    order = np.argsort(masks)
+    return masks[order], sums[order]
+
+
+def _low_degree_pass(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks S with |S| <= d and 2^n coef[S] = sum_x f(x) chi_S(x), in pass order.
 
     Splits on the top coordinate and keeps one row of partial sums per mask
     read off so far, the rows of one degree stacked in one 2-D array.  Every
@@ -236,11 +244,13 @@ def low_degree_sums(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     since a fold keeps a row's total, sum(plus - minus) = 2 sum(plus) - total
     reads one half.  So each step is a few slice operations, reading about
     3.5 * 2^n entries in all at d = 1 and 8 * 2^n at d = 2 against n 2^n
-    for `fwht`; d = n is the full transform.  An integer table is summed in
-    int64 and any other in float64, straight from the table, so an int8
-    table gets no widened copy.  Integer sums are exact while the table's l1
-    norm fits in int64; float sums add in another order than `fwht` and
-    agree with it to rounding.
+    for `fwht`; d = n is the full transform.  The split on bit m appends
+    the masks whose lowest set bit is m, in the order their rows were read
+    off, so each degree's masks ascend in bit-reversed value.  An integer
+    table is summed in int64 and any other in float64, straight from the
+    table, so an int8 table gets no widened copy.  Integer sums are exact
+    while the table's l1 norm fits in int64; float sums add in another order
+    than `fwht` and agree with it to rounding.
     """
     src = np.asarray(table)
     dtype = np.int64 if src.dtype.kind in "iu" else np.float64
@@ -269,31 +279,23 @@ def low_degree_sums(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
             rows[k] = out
             masks[k] += [mask | half for mask in masks[k - 1]]
         rows[0] = np.add(rows[0][:, :half], rows[0][:, half:], dtype=dtype)
-    all_masks = np.array(sum(masks, []) + top_masks, dtype=np.int64)
-    all_sums = np.concatenate([row[:, 0] for row in rows] + top_sums)
-    order = np.argsort(all_masks)
-    return all_masks[order], all_sums[order]
+    sums = np.concatenate([row[:, 0] for row in rows] + top_sums)
+    return np.array(sum(masks, []) + top_masks, dtype=np.int64), sums
 
 
-def _low_degree_transpose(masks: np.ndarray, sums: np.ndarray, n: int, d: int) -> np.ndarray:
-    """sum_{|S| <= d} sums[S] chi_S(x) at every point x, for sums in ascending mask order.
+def _low_degree_transpose(sums: np.ndarray, n: int, d: int) -> np.ndarray:
+    """sum_{|S| <= d} sums[S] chi_S(x) at every point x, for sums in `_low_degree_pass` order.
 
     Absorbs the coordinates bottom up.  Before bit m, each mask T among bits
     >= m holds a row over the points of bits < m; the row of a T without bit
     m becomes [c_T + c_{T|m}, c_T - c_{T|m}], and a row of degree d stays
-    one constant.  Within a degree the rows are sorted by bit-reversed mask,
-    so the masks holding bit m are the tail block and pair in order with the
-    masks without it one degree lower.  Every partial value is a signed sum
-    of a subset of `sums`.
+    one constant.  In that order the masks of a degree that hold bit m are
+    the tail block and pair in order with the masks without it one degree
+    lower.  Every partial value is a signed sum of a subset of `sums`.
     """
     if d == 0:
         return np.full(1 << n, sums[0])
-    reversed_masks = np.zeros_like(masks)
-    for j in range(n):
-        reversed_masks = (reversed_masks << 1) | ((masks >> j) & 1)
-    order = np.lexsort((reversed_masks, np.bitwise_count(masks)))
-    cuts = np.cumsum([math.comb(n, k) for k in range(d)])
-    rows = [block[:, None] for block in np.split(sums[order], cuts)]
+    rows = np.split(sums[:, None], np.cumsum([math.comb(n, k) for k in range(d)]))
     for m in range(n):
         # the masks of degree k among bits >= m that hold bit m
         has = [math.comb(n - m - 1, k - 1) if k else 0 for k in range(d + 1)]
@@ -312,13 +314,13 @@ def _low_degree_transpose(masks: np.ndarray, sums: np.ndarray, n: int, d: int) -
 def low_degree_part(values: np.ndarray, d: int) -> np.ndarray:
     """2^n times the degree-<=d part of an integer table, at every point, as int64.
 
-    `low_degree_sums` followed by its transpose: O(2^n) work at fixed d
+    `_low_degree_pass` followed by its transpose: O(2^n) work at fixed d
     against the 2 n 2^n of two `fwht` passes.  Exact while the l1 norms of
     the table and of its low sums fit in int64.
     """
     src = np.asarray(values)
-    masks, sums = low_degree_sums(src, d)
-    return _low_degree_transpose(masks, sums, src.shape[0].bit_length() - 1, d)
+    _, sums = _low_degree_pass(src, d)
+    return _low_degree_transpose(sums, src.shape[0].bit_length() - 1, d)
 
 
 def fwht(values: np.ndarray, dtype=None) -> np.ndarray:

@@ -180,9 +180,9 @@ def cyclerun_table(n: int) -> np.ndarray:
     past bit n-1.  Every run is at most n <= CYCLERUN_MAX_DIM = 25, so a
     sum of two stays within 50 and int8 cannot overflow.
 
-    The tied points, grouped by run length with one stable argsort, go to
-    stages 2 and 3 as uint32 bit arrays, which `hypercube.rotate` shifts
-    exactly for n <= CYCLERUN_MAX_DIM < 32.
+    The tied points, one group per run length present in ascending order,
+    go to stages 2 and 3 as uint32 bit arrays, which `hypercube.rotate`
+    shifts exactly for n <= CYCLERUN_MAX_DIM < 32.
 
     The stages decide only the low half, i < 2^(n-1).  Complementing a
     point swaps the players in every stage, so CycleRun is odd,
@@ -206,14 +206,11 @@ def cyclerun_table(n: int) -> np.ndarray:
     np.subtract(len_neg[:half - 1:-1], len_neg[:half], out=low)
     np.sign(low, out=low)
 
-    tied = np.flatnonzero(low == 0)
+    tied = np.flatnonzero(low == 0).astype(np.uint32)
     tied_len = len_neg[tied]
-    tied = tied[np.argsort(tied_len, kind="stable")]
-    groups = np.split(tied, np.cumsum(np.bincount(tied_len))[:-1])
-    for run_len, group in enumerate(groups):
-        if not len(group):
-            continue
-        vn = group.astype(np.uint32)
+    # Python ints: under NEP 50 an int64 run length would widen the uint32 bit arrays
+    for run_len in np.flatnonzero(np.bincount(tied_len)).tolist():
+        vn = tied[tied_len == run_len]
         vp = np.uint32(mask) - vn
         starts_p = _run_starts(vp, run_len, n)
         starts_n = _run_starts(vn, run_len, n)
@@ -247,7 +244,7 @@ def cyclerun_table(n: int) -> np.ndarray:
             if ties := int(np.count_nonzero(stage3 == 0)):
                 raise RuntimeError(f"cyclerun left {2 * ties} points tied after stage 3 at n={n}")
             verdict[still] = stage3
-        low[group] = verdict
+        low[vn] = verdict
     np.negative(low[::-1], out=table[half:])
     return table
 

@@ -189,6 +189,15 @@ def test_spectrum_csv_row_count(capsys):
     float(coef)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_above_its_cap_exits_1_before_any_transform(capsys, monkeypatch, fmt):
+    # an 8 MB table; its spectrum would take gigabytes
+    monkeypatch.setattr(hypercube, "fwht", _no_full_transform)
+    code, out, err = run_cli(capsys, "spectrum", "--fn", "constant:n=23,sign=1", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "precondition", "detail": "spectrum limited to n <= 22, got n=23"}
+
+
 def test_spectrum_json_embeds_config_and_version(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--fn", "majority:n=3")
     assert code == 0
@@ -737,6 +746,14 @@ def test_one_valued_table_encodes_its_value_once_and_runs_no_unique(
     assert math.copysign(1, encoder_calls[0]) == math.copysign(1, value)
     if not np.isnan(value):
         assert "".join(chunks) == json.dumps(table.tolist(), indent=2)
+
+
+def test_one_valued_table_is_handed_out_as_a_repeated_block():
+    table = np.zeros(3 * cli._BLOCK + 5)
+    chunks = cli._json_pieces({"p_table": table})
+    text = "".join(chunks)
+    assert text == json.dumps({"p_table": table.tolist()}, indent=2)
+    assert max(map(len, chunks)) < len(text) / 3
 
 
 def test_one_negative_zero_the_sample_misses_keeps_the_unique_route(encoder_calls):

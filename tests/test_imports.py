@@ -7,6 +7,9 @@ somewhere in the package: code that only tests reach belongs in
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,3 +248,12 @@ def test_the_check_finds_a_constant_read_nowhere_in_the_package():
 def test_every_constant_is_read_in_the_package(path):
     sources = {str(other.relative_to(ROOT)): other.read_text() for other in MODULES}
     assert unread_constants(str(path.relative_to(ROOT)), sources) == []
+
+
+def test_import_rejects_a_numpy_without_bitwise_count():
+    # numpy 1.x has no `np.bitwise_count`, which the kernels call
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import numpy; del numpy.bitwise_count; import boolres"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "ImportError: boolres requires numpy >= 2.0" in done.stderr

@@ -107,6 +107,18 @@ def test_low_degree_part_is_the_masked_double_transform(n):
         assert np.array_equal(part, fwht(np.where(pc <= d, fwht(ints), 0)))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_low_degree_pass_groups_by_degree_then_bit_reversed_mask(n):
+    # the order `_low_degree_transpose` reads the pass's sums in, unsorted
+    table = np.arange(1 << n, dtype=np.int64)
+    for d in range(1, n + 1):
+        masks, sums = hypercube._low_degree_pass(table, d)
+        keys = [(m.bit_count(), int(format(m, f"0{n}b")[::-1], 2)) for m in masks.tolist()]
+        assert keys == sorted(set(keys))  # strictly ascending
+        assert np.array_equal(np.sort(masks), np.nonzero(popcounts(n) <= d)[0])
+        assert np.array_equal(sums, fwht(table)[masks])
+
+
 def test_low_degree_part_peak_memory_is_a_few_tables_at_middle_degree():
     # n = 16, d = 8 keeps 39203 masks: a (masks, n) array would take 9.6 tables
     n, d = 16, 8

@@ -207,23 +207,23 @@ def test_int64_bound_tied_to_cap(monkeypatch):
     # most the l1 norm of that kernel's input, so recording that norm and
     # the largest output of each int64 call checks every value of the proof
     seen = []
-    real_sums, real_transpose = hypercube.low_degree_sums, hypercube._low_degree_transpose
+    real_pass, real_transpose = hypercube._low_degree_pass, hypercube._low_degree_transpose
 
     def record(values, out):
         if out.dtype == np.int64:  # the float re-check of p is not part of it
             seen.append((int(np.abs(values).sum()), int(np.abs(out).max())))
 
     def sums(table, d):
-        masks, out = real_sums(table, d)
+        masks, out = real_pass(table, d)
         record(table, out)
         return masks, out
 
-    def transpose(masks, values, n, d):
-        out = real_transpose(masks, values, n, d)
+    def transpose(values, n, d):
+        out = real_transpose(values, n, d)
         record(values, out)
         return out
 
-    monkeypatch.setattr(hypercube, "low_degree_sums", sums)
+    monkeypatch.setattr(hypercube, "_low_degree_pass", sums)
     monkeypatch.setattr(hypercube, "_low_degree_transpose", transpose)
     for f in (random_boolean(12, seed=1), random_boolean(11, seed=2), tribes(3, 4), majority(11)):
         for tau in (0.3, 1e300):
@@ -313,18 +313,18 @@ def test_exact_certificate_past_the_old_replay_cap(n):
 def test_float_recheck_catches_a_low_mask_left_in(monkeypatch):
     # q's low part without its mask-0 sum keeps q's mean in q_{>d}, so p has
     # a nonzero constant coefficient that only the float re-check sees
-    real = hypercube.low_degree_sums
+    real = hypercube._low_degree_pass
     calls = []
 
     def drop_mask_zero_on_q(table, d):
         masks, sums = real(table, d)
         calls.append(d)
-        if len(calls) == 2:  # f's low part first, then q's
+        if len(calls) == 2:  # f's low part first, then q's; mask 0 leads the pass
             sums[0] = 0
         return masks, sums
 
     f = tribes(3, 4)
     build_witness(f, 1, 0.5)
-    monkeypatch.setattr(hypercube, "low_degree_sums", drop_mask_zero_on_q)
+    monkeypatch.setattr(hypercube, "_low_degree_pass", drop_mask_zero_on_q)
     with pytest.raises(RuntimeError, match="resilient"):
         build_witness(f, 1, 0.5)
