@@ -302,7 +302,7 @@ def _cmd_duality(args) -> None:
         "delta": cert.l1.delta,
         "gap": cert.gap,
         "witness_table": cert.witness.table,
-        "poly_coefficients": {hex(m): c for m, c in cert.l1.poly.coeffs.items()},
+        "poly_coefficients": {hex(m): c for m, c in cert.l1.coefficients.items()},
     })
 
 
@@ -311,7 +311,7 @@ def _cmd_resilience(args) -> None:
     cert = distance_to_resilience(fn, args.d)
     _emit(args, {
         "alpha": cert.alpha,
-        "d": cert.l1.poly.degree,
+        "d": args.d,
         "lp_iterations": cert.l1.lp_iterations,
         "witness_table": cert.witness.table,
     })
@@ -322,9 +322,9 @@ def _cmd_l1approx(args) -> None:
     out = l1_poly_distance(fn, args.d)
     _emit(args, {
         "delta": out.delta,
-        "d": out.poly.degree,
+        "d": args.d,
         "lp_iterations": out.lp_iterations,
-        "poly_coefficients": {hex(m): c for m, c in out.poly.coeffs.items()},
+        "poly_coefficients": {hex(m): c for m, c in out.coefficients.items()},
     })
 
 
@@ -442,7 +442,7 @@ def _cmd_learn(args) -> None:
         "m": args.m,
         "seed": args.seed,
         "hypothesis_table": report.hypothesis.table,
-        "poly_coefficients": {hex(m): c for m, c in report.poly.coeffs.items()},
+        "poly_coefficients": {hex(m): c for m, c in report.coefficients.items()},
     })
 
 

@@ -143,10 +143,11 @@ def _spectral_gram(g: CubeFunction, masks: np.ndarray) -> np.ndarray:
     """4^k E[g_A g_B] for the embeddings of g (k variables) along the sets A.
 
     Exact int64 for Boolean g: every entry is bounded by 2^k sum_x g(x)^2 =
-    4^k <= 2^56 (Cauchy-Schwarz and Parseval), and so is every partial sum
-    of the products, which are over subsets U of one intersection.  Float64
-    for bounded g.  Row A of the coefficient matrix holds 2^k g^(T) at the
-    ambient mask A(T) of every |T| <= t, the largest pairwise intersection.
+    4^k <= 2^56, as k <= hypercube.MAX_DIM = 28 (Cauchy-Schwarz and
+    Parseval), and so is every partial sum of the products, which are over
+    subsets U of one intersection.  Float64 for bounded g.  Row A of the
+    coefficient matrix holds 2^k g^(T) at the ambient mask A(T) of every
+    |T| <= t, the largest pairwise intersection.
     """
     k = g.n
     depth = max((int(sizes.max()) for _, sizes in _overlaps(masks)), default=0)

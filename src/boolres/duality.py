@@ -10,10 +10,11 @@ whose optima satisfy alpha = 1 - value/2^n and delta = value/2^n with
 alpha + delta = 1.  Only the primal is solved, a box LP with one row per
 |S| <= d; the dual's p = sum_S y_S chi_S comes from the row duals
 y = c_B B^-1 of its optimal basis.  The learner's weighted regression is
-the same LP over weighted labeled points.  `_l1_box_lp` solves it over any
-rows and column masses its caller passes and rechecks p = y^T rows against
-the LP value; this module and both learner modes pass the cube's character
-rows, built once per solve, and read p's coefficients off the row duals.
+the same LP over weighted labeled points.  `_cube_fit` owns its rows: it
+builds the cube's character rows once per solve, takes the columns of the
+caller's points, and reads p's coefficients off the row duals by mask, for
+the resilience LP and both learner modes alike.  `_l1_box_lp` solves the LP
+and rechecks p = y^T rows against the LP value.
 
 `distance_to_resilience` is the one Boolean entry point: each call solves
 the LP once and returns one `DualityCertificate` holding g, alpha, the gap
@@ -78,26 +79,9 @@ def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SparsePolynomial:
-    """Real multilinear polynomial with support on subsets of size <= degree."""
-
-    degree: int
-    coeffs: dict[int, float]
-
-    def __post_init__(self):
-        for mask in self.coeffs:
-            if mask.bit_count() > self.degree:
-                raise ValueError(f"mask {mask:#x} exceeds degree bound {self.degree}")
-
-    def evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """p at the points of `rows` = `characters(list(self.coeffs), points)`."""
-        return _combine(self.coeffs.values(), rows)
-
-
-@dataclass(frozen=True)
 class L1ApproxResult:
     delta: float
-    poly: SparsePolynomial
+    coefficients: dict[int, float]
     lp_iterations: int
 
 
@@ -124,11 +108,10 @@ def _l1_box_lp(rows: np.ndarray, labels: np.ndarray,
     Its dual is min sum_c m_c |l_c - p_c| over p = y^T rows, with y the row
     duals.  The solver starts at the box-optimal vertex g_c = m_c if l_c > 0
     else -m_c (= m_c l_c for +-1 labels); its pivots depend on the layout of
-    `rows`, so callers pass them in C order.
+    `rows`, which `_cube_fit` hands over in C order.
 
-    Returns the solution and sum_c m_c |l_c - p_c|, with p summed as
-    `SparsePolynomial.evaluate` sums it, which must be within
-    1e-7 sum_c m_c of the LP value.
+    Returns the solution and sum_c m_c |l_c - p_c|, with p summed by
+    `_combine`, which must be within 1e-7 sum_c m_c of the LP value.
     """
     sol = solve_lp(LinearProgram(objective=labels, eq_matrix=rows, lower=-masses, upper=masses))
     if sol.status != OPTIMAL:
@@ -141,20 +124,30 @@ def _l1_box_lp(rows: np.ndarray, labels: np.ndarray,
     return sol, error
 
 
+def _cube_fit(n: int, d: int, points: np.ndarray, labels: np.ndarray,
+              masses: np.ndarray) -> tuple[LPSolution, float, dict[int, float], np.ndarray]:
+    """The box LP over the rows chi_S, |S| <= d, at `points`: built once on
+    the cube, its columns taken as a fresh C-order array.  Returns the
+    solution, its checked error, p's coefficients (the row duals by mask)
+    and the cube's rows chi, on which p is `_combine(sol.duals, chi)`."""
+    masks = low_degree_masks(n, d)
+    chi = characters(masks, np.arange(1 << n))
+    sol, error = _l1_box_lp(chi.take(points, axis=1), labels, masses)
+    return sol, error, dict(zip(masks, sol.duals.tolist())), chi
+
+
 def _resilience_lp(f: BooleanFunction, d: int) -> tuple[LPSolution, L1ApproxResult]:
-    """The resilience LP: the cube's character rows, labels f, masses 1;
-    delta = E|f - p| from the checked error of the box LP."""
+    """The resilience LP: every point, labels f, masses 1; delta = E|f - p|
+    from the checked error of the box LP."""
     n = f.n
     if n > MAX_DUALITY_DIM:
         raise ValueError(f"exact duality limited to n <= {MAX_DUALITY_DIM}")
-    masks = low_degree_masks(n, d)
     size = 1 << n
-    sol, error = _l1_box_lp(characters(masks, np.arange(size)), f.table, np.ones(size))
+    sol, error, coefficients, _ = _cube_fit(n, d, np.arange(size), f.table, np.ones(size))
     delta = error / size
     if not 0.0 <= delta <= 2.0:
         raise CertificateError(f"delta {delta} outside [0, 2]")
-    poly = SparsePolynomial(d, dict(zip(masks, sol.duals.tolist())))
-    return sol, L1ApproxResult(delta, poly, sol.iterations)
+    return sol, L1ApproxResult(delta, coefficients, sol.iterations)
 
 
 def distance_to_resilience(f: BooleanFunction, d: int) -> DualityCertificate:

@@ -11,13 +11,14 @@ Both modes solve it through its dual, the k-row box LP of `duality`
 
     max sum_c l_c g_c  s.t. sum_c g_c chi_S(x_c) = 0 for |S| <= d, |g_c| <= w_c,
 
-its rows the cube's character rows once per label.  `_fit` builds them once
-for both modes, solves the LP by `duality._l1_box_lp`, which checks p's L1
-error against the LP value, and evaluates p = sum_S y_S chi_S, y the row
-duals, on the same rows.  The simplex starts at the box-optimal vertex
-g_c = w_c l_c.  When the target is d-resilient (the sums
-sum_c w_c l_c chi_S(x_c) all vanish) that vertex is feasible, so the
-all-slack starting basis is optimal at pivot 0 and its duals give p = 0.
+its rows the cube's character rows once per label.  `_fit` serves both
+modes: `duality._cube_fit` builds the rows, solves the LP, checks p's L1
+error against the LP value and returns p = sum_S y_S chi_S as the row
+duals y by mask, and `_fit` evaluates p on the cube's rows.  The simplex
+starts at the box-optimal vertex g_c = w_c l_c.  When the target is
+d-resilient (the sums sum_c w_c l_c chi_S(x_c) all vanish) that vertex is
+feasible, so the all-slack starting basis is optimal at pivot 0 and its
+duals give p = 0.
 Such a target can have other optimal p (the optimal face is degenerate)
 whose thresholds happen to correlate with it through higher degrees; the
 start picks p = 0, so the hypothesis is a constant and a d-resilient
@@ -38,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import MAX_DUALITY_DIM, SparsePolynomial, _l1_box_lp, low_degree_masks
-from .hypercube import BooleanFunction, CubeFunction, characters
+from .duality import MAX_DUALITY_DIM, _combine, _cube_fit
+from .hypercube import BooleanFunction, CubeFunction
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class LearnReport:
     error: float              # Pr[h(x) != y] under the true distribution
     regression_delta: float   # optimal E|p - y| (empirical in sampled mode)
     threshold: float
-    poly: SparsePolynomial
+    coefficients: dict[int, float]
     empirical_error: float | None = None
 
 
@@ -95,16 +96,13 @@ def _fit(n: int, d: int, up: np.ndarray, down: np.ndarray) -> LearnReport:
     (up, down); its regression_delta is p's L1 error recomputed over those
     points, which `_l1_box_lp` has checked against the LP value.
     """
-    masks = low_degree_masks(n, d)
-    chi = characters(masks, np.arange(1 << n))
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    rows = chi.take(np.flatnonzero(keep) % (1 << n), axis=1)
-    sol, delta = _l1_box_lp(rows, labels[keep], weights[keep])
-    poly = SparsePolynomial(d, dict(zip(masks, sol.duals.tolist())))
-    threshold, error, h_table = _best_threshold(poly.evaluate(chi), up, down)
-    return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, poly)
+    sol, delta, coefficients, chi = _cube_fit(
+        n, d, np.flatnonzero(keep) % (1 << n), labels[keep], weights[keep])
+    threshold, error, h_table = _best_threshold(_combine(sol.duals, chi), up, down)
+    return LearnReport(BooleanFunction(n, h_table), error, delta, threshold, coefficients)
 
 
 def learn_exact(g: CubeFunction, d: int) -> LearnReport:

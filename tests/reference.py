@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from boolres.duality import SparsePolynomial, l1_poly_distance
+from boolres.duality import _combine, l1_poly_distance
 from boolres.hypercube import (
     BooleanFunction,
     BoundedFunction,
@@ -318,9 +318,10 @@ def concentration_probe(f: BooleanFunction, d: int, t: float) -> ConcentrationPr
     return ConcentrationProbe(p2norm_lowpart=norm, tail_prob=tail)
 
 
-def poly_table(poly: SparsePolynomial, n: int) -> np.ndarray:
-    """p's values at every point of the n-cube, in point-index order."""
-    return poly.evaluate(characters(list(poly.coeffs), np.arange(1 << n)))
+def poly_table(coefficients: dict[int, float], n: int) -> np.ndarray:
+    """p's values at every point of the n-cube, in point-index order, from
+    its coefficients by mask."""
+    return _combine(coefficients.values(), characters(list(coefficients), np.arange(1 << n)))
 
 
 # ---------------------------------------------------------------------------

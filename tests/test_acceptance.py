@@ -67,7 +67,7 @@ def test_criterion_01_duality_random_ensemble():
             assert np.max(np.abs(witness.table)) <= 1.0 + 1e-12
             check = is_d_resilient(witness, d, tol=1e-7)
             assert check.resilient
-            poly_pc = [int(m).bit_count() for m in cert.l1.poly.coeffs]
+            poly_pc = [int(m).bit_count() for m in cert.l1.coefficients]
             assert all(pc <= d for pc in poly_pc)
     elapsed = time.time() - started
     assert elapsed <= 120.0, f"duality ensemble took {elapsed:.1f}s"

@@ -44,7 +44,7 @@ def test_l1_poly_distance_accepts_bounded_targets():
     for seed in range(5):
         f = _bounded(seed=seed)
         out = l1_poly_distance(f, 1)
-        p = poly_table(out.poly, f.n)
+        p = poly_table(out.coefficients, f.n)
         recomputed = float(np.mean(np.abs(f.table - p)))
         assert out.delta == pytest.approx(recomputed, abs=1e-12)
 

@@ -879,7 +879,7 @@ def test_learn_artifact_is_the_report_and_argv(tmp_path, sampling):
         "m": m,
         "seed": seed,
         "hypothesis_table": report.hypothesis.table.tolist(),
-        "poly_coefficients": {hex(mask): c for mask, c in report.poly.coeffs.items()},
+        "poly_coefficients": {hex(mask): c for mask, c in report.coefficients.items()},
     }
     config = {"command": "learn", "fn": "dictator:n=4,i=1", "d": 1}
     if sampling:

@@ -14,6 +14,7 @@ from boolres.designs import (
     orthogonal_family,
 )
 from boolres.hypercube import (
+    MAX_DIM,
     BooleanFunction,
     BoundedFunction,
     is_d_resilient,
@@ -21,7 +22,7 @@ from boolres.hypercube import (
     wht,
 )
 from boolres.zoo import constant, dictator, majority, parity, random_boolean, tribes
-from reference import MAX_AMBIENT_DIM, embed_on_mask, resilience_order
+from reference import INT64_BITS, MAX_AMBIENT_DIM, embed_on_mask, resilience_order
 
 
 def test_lex_greedy_small_case():
@@ -236,6 +237,18 @@ def test_spectral_gram_equals_the_table_gram():
                     assert np.array_equal(got, want)
                 else:
                     assert np.allclose(got, want, rtol=0, atol=1e-9 * (1 << 2 * g.n))
+
+
+def test_spectral_gram_int64_bound_tied_to_cap():
+    # a Boolean base on k <= MAX_DIM variables has Gram entries of at most
+    # 4^k, so the integer route cannot wrap in int64
+    assert 2 * MAX_DIM <= INT64_BITS
+    k = 12
+    g = random_boolean(k, seed=5)
+    gram = _spectral_gram(g, np.array([0xFFF, 0xFFF << 2, 0xFFF << 4], dtype=np.uint64))
+    assert gram.dtype == np.int64
+    assert np.all(np.diag(gram) == 1 << 2 * k)
+    assert np.max(np.abs(gram)) == 1 << 2 * k
 
 
 def test_orthogonal_family_matches_the_table_gram_on_designs():

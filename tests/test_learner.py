@@ -6,8 +6,13 @@ import pytest
 from boolres import duality, learner
 from boolres.builder import build_one_resilient
 from boolres.designs import greedy_design
-from boolres.duality import CertificateError, l1_poly_distance, low_degree_masks
-from boolres.hypercube import BooleanFunction, BoundedFunction, chi_values
+from boolres.duality import (
+    CertificateError,
+    distance_to_resilience,
+    l1_poly_distance,
+    low_degree_masks,
+)
+from boolres.hypercube import BooleanFunction, BoundedFunction, characters, chi_values
 from boolres.learner import (
     LearnReport,
     _best_threshold,
@@ -70,7 +75,7 @@ def test_threshold_optimality_brute_force():
     rng = np.random.default_rng(17)
     g = BoundedFunction(5, rng.uniform(-1, 1, size=32))
     report = learn_exact(g, d=1)
-    p = poly_table(report.poly, 5)
+    p = poly_table(report.coefficients, 5)
     up, down = learner._label_weights(g)
     # brute force over every threshold between consecutive values
     candidates = np.concatenate([[p.min() - 1.0], np.unique(p)])
@@ -212,8 +217,8 @@ def _report_bits(report):
         value = getattr(report, field.name)
         if field.name == "hypothesis":
             value = (value.n, value.table.dtype, value.table.tobytes())
-        elif field.name == "poly":
-            value = (value.degree, [(k, c.hex()) for k, c in value.coeffs.items()])
+        elif field.name == "coefficients":
+            value = [(k, c.hex()) for k, c in value.items()]
         elif isinstance(value, float):
             value = value.hex()
         bits[field.name] = value
@@ -250,7 +255,7 @@ def test_hard_target_regressor_is_zero():
     # the box-optimal start is feasible on a 1-resilient target, so the
     # optimal basis is the starting one and its duals give p = 0
     report = learn_exact(_hard_target(), d=1)
-    assert all(c == 0.0 for c in report.poly.coeffs.values())
+    assert all(c == 0.0 for c in report.coefficients.values())
     assert report.regression_delta == 1.0
     assert report.error == 0.5
 
@@ -367,6 +372,40 @@ def test_regression_delta_is_the_recomputed_l1_error(mode):
     labels = np.repeat([1.0, -1.0], 1 << n)
     weights = np.concatenate([up, down])
     keep = weights > 0
-    p_table = poly_table(report.poly, n)
+    p_table = poly_table(report.coefficients, n)
     error = float(np.sum(weights[keep] * np.abs(labels[keep] - p_table[points[keep]])))
     assert report.regression_delta == error
+
+
+@pytest.mark.parametrize("mode", ["resilience", "exact", "sampled"])
+def test_box_lp_gets_c_order_character_rows_at_its_columns(monkeypatch, mode):
+    # the pivots depend on the rows' layout, so what reaches the LP is pinned:
+    # int8, C order, the character rows at the LP's column points
+    n, d, m = 7, 2, 300
+    seen = []
+    real = duality._l1_box_lp
+
+    def spy(rows, labels, masses):
+        seen.append(rows)
+        return real(rows, labels, masses)
+
+    monkeypatch.setattr(duality, "_l1_box_lp", spy)
+    table = _noisy(n, seed=7).table.copy()
+    table[::5] = np.sign(table[::5])  # points with one label only
+    g = BoundedFunction(n, table)
+    if mode == "resilience":
+        distance_to_resilience(majority(n), d)
+        points = np.arange(1 << n)
+    elif mode == "exact":
+        learn_exact(g, d=d)
+        up, down = learner._label_weights(g)
+        points = np.concatenate([np.flatnonzero(up > 0), np.flatnonzero(down > 0)])
+    else:
+        learn_sampled(g, d=d, m=m, seed=5)
+        rng = np.random.default_rng(5)
+        xs = rng.integers(0, 1 << n, size=m)
+        ys = np.where(rng.random(m) < (1.0 + g.table[xs]) / 2.0, 1, -1)
+        points = np.concatenate([np.unique(xs[ys > 0]), np.unique(xs[ys < 0])])
+    [rows] = seen
+    assert rows.dtype == np.int8 and rows.flags.c_contiguous
+    assert np.array_equal(rows, characters(low_degree_masks(n, d), points))
